@@ -3,10 +3,11 @@
 The package provides the closed-form update field for adapter factor pairs
 (gradient matching on the effective weight, gauge-fixed to the balanced
 manifold through a symmetric Sylvester equation), fixed-step Euler/RK2/RK4
-discretizations of the flow, baseline factor optimizers, benchmark problems
-with exact gradients and certified sensing operators, and the diagnostics
-used to verify convergence rates, discretization orders, balance
-preservation, and dimension-independent feature scaling.
+discretizations of the flow and baseline factor optimizers on one explicit
+Runge–Kutta engine, benchmark problems with exact gradients and certified
+sensing operators, and the diagnostics used to verify convergence rates,
+discretization orders, balance preservation, and dimension-independent
+feature scaling.
 """
 
 from .core import (
@@ -16,12 +17,9 @@ from .core import (
     Objective,
     effective_weight,
     field_eval,
-    field_eval_at,
     flow_rhs_full,
     gram_a,
     gram_b,
-    null_projector_a,
-    null_projector_b,
 )
 from .diagnostics import (
     DefectBelowNoiseFloor,

@@ -123,7 +123,12 @@ class Experiment:
     def run(self, solver: SolverConfig | None = None) -> TrajectoryLog:
         solver = solver or self.cfg.solver
         return run_trajectory(
-            self.initial_state(solver.scheme), self.objective, solver, w_pt=self.w_pt
+            self.initial_state(solver.scheme),
+            self.objective,
+            solver,
+            w_pt=self.w_pt,
+            log_eps_ratio=self.cfg.diagnostics.eps_ratio,
+            log_balance=self.cfg.diagnostics.balance,
         )
 
     def certificate(self) -> float | None:
@@ -132,8 +137,7 @@ class Experiment:
         return sensing_eps_certificate(self.sensing, self.factors)
 
 
-def _write_trajectory_csv(path: Path, log: TrajectoryLog, cfg: ExperimentConfig) -> None:
-    diag = cfg.diagnostics
+def _write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
     lines = [TRAJECTORY_HEADER]
     for row in log.rows:
         lines.append(
@@ -142,8 +146,8 @@ def _write_trajectory_csv(path: Path, log: TrajectoryLog, cfg: ExperimentConfig)
                     _fmt(row.iter),
                     _fmt(row.loss),
                     _fmt(row.grad_norm),
-                    _fmt(row.balance_defect) if diag.balance else "",
-                    _fmt(row.eps_ratio) if diag.eps_ratio else "",
+                    _fmt(row.balance_defect),
+                    _fmt(row.eps_ratio),
                     _fmt(row.dist_to_opt),
                     _fmt(row.wall_nanos),
                 ]
@@ -167,7 +171,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: Path) -> tuple[TrajectoryLog, Expe
     out_dir.mkdir(parents=True, exist_ok=True)
     experiment = Experiment(cfg)
     log = experiment.run()
-    _write_trajectory_csv(out_dir / "trajectory.csv", log, cfg)
+    _write_trajectory_csv(out_dir / "trajectory.csv", log)
     meta = [serialize_config(cfg).rstrip("\n"), ""]
     meta.append(f"final_loss = {_fmt(log.final_loss)}")
     meta.append(f"diverged = {_fmt(log.diverged)}")
@@ -309,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file path (omit for all defaults)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seeds")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells")
 
     run_p = sub.add_parser("run", help="run one trajectory")
     common(run_p)
@@ -318,6 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sweep_p)
     sweep_p.add_argument("--param", required=True, choices=("h", "delta"))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
+    sweep_p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells")
 
     order_p = sub.add_parser("order", help="measure discretization orders")
     common(order_p)
@@ -328,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fs_p.add_argument("--seeds", type=int, default=5)
     fs_p.add_argument("--steps", type=int, default=20)
     fs_p.add_argument("--h", type=float, default=0.1)
-    fs_p.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -80,7 +80,6 @@ class DiagnosticsSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    directory: str = "out"
     run_label: str = "run"
 
 
@@ -235,8 +234,8 @@ def parse_config(text: str) -> ExperimentConfig:
     values = items("output")
     out = cfg.output
     for key, raw in values.items():
-        if key in ("directory", "run_label"):
-            out = replace(out, **{key: raw})
+        if key == "run_label":
+            out = replace(out, run_label=raw)
         else:
             raise UnknownKey(f"output.{key}")
 
@@ -266,6 +265,5 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     for key in ("eps_ratio", "balance", "certificate"):
         buf.write(f"{key} = {str(getattr(cfg.diagnostics, key)).lower()}\n")
     buf.write("\n[output]\n")
-    buf.write(f"directory = {cfg.output.directory}\n")
     buf.write(f"run_label = {cfg.output.run_label}\n")
     return buf.getvalue()

@@ -33,10 +33,7 @@ __all__ = [
     "effective_weight",
     "gram_a",
     "gram_b",
-    "null_projector_a",
-    "null_projector_b",
     "field_eval",
-    "field_eval_at",
     "flow_rhs_full",
 ]
 
@@ -127,24 +124,6 @@ def gram_b(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
     return b.T @ b + eps * np.eye(factors.rank)
 
 
-def null_projector_a(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
-    """I - A^T (A A^T + eps I)^{-1} A, the row-space annihilator (n x n).
-
-    Explicit n x n form, intended for diagnostics and tests; hot paths apply
-    the projector through Gram solves instead.
-    """
-    a = factors.a
-    n = a.shape[1]
-    return np.eye(n) - a.T @ cholesky_solve(gram_a(factors, eps), a)
-
-
-def null_projector_b(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
-    """I - B (B^T B + eps I)^{-1} B^T, the column-space annihilator (m x m)."""
-    b = factors.b
-    m = b.shape[0]
-    return np.eye(m) - b @ cholesky_solve(gram_b(factors, eps), b.T)
-
-
 def _project_out_b(factors: LoRAFactors, gb: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply the column-space annihilator of B to w without forming it."""
     b = factors.b
@@ -178,13 +157,6 @@ def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEv
     g_at_inv = cholesky_solve(ga, (g @ a.T).T).T
     f_b = -_project_out_b(factors, gb, g_at_inv) - b @ x
     return FieldEval(f_a, f_b, x)
-
-
-def field_eval_at(
-    factors: LoRAFactors, w_pt: np.ndarray, objective: Objective, eps: float = 0.0
-) -> FieldEval:
-    """Field at the objective's gradient taken at W_pt + B A."""
-    return field_eval(factors, objective.grad(effective_weight(w_pt, factors)), eps)
 
 
 def flow_rhs_full(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> np.ndarray:

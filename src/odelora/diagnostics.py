@@ -6,7 +6,9 @@ step size, measure the terminal defect against a fine-step RK4 reference,
 and read the order off consecutive defect ratios. The output decomposition
 splits the one-step change of the model output ``(B A) s`` into the
 per-stage contributions of the integrator, whose scaling with the model
-dimension n is what "stable feature learning" constrains.
+dimension n is what "stable feature learning" constrains. Its stage fields
+come from the same Runge–Kutta engine that ``solvers`` steps with, so the
+decomposed step is the solver's step up to the rounding of the stage sum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight, field_eval
+from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight
 from .metrics import (  # noqa: F401  (re-exported measurement surface)
     NonPositiveGap,
     RateFit,
@@ -28,7 +30,7 @@ from .metrics import (  # noqa: F401  (re-exported measurement surface)
     sensing_eps_certificate,
 )
 from .problems import RegressionProblem, make_regression_instance, regression_objective, zero_b_init
-from .solvers import Scheme
+from .solvers import Scheme, _method_for, _rk_stages, _step_for
 
 __all__ = [
     "ReferenceDiverged",
@@ -50,8 +52,6 @@ __all__ = [
 # Terminal defects below this are indistinguishable from round-off.
 DEFECT_FLOOR = 1e-12
 
-RK4_STAGE_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
-
 
 class ReferenceDiverged(Exception):
     """The fine-step reference trajectory diverged; no baseline exists."""
@@ -71,16 +71,11 @@ class OrderReport:
 
 def _integrate_weight(factors, w_pt, objective, scheme, h, steps, eps):
     """Integrate without logging and return the terminal effective weight."""
-    from .solvers import _step_for
-
     step = _step_for(scheme)
     state = factors
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            if scheme is Scheme.CLASSICAL_GD:
-                state = step(state, w_pt, objective, h)
-            else:
-                state = step(state, w_pt, objective, h, eps)
+            state = step(state, w_pt, objective, h, eps)
             if not np.all(np.isfinite(state.a)) or not np.all(np.isfinite(state.b)):
                 raise ArithmeticError(f"{scheme.value} diverged at h = {h}")
     return effective_weight(w_pt, state)
@@ -163,14 +158,24 @@ class PhiReport:
     sum_check_residual: float
 
 
-def _phi_report(factors, stage_fields, weights, h, s):
+def _phi_step(factors, problem, scheme, h, eps):
+    """Decompose one step of a factor scheme on the regression problem.
+
+    Returns the report and the post-step state. Stage k contributes its
+    update side ``b_k h F_B^(k) A_t s`` and its carry side
+    ``b_k h B_t F_A^(k) s``, with ``b_k`` the scheme's tableau weights.
+    """
+    objective = regression_objective(problem)
+    tableau, stages = _rk_stages(scheme, factors, problem.w_pt, objective, h, eps)
+    weights = [b / tableau.denominator for b in tableau.weights]
+    s = problem.s
     a_s = factors.a @ s
     components = []
-    for w, k in zip(weights, stage_fields):
-        components.append(w * h * (k.f_b @ a_s))
-        components.append(w * h * (factors.b @ (k.f_a @ s)))
-    da = h * sum(w * k.f_a for w, k in zip(weights, stage_fields))
-    db = h * sum(w * k.f_b for w, k in zip(weights, stage_fields))
+    for w, (f_a, f_b) in zip(weights, stages):
+        components.append(w * h * (f_b @ a_s))
+        components.append(w * h * (factors.b @ (f_a @ s)))
+    da = h * sum(w * f_a for w, (f_a, _) in zip(weights, stages))
+    db = h * sum(w * f_b for w, (_, f_b) in zip(weights, stages))
     cross = db @ (da @ s)
     after = factors.move(da, db, 1.0)
     change = (after.delta() - factors.delta()) @ s
@@ -185,17 +190,6 @@ def _phi_report(factors, stage_fields, weights, h, s):
     return report, after
 
 
-def _rk4_stage_fields(factors, w_pt, objective, h, eps):
-    k1 = field_eval(factors, objective.grad(effective_weight(w_pt, factors)), eps)
-    s1 = factors.move(k1.f_a, k1.f_b, 0.5 * h)
-    k2 = field_eval(s1, objective.grad(effective_weight(w_pt, s1)), eps)
-    s2 = factors.move(k2.f_a, k2.f_b, 0.5 * h)
-    k3 = field_eval(s2, objective.grad(effective_weight(w_pt, s2)), eps)
-    s3 = factors.move(k3.f_a, k3.f_b, h)
-    k4 = field_eval(s3, objective.grad(effective_weight(w_pt, s3)), eps)
-    return (k1, k2, k3, k4)
-
-
 def phi_decompose_rk4(
     factors: LoRAFactors,
     problem: RegressionProblem,
@@ -204,32 +198,14 @@ def phi_decompose_rk4(
 ) -> PhiReport:
     """Decompose one RK4 step on the regression problem into its 8 output
     contributions (stage weights h/6, h/3, h/3, h/6)."""
-    report, _ = _phi_rk4_step(factors, problem, h, eps)
-    return report
-
-
-def _phi_rk4_step(factors, problem, h, eps):
-    objective = regression_objective(problem)
-    stages = _rk4_stage_fields(factors, problem.w_pt, objective, h, eps)
-    return _phi_report(factors, stages, RK4_STAGE_WEIGHTS, h, problem.s)
+    return _phi_step(factors, problem, Scheme.ODE_RK4, h, eps)[0]
 
 
 def phi_decompose_classical(
     factors: LoRAFactors, problem: RegressionProblem, h: float
 ) -> PhiReport:
     """Two-component decomposition of one plain factor-descent step."""
-    report, _ = _phi_classical_step(factors, problem, h)
-    return report
-
-
-def _phi_classical_step(factors, problem, h):
-    from .core import FieldEval
-
-    g = regression_objective(problem).grad(effective_weight(problem.w_pt, factors))
-    direction = FieldEval(
-        f_a=-(factors.b.T @ g), f_b=-(g @ factors.a.T), x=np.zeros((factors.rank,) * 2)
-    )
-    return _phi_report(factors, (direction,), (1.0,), h, problem.s)
+    return _phi_step(factors, problem, Scheme.CLASSICAL_GD, h, DEFAULT_EPS)[0]
 
 
 @dataclass
@@ -279,17 +255,14 @@ def feature_scaling_experiment(
             # the first A row collide with the feature vector draw)
             state = zero_b_init(n, n, rank, np.random.SeedSequence([seed, 1]), align=problem.s)
             for step_idx in range(steps):
-                if scheme is Scheme.ODE_RK4:
-                    report, state = _phi_rk4_step(state, problem, h, eps)
-                else:
-                    report, state = _phi_classical_step(state, problem, h)
+                report, state = _phi_step(state, problem, scheme, h, eps)
                 if not all(np.isfinite(report.component_norms)):
                     raise ArithmeticError(
                         f"{scheme.value} diverged at n = {n}, seed = {seed}, step = {step_idx}"
                     )
                 for comp, norm in enumerate(report.component_norms):
                     rows.append((int(n), int(seed), step_idx, comp, norm))
-    n_components = 8 if scheme is Scheme.ODE_RK4 else 2
+    n_components = 2 * len(_method_for(scheme)[0].weights)
     medians: dict[tuple[int, int], float] = {}
     for n in n_list:
         for comp in range(n_components):

@@ -1,12 +1,18 @@
 """Time discretizations of the balanced adapter flow, plus baselines.
 
-The flow steppers (Euler, Heun/RK2, classical RK4) re-evaluate the field at
-each intermediate stage's effective weight ``W_pt + B A``. The baselines are
-plain factor gradient descent, Gram-preconditioned descent, the
-gradient-matching update with zero gauge (the X = 0 member of the same
-solution family as the Euler flow step), and full-weight gradient descent.
-All steppers are pure functions from state to state; ``run_trajectory``
-iterates one of them and logs per-iteration diagnostics.
+Every factor scheme is one explicit Runge–Kutta engine driven by a
+direction function ``(factors, g, eps) -> (f_a, f_b)`` of the full-weight
+gradient at a stage. The flow steppers (Euler, Heun/RK2, classical RK4)
+run the engine with the balanced field ``field_eval`` and their Butcher
+tableaux, re-evaluating the field at each stage's effective weight
+``W_pt + B A``. The factor baselines are one-stage (Euler) runs of their
+own directions: plain factor gradient descent, Gram-preconditioned
+descent, and the gradient-matching update with zero gauge (the X = 0
+member of the same solution family as the Euler flow step). Full-weight
+gradient descent steps the dense weight instead. All steppers are pure
+functions from state to state and every factor step takes
+``(factors, w_pt, objective, h, eps)``; ``run_trajectory`` iterates one of
+them and logs per-iteration diagnostics.
 """
 
 from __future__ import annotations
@@ -78,62 +84,41 @@ class SolverConfig:
             raise ValueError("eps_reg must be nonnegative")
 
 
-def _grad_at(factors: LoRAFactors, w_pt, objective: Objective) -> np.ndarray:
-    return objective.grad(effective_weight(w_pt, factors))
+@dataclass(frozen=True)
+class Tableau:
+    """Explicit Runge–Kutta tableau whose stage rows hold one nonzero entry.
+
+    Stage i + 1 is evaluated at ``y + subdiagonal[i] h k_i``; the step is
+    ``y + h sum_i b_i k_i`` with ``b_i = weights[i] / denominator``. The
+    integer weights let the step sum its stages left to right and divide
+    once.
+    """
+
+    subdiagonal: tuple[float, ...]
+    weights: tuple[int, ...]
+    denominator: int
 
 
-def ode_euler_step(
-    factors: LoRAFactors, w_pt, objective: Objective, h: float, eps: float = DEFAULT_EPS
-) -> LoRAFactors:
-    """One forward-Euler step of the balanced flow."""
-    k1 = field_eval(factors, _grad_at(factors, w_pt, objective), eps)
-    return factors.move(k1.f_a, k1.f_b, h)
+EULER = Tableau((), (1,), 1)
+HEUN = Tableau((1.0,), (1, 1), 2)
+RK4 = Tableau((0.5, 0.5, 1.0), (1, 2, 2, 1), 6)
 
 
-def ode_rk2_step(
-    factors: LoRAFactors, w_pt, objective: Objective, h: float, eps: float = DEFAULT_EPS
-) -> LoRAFactors:
-    """One Heun (two-stage, second-order) step of the balanced flow."""
-    k1 = field_eval(factors, _grad_at(factors, w_pt, objective), eps)
-    predictor = factors.move(k1.f_a, k1.f_b, h)
-    k2 = field_eval(predictor, _grad_at(predictor, w_pt, objective), eps)
-    return factors.move(0.5 * (k1.f_a + k2.f_a), 0.5 * (k1.f_b + k2.f_b), h)
+def _flow_direction(factors: LoRAFactors, g: np.ndarray, eps: float):
+    k = field_eval(factors, g, eps)
+    return k.f_a, k.f_b
 
 
-def ode_rk4_step(
-    factors: LoRAFactors, w_pt, objective: Objective, h: float, eps: float = DEFAULT_EPS
-) -> LoRAFactors:
-    """One classical four-stage RK4 step of the balanced flow."""
-    k1 = field_eval(factors, _grad_at(factors, w_pt, objective), eps)
-    s1 = factors.move(k1.f_a, k1.f_b, 0.5 * h)
-    k2 = field_eval(s1, _grad_at(s1, w_pt, objective), eps)
-    s2 = factors.move(k2.f_a, k2.f_b, 0.5 * h)
-    k3 = field_eval(s2, _grad_at(s2, w_pt, objective), eps)
-    s3 = factors.move(k3.f_a, k3.f_b, h)
-    k4 = field_eval(s3, _grad_at(s3, w_pt, objective), eps)
-    f_a = (k1.f_a + 2.0 * k2.f_a + 2.0 * k3.f_a + k4.f_a) / 6.0
-    f_b = (k1.f_b + 2.0 * k2.f_b + 2.0 * k3.f_b + k4.f_b) / 6.0
-    return factors.move(f_a, f_b, h)
+def _factor_gradient(factors: LoRAFactors, g: np.ndarray, eps: float):
+    """Composite-loss gradients B^T G in A and G A^T in B, negated; ``eps``
+    plays no part."""
+    return -(factors.b.T @ g), -(g @ factors.a.T)
 
 
-def classical_gd_step(
-    factors: LoRAFactors, w_pt, objective: Objective, h: float
-) -> LoRAFactors:
-    """Plain gradient descent on the factors: the composite-loss gradients
-    are B^T G in A and G A^T in B."""
-    g = _grad_at(factors, w_pt, objective)
-    return factors.move(-(factors.b.T @ g), -(g @ factors.a.T), h)
-
-
-def riemannian_step(
-    factors: LoRAFactors, w_pt, objective: Objective, h: float, eps: float = DEFAULT_EPS
-) -> LoRAFactors:
-    """Gram-preconditioned factor descent:
-    A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
-    g = _grad_at(factors, w_pt, objective)
+def _riemannian_direction(factors: LoRAFactors, g: np.ndarray, eps: float):
     da = -cholesky_solve(gram_b(factors, eps), factors.b.T @ g)
     db = -cholesky_solve(gram_a(factors, eps), (g @ factors.a.T).T).T
-    return factors.move(da, db, h)
+    return da, db
 
 
 def lorapro_direction(
@@ -149,12 +134,74 @@ def lorapro_direction(
     return da, db
 
 
-def lorapro_step(
-    factors: LoRAFactors, w_pt, objective: Objective, h: float, eps: float = DEFAULT_EPS
-) -> LoRAFactors:
+def _method_for(scheme: Scheme):
+    """(tableau, direction) of a factor scheme.
+
+    Built per call, so that a replaced module-level direction is seen.
+    """
+    return {
+        Scheme.ODE_EULER: (EULER, _flow_direction),
+        Scheme.ODE_RK2: (HEUN, _flow_direction),
+        Scheme.ODE_RK4: (RK4, _flow_direction),
+        Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
+        Scheme.RIEMANNIAN: (EULER, _riemannian_direction),
+        Scheme.LORA_PRO: (EULER, lorapro_direction),
+    }[scheme]
+
+
+def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps):
+    """The scheme's tableau and the stage fields ``[(f_a, f_b), ...]`` of one step."""
+    tableau, direction = _method_for(scheme)
+    stages = [direction(factors, objective.grad(effective_weight(w_pt, factors)), eps)]
+    for c in tableau.subdiagonal:
+        state = factors.move(*stages[-1], c * h)
+        stages.append(direction(state, objective.grad(effective_weight(w_pt, state)), eps))
+    return tableau, stages
+
+
+def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps):
+    tableau, stages = _rk_stages(scheme, factors, w_pt, objective, h, eps)
+    total = [tableau.weights[0] * part for part in stages[0]]
+    for b, stage in zip(tableau.weights[1:], stages[1:]):
+        total = [acc + b * part for acc, part in zip(total, stage)]
+    return factors.move(*(acc / tableau.denominator for acc in total), h)
+
+
+def ode_euler_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+                   eps: float = DEFAULT_EPS) -> LoRAFactors:
+    """One forward-Euler step of the balanced flow."""
+    return _rk_step(Scheme.ODE_EULER, factors, w_pt, objective, h, eps)
+
+
+def ode_rk2_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+                 eps: float = DEFAULT_EPS) -> LoRAFactors:
+    """One Heun (two-stage, second-order) step of the balanced flow."""
+    return _rk_step(Scheme.ODE_RK2, factors, w_pt, objective, h, eps)
+
+
+def ode_rk4_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+                 eps: float = DEFAULT_EPS) -> LoRAFactors:
+    """One classical four-stage RK4 step of the balanced flow."""
+    return _rk_step(Scheme.ODE_RK4, factors, w_pt, objective, h, eps)
+
+
+def classical_gd_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+                      eps: float = DEFAULT_EPS) -> LoRAFactors:
+    """Plain gradient descent on the factors (B^T G in A, G A^T in B); ignores ``eps``."""
+    return _rk_step(Scheme.CLASSICAL_GD, factors, w_pt, objective, h, eps)
+
+
+def riemannian_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+                    eps: float = DEFAULT_EPS) -> LoRAFactors:
+    """Gram-preconditioned factor descent:
+    A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
+    return _rk_step(Scheme.RIEMANNIAN, factors, w_pt, objective, h, eps)
+
+
+def lorapro_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+                 eps: float = DEFAULT_EPS) -> LoRAFactors:
     """One step along the zero-gauge gradient-matching direction."""
-    da, db = lorapro_direction(factors, _grad_at(factors, w_pt, objective), eps)
-    return factors.move(da, db, h)
+    return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps)
 
 
 def full_ft_step(w: np.ndarray, objective: Objective, h: float) -> np.ndarray:
@@ -204,13 +251,19 @@ def run_trajectory(
     objective: Objective,
     config: SolverConfig,
     w_pt: np.ndarray | None = None,
+    *,
+    log_eps_ratio: bool = True,
+    log_balance: bool = True,
 ) -> TrajectoryLog:
     """Iterate the configured stepper, logging one row per state.
 
     ``init`` is a LoRAFactors for factor schemes (with ``w_pt`` the frozen
     base weight) or the full weight matrix for FULL_FT. Divergence (loss
-    above DIVERGENCE_LOSS or non-finite state) is recorded, not raised:
-    the log gets its final row and ``diverged`` is set.
+    above DIVERGENCE_LOSS, non-finite state, or a step that fails a
+    factorization) is recorded, not raised: the log gets its final row,
+    with a ``nan`` gradient norm, and ``diverged`` is set. The null-space
+    ratio and the balance defect are computed only when their ``log_*``
+    flag is set; otherwise their fields stay ``None``.
     """
     log = TrajectoryLog()
     full = config.scheme is Scheme.FULL_FT
@@ -223,23 +276,26 @@ def run_trajectory(
             raise ValueError("factor schemes require the frozen base weight w_pt")
         factors = init
 
+    def halt(i: int, loss: float) -> None:
+        log.rows.append(
+            TrajectoryRow(i, loss, float("nan"), None, None, None, time.perf_counter_ns())
+        )
+        log.diverged = True
+
     def record(i: int) -> bool:
         """Append a row for the current state; False halts the run."""
         state_w = w if full else effective_weight(w_pt, factors)
         finite = bool(np.all(np.isfinite(state_w)))
         loss = float(objective.loss(state_w)) if finite else float("nan")
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            log.rows.append(
-                TrajectoryRow(i, loss, float("nan"), None, None, None,
-                              time.perf_counter_ns())
-            )
-            log.diverged = True
+            halt(i, loss)
             return False
         g = objective.grad(state_w)
         grad_norm = float(np.linalg.norm(g))
         defect = ratio = None
-        if not full:
+        if not full and log_balance:
             defect = balance_defect(factors)
+        if not full and log_eps_ratio:
             try:
                 ratio = eps_ratio(factors, g, config.eps_reg)
             except ZeroGradient:
@@ -261,8 +317,6 @@ def run_trajectory(
             try:
                 if full:
                     w = full_ft_step(w, objective, config.step_size)
-                elif config.scheme is Scheme.CLASSICAL_GD:
-                    factors = step(factors, w_pt, objective, config.step_size)
                 else:
                     factors = step(factors, w_pt, objective, config.step_size, config.eps_reg)
             except (
@@ -274,7 +328,7 @@ def run_trajectory(
                 NoConvergence,
             ):
                 # A blown-up state reached a factorization; record as divergence.
-                log.diverged = True
+                halt(i, float("nan"))
                 break
             if not record(i):
                 break

@@ -5,12 +5,16 @@ route than the library: plain Gaussian elimination instead of Cholesky,
 Kronecker vectorization instead of eigendecomposition, trace-power Newton
 identities instead of an eigensolver, stacked least squares instead of the
 closed-form constrained minimizer, and finite differences instead of exact
-gradients.
+gradients. The null-space projectors are formed as explicit n x n and
+m x m matrices, where the library only applies them through Gram solves.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from odelora.core import gram_a, gram_b
+from odelora.linalg import cholesky_solve
 
 
 def gauss_solve(g, rhs):
@@ -31,6 +35,18 @@ def gauss_solve(g, rhs):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def null_projector_a(factors, eps=0.0):
+    """I - A^T (A A^T + eps I)^{-1} A, the row-space annihilator (n x n)."""
+    a = factors.a
+    return np.eye(a.shape[1]) - a.T @ cholesky_solve(gram_a(factors, eps), a)
+
+
+def null_projector_b(factors, eps=0.0):
+    """I - B (B^T B + eps I)^{-1} B^T, the column-space annihilator (m x m)."""
+    b = factors.b
+    return np.eye(b.shape[0]) - b @ cholesky_solve(gram_b(factors, eps), b.T)
 
 
 def charpoly_from_traces(h):

@@ -58,9 +58,13 @@ iterations = 50
         assert "delta" in str(err.value)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(UnknownKey) as err:
-            parse_config("[problem]\ngamma = 3\n")
-        assert "gamma" in str(err.value)
+        for text, name in (
+            ("[problem]\ngamma = 3\n", "gamma"),
+            ("[output]\ndirectory = out\n", "directory"),
+        ):
+            with pytest.raises(UnknownKey) as err:
+                parse_config(text)
+            assert name in str(err.value)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(UnknownKey):
@@ -156,10 +160,16 @@ class TestCmdRun:
         )
         assert final_loss < 1e-8
 
-    def test_disabled_diagnostics_emit_empty_fields(self, tmp_path):
+    def test_disabled_diagnostics_emit_empty_fields(self, tmp_path, monkeypatch):
+        import odelora.solvers as solvers_mod
+
+        calls = []
+        for name in ("eps_ratio", "balance_defect"):
+            monkeypatch.setattr(solvers_mod, name, lambda *a, name=name: calls.append(name))
         cfg = parse_config("[diagnostics]\neps_ratio = false\nbalance = false\n")
         cfg = replace(cfg, solver=replace(cfg.solver, iterations=1))
         cmd_run(cfg, tmp_path)
+        assert calls == []  # skipped, not computed and blanked
         rows = _read_csv(tmp_path / "trajectory.csv")
         header = rows[0]
         bal_idx = header.index("balance_defect")
@@ -281,3 +291,9 @@ class TestMain:
         a = (tmp_path / "s0" / "trajectory.csv").read_text()
         b = (tmp_path / "s9" / "trajectory.csv").read_text()
         assert _strip_wall(a) != _strip_wall(b)
+
+    def test_jobs_only_on_sweep(self, tmp_path):
+        for verb in ("run", "order", "feature-scaling"):
+            with pytest.raises(SystemExit) as err:
+                main([verb, "--out", str(tmp_path / verb), "--jobs", "2"])
+            assert err.value.code == 2

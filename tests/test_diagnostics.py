@@ -20,7 +20,6 @@ from odelora.metrics import (
     eps_ratio,
     rate_fit,
 )
-from odelora.core import null_projector_a, null_projector_b
 from odelora.problems import (
     RegressionProblem,
     balanced_init,
@@ -32,6 +31,7 @@ from odelora.problems import (
     zero_b_init,
 )
 from odelora.solvers import Scheme
+from oracles import null_projector_a, null_projector_b
 
 
 class TestEpsRatio:
@@ -224,13 +224,34 @@ class TestOrderSeedConsistency:
 
 class TestPhiIdentityAlongTrajectory:
     def test_sum_identity_every_step(self):
-        from odelora.diagnostics import _phi_rk4_step
+        from odelora.diagnostics import _phi_step
 
         problem = make_regression_instance(24, 24, 3)
         state = zero_b_init(24, 24, 4, np.random.SeedSequence([3, 1]), align=problem.s)
         for _ in range(10):
-            report, state = _phi_rk4_step(state, problem, 0.1, 1e-8)
+            report, state = _phi_step(state, problem, Scheme.ODE_RK4, 0.1, 1e-8)
             assert report.sum_check_residual <= 1e-10
+
+    def test_post_step_state_is_the_solver_step(self):
+        # the decomposition and the solver share their stages, so the state
+        # after a decomposed step is the solver's step up to the order in
+        # which the stage sum is rounded
+        from odelora.diagnostics import _phi_step
+        from odelora.problems import regression_objective
+        from odelora.solvers import classical_gd_step, ode_rk4_step
+
+        problem = make_regression_instance(24, 24, 3)
+        objective = regression_objective(problem)
+        start = zero_b_init(24, 24, 4, np.random.SeedSequence([3, 1]), align=problem.s)
+        for scheme, step in ((Scheme.ODE_RK4, ode_rk4_step),
+                             (Scheme.CLASSICAL_GD, classical_gd_step)):
+            state = start
+            for _ in range(5):
+                _, after = _phi_step(state, problem, scheme, 0.1, 1e-8)
+                stepped = step(state, problem.w_pt, objective, 0.1, 1e-8)
+                for got, want in ((after.a, stepped.a), (after.b, stepped.b)):
+                    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                state = stepped
 
 
 class TestFeatureScaling:

@@ -8,11 +8,9 @@ from odelora.core import (
     flow_rhs_full,
     gram_a,
     gram_b,
-    null_projector_a,
-    null_projector_b,
 )
 from odelora.linalg import NotPositiveDefinite
-from oracles import KKTOracle, kron_sylvester
+from oracles import KKTOracle, kron_sylvester, null_projector_a, null_projector_b
 
 
 class TestLoRAFactors:
@@ -196,20 +194,6 @@ class TestFieldEval:
         assert np.allclose(fe.x, 0.0, atol=1e-12)
         expected_fb = -np.linalg.solve(gram_a(f, 1e-8), (g @ f.a.T).T).T
         assert np.allclose(fe.f_b, expected_fb, atol=1e-10)
-
-
-class TestFieldEvalAt:
-    def test_composes_gradient_and_field(self, rng):
-        from odelora.core import effective_weight, field_eval_at
-        from odelora.problems import quadratic_objective
-
-        f = random_factors(rng, 2, 5, 6)
-        w_pt = rng.standard_normal((5, 6))
-        obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.5)
-        via_helper = field_eval_at(f, w_pt, obj, 1e-8)
-        direct = field_eval(f, obj.grad(effective_weight(w_pt, f)), 1e-8)
-        assert np.array_equal(via_helper.f_a, direct.f_a)
-        assert np.array_equal(via_helper.f_b, direct.f_b)
 
 
 class TestFlowRhsFull:

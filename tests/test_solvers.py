@@ -49,7 +49,7 @@ ALL_FACTOR_STEPS = (
     ode_euler_step,
     ode_rk2_step,
     ode_rk4_step,
-    lambda f, w, o, h, eps=0.0: classical_gd_step(f, w, o, h),
+    classical_gd_step,
     riemannian_step,
     lorapro_step,
 )
@@ -347,6 +347,27 @@ class TestRunTrajectory:
         log = run_trajectory(f0, obj, SolverConfig(Scheme.CLASSICAL_GD, 1.0, 200), w_pt=p.w_pt)
         assert log.diverged
         assert len(log.rows) < 201
+
+    def test_raised_step_failure_gets_a_final_row(self, rng, monkeypatch):
+        from odelora.linalg import NotPositiveDefinite
+
+        f, w_pt, obj = quadratic_fixture(rng)
+        calls = []
+
+        def failing_step(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NotPositiveDefinite("Gram lost definiteness")
+            return ode_rk4_step(*args)
+
+        monkeypatch.setattr(solvers_mod, "ode_rk4_step", failing_step)
+        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 10), w_pt=w_pt)
+        assert log.diverged
+        assert [row.iter for row in log.rows] == [0, 1, 2, 3]
+        last = log.rows[-1]
+        assert np.isnan(last.loss) and np.isnan(last.grad_norm)
+        assert last.balance_defect is None and last.eps_ratio is None
+        assert np.isfinite(log.rows[-2].loss)
 
     def test_determinism(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
