@@ -12,6 +12,7 @@ feature scaling.
 
 from .core import (
     DEFAULT_EPS,
+    FactorGrams,
     FieldEval,
     LoRAFactors,
     Objective,
@@ -35,6 +36,7 @@ from .diagnostics import (
 from .linalg import (
     DegenerateSpectrum,
     NoConvergence,
+    NonFiniteState,
     NotPositiveDefinite,
     SymEig,
     cholesky_solve,
@@ -67,6 +69,7 @@ from .problems import (
     zero_b_init,
 )
 from .solvers import (
+    DIVERGENCE_ERRORS,
     DIVERGENCE_LOSS,
     Scheme,
     SolverConfig,

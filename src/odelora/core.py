@@ -14,6 +14,12 @@ of the symmetric Sylvester equation
 where G is the full-weight gradient. All Gram inverses carry an optional
 Tikhonov term ``eps * I`` so the field stays defined near rank-deficient
 factors (e.g. the zero-B start); H then gains ``2 eps * I``.
+
+``FactorGrams`` builds both regularized Grams of one state and factors each
+once; the field, the flow's full-weight velocity and the null-space ratio
+are a few products on top of it. Inputs are validated at the boundary
+(``LoRAFactors`` and the gradient check in ``field_eval``), not inside each
+solve.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, cholesky_solve, sylvester_spd
+from .linalg import as_matrix, cho_factor, cho_solve, sylvester_eig
 
 __all__ = [
     "DEFAULT_EPS",
     "LoRAFactors",
     "Objective",
     "FieldEval",
+    "FactorGrams",
     "effective_weight",
     "gram_a",
     "gram_b",
@@ -124,10 +131,44 @@ def gram_b(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
     return b.T @ b + eps * np.eye(factors.rank)
 
 
-def _project_out_b(factors: LoRAFactors, gb: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply the column-space annihilator of B to w without forming it."""
-    b = factors.b
-    return w - b @ cholesky_solve(gb, b.T @ w)
+class FactorGrams:
+    """The regularized Grams of one factor state, each Cholesky-factored once.
+
+    Holds ``G_A = A A^T + eps I`` and ``G_B = B^T B + eps I`` (r x r) and
+    applies their inverses by two triangular solves per product. B's Gram
+    is factored first. Construction raises NotPositiveDefinite when a pivot
+    fails ``linalg.cho_factor``'s rule and NonFiniteState when a Gram or its
+    norm is not finite; the factors themselves are trusted, because
+    ``LoRAFactors`` validated them.
+    """
+
+    def __init__(self, factors: LoRAFactors, eps: float = 0.0):
+        self.a, self.b = factors.a, factors.b
+        self.ga = gram_a(factors, eps)
+        self.gb = gram_b(factors, eps)
+        self._chol_b = cho_factor(self.gb)
+        self._chol_a = cho_factor(self.ga)
+
+    def solve_a(self, rhs: np.ndarray) -> np.ndarray:
+        """(A A^T + eps I)^{-1} rhs."""
+        return cho_solve(self._chol_a, rhs)
+
+    def solve_b(self, rhs: np.ndarray) -> np.ndarray:
+        """(B^T B + eps I)^{-1} rhs."""
+        return cho_solve(self._chol_b, rhs)
+
+    def project_out_b(self, w: np.ndarray) -> np.ndarray:
+        """P_B^null w, the column-space annihilator of B applied without forming it."""
+        return w - self.b @ self.solve_b(self.b.T @ w)
+
+    def project_out_both(self, g: np.ndarray) -> np.ndarray:
+        """P_B^null G P_A^null, the part of G trapped in both factor null spaces."""
+        left = self.project_out_b(g)
+        return left - (self.solve_a((left @ self.a.T).T).T @ self.a)
+
+    def gauge(self, c: np.ndarray) -> np.ndarray:
+        """Solve H X + X H = C with H = G_A + G_B, for symmetric C."""
+        return sylvester_eig(self.ga + self.gb, c)
 
 
 def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEval:
@@ -145,17 +186,12 @@ def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEv
     if g.shape != factors.shape:
         raise ValueError(f"gradient shape {g.shape} != weight shape {factors.shape}")
     a, b = factors.a, factors.b
-    ga = gram_a(factors, eps)
-    gb = gram_b(factors, eps)
-    h = ga + gb
-
+    grams = FactorGrams(factors, eps)
     bt_g = b.T @ g
-    t = cholesky_solve(gb, bt_g @ a.T)
-    x = sylvester_spd(h, t + t.T)
-
-    f_a = -cholesky_solve(gb, bt_g) + x @ a
-    g_at_inv = cholesky_solve(ga, (g @ a.T).T).T
-    f_b = -_project_out_b(factors, gb, g_at_inv) - b @ x
+    t = grams.solve_b(bt_g @ a.T)
+    x = grams.gauge(t + t.T)
+    f_a = -grams.solve_b(bt_g) + x @ a
+    f_b = -grams.project_out_b(grams.solve_a((g @ a.T).T).T) - b @ x
     return FieldEval(f_a, f_b, x)
 
 
@@ -167,8 +203,4 @@ def flow_rhs_full(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> np.n
     component trapped in both factor null spaces.
     """
     g = as_matrix(g, "G")
-    a = factors.a
-    gb = gram_b(factors, eps)
-    left = _project_out_b(factors, gb, g)
-    both = left - (cholesky_solve(gram_a(factors, eps), (left @ a.T).T).T @ a)
-    return -g + both
+    return -g + FactorGrams(factors, eps).project_out_both(g)

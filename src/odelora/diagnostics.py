@@ -30,7 +30,7 @@ from .metrics import (  # noqa: F401  (re-exported measurement surface)
     sensing_eps_certificate,
 )
 from .problems import RegressionProblem, make_regression_instance, regression_objective, zero_b_init
-from .solvers import Scheme, _method_for, _rk_stages, _step_for
+from .solvers import DIVERGENCE_ERRORS, Scheme, _method_for, _rk_stages, _step_for
 
 __all__ = [
     "ReferenceDiverged",
@@ -89,11 +89,15 @@ def reference_trajectory(
     h_ref: float,
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
-    """Terminal weight of the fine-step RK4 reference run."""
+    """Terminal weight of the fine-step RK4 reference run.
+
+    Raises ReferenceDiverged when the run blows up: a non-finite state or
+    any of ``solvers.DIVERGENCE_ERRORS``.
+    """
     steps = max(1, round(horizon / h_ref))
     try:
         return _integrate_weight(factors, w_pt, objective, Scheme.ODE_RK4, h_ref, steps, eps)
-    except (ArithmeticError, ValueError) as err:
+    except (ArithmeticError, *DIVERGENCE_ERRORS) as err:
         raise ReferenceDiverged(str(err)) from err
 
 

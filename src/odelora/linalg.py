@@ -7,6 +7,11 @@ blocked performance. Factorizations are delegated to LAPACK through numpy;
 the symmetric Sylvester solve is built on top of the eigendecomposition,
 which is valid because its coefficient matrix is symmetric positive definite
 on the feasible set.
+
+``cho_factor``, ``cho_solve`` and ``sylvester_eig`` trust their operands
+and are what the field kernel calls; ``cholesky_solve``, ``sym_eig`` and
+``sylvester_spd`` validate and symmetrize their inputs, then delegate to
+them, so each solve has one implementation.
 """
 
 from __future__ import annotations
@@ -16,19 +21,28 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
+    "NonFiniteState",
     "NotPositiveDefinite",
     "NoConvergence",
     "DegenerateSpectrum",
     "SymEig",
     "as_matrix",
+    "cho_factor",
+    "cho_solve",
     "cholesky_solve",
     "sym_eig",
+    "sylvester_eig",
     "sylvester_spd",
     "thin_svd",
 ]
 
 # Relative pivot / spectrum-gap threshold below which a solve is refused.
 PIVOT_RTOL = 1e-14
+
+
+class NonFiniteState(ValueError):
+    """A matrix, or the Frobenius norm of a Gram, is infinite or NaN: the
+    state has blown up, as opposed to a programming error."""
 
 
 class NotPositiveDefinite(Exception):
@@ -61,7 +75,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteState(f"{name} contains non-finite entries")
     return m
 
 
@@ -72,32 +86,49 @@ def _require_symmetric(h: np.ndarray, name: str, rtol: float = 1e-12) -> np.ndar
     return 0.5 * (h + h.T)
 
 
-def cholesky_solve(g, rhs) -> np.ndarray:
-    """Solve G Z = RHS for symmetric positive-definite G.
+def cho_factor(g: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    Raises NotPositiveDefinite if the factorization fails or any pivot is
-    at or below ``PIVOT_RTOL * ||G||_F``.
+    G is trusted to be 2-D and symmetric; only its lower triangle is read.
+    Raises NonFiniteState if ``||G||_F`` is not finite, and
+    NotPositiveDefinite if the factorization fails or any pivot is at or
+    below ``PIVOT_RTOL * ||G||_F``.
     """
-    g = _require_symmetric(as_matrix(g, "G"), "G")
-    rhs = as_matrix(rhs, "RHS")
-    if rhs.shape[0] != g.shape[0]:
-        raise ValueError(f"shape mismatch: G is {g.shape}, RHS is {rhs.shape}")
+    norm = np.linalg.norm(g)
+    if not np.isfinite(norm):
+        raise NonFiniteState(f"||G||_F = {norm} is not finite")
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(str(err)) from err
     pivots = np.diag(chol) ** 2
-    if pivots.min() <= PIVOT_RTOL * np.linalg.norm(g):
+    if pivots.min() <= PIVOT_RTOL * norm:
         raise NotPositiveDefinite(
-            f"pivot {pivots.min():.3e} below threshold for ||G|| = {np.linalg.norm(g):.3e}"
+            f"pivot {pivots.min():.3e} below threshold for ||G|| = {norm:.3e}"
         )
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, y)
+    return chol
 
 
-def sym_eig(h) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    h = _require_symmetric(as_matrix(h, "H"), "H")
+def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G Z = RHS given the lower Cholesky factor of G."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def cholesky_solve(g, rhs) -> np.ndarray:
+    """Solve G Z = RHS for symmetric positive-definite G.
+
+    Validates both operands, then factors G with ``cho_factor`` and solves
+    with ``cho_solve``. Raises NotPositiveDefinite if the factorization
+    fails or any pivot is at or below ``PIVOT_RTOL * ||G||_F``.
+    """
+    g = _require_symmetric(as_matrix(g, "G"), "G")
+    rhs = as_matrix(rhs, "RHS")
+    if rhs.shape[0] != g.shape[0]:
+        raise ValueError(f"shape mismatch: G is {g.shape}, RHS is {rhs.shape}")
+    return cho_solve(cho_factor(g), rhs)
+
+
+def _eigh(h: np.ndarray) -> SymEig:
     try:
         w, q = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:
@@ -105,15 +136,20 @@ def sym_eig(h) -> SymEig:
     return SymEig(w, q)
 
 
-def sylvester_spd(h, c) -> np.ndarray:
+def sym_eig(h) -> SymEig:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    return _eigh(_require_symmetric(as_matrix(h, "H"), "H"))
+
+
+def sylvester_eig(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve H X + X H = C for symmetric positive-definite H and symmetric C.
 
-    Eigendecompose H = Q diag(lam) Q^T; in the eigenbasis the equation
-    decouples entrywise into (lam_i + lam_j) Xt_ij = Ct_ij. The result is
-    symmetric because C is.
+    H and C are trusted to be symmetric. Eigendecompose H = Q diag(lam) Q^T;
+    in the eigenbasis the equation decouples entrywise into
+    (lam_i + lam_j) Xt_ij = Ct_ij. The result is symmetrized, as C is
+    symmetric.
     """
-    c = _require_symmetric(as_matrix(c, "C"), "C")
-    w, q = sym_eig(h)
+    w, q = _eigh(h)
     pair_sums = w[:, None] + w[None, :]
     scale = max(abs(float(w[0])), abs(float(w[-1])))
     if pair_sums.min() <= PIVOT_RTOL * scale or pair_sums.min() <= 0.0:
@@ -123,6 +159,13 @@ def sylvester_spd(h, c) -> np.ndarray:
     ct = q.T @ c @ q
     x = q @ (ct / pair_sums) @ q.T
     return 0.5 * (x + x.T)
+
+
+def sylvester_spd(h, c) -> np.ndarray:
+    """``sylvester_eig`` on validated, symmetrized H and C."""
+    c = _require_symmetric(as_matrix(c, "C"), "C")
+    h = _require_symmetric(as_matrix(h, "H"), "H")
+    return sylvester_eig(h, c)
 
 
 def thin_svd(m, k: int):

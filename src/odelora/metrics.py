@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LoRAFactors, gram_a, gram_b
-from .linalg import as_matrix, cholesky_solve
+from .core import FactorGrams, LoRAFactors, gram_a, gram_b
+from .linalg import as_matrix
 
 __all__ = [
     "ZeroGradient",
@@ -53,9 +53,7 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
     gnorm2 = float(np.sum(g * g))
     if np.sqrt(gnorm2) <= 1e-14:
         raise ZeroGradient("gradient norm at or below 1e-14")
-    a, b = factors.a, factors.b
-    left = g - b @ cholesky_solve(gram_b(factors, eps), b.T @ g)
-    both = left - cholesky_solve(gram_a(factors, eps), (left @ a.T).T).T @ a
+    both = FactorGrams(factors, eps).project_out_both(g)
     return float(np.sum(both * g)) / gnorm2
 
 

@@ -11,8 +11,10 @@ descent, and the gradient-matching update with zero gauge (the X = 0
 member of the same solution family as the Euler flow step). Full-weight
 gradient descent steps the dense weight instead. All steppers are pure
 functions from state to state and every factor step takes
-``(factors, w_pt, objective, h, eps)``; ``run_trajectory`` iterates one of
-them and logs per-iteration diagnostics.
+``(factors, w_pt, objective, h, eps, g=None)``; ``run_trajectory`` iterates
+one of them and logs per-iteration diagnostics. A step given ``g``, the
+gradient at its start state, uses it as the first stage's gradient instead
+of evaluating it again; ``run_trajectory`` passes the one it just logged.
 """
 
 from __future__ import annotations
@@ -25,14 +27,19 @@ import numpy as np
 
 from .core import (
     DEFAULT_EPS,
+    FactorGrams,
     LoRAFactors,
     Objective,
     effective_weight,
     field_eval,
-    gram_a,
-    gram_b,
 )
-from .linalg import DegenerateSpectrum, NoConvergence, NotPositiveDefinite, cholesky_solve
+from .linalg import (
+    DegenerateSpectrum,
+    NoConvergence,
+    NonFiniteState,
+    NotPositiveDefinite,
+    as_matrix,
+)
 from .metrics import ZeroGradient, balance_defect, eps_ratio
 
 __all__ = [
@@ -41,6 +48,7 @@ __all__ = [
     "TrajectoryRow",
     "TrajectoryLog",
     "DIVERGENCE_LOSS",
+    "DIVERGENCE_ERRORS",
     "ode_euler_step",
     "ode_rk2_step",
     "ode_rk4_step",
@@ -54,6 +62,17 @@ __all__ = [
 
 # Loss level past which a run is recorded as diverged.
 DIVERGENCE_LOSS = 1e12
+
+# What a step raises when a blown-up state reaches the kernel: a non-finite
+# factor, gradient or Gram norm, or a failed factorization.
+DIVERGENCE_ERRORS = (
+    NonFiniteState,
+    NotPositiveDefinite,
+    DegenerateSpectrum,
+    NoConvergence,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+)
 
 
 class Scheme(enum.Enum):
@@ -116,9 +135,8 @@ def _factor_gradient(factors: LoRAFactors, g: np.ndarray, eps: float):
 
 
 def _riemannian_direction(factors: LoRAFactors, g: np.ndarray, eps: float):
-    da = -cholesky_solve(gram_b(factors, eps), factors.b.T @ g)
-    db = -cholesky_solve(gram_a(factors, eps), (g @ factors.a.T).T).T
-    return da, db
+    grams = FactorGrams(factors, eps)
+    return -grams.solve_b(factors.b.T @ g), -grams.solve_a((g @ factors.a.T).T).T
 
 
 def lorapro_direction(
@@ -126,12 +144,10 @@ def lorapro_direction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-matching direction with zero gauge (X = 0):
     dA = -(B^T B + eps I)^{-1} B^T G, dB = -P_B^null G A^T (A A^T + eps I)^{-1}."""
-    b = factors.b
-    gb = gram_b(factors, eps)
-    da = -cholesky_solve(gb, b.T @ g)
-    g_at_inv = cholesky_solve(gram_a(factors, eps), (g @ factors.a.T).T).T
-    db = -(g_at_inv - b @ cholesky_solve(gb, b.T @ g_at_inv))
-    return da, db
+    g = as_matrix(g, "G")
+    grams = FactorGrams(factors, eps)
+    da = -grams.solve_b(factors.b.T @ g)
+    return da, -grams.project_out_b(grams.solve_a((g @ factors.a.T).T).T)
 
 
 def _method_for(scheme: Scheme):
@@ -149,18 +165,26 @@ def _method_for(scheme: Scheme):
     }[scheme]
 
 
-def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps):
-    """The scheme's tableau and the stage fields ``[(f_a, f_b), ...]`` of one step."""
+def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps,
+               g=None):
+    """The scheme's tableau and the stage fields ``[(f_a, f_b), ...]`` of one step.
+
+    ``g`` is the gradient at ``factors``' effective weight when the caller
+    already has it; it is released once the first stage has used it.
+    """
     tableau, direction = _method_for(scheme)
-    stages = [direction(factors, objective.grad(effective_weight(w_pt, factors)), eps)]
+    if g is None:
+        g = objective.grad(effective_weight(w_pt, factors))
+    stages = [direction(factors, g, eps)]
+    del g
     for c in tableau.subdiagonal:
         state = factors.move(*stages[-1], c * h)
         stages.append(direction(state, objective.grad(effective_weight(w_pt, state)), eps))
     return tableau, stages
 
 
-def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps):
-    tableau, stages = _rk_stages(scheme, factors, w_pt, objective, h, eps)
+def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps, g):
+    tableau, stages = _rk_stages(scheme, factors, w_pt, objective, h, eps, g)
     total = [tableau.weights[0] * part for part in stages[0]]
     for b, stage in zip(tableau.weights[1:], stages[1:]):
         total = [acc + b * part for acc, part in zip(total, stage)]
@@ -168,45 +192,45 @@ def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h
 
 
 def ode_euler_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
-                   eps: float = DEFAULT_EPS) -> LoRAFactors:
+                   eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One forward-Euler step of the balanced flow."""
-    return _rk_step(Scheme.ODE_EULER, factors, w_pt, objective, h, eps)
+    return _rk_step(Scheme.ODE_EULER, factors, w_pt, objective, h, eps, g)
 
 
 def ode_rk2_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
-                 eps: float = DEFAULT_EPS) -> LoRAFactors:
+                 eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One Heun (two-stage, second-order) step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK2, factors, w_pt, objective, h, eps)
+    return _rk_step(Scheme.ODE_RK2, factors, w_pt, objective, h, eps, g)
 
 
 def ode_rk4_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
-                 eps: float = DEFAULT_EPS) -> LoRAFactors:
+                 eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One classical four-stage RK4 step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK4, factors, w_pt, objective, h, eps)
+    return _rk_step(Scheme.ODE_RK4, factors, w_pt, objective, h, eps, g)
 
 
 def classical_gd_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
-                      eps: float = DEFAULT_EPS) -> LoRAFactors:
+                      eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Plain gradient descent on the factors (B^T G in A, G A^T in B); ignores ``eps``."""
-    return _rk_step(Scheme.CLASSICAL_GD, factors, w_pt, objective, h, eps)
+    return _rk_step(Scheme.CLASSICAL_GD, factors, w_pt, objective, h, eps, g)
 
 
 def riemannian_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
-                    eps: float = DEFAULT_EPS) -> LoRAFactors:
+                    eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Gram-preconditioned factor descent:
     A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
-    return _rk_step(Scheme.RIEMANNIAN, factors, w_pt, objective, h, eps)
+    return _rk_step(Scheme.RIEMANNIAN, factors, w_pt, objective, h, eps, g)
 
 
 def lorapro_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
-                 eps: float = DEFAULT_EPS) -> LoRAFactors:
+                 eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One step along the zero-gauge gradient-matching direction."""
-    return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps)
+    return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps, g)
 
 
-def full_ft_step(w: np.ndarray, objective: Objective, h: float) -> np.ndarray:
-    """Full-weight gradient descent: W - h grad(W)."""
-    return w - h * objective.grad(w)
+def full_ft_step(w: np.ndarray, objective: Objective, h: float, g=None) -> np.ndarray:
+    """Full-weight gradient descent: W - h grad(W); ``g`` is grad(W) when known."""
+    return w - h * (objective.grad(w) if g is None else g)
 
 
 @dataclass(frozen=True)
@@ -259,11 +283,13 @@ def run_trajectory(
 
     ``init`` is a LoRAFactors for factor schemes (with ``w_pt`` the frozen
     base weight) or the full weight matrix for FULL_FT. Divergence (loss
-    above DIVERGENCE_LOSS, non-finite state, or a step that fails a
+    above DIVERGENCE_LOSS, a non-finite state, or a step that fails a
     factorization) is recorded, not raised: the log gets its final row,
-    with a ``nan`` gradient norm, and ``diverged`` is set. The null-space
-    ratio and the balance defect are computed only when their ``log_*``
-    flag is set; otherwise their fields stay ``None``.
+    with a ``nan`` gradient norm, and ``diverged`` is set. Any other
+    exception, a plain ``ValueError`` included, propagates. The gradient
+    logged at a state is the next step's first-stage gradient. The
+    null-space ratio and the balance defect are computed only when their
+    ``log_*`` flag is set; otherwise their fields stay ``None``.
     """
     log = TrajectoryLog()
     full = config.scheme is Scheme.FULL_FT
@@ -282,14 +308,15 @@ def run_trajectory(
         )
         log.diverged = True
 
-    def record(i: int) -> bool:
-        """Append a row for the current state; False halts the run."""
+    def record(i: int):
+        """Append a row for the current state and return its gradient;
+        None halts the run."""
         state_w = w if full else effective_weight(w_pt, factors)
         finite = bool(np.all(np.isfinite(state_w)))
         loss = float(objective.loss(state_w)) if finite else float("nan")
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             halt(i, loss)
-            return False
+            return None
         g = objective.grad(state_w)
         grad_norm = float(np.linalg.norm(g))
         defect = ratio = None
@@ -307,29 +334,25 @@ def run_trajectory(
             TrajectoryRow(i, loss, grad_norm, defect, ratio, dist,
                           time.perf_counter_ns())
         )
-        return True
+        return g
 
-    if not record(0):
+    g = record(0)
+    if g is None:
         return log
     step = None if full else _step_for(config.scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, config.iterations + 1):
             try:
                 if full:
-                    w = full_ft_step(w, objective, config.step_size)
+                    w = full_ft_step(w, objective, config.step_size, g)
                 else:
-                    factors = step(factors, w_pt, objective, config.step_size, config.eps_reg)
-            except (
-                np.linalg.LinAlgError,
-                FloatingPointError,
-                ValueError,
-                NotPositiveDefinite,
-                DegenerateSpectrum,
-                NoConvergence,
-            ):
-                # A blown-up state reached a factorization; record as divergence.
+                    factors = step(factors, w_pt, objective, config.step_size,
+                                   config.eps_reg, g)
+            except DIVERGENCE_ERRORS:
+                # A blown-up state reached the kernel; record as divergence.
                 halt(i, float("nan"))
                 break
-            if not record(i):
+            g = record(i)
+            if g is None:
                 break
     return log

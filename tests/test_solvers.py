@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,27 @@ class ConstantGradient(Objective):
 
     def grad(self, w):
         return self.g0
+
+
+class CountingObjective(Objective):
+    """Delegates to another objective and counts its gradient evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.optimum_w = inner.optimum_w
+        self.grads = 0
+
+    def loss(self, w):
+        return self.inner.loss(w)
+
+    def grad(self, w):
+        self.grads += 1
+        return self.inner.grad(w)
+
+
+def row_values(log):
+    """Every logged value but the wall clock, as exact reprs (nan == nan)."""
+    return repr([dataclasses.replace(row, wall_nanos=0) for row in log.rows])
 
 
 def quadratic_fixture(rng, r=3, m=6, n=7):
@@ -368,6 +391,52 @@ class TestRunTrajectory:
         assert np.isnan(last.loss) and np.isnan(last.grad_norm)
         assert last.balance_defect is None and last.eps_ratio is None
         assert np.isfinite(log.rows[-2].loss)
+
+    def test_programming_error_in_a_step_propagates(self, rng, monkeypatch):
+        f, w_pt, obj = quadratic_fixture(rng)
+
+        def buggy_step(*args):
+            raise ValueError("not a divergence")
+
+        monkeypatch.setattr(solvers_mod, "ode_rk4_step", buggy_step)
+        with pytest.raises(ValueError, match="not a divergence"):
+            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3), w_pt=w_pt)
+
+    @pytest.mark.parametrize(
+        "scheme, stages",
+        [(Scheme.ODE_RK4, 4), (Scheme.ODE_RK2, 2), (Scheme.ODE_EULER, 1),
+         (Scheme.CLASSICAL_GD, 1), (Scheme.RIEMANNIAN, 1), (Scheme.LORA_PRO, 1),
+         (Scheme.FULL_FT, 1)],
+    )
+    def test_logged_gradient_is_the_first_stage_gradient(self, rng, monkeypatch, scheme, stages):
+        f, w_pt, obj = quadratic_fixture(rng)
+        counting = CountingObjective(obj)
+        k = 6
+        init = effective_weight(w_pt, f) if scheme is Scheme.FULL_FT else f
+        cfg = SolverConfig(scheme, 0.1, k)
+        reused = run_trajectory(init, counting, cfg, w_pt=w_pt)
+        assert counting.grads == stages * k + 1
+        assert len(reused.rows) == k + 1 and not reused.diverged
+
+        name = "full_ft_step" if scheme is Scheme.FULL_FT else solvers_mod._step_for(scheme).__name__
+        real = getattr(solvers_mod, name)
+        monkeypatch.setattr(solvers_mod, name, lambda *args: real(*args[:-1], g=None))
+        fresh = run_trajectory(init, counting, cfg, w_pt=w_pt)
+        assert counting.grads == (stages * k + 1) + (stages + 1) * k + 1
+        assert row_values(reused) == row_values(fresh)
+
+    def test_diverging_run_is_unchanged_by_gradient_reuse(self, monkeypatch):
+        p = make_sensing_instance(40, 40, 40, 4, 0.05, 0)
+        obj = sensing_objective(p)
+        f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
+        cfg = SolverConfig(Scheme.CLASSICAL_GD, 1.0, 200)
+        reused = run_trajectory(f0, obj, cfg, w_pt=p.w_pt)
+        monkeypatch.setattr(
+            solvers_mod, "classical_gd_step", lambda *args: classical_gd_step(*args[:-1], g=None)
+        )
+        fresh = run_trajectory(f0, obj, cfg, w_pt=p.w_pt)
+        assert reused.diverged and fresh.diverged
+        assert row_values(reused) == row_values(fresh)
 
     def test_determinism(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
