@@ -38,10 +38,6 @@ from .linalg import (
     NoConvergence,
     NonFiniteState,
     NotPositiveDefinite,
-    SymEig,
-    cholesky_solve,
-    sym_eig,
-    sylvester_spd,
     thin_svd,
 )
 from .metrics import (
@@ -58,6 +54,7 @@ from .problems import (
     InvalidDelta,
     RegressionProblem,
     SensingProblem,
+    aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
     make_rip_sensing,

@@ -20,22 +20,24 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, OutOfRange, parse_config, serialize_config
-from .core import LoRAFactors, effective_weight
-from .diagnostics import (
-    estimate_order,
-    feature_scaling_experiment,
-    rate_fit,
-    reference_trajectory,
-    sensing_eps_certificate,
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    OutOfRange,
+    parse_config,
+    parse_value,
+    serialize_config,
+    set_value,
 )
-from .metrics import NonPositiveGap, WindowTooShort
+from .core import LoRAFactors, effective_weight
+from .diagnostics import estimate_order, feature_scaling_experiment, reference_trajectory
+from .metrics import NonPositiveGap, WindowTooShort, rate_fit, sensing_eps_certificate
 from .problems import (
+    aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
     make_sensing_instance,
@@ -51,6 +53,9 @@ __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_order", "cmd_feature_scaling"]
 
 ORDER_H_LIST = (0.2, 0.1, 0.05, 0.025)
 ORDER_HORIZON = 1.0
+FEATURE_SCALING_RANK = 4
+# The config key each sweep axis sets.
+SWEEP_KEYS = {"h": "solver.h", "delta": "problem.delta"}
 TRAJECTORY_HEADER = "iter,loss,grad_norm,balance_defect,eps_ratio,dist_to_opt,wall_nanos"
 
 
@@ -72,13 +77,13 @@ class Experiment:
         self.cfg = cfg
         prob = cfg.problem
         self.sensing = None
+        self.regression = None
         if prob.kind == "sensing":
             self.sensing = make_sensing_instance(
                 prob.m, prob.n, prob.o, prob.r, prob.delta, prob.seed
             )
             self.objective = sensing_objective(self.sensing)
             self.w_pt = self.sensing.w_pt
-            self._align = None
         elif prob.kind == "quadratic":
             rng = np.random.default_rng(prob.seed)
             w_pt = rng.standard_normal((prob.m, prob.n)) / np.sqrt(prob.n)
@@ -87,12 +92,10 @@ class Experiment:
             star = balanced_init(target / sigma_r, prob.r)
             self.objective = quadratic_objective(w_pt + star.b @ star.a, mu=1.0)
             self.w_pt = w_pt
-            self._align = None
         elif prob.kind == "regression":
-            regression = make_regression_instance(prob.n, prob.m, prob.seed)
-            self.objective = regression_objective(regression)
-            self.w_pt = regression.w_pt
-            self._align = regression.s
+            self.regression = make_regression_instance(prob.n, prob.m, prob.seed)
+            self.objective = regression_objective(self.regression)
+            self.w_pt = self.regression.w_pt
         else:  # pragma: no cover - guarded by config validation
             raise OutOfRange("problem.kind", prob.kind)
         self.factors = self._initial_factors()
@@ -101,7 +104,9 @@ class Experiment:
         cfg = self.cfg
         prob, init = cfg.problem, cfg.init
         if init.scheme == "zero_b":
-            return zero_b_init(prob.n, prob.m, prob.r, init.seed, align=self._align)
+            if self.regression is not None:
+                return aligned_zero_b_init(self.regression, prob.r, init.seed)
+            return zero_b_init(prob.n, prob.m, prob.r, init.seed)
         if self.sensing is not None:
             return perturbed_balanced_init(self.sensing, init.scale, init.perturbation, init.seed)
         if self.objective.optimum_w is not None:
@@ -188,16 +193,6 @@ def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def _cell_config(cfg: ExperimentConfig, scheme: Scheme, param: str, value: float) -> ExperimentConfig:
-    solver = replace(cfg.solver, scheme=scheme)
-    if param == "h":
-        solver = replace(solver, step_size=value)
-        return replace(cfg, solver=solver)
-    if param == "delta":
-        return replace(cfg, solver=solver, problem=replace(cfg.problem, delta=value))
-    raise OutOfRange("sweep.param", f"must be 'h' or 'delta', got {param!r}")
-
-
 def _contraction_of(log: TrajectoryLog, optimum_loss: float | None) -> float | None:
     if optimum_loss is None or log.diverged:
         return None
@@ -208,12 +203,20 @@ def _contraction_of(log: TrajectoryLog, optimum_loss: float | None) -> float | N
 
 
 def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: int = 1) -> int:
-    """One subdirectory per (scheme x value) cell, plus summary.csv."""
-    cells = [(scheme, float(value)) for scheme in Scheme for value in values]
+    """One subdirectory per (scheme x value) cell, plus summary.csv.
+
+    Every value is checked by the parser of the swept config key (text or
+    numbers) before any cell runs.
+    """
+    if param not in SWEEP_KEYS:
+        raise OutOfRange("sweep.param", f"must be one of {tuple(SWEEP_KEYS)}, got {param!r}")
+    key = SWEEP_KEYS[param]
+    values = [parse_value(key, value) for value in values]
+    cells = [(scheme, value) for scheme in Scheme for value in values]
 
     def run_cell(cell):
         scheme, value = cell
-        cell_cfg = _cell_config(cfg, scheme, param, value)
+        cell_cfg = set_value(set_value(cfg, "solver.scheme", scheme), key, value)
         cell_dir = out_dir / f"{scheme.value}_{value:g}"
         log, experiment = _run_into(cell_cfg, cell_dir)
         return scheme, value, log, experiment.objective.optimum_loss
@@ -271,12 +274,29 @@ def cmd_order(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float) -> int:
-    """Dimension-scaling sweep for the RK4 flow and plain factor descent."""
+    """Dimension-scaling sweep for the RK4 flow and plain factor descent.
+
+    ``seeds`` is a count or a list of seeds. Raises OutOfRange, before
+    writing anything, unless every dimension is at least the rank, there
+    is a seed and a step, and h is positive and finite.
+    """
+    if len(n_list) == 0 or min(n_list) < FEATURE_SCALING_RANK:
+        raise OutOfRange("feature-scaling.n_list",
+                         f"needs dimensions of at least the rank {FEATURE_SCALING_RANK}, "
+                         f"got {list(n_list)}")
+    if (seeds if isinstance(seeds, int) else len(seeds)) < 1:
+        raise OutOfRange("feature-scaling.seeds", f"needs at least one seed, got {seeds}")
+    if steps < 1:
+        raise OutOfRange("feature-scaling.steps", f"must be at least 1, got {steps}")
+    if not 0 < h < np.inf:
+        raise OutOfRange("feature-scaling.h", f"must be positive and finite, got {h}")
     out_dir.mkdir(parents=True, exist_ok=True)
     phi_lines = ["scheme,n,seed,step,component,norm"]
     slope_lines = ["scheme,component,slope"]
     for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
-        result = feature_scaling_experiment(n_list, steps, h, seeds, scheme=scheme)
+        result = feature_scaling_experiment(
+            n_list, steps, h, seeds, scheme=scheme, rank=FEATURE_SCALING_RANK
+        )
         for n, seed, step, comp, norm in result.rows:
             phi_lines.append(
                 ",".join([scheme.value, str(n), str(seed), str(step), str(comp), _fmt(norm)])
@@ -297,11 +317,7 @@ def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
     text = Path(path).read_text() if path else ""
     cfg = parse_config(text)
     if seed is not None:
-        cfg = replace(
-            cfg,
-            problem=replace(cfg.problem, seed=seed),
-            init=replace(cfg.init, seed=seed),
-        )
+        cfg = set_value(set_value(cfg, "problem.seed", seed), "init.seed", seed)
     return cfg
 
 
@@ -319,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one parameter over all schemes")
     common(sweep_p)
-    sweep_p.add_argument("--param", required=True, choices=("h", "delta"))
+    sweep_p.add_argument("--param", required=True, choices=tuple(SWEEP_KEYS))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     sweep_p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells")
 
@@ -343,7 +359,7 @@ def main(argv=None) -> int:
             return cmd_run(cfg, Path(args.out))
         if args.command == "sweep":
             cfg = _load_config(args.config, args.seed)
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [v for v in args.values.split(",") if v.strip()]
             if not values:
                 raise OutOfRange("sweep.values", "no values given")
             return cmd_sweep(cfg, args.param, values, Path(args.out), jobs=args.jobs)

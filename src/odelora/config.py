@@ -5,12 +5,14 @@ The on-disk format is INI-style: section headers in square brackets, one
 documented default; unknown sections or keys are rejected so typos cannot
 silently fall back to defaults. ``serialize_config(parse_config(text))``
 re-parses to an equal config.
+
+``SCHEMA`` states every key once: its section, name, spec field, type and
+range. Parsing, serialization and the sweep axes of the CLI all read it.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, replace
 
 from .solvers import Scheme, SolverConfig
@@ -25,6 +27,9 @@ __all__ = [
     "DiagnosticsSpec",
     "OutputSpec",
     "ExperimentConfig",
+    "SCHEMA",
+    "parse_value",
+    "set_value",
     "parse_config",
     "serialize_config",
 ]
@@ -96,34 +101,101 @@ class ExperimentConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
-_PROBLEM_KINDS = ("sensing", "quadratic", "regression")
-_INIT_SCHEMES = ("balanced", "zero_b")
+@dataclass(frozen=True)
+class _Parser:
+    """Turns one raw value into a config value, or raises OutOfRange.
+
+    ``convert`` maps the raw value to a config value and raises ValueError
+    or KeyError on malformed text, which is reported as ``expected``.
+    ``rule`` is a condition the value must meet and the phrase that reports
+    a value that does not; a condition that must hold rejects ``nan``.
+    ``render`` writes a value back as config text.
+    """
+
+    convert: object
+    expected: str
+    rule: tuple | None = None
+    render: object = str
+
+    def __call__(self, name: str, raw):
+        try:
+            value = self.convert(raw)
+        except (ValueError, KeyError):
+            raise OutOfRange(name, f"{self.expected}, got {raw!r}") from None
+        if self.rule is not None and not self.rule[0](value):
+            raise OutOfRange(name, f"{self.rule[1]}, got {value}")
+        return value
 
 
-def _parse_int(section, key, raw, positive=False):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise OutOfRange(f"{section}.{key}", f"expected an integer, got {raw!r}")
-    if positive and value <= 0:
-        raise OutOfRange(f"{section}.{key}", f"must be positive, got {value}")
-    return value
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_UNIT = (lambda v: 0.0 <= v < 1.0, "must be in [0, 1)")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
 
 
-def _parse_float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise OutOfRange(f"{section}.{key}", f"expected a number, got {raw!r}")
+def _int(rule=None) -> _Parser:
+    return _Parser(int, "expected an integer", rule)
 
 
-def _parse_bool(section, key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise OutOfRange(f"{section}.{key}", f"expected a boolean, got {raw!r}")
+def _float(rule=None) -> _Parser:
+    return _Parser(float, "expected a number", rule, repr)
+
+
+def _choice(names, convert=str, render=str) -> _Parser:
+    names = tuple(names)
+
+    def pick(raw):
+        if raw not in names:
+            raise ValueError(raw)
+        return convert(raw)
+
+    return _Parser(pick, f"must be one of {names}", render=render)
+
+
+_BOOLEAN = _Parser(lambda raw: _BOOLEANS[raw.strip().lower()], "expected a boolean",
+                   render=lambda v: str(v).lower())
+
+# section -> key -> (spec field, parser), in the order serialize_config writes.
+SCHEMA: dict[str, dict[str, tuple[str, _Parser]]] = {
+    "problem": {
+        "kind": ("kind", _choice(("sensing", "quadratic", "regression"))),
+        "m": ("m", _int(_POSITIVE)),
+        "n": ("n", _int(_POSITIVE)),
+        "o": ("o", _int(_POSITIVE)),
+        "r": ("r", _int(_POSITIVE)),
+        "delta": ("delta", _float(_UNIT)),
+        "seed": ("seed", _int()),
+    },
+    "init": {
+        "scheme": ("scheme", _choice(("balanced", "zero_b"))),
+        "scale": ("scale", _float(_NONNEGATIVE)),
+        "perturbation": ("perturbation", _float(_NONNEGATIVE)),
+        "seed": ("seed", _int()),
+    },
+    "solver": {
+        "scheme": ("scheme", _choice((s.value for s in Scheme), Scheme, lambda s: s.value)),
+        "h": ("step_size", _float(_POSITIVE)),
+        "iterations": ("iterations", _int(_NONNEGATIVE)),
+        "eps_reg": ("eps_reg", _float(_NONNEGATIVE)),
+    },
+    "diagnostics": {key: (key, _BOOLEAN) for key in ("eps_ratio", "balance", "certificate")},
+    "output": {"run_label": ("run_label", _Parser(str, "expected text"))},
+}
+
+
+def parse_value(name: str, raw):
+    """The value of key ``name`` (``section.key``) given as ``raw``, checked
+    by that key's parser; raises OutOfRange."""
+    section, key = name.split(".")
+    return SCHEMA[section][key][1](name, raw)
+
+
+def set_value(cfg: ExperimentConfig, name: str, value) -> ExperimentConfig:
+    """``cfg`` with key ``name`` (``section.key``) set to a parsed value."""
+    section, key = name.split(".")
+    spec = replace(getattr(cfg, section), **{SCHEMA[section][key][0]: value})
+    return replace(cfg, **{section: spec})
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -135,135 +207,41 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.ParsingError as err:
         line = err.errors[0][0] if getattr(err, "errors", None) else None
         raise ParseError(str(err).splitlines()[0], line) from err
-    except configparser.DuplicateOptionError as err:
-        raise ParseError(str(err), getattr(err, "lineno", None)) from err
-    except configparser.DuplicateSectionError as err:
-        raise ParseError(str(err), getattr(err, "lineno", None)) from err
+    except (configparser.DuplicateOptionError, configparser.DuplicateSectionError) as err:
+        raise ParseError(str(err), err.lineno) from err
     except configparser.Error as err:
         raise ParseError(str(err)) from err
 
-    known_sections = ("problem", "init", "solver", "diagnostics", "output")
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in SCHEMA:
             raise UnknownKey(f"[{section}]")
-
-    def items(section):
-        return dict(parser.items(section)) if parser.has_section(section) else {}
-
     cfg = ExperimentConfig()
+    for section, keys in SCHEMA.items():
+        if not parser.has_section(section):
+            continue
+        for key, raw in parser.items(section):
+            name = f"{section}.{key}"
+            if key not in keys:
+                raise UnknownKey(name)
+            cfg = set_value(cfg, name, parse_value(name, raw))
 
-    values = items("problem")
     prob = cfg.problem
-    for key, raw in values.items():
-        if key == "kind":
-            if raw not in _PROBLEM_KINDS:
-                raise OutOfRange("problem.kind", f"must be one of {_PROBLEM_KINDS}, got {raw!r}")
-            prob = replace(prob, kind=raw)
-        elif key in ("m", "n", "o", "r"):
-            prob = replace(prob, **{key: _parse_int("problem", key, raw, positive=True)})
-        elif key == "delta":
-            value = _parse_float("problem", key, raw)
-            if not 0.0 <= value < 1.0:
-                raise OutOfRange("problem.delta", f"must be in [0, 1), got {value}")
-            prob = replace(prob, delta=value)
-        elif key == "seed":
-            prob = replace(prob, seed=_parse_int("problem", key, raw))
-        else:
-            raise UnknownKey(f"problem.{key}")
-    if "o" not in values:
+    if not parser.has_option("problem", "o"):
         prob = replace(prob, o=prob.n)  # square sensing unless asked otherwise
     if prob.r > min(prob.m, prob.n):
         raise OutOfRange("problem.r", f"rank {prob.r} exceeds min(m, n) = {min(prob.m, prob.n)}")
     if prob.o > prob.n:
         raise OutOfRange("problem.o", f"o = {prob.o} exceeds n = {prob.n}")
-
-    values = items("init")
-    init = cfg.init
-    for key, raw in values.items():
-        if key == "scheme":
-            if raw not in _INIT_SCHEMES:
-                raise OutOfRange("init.scheme", f"must be one of {_INIT_SCHEMES}, got {raw!r}")
-            init = replace(init, scheme=raw)
-        elif key in ("scale", "perturbation"):
-            value = _parse_float("init", key, raw)
-            if value < 0:
-                raise OutOfRange(f"init.{key}", f"must be nonnegative, got {value}")
-            init = replace(init, **{key: value})
-        elif key == "seed":
-            init = replace(init, seed=_parse_int("init", key, raw))
-        else:
-            raise UnknownKey(f"init.{key}")
-
-    values = items("solver")
-    scheme = cfg.solver.scheme
-    step_size = cfg.solver.step_size
-    iterations = cfg.solver.iterations
-    eps_reg = cfg.solver.eps_reg
-    for key, raw in values.items():
-        if key == "scheme":
-            try:
-                scheme = Scheme(raw)
-            except ValueError:
-                names = tuple(s.value for s in Scheme)
-                raise OutOfRange("solver.scheme", f"must be one of {names}, got {raw!r}")
-        elif key == "h":
-            step_size = _parse_float("solver", key, raw)
-            if step_size <= 0:
-                raise OutOfRange("solver.h", f"must be positive, got {step_size}")
-        elif key == "iterations":
-            value = _parse_int("solver", key, raw)
-            if value < 0:
-                raise OutOfRange("solver.iterations", f"must be nonnegative, got {value}")
-            iterations = value
-        elif key == "eps_reg":
-            eps_reg = _parse_float("solver", key, raw)
-            if eps_reg < 0:
-                raise OutOfRange("solver.eps_reg", f"must be nonnegative, got {eps_reg}")
-        else:
-            raise UnknownKey(f"solver.{key}")
-    solver = SolverConfig(scheme=scheme, step_size=step_size, iterations=iterations, eps_reg=eps_reg)
-
-    values = items("diagnostics")
-    diag = cfg.diagnostics
-    for key, raw in values.items():
-        if key in ("eps_ratio", "balance", "certificate"):
-            diag = replace(diag, **{key: _parse_bool("diagnostics", key, raw)})
-        else:
-            raise UnknownKey(f"diagnostics.{key}")
-
-    values = items("output")
-    out = cfg.output
-    for key, raw in values.items():
-        if key == "run_label":
-            out = replace(out, run_label=raw)
-        else:
-            raise UnknownKey(f"output.{key}")
-
-    return ExperimentConfig(problem=prob, init=init, solver=solver, diagnostics=diag, output=out)
+    return replace(cfg, problem=prob)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config in the same sectioned format parse_config reads."""
-    buf = io.StringIO()
-    buf.write("[problem]\n")
-    buf.write(f"kind = {cfg.problem.kind}\n")
-    for key in ("m", "n", "o", "r"):
-        buf.write(f"{key} = {getattr(cfg.problem, key)}\n")
-    buf.write(f"delta = {cfg.problem.delta!r}\n")
-    buf.write(f"seed = {cfg.problem.seed}\n\n")
-    buf.write("[init]\n")
-    buf.write(f"scheme = {cfg.init.scheme}\n")
-    buf.write(f"scale = {cfg.init.scale!r}\n")
-    buf.write(f"perturbation = {cfg.init.perturbation!r}\n")
-    buf.write(f"seed = {cfg.init.seed}\n\n")
-    buf.write("[solver]\n")
-    buf.write(f"scheme = {cfg.solver.scheme.value}\n")
-    buf.write(f"h = {cfg.solver.step_size!r}\n")
-    buf.write(f"iterations = {cfg.solver.iterations}\n")
-    buf.write(f"eps_reg = {cfg.solver.eps_reg!r}\n\n")
-    buf.write("[diagnostics]\n")
-    for key in ("eps_ratio", "balance", "certificate"):
-        buf.write(f"{key} = {str(getattr(cfg.diagnostics, key)).lower()}\n")
-    buf.write("\n[output]\n")
-    buf.write(f"run_label = {cfg.output.run_label}\n")
-    return buf.getvalue()
+    blocks = []
+    for section, keys in SCHEMA.items():
+        spec = getattr(cfg, section)
+        lines = [f"[{section}]"] + [
+            f"{key} = {parser.render(getattr(spec, attr))}" for key, (attr, parser) in keys.items()
+        ]
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)

@@ -19,17 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight
-from .metrics import (  # noqa: F401  (re-exported measurement surface)
-    NonPositiveGap,
-    RateFit,
-    WindowTooShort,
-    ZeroGradient,
-    balance_defect,
-    eps_ratio,
-    rate_fit,
-    sensing_eps_certificate,
+from .problems import (
+    RegressionProblem,
+    aligned_zero_b_init,
+    make_regression_instance,
+    regression_objective,
 )
-from .problems import RegressionProblem, make_regression_instance, regression_objective, zero_b_init
 from .solvers import DIVERGENCE_ERRORS, Scheme, _method_for, _rk_stages, _step_for
 
 __all__ = [
@@ -43,10 +38,6 @@ __all__ = [
     "phi_decompose_rk4",
     "phi_decompose_classical",
     "feature_scaling_experiment",
-    "balance_defect",
-    "eps_ratio",
-    "rate_fit",
-    "sensing_eps_certificate",
 ]
 
 # Terminal defects below this are indistinguishable from round-off.
@@ -76,8 +67,6 @@ def _integrate_weight(factors, w_pt, objective, scheme, h, steps, eps):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             state = step(state, w_pt, objective, h, eps)
-            if not np.all(np.isfinite(state.a)) or not np.all(np.isfinite(state.b)):
-                raise ArithmeticError(f"{scheme.value} diverged at h = {h}")
     return effective_weight(w_pt, state)
 
 
@@ -91,13 +80,13 @@ def reference_trajectory(
 ) -> np.ndarray:
     """Terminal weight of the fine-step RK4 reference run.
 
-    Raises ReferenceDiverged when the run blows up: a non-finite state or
-    any of ``solvers.DIVERGENCE_ERRORS``.
+    Raises ReferenceDiverged when the run blows up, that is on any of
+    ``solvers.DIVERGENCE_ERRORS`` (a non-finite state among them).
     """
     steps = max(1, round(horizon / h_ref))
     try:
         return _integrate_weight(factors, w_pt, objective, Scheme.ODE_RK4, h_ref, steps, eps)
-    except (ArithmeticError, *DIVERGENCE_ERRORS) as err:
+    except DIVERGENCE_ERRORS as err:
         raise ReferenceDiverged(str(err)) from err
 
 
@@ -255,9 +244,7 @@ def feature_scaling_experiment(
     for n in n_list:
         for seed in seeds:
             problem = make_regression_instance(n, n, seed)
-            # independent stream for the start factors (same seed would make
-            # the first A row collide with the feature vector draw)
-            state = zero_b_init(n, n, rank, np.random.SeedSequence([seed, 1]), align=problem.s)
+            state = aligned_zero_b_init(problem, rank, seed)
             for step_idx in range(steps):
                 report, state = _phi_step(state, problem, scheme, h, eps)
                 if not all(np.isfinite(report.component_norms)):

@@ -8,15 +8,12 @@ the symmetric Sylvester solve is built on top of the eigendecomposition,
 which is valid because its coefficient matrix is symmetric positive definite
 on the feasible set.
 
-``cho_factor``, ``cho_solve`` and ``sylvester_eig`` trust their operands
-and are what the field kernel calls; ``cholesky_solve``, ``sym_eig`` and
-``sylvester_spd`` validate and symmetrize their inputs, then delegate to
-them, so each solve has one implementation.
+``cho_factor``, ``cho_solve`` and ``sylvester_eig`` trust their operands:
+inputs are validated where they enter the library (``as_matrix``,
+``LoRAFactors`` and the gradient check in ``core.field_eval``).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,14 +22,10 @@ __all__ = [
     "NotPositiveDefinite",
     "NoConvergence",
     "DegenerateSpectrum",
-    "SymEig",
     "as_matrix",
     "cho_factor",
     "cho_solve",
-    "cholesky_solve",
-    "sym_eig",
     "sylvester_eig",
-    "sylvester_spd",
     "thin_svd",
 ]
 
@@ -62,13 +55,6 @@ class DegenerateSpectrum(Exception):
     so the solution is no longer unique."""
 
 
-class SymEig(NamedTuple):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array and reject non-finite entries."""
     m = np.asarray(a, dtype=np.float64)
@@ -77,13 +63,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NonFiniteState(f"{name} contains non-finite entries")
     return m
-
-
-def _require_symmetric(h: np.ndarray, name: str, rtol: float = 1e-12) -> np.ndarray:
-    scale = max(1.0, float(np.linalg.norm(h)))
-    if np.linalg.norm(h - h.T) > rtol * scale:
-        raise ValueError(f"{name} is not symmetric within {rtol:g} relative tolerance")
-    return 0.5 * (h + h.T)
 
 
 def cho_factor(g: np.ndarray) -> np.ndarray:
@@ -114,42 +93,19 @@ def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
-def cholesky_solve(g, rhs) -> np.ndarray:
-    """Solve G Z = RHS for symmetric positive-definite G.
-
-    Validates both operands, then factors G with ``cho_factor`` and solves
-    with ``cho_solve``. Raises NotPositiveDefinite if the factorization
-    fails or any pivot is at or below ``PIVOT_RTOL * ||G||_F``.
-    """
-    g = _require_symmetric(as_matrix(g, "G"), "G")
-    rhs = as_matrix(rhs, "RHS")
-    if rhs.shape[0] != g.shape[0]:
-        raise ValueError(f"shape mismatch: G is {g.shape}, RHS is {rhs.shape}")
-    return cho_solve(cho_factor(g), rhs)
-
-
-def _eigh(h: np.ndarray) -> SymEig:
-    try:
-        w, q = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as err:
-        raise NoConvergence(str(err)) from err
-    return SymEig(w, q)
-
-
-def sym_eig(h) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    return _eigh(_require_symmetric(as_matrix(h, "H"), "H"))
-
-
 def sylvester_eig(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solve H X + X H = C for symmetric positive-definite H and symmetric C.
 
     H and C are trusted to be symmetric. Eigendecompose H = Q diag(lam) Q^T;
     in the eigenbasis the equation decouples entrywise into
     (lam_i + lam_j) Xt_ij = Ct_ij. The result is symmetrized, as C is
-    symmetric.
+    symmetric. Raises NoConvergence if the eigensolver fails and
+    DegenerateSpectrum if an eigenvalue-pair sum is not safely positive.
     """
-    w, q = _eigh(h)
+    try:
+        w, q = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(str(err)) from err
     pair_sums = w[:, None] + w[None, :]
     scale = max(abs(float(w[0])), abs(float(w[-1])))
     if pair_sums.min() <= PIVOT_RTOL * scale or pair_sums.min() <= 0.0:
@@ -159,13 +115,6 @@ def sylvester_eig(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     ct = q.T @ c @ q
     x = q @ (ct / pair_sums) @ q.T
     return 0.5 * (x + x.T)
-
-
-def sylvester_spd(h, c) -> np.ndarray:
-    """``sylvester_eig`` on validated, symmetrized H and C."""
-    c = _require_symmetric(as_matrix(c, "C"), "C")
-    h = _require_symmetric(as_matrix(h, "H"), "H")
-    return sylvester_eig(h, c)
 
 
 def thin_svd(m, k: int):

@@ -34,6 +34,7 @@ __all__ = [
     "regression_objective",
     "balanced_init",
     "zero_b_init",
+    "aligned_zero_b_init",
     "make_regression_instance",
     "perturbed_balanced_init",
 ]
@@ -217,6 +218,17 @@ def zero_b_init(n: int, m: int, r: int, seed, align=None) -> LoRAFactors:
             raise ValueError("a sampled row is parallel to align; use another seed")
         rows = coeff * direction[None, :] + np.sqrt(1.0 - coeff**2) * (ortho / norms)
     return LoRAFactors(a=rows, b=np.zeros((m, r)))
+
+
+def aligned_zero_b_init(problem: RegressionProblem, r: int, seed) -> LoRAFactors:
+    """``zero_b_init`` aligned with the problem's feature ``s``.
+
+    The start draws from ``SeedSequence([seed, 1])``: an instance built
+    from the same ``seed`` draws its feature from the same first normals,
+    which would make the first row of A parallel to it.
+    """
+    m, n = problem.w_pt.shape
+    return zero_b_init(n, m, r, np.random.SeedSequence([seed, 1]), align=problem.s)
 
 
 def make_regression_instance(n: int, m: int, seed) -> RegressionProblem:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from odelora.core import gram_a, gram_b
-from odelora.linalg import cholesky_solve
+from odelora.linalg import cho_factor, cho_solve
 
 
 def gauss_solve(g, rhs):
@@ -40,13 +40,13 @@ def gauss_solve(g, rhs):
 def null_projector_a(factors, eps=0.0):
     """I - A^T (A A^T + eps I)^{-1} A, the row-space annihilator (n x n)."""
     a = factors.a
-    return np.eye(a.shape[1]) - a.T @ cholesky_solve(gram_a(factors, eps), a)
+    return np.eye(a.shape[1]) - a.T @ cho_solve(cho_factor(gram_a(factors, eps)), a)
 
 
 def null_projector_b(factors, eps=0.0):
     """I - B (B^T B + eps I)^{-1} B^T, the column-space annihilator (m x m)."""
     b = factors.b
-    return np.eye(b.shape[0]) - b @ cholesky_solve(gram_b(factors, eps), b.T)
+    return np.eye(b.shape[0]) - b @ cho_solve(cho_factor(gram_b(factors, eps)), b.T)
 
 
 def charpoly_from_traces(h):
@@ -68,14 +68,6 @@ def charpoly_from_traces(h):
     # det(xI - H) = sum_k (-1)^k e_k x^{n-k}
     coeffs = [(-1) ** k * e[k] for k in range(n + 1)]
     return np.array(coeffs[::-1])
-
-
-def charpoly_from_roots(eigenvalues):
-    """Expand prod (x - lam_i), lowest-degree coefficient first."""
-    poly = np.array([1.0])
-    for lam in eigenvalues:
-        poly = np.convolve(poly, np.array([-lam, 1.0]))
-    return poly
 
 
 def kron_sylvester(h, c):

@@ -109,6 +109,85 @@ certificate = false
         cfg = ExperimentConfig()
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_serialized_defaults(self):
+        assert serialize_config(ExperimentConfig()) == (
+            "[problem]\nkind = sensing\nm = 40\nn = 40\no = 40\nr = 4\ndelta = 0.05\nseed = 0\n\n"
+            "[init]\nscheme = balanced\nscale = 0.8\nperturbation = 0.05\nseed = 0\n\n"
+            "[solver]\nscheme = ode_rk4\nh = 0.1\niterations = 500\neps_reg = 1e-08\n\n"
+            "[diagnostics]\neps_ratio = true\nbalance = true\ncertificate = true\n\n"
+            "[output]\nrun_label = run\n"
+        )
+
+
+def _expect(**sections) -> ExperimentConfig:
+    """The default config with some fields of some sections changed."""
+    cfg = ExperimentConfig()
+    return replace(
+        cfg, **{name: replace(getattr(cfg, name), **fields) for name, fields in sections.items()}
+    )
+
+
+SWEEP_SMALL = (Path(__file__).parents[1] / "perfbench" / "sweep_small.cfg").read_text()
+
+# (config text, expected config or (exception class, its .name or, for
+# ParseError, its .line))
+CORPUS = [
+    ("", ExperimentConfig()),
+    ("[problem]\nkind = quadratic\nm = 12\nn = 10\nr = 2\n"
+     "[solver]\nscheme = ode_euler\nh = 0.25\niterations = 50\n",
+     _expect(problem=dict(kind="quadratic", m=12, n=10, o=10, r=2),
+             solver=dict(scheme=Scheme.ODE_EULER, step_size=0.25, iterations=50))),
+    ("[problem]\ndelta = 1.5\n", (OutOfRange, "problem.delta")),
+    ("[problem]\ndelta = -0.1\n", (OutOfRange, "problem.delta")),
+    ("[problem]\ndelta = x\n", (OutOfRange, "problem.delta")),
+    ("[problem]\nm = 0\n", (OutOfRange, "problem.m")),
+    ("[problem]\nn = 2.5\n", (OutOfRange, "problem.n")),
+    ("[problem]\nkind = dense\n", (OutOfRange, "problem.kind")),
+    ("[problem]\ngamma = 3\n", (UnknownKey, "problem.gamma")),
+    ("[output]\ndirectory = out\n", (UnknownKey, "output.directory")),
+    ("[misc]\nx = 1\n", (UnknownKey, "[misc]")),
+    ("[problem]\nkind sensing\n", (ParseError, 2)),
+    ("[problem]\nm = 1\nm = 2\n", (ParseError, 3)),
+    ("[problem]\n[problem]\n", (ParseError, 2)),
+    ("[problem]\nm = 4\nn = 4\nr = 6\n", (OutOfRange, "problem.r")),
+    ("[problem]\nn = 10\no = 12\n", (OutOfRange, "problem.o")),
+    ("[problem]\nn = 24\nm = 30\n", _expect(problem=dict(m=30, n=24, o=24))),
+    ("[problem]\nn = 24\no = 8\n", _expect(problem=dict(n=24, o=8))),
+    ("[init]\nscheme = lora\n", (OutOfRange, "init.scheme")),
+    ("[init]\nscale = -1\n", (OutOfRange, "init.scale")),
+    ("[init]\nperturbation = -0.5\n", (OutOfRange, "init.perturbation")),
+    ("[init]\nseed = abc\n", (OutOfRange, "init.seed")),
+    ("[solver]\nscheme = adamw\n", (OutOfRange, "solver.scheme")),
+    ("[solver]\nh = 0\n", (OutOfRange, "solver.h")),
+    ("[solver]\nh = nan\n", (OutOfRange, "solver.h")),
+    ("[solver]\niterations = -1\n", (OutOfRange, "solver.iterations")),
+    ("[solver]\neps_reg = -1e-3\n", (OutOfRange, "solver.eps_reg")),
+    ("[diagnostics]\nbalance = maybe\n", (OutOfRange, "diagnostics.balance")),
+    ("[diagnostics]\neps_ratio = off\nbalance = No\ncertificate = 1\n",
+     _expect(diagnostics=dict(eps_ratio=False, balance=False))),
+    ("[output]\nrun_label = my label\n", _expect(output=dict(run_label="my label"))),
+    (SWEEP_SMALL, _expect(diagnostics=dict(eps_ratio=False))),
+]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    CORPUS,
+    ids=[f"{i:02d}-" + ("ok" if isinstance(e, ExperimentConfig) else e[0].__name__)
+         for i, (_, e) in enumerate(CORPUS)],
+)
+def test_config_corpus(text, expected):
+    if isinstance(expected, ExperimentConfig):
+        cfg = parse_config(text)
+        assert cfg == expected
+        assert parse_config(serialize_config(cfg)) == cfg
+        return
+    cls, where = expected
+    with pytest.raises(cls) as err:
+        parse_config(text)
+    assert type(err.value) is cls
+    assert (err.value.line if cls is ParseError else err.value.name) == where
+
 
 def _small_config(**solver_kwargs) -> ExperimentConfig:
     cfg = parse_config(
@@ -229,6 +308,27 @@ class TestCmdSweep:
         with pytest.raises(OutOfRange):
             cmd_sweep(_small_config(iterations=1), "mu", [0.1], tmp_path)
 
+    def test_values_checked_before_any_cell(self, tmp_path):
+        for param, values, name in (
+            ("h", ["0.1", "x"], "solver.h"),
+            ("h", [0.1, -0.5], "solver.h"),
+            ("h", [float("nan")], "solver.h"),
+            ("delta", [0.05, 1.5], "problem.delta"),
+        ):
+            with pytest.raises(OutOfRange) as err:
+                cmd_sweep(_small_config(iterations=1), param, values, tmp_path)
+            assert err.value.name == name
+            assert list(tmp_path.iterdir()) == []
+
+    def test_text_and_float_values_agree(self, tmp_path):
+        cfg = _small_config(iterations=3)
+        cmd_sweep(cfg, "h", ["0.1", " 0.2"], tmp_path / "text")
+        cmd_sweep(cfg, "h", [0.1, 0.2], tmp_path / "float")
+        assert (
+            (tmp_path / "text" / "summary.csv").read_text()
+            == (tmp_path / "float" / "summary.csv").read_text()
+        )
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = _small_config(iterations=15)
         cmd_sweep(cfg, "h", [0.1, 0.2], tmp_path / "serial", jobs=1)
@@ -268,6 +368,30 @@ class TestCmdFeatureScaling:
         assert rows[0] == ["scheme", "component", "slope"]
         assert len(rows) > 1
 
+    def test_seed_list_accepted(self, tmp_path):
+        assert cmd_feature_scaling(tmp_path, [16], seeds=[3], steps=1, h=0.1) == 0
+        assert {row[2] for row in _read_csv(tmp_path / "phi.csv")[1:]} == {"3"}
+
+    @pytest.mark.parametrize(
+        "n_list, seeds, steps, h, flag",
+        [
+            ([], 1, 1, 0.1, "n_list"),
+            ([2, 16], 1, 1, 0.1, "n_list"),
+            ([16], 0, 1, 0.1, "seeds"),
+            ([16], [], 1, 0.1, "seeds"),
+            ([16], 1, 0, 0.1, "steps"),
+            ([16], 1, 1, -1.0, "h"),
+            ([16], 1, 1, float("nan"), "h"),
+            ([16], 1, 1, float("inf"), "h"),
+        ],
+    )
+    def test_unusable_inputs_rejected(self, tmp_path, n_list, seeds, steps, h, flag):
+        out = tmp_path / "out"
+        with pytest.raises(OutOfRange) as err:
+            cmd_feature_scaling(out, n_list, seeds=seeds, steps=steps, h=h)
+        assert err.value.name == f"feature-scaling.{flag}"
+        assert not out.exists()
+
 
 class TestMain:
     def test_run_exit_zero(self, tmp_path):
@@ -291,6 +415,32 @@ class TestMain:
         a = (tmp_path / "s0" / "trajectory.csv").read_text()
         b = (tmp_path / "s9" / "trajectory.csv").read_text()
         assert _strip_wall(a) != _strip_wall(b)
+
+    def test_bad_sweep_values_exit_two_without_cells(self, tmp_path, capsys):
+        for param, values in (("h", "x"), ("h", "0.1,-0.5"), ("h", "nan"), ("delta", "1.5")):
+            out = tmp_path / f"{param}_{values}"
+            code = main(["sweep", "--out", str(out), "--param", param, "--values", values])
+            assert code == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_feature_scaling_flags_exit_two(self, tmp_path):
+        for flags in (["--seeds", "0"], ["--steps", "0"], ["--h", "-1"], ["--n-list", "2,4"]):
+            out = tmp_path / "_".join(flags)
+            assert main(["feature-scaling", "--out", str(out), *flags]) == 2
+            assert not out.exists()
+
+    def test_regression_zero_b_run(self, tmp_path):
+        config = tmp_path / "c.ini"
+        config.write_text(
+            "[problem]\nkind = regression\nm = 12\nn = 16\nr = 2\n"
+            "[init]\nscheme = zero_b\n[solver]\niterations = 3\n"
+        )
+        for seed in ("0", "7"):
+            out = tmp_path / seed
+            assert main(["run", "--config", str(config), "--out", str(out), "--seed", seed]) == 0
+            rows = _read_csv(out / "trajectory.csv")
+            assert len(rows) == 5 and rows[-1][1] != "nan"
 
     def test_jobs_only_on_sweep(self, tmp_path):
         for verb in ("run", "order", "feature-scaling"):

@@ -6,6 +6,7 @@ from odelora.metrics import balance_defect, sensing_eps_certificate
 from odelora.problems import (
     InvalidDelta,
     SensingProblem,
+    aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
     make_rip_sensing,
@@ -193,6 +194,21 @@ class TestZeroBInit:
                 f = zero_b_init(n, n, r, np.random.SeedSequence([seed, 1]), align=p.s)
                 signal = np.linalg.norm(f.a @ p.s)
                 assert 0.05 * np.sqrt(r) <= signal <= 3.0 * np.sqrt(r)
+
+
+class TestAlignedZeroBInit:
+    def test_draws_from_the_start_stream(self):
+        p = make_regression_instance(30, 20, 5)
+        f = aligned_zero_b_init(p, 3, 5)
+        want = zero_b_init(30, 20, 3, np.random.SeedSequence([5, 1]), align=p.s)
+        assert np.array_equal(f.a, want.a) and np.array_equal(f.b, want.b)
+
+    def test_shared_seed_keeps_fixed_overlap(self):
+        # the instance and the start share the seed, as under ``--seed N``
+        for seed in range(20):
+            p = make_regression_instance(40, 40, seed)
+            f = aligned_zero_b_init(p, 4, seed)
+            assert np.allclose(f.a @ p.s, 0.5, atol=1e-12)
 
 
 class TestMakeRegressionInstance:
