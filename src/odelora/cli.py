@@ -12,7 +12,9 @@ so identical invocations produce byte-identical CSVs except for the
 ``wall_nanos`` column. Floats are written with 17 significant digits and a
 ``.`` decimal point regardless of locale; missing diagnostics are emitted
 as empty fields. Exit codes: 0 completed (divergence is data, not failure),
-2 configuration error, 3 I/O error.
+2 configuration error, 3 I/O error. ``order`` also exits 2, writing
+nothing, when its config's problem and start admit no measurement: the
+reference run diverges, or a terminal defect sits at round-off.
 """
 
 from __future__ import annotations
@@ -34,7 +36,13 @@ from .config import (
     set_value,
 )
 from .core import LoRAFactors, effective_weight
-from .diagnostics import estimate_order, feature_scaling_experiment, reference_trajectory
+from .diagnostics import (
+    DefectBelowNoiseFloor,
+    ReferenceDiverged,
+    estimate_order,
+    feature_scaling_experiment,
+    reference_trajectory,
+)
 from .metrics import NonPositiveGap, WindowTooShort, rate_fit, sensing_eps_certificate
 from .problems import (
     aligned_zero_b_init,
@@ -317,7 +325,8 @@ def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
     text = Path(path).read_text() if path else ""
     cfg = parse_config(text)
     if seed is not None:
-        cfg = set_value(set_value(cfg, "problem.seed", seed), "init.seed", seed)
+        for key in ("problem.seed", "init.seed"):
+            cfg = set_value(cfg, key, parse_value(key, seed))
     return cfg
 
 
@@ -372,7 +381,7 @@ def main(argv=None) -> int:
                 Path(args.out), n_list, args.seeds, args.steps, args.h
             )
         raise AssertionError(args.command)  # pragma: no cover
-    except ConfigError as err:
+    except (ConfigError, DefectBelowNoiseFloor, ReferenceDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -165,13 +165,13 @@ SCHEMA: dict[str, dict[str, tuple[str, _Parser]]] = {
         "o": ("o", _int(_POSITIVE)),
         "r": ("r", _int(_POSITIVE)),
         "delta": ("delta", _float(_UNIT)),
-        "seed": ("seed", _int()),
+        "seed": ("seed", _int(_NONNEGATIVE)),
     },
     "init": {
         "scheme": ("scheme", _choice(("balanced", "zero_b"))),
         "scale": ("scale", _float(_NONNEGATIVE)),
         "perturbation": ("perturbation", _float(_NONNEGATIVE)),
-        "seed": ("seed", _int()),
+        "seed": ("seed", _int(_NONNEGATIVE)),
     },
     "solver": {
         "scheme": ("scheme", _choice((s.value for s in Scheme), Scheme, lambda s: s.value)),

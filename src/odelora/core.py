@@ -15,11 +15,16 @@ where G is the full-weight gradient. All Gram inverses carry an optional
 Tikhonov term ``eps * I`` so the field stays defined near rank-deficient
 factors (e.g. the zero-B start); H then gains ``2 eps * I``.
 
+The field, and every factor direction in ``solvers``, reads G only through
+its two sides ``B^T G`` (r x n) and ``G A^T`` (m x r). ``field_eval_sides``
+takes them directly; ``Objective.sides`` returns them at a factor state,
+and an objective with low-rank structure computes them without forming G.
+
 ``FactorGrams`` builds both regularized Grams of one state and factors each
 once; the field, the flow's full-weight velocity and the null-space ratio
 are a few products on top of it. Inputs are validated at the boundary
-(``LoRAFactors`` and the gradient check in ``field_eval``), not inside each
-solve.
+(``LoRAFactors`` and the gradient check in ``gradient_sides``), not inside
+each solve.
 """
 
 from __future__ import annotations
@@ -35,12 +40,16 @@ __all__ = [
     "DEFAULT_EPS",
     "LoRAFactors",
     "Objective",
+    "Sides",
+    "StateEval",
     "FieldEval",
     "FactorGrams",
     "effective_weight",
     "gram_a",
     "gram_b",
+    "gradient_sides",
     "field_eval",
+    "field_eval_sides",
     "flow_rhs_full",
 ]
 
@@ -94,11 +103,38 @@ def effective_weight(w_pt: np.ndarray, factors: LoRAFactors) -> np.ndarray:
     return w_pt + factors.delta()
 
 
+class Sides(NamedTuple):
+    """The two sides of a full-weight gradient G at a factor state."""
+
+    bt_g: np.ndarray  # B^T G, r x n
+    g_at: np.ndarray  # G A^T, m x r
+
+
+class StateEval(NamedTuple):
+    """What a logged row reads at a factor state: loss, gradient and sides."""
+
+    loss: float
+    grad: np.ndarray
+    sides: Sides
+
+
+def gradient_sides(factors: LoRAFactors, g) -> Sides:
+    """The sides of a dense gradient G, which is checked for shape and finiteness."""
+    g = as_matrix(g, "G")
+    if g.shape != factors.shape:
+        raise ValueError(f"gradient shape {g.shape} != weight shape {factors.shape}")
+    return Sides(factors.b.T @ g, g @ factors.a.T)
+
+
 class Objective:
     """Differentiable scalar objective over dense weight matrices.
 
     Subclasses implement ``loss`` and ``grad``; ``optimum_loss`` and
     ``optimum_w`` are set when the minimizer is known in closed form.
+    ``sides`` and ``evaluate`` read the objective at a factor state
+    ``W = W_pt + B A``. Their defaults form G densely with ``grad``; an
+    objective whose residual is cheap in factor form overrides both so that
+    ``sides`` never forms an m x n matrix.
     """
 
     optimum_loss: float | None = None
@@ -109,6 +145,16 @@ class Objective:
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
+        """``(B^T G, G A^T)`` with G the gradient at ``W_pt + B A``."""
+        return gradient_sides(factors, self.grad(effective_weight(w_pt, factors)))
+
+    def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
+        """Loss, gradient and sides at ``W_pt + B A``, for a logged row."""
+        w = effective_weight(w_pt, factors)
+        g = self.grad(w)
+        return StateEval(float(self.loss(w)), g, gradient_sides(factors, g))
 
 
 class FieldEval(NamedTuple):
@@ -182,16 +228,24 @@ def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEv
     and X solves the symmetric Sylvester equation stated in the module
     docstring (with H = A A^T + B^T B + 2 eps I when regularized).
     """
-    g = as_matrix(g, "G")
-    if g.shape != factors.shape:
-        raise ValueError(f"gradient shape {g.shape} != weight shape {factors.shape}")
+    return field_eval_sides(factors, gradient_sides(factors, g), eps)
+
+
+def field_eval_sides(factors: LoRAFactors, sides: Sides, eps: float = 0.0) -> FieldEval:
+    """``field_eval`` given the gradient's sides ``(B^T G, G A^T)`` instead of G.
+
+    Both solves with B's Gram share one call: its two right-hand sides are
+    stacked, and each column's result is the one a separate solve gives.
+    """
     a, b = factors.a, factors.b
+    bt_g, g_at = sides
+    r = factors.rank
     grams = FactorGrams(factors, eps)
-    bt_g = b.T @ g
-    t = grams.solve_b(bt_g @ a.T)
+    both = grams.solve_b(np.hstack([bt_g @ a.T, bt_g]))
+    t = both[:, :r]
     x = grams.gauge(t + t.T)
-    f_a = -grams.solve_b(bt_g) + x @ a
-    f_b = -grams.project_out_b(grams.solve_a((g @ a.T).T).T) - b @ x
+    f_a = -both[:, r:] + x @ a
+    f_b = -grams.project_out_b(grams.solve_a(g_at.T).T) - b @ x
     return FieldEval(f_a, f_b, x)
 
 

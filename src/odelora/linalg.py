@@ -10,7 +10,10 @@ on the feasible set.
 
 ``cho_factor``, ``cho_solve`` and ``sylvester_eig`` trust their operands:
 inputs are validated where they enter the library (``as_matrix``,
-``LoRAFactors`` and the gradient check in ``core.field_eval``).
+``LoRAFactors`` and the dense-gradient check in ``core.gradient_sides``).
+The gradient sides that an objective supplies for a Runge–Kutta stage are
+not checked; a non-finite side gives a non-finite direction, which raises
+``NonFiniteState`` when the next state's ``LoRAFactors`` is built.
 """
 
 from __future__ import annotations

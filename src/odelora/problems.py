@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LoRAFactors, Objective
+from .core import LoRAFactors, Objective, Sides, StateEval
 from .linalg import as_matrix, thin_svd
 
 __all__ = [
@@ -118,11 +118,52 @@ def make_sensing_instance(
     return SensingProblem(s=s, y=y, w_pt=w_pt, a_star=star.a, b_star=star.b, delta=delta)
 
 
-class SensingObjective(Objective):
-    """0.5 ||W S - Y||_F^2 with gradient (W S - Y) S^T."""
+class _ResidualObjective(Objective):
+    """An objective of the residual ``W s - y``, with s a matrix or a vector.
+
+    At a factor state the residual is ``C0 + B (A s)``, where
+    ``C0 = W_pt s - y`` is computed on first use for the problem's own
+    ``w_pt`` and kept; any other ``w_pt`` gets its own, uncached. Subclasses
+    build the loss, gradient and sides from the residual and ``A s``, so
+    ``sides`` never forms the m x n gradient.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self._offset = None
+
+    def _residual(self, factors: LoRAFactors, w_pt: np.ndarray):
+        """``(C0 + B (A s), A s)`` at the factor state."""
+        p = self.problem
+        if w_pt is not p.w_pt:
+            offset = w_pt @ p.s - p.y
+        else:
+            if self._offset is None:
+                self._offset = p.w_pt @ p.s - p.y
+            offset = self._offset
+        a_s = factors.a @ p.s
+        return offset + factors.b @ a_s, a_s
+
+    def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
+        return self._sides(factors, *self._residual(factors, w_pt))
+
+    def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
+        resid, a_s = self._residual(factors, w_pt)
+        loss, grad = self._loss_and_grad(resid)
+        return StateEval(loss, grad, self._sides(factors, resid, a_s))
+
+
+class SensingObjective(_ResidualObjective):
+    """0.5 ||W S - Y||_F^2 with gradient (W S - Y) S^T.
+
+    At a factor state, with R the residual: the loss is ``0.5 ||R||_F^2``,
+    kept in this form because the rate fits read losses near round-off,
+    and the sides are ``B^T G = (B^T R) S^T`` and ``G A^T = R (A S)^T``,
+    O(r (m + n) o) work. Only ``evaluate`` forms ``G = R S^T``.
+    """
 
     def __init__(self, problem: SensingProblem):
-        self.problem = problem
+        super().__init__(problem)
         self.optimum_loss = 0.0
         self.optimum_w = problem.w_pt + problem.b_star @ problem.a_star
 
@@ -132,6 +173,12 @@ class SensingObjective(Objective):
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.problem.s - self.problem.y) @ self.problem.s.T
+
+    def _loss_and_grad(self, resid):
+        return 0.5 * float(np.sum(resid * resid)), resid @ self.problem.s.T
+
+    def _sides(self, factors, resid, a_s) -> Sides:
+        return Sides((factors.b.T @ resid) @ self.problem.s.T, resid @ a_s.T)
 
 
 class QuadraticObjective(Objective):
@@ -153,11 +200,13 @@ class QuadraticObjective(Objective):
         return self.mu * (w - self.w_star)
 
 
-class RegressionObjective(Objective):
-    """||W s - y||^2 with rank-one gradient 2 (W s - y) s^T."""
+class RegressionObjective(_ResidualObjective):
+    """||W s - y||^2 with rank-one gradient 2 (W s - y) s^T.
 
-    def __init__(self, problem: RegressionProblem):
-        self.problem = problem
+    At a factor state, with res the residual, the sides are
+    ``B^T G = 2 (B^T res) s^T`` and ``G A^T = 2 res (A s)^T``, O((m + n) r)
+    work.
+    """
 
     def loss(self, w: np.ndarray) -> float:
         resid = w @ self.problem.s - self.problem.y
@@ -165,6 +214,13 @@ class RegressionObjective(Objective):
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * np.outer(w @ self.problem.s - self.problem.y, self.problem.s)
+
+    def _loss_and_grad(self, resid):
+        return float(resid @ resid), 2.0 * np.outer(resid, self.problem.s)
+
+    def _sides(self, factors, resid, a_s) -> Sides:
+        return Sides(2.0 * np.outer(factors.b.T @ resid, self.problem.s),
+                     2.0 * np.outer(resid, a_s))
 
 
 def sensing_objective(problem: SensingProblem) -> SensingObjective:

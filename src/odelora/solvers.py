@@ -1,20 +1,23 @@
 """Time discretizations of the balanced adapter flow, plus baselines.
 
 Every factor scheme is one explicit Runge–Kutta engine driven by a
-direction function ``(factors, g, eps) -> (f_a, f_b)`` of the full-weight
-gradient at a stage. The flow steppers (Euler, Heun/RK2, classical RK4)
-run the engine with the balanced field ``field_eval`` and their Butcher
-tableaux, re-evaluating the field at each stage's effective weight
-``W_pt + B A``. The factor baselines are one-stage (Euler) runs of their
-own directions: plain factor gradient descent, Gram-preconditioned
-descent, and the gradient-matching update with zero gauge (the X = 0
-member of the same solution family as the Euler flow step). Full-weight
-gradient descent steps the dense weight instead. All steppers are pure
-functions from state to state and every factor step takes
-``(factors, w_pt, objective, h, eps, g=None)``; ``run_trajectory`` iterates
-one of them and logs per-iteration diagnostics. A step given ``g``, the
-gradient at its start state, uses it as the first stage's gradient instead
-of evaluating it again; ``run_trajectory`` passes the one it just logged.
+direction function ``(factors, sides, eps) -> (f_a, f_b)`` of the
+gradient's two sides ``(B^T G, G A^T)`` at a stage; no direction reads more
+of the full-weight gradient G. The stage sides come from
+``Objective.sides`` at the stage state, so an objective with a residual
+form never builds an m x n matrix inside a step. The flow steppers (Euler,
+Heun/RK2, classical RK4) run the engine with the balanced field
+``field_eval_sides`` and their Butcher tableaux. The factor baselines are
+one-stage (Euler) runs of their own directions: plain factor gradient
+descent, Gram-preconditioned descent, and the gradient-matching update
+with zero gauge (the X = 0 member of the same solution family as the Euler
+flow step). Full-weight gradient descent steps the dense weight instead.
+All steppers are pure functions from state to state and every factor step
+takes ``(factors, w_pt, objective, h, eps, g=None)``; ``run_trajectory``
+iterates one of them and logs per-iteration diagnostics. A step given
+``g``, the ``Sides`` of the gradient at its start state, uses them as the
+first stage's instead of evaluating them again; ``run_trajectory`` passes
+the sides of the row it just logged.
 """
 
 from __future__ import annotations
@@ -30,15 +33,16 @@ from .core import (
     FactorGrams,
     LoRAFactors,
     Objective,
+    Sides,
     effective_weight,
-    field_eval,
+    field_eval_sides,
+    gradient_sides,
 )
 from .linalg import (
     DegenerateSpectrum,
     NoConvergence,
     NonFiniteState,
     NotPositiveDefinite,
-    as_matrix,
 )
 from .metrics import ZeroGradient, balance_defect, eps_ratio
 
@@ -123,20 +127,25 @@ HEUN = Tableau((1.0,), (1, 1), 2)
 RK4 = Tableau((0.5, 0.5, 1.0), (1, 2, 2, 1), 6)
 
 
-def _flow_direction(factors: LoRAFactors, g: np.ndarray, eps: float):
-    k = field_eval(factors, g, eps)
+def _flow_direction(factors: LoRAFactors, sides: Sides, eps: float):
+    k = field_eval_sides(factors, sides, eps)
     return k.f_a, k.f_b
 
 
-def _factor_gradient(factors: LoRAFactors, g: np.ndarray, eps: float):
+def _factor_gradient(factors: LoRAFactors, sides: Sides, eps: float):
     """Composite-loss gradients B^T G in A and G A^T in B, negated; ``eps``
     plays no part."""
-    return -(factors.b.T @ g), -(g @ factors.a.T)
+    return -sides.bt_g, -sides.g_at
 
 
-def _riemannian_direction(factors: LoRAFactors, g: np.ndarray, eps: float):
+def _riemannian_direction(factors: LoRAFactors, sides: Sides, eps: float):
     grams = FactorGrams(factors, eps)
-    return -grams.solve_b(factors.b.T @ g), -grams.solve_a((g @ factors.a.T).T).T
+    return -grams.solve_b(sides.bt_g), -grams.solve_a(sides.g_at.T).T
+
+
+def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float):
+    grams = FactorGrams(factors, eps)
+    return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.T).T)
 
 
 def lorapro_direction(
@@ -144,10 +153,7 @@ def lorapro_direction(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-matching direction with zero gauge (X = 0):
     dA = -(B^T B + eps I)^{-1} B^T G, dB = -P_B^null G A^T (A A^T + eps I)^{-1}."""
-    g = as_matrix(g, "G")
-    grams = FactorGrams(factors, eps)
-    da = -grams.solve_b(factors.b.T @ g)
-    return da, -grams.project_out_b(grams.solve_a((g @ factors.a.T).T).T)
+    return _lorapro_direction(factors, gradient_sides(factors, g), eps)
 
 
 def _method_for(scheme: Scheme):
@@ -161,7 +167,7 @@ def _method_for(scheme: Scheme):
         Scheme.ODE_RK4: (RK4, _flow_direction),
         Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
         Scheme.RIEMANNIAN: (EULER, _riemannian_direction),
-        Scheme.LORA_PRO: (EULER, lorapro_direction),
+        Scheme.LORA_PRO: (EULER, _lorapro_direction),
     }[scheme]
 
 
@@ -169,17 +175,15 @@ def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective,
                g=None):
     """The scheme's tableau and the stage fields ``[(f_a, f_b), ...]`` of one step.
 
-    ``g`` is the gradient at ``factors``' effective weight when the caller
-    already has it; it is released once the first stage has used it.
+    ``g`` is the ``Sides`` of the gradient at ``factors``' effective weight
+    when the caller already has them.
     """
     tableau, direction = _method_for(scheme)
-    if g is None:
-        g = objective.grad(effective_weight(w_pt, factors))
-    stages = [direction(factors, g, eps)]
-    del g
+    sides = objective.sides(factors, w_pt) if g is None else g
+    stages = [direction(factors, sides, eps)]
     for c in tableau.subdiagonal:
         state = factors.move(*stages[-1], c * h)
-        stages.append(direction(state, objective.grad(effective_weight(w_pt, state)), eps))
+        stages.append(direction(state, objective.sides(state, w_pt), eps))
     return tableau, stages
 
 
@@ -286,10 +290,12 @@ def run_trajectory(
     above DIVERGENCE_LOSS, a non-finite state, or a step that fails a
     factorization) is recorded, not raised: the log gets its final row,
     with a ``nan`` gradient norm, and ``diverged`` is set. Any other
-    exception, a plain ``ValueError`` included, propagates. The gradient
-    logged at a state is the next step's first-stage gradient. The
-    null-space ratio and the balance defect are computed only when their
-    ``log_*`` flag is set; otherwise their fields stay ``None``.
+    exception, a plain ``ValueError`` included, propagates. A logged row
+    reads ``objective.evaluate`` once (``loss`` and ``grad`` for FULL_FT),
+    and the gradient it logs is the next step's first-stage gradient, passed
+    to factor steps as its sides. The null-space ratio and the balance
+    defect are computed only when their ``log_*`` flag is set; otherwise
+    their fields stay ``None``.
     """
     log = TrajectoryLog()
     full = config.scheme is Scheme.FULL_FT
@@ -309,15 +315,22 @@ def run_trajectory(
         log.diverged = True
 
     def record(i: int):
-        """Append a row for the current state and return its gradient;
-        None halts the run."""
+        """Append a row for the current state and return the gradient the
+        next step starts from (its sides for factor schemes); None halts
+        the run."""
         state_w = w if full else effective_weight(w_pt, factors)
-        finite = bool(np.all(np.isfinite(state_w)))
-        loss = float(objective.loss(state_w)) if finite else float("nan")
+        if not np.all(np.isfinite(state_w)):
+            halt(i, float("nan"))
+            return None
+        if full:
+            loss = float(objective.loss(state_w))
+        else:
+            loss, g, sides = objective.evaluate(factors, w_pt)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             halt(i, loss)
             return None
-        g = objective.grad(state_w)
+        if full:
+            g = objective.grad(state_w)
         grad_norm = float(np.linalg.norm(g))
         defect = ratio = None
         if not full and log_balance:
@@ -334,14 +347,14 @@ def run_trajectory(
             TrajectoryRow(i, loss, grad_norm, defect, ratio, dist,
                           time.perf_counter_ns())
         )
-        return g
+        return g if full else sides
 
-    g = record(0)
-    if g is None:
-        return log
     step = None if full else _step_for(config.scheme)
     with np.errstate(over="ignore", invalid="ignore"):
+        g = record(0)
         for i in range(1, config.iterations + 1):
+            if g is None:
+                break
             try:
                 if full:
                     w = full_ft_step(w, objective, config.step_size, g)
@@ -353,6 +366,4 @@ def run_trajectory(
                 halt(i, float("nan"))
                 break
             g = record(i)
-            if g is None:
-                break
     return log

@@ -167,6 +167,8 @@ CORPUS = [
      _expect(diagnostics=dict(eps_ratio=False, balance=False))),
     ("[output]\nrun_label = my label\n", _expect(output=dict(run_label="my label"))),
     (SWEEP_SMALL, _expect(diagnostics=dict(eps_ratio=False))),
+    ("[problem]\nseed = -1\n", (OutOfRange, "problem.seed")),
+    ("[init]\nseed = -2\n", (OutOfRange, "init.seed")),
 ]
 
 
@@ -441,6 +443,36 @@ class TestMain:
             assert main(["run", "--config", str(config), "--out", str(out), "--seed", seed]) == 0
             rows = _read_csv(out / "trajectory.csv")
             assert len(rows) == 5 and rows[-1][1] != "nan"
+
+    def test_negative_seed_exits_two_without_output(self, tmp_path, capsys):
+        config = tmp_path / "c.ini"
+        config.write_text("[problem]\nseed = -1\n")
+        for flags in (["--seed", "-1"], ["--config", str(config)]):
+            out = tmp_path / "out"
+            assert main(["run", "--out", str(out), *flags]) == 2
+            assert not out.exists()
+            assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_unmeasurable_order_exits_two_without_csv(self, tmp_path, capsys, monkeypatch):
+        # a start at the optimum leaves every terminal defect at round-off
+        config = tmp_path / "c.ini"
+        config.write_text("[problem]\nkind = quadratic\nm = 10\nn = 10\nr = 2\n"
+                          "[init]\nscale = 1.0\nperturbation = 0.0\n")
+        out = tmp_path / "out"
+        assert main(["order", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: defect")
+
+        import odelora.cli as cli_mod
+        from odelora.diagnostics import ReferenceDiverged
+
+        def diverged(*args):
+            raise ReferenceDiverged("reference blew up")
+
+        monkeypatch.setattr(cli_mod, "reference_trajectory", diverged)
+        assert main(["order", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: reference blew up\n"
 
     def test_jobs_only_on_sweep(self, tmp_path):
         for verb in ("run", "order", "feature-scaling"):

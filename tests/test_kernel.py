@@ -1,20 +1,41 @@
 """The per-state field kernel: factorization counts, the non-finite-state
-signal, and randomized properties of the field it computes.
+signal, and randomized properties of the field it computes and of the
+gradient sides it reads.
 
 The property tests draw shapes, factor and gradient scales from 1e-6 to 1e3
 and eps in {0, 1e-8}, and check the paper's identities against routes that
 do not go through ``FactorGrams``: plain ``np.linalg.solve`` on the Grams
-and the Kronecker-vectorized Sylvester oracle.
+and the Kronecker-vectorized Sylvester oracle. The residual-form objectives
+are checked against the dense default of ``Objective``, which forms G.
 """
 
 import numpy as np
 import pytest
 
-from odelora.core import FactorGrams, LoRAFactors, field_eval, flow_rhs_full, gram_a, gram_b
+import odelora.core as core_mod
+from odelora.core import (
+    FactorGrams,
+    LoRAFactors,
+    Objective,
+    effective_weight,
+    field_eval,
+    flow_rhs_full,
+    gram_a,
+    gram_b,
+)
 from odelora.linalg import NonFiniteState, NotPositiveDefinite, as_matrix
 from odelora.metrics import eps_ratio
-from odelora.problems import quadratic_objective
-from odelora.solvers import lorapro_direction, riemannian_step
+from odelora.problems import (
+    RegressionObjective,
+    RegressionProblem,
+    SensingObjective,
+    SensingProblem,
+    make_regression_instance,
+    make_sensing_instance,
+    perturbed_balanced_init,
+    quadratic_objective,
+)
+from odelora.solvers import Scheme, SolverConfig, lorapro_direction, riemannian_step, run_trajectory
 from oracles import kron_sylvester
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,6 +86,15 @@ class TestFactorizationCounts:
         flow_rhs_full(f, g, 1e-8)
         eps_ratio(f, g, 1e-8)
         assert counted == {"cholesky": 4, "eigh": 0}
+
+    def test_field_eval_makes_three_gram_solves(self, rng, monkeypatch):
+        # both right-hand sides of B's Gram go through one solve
+        calls = []
+        real = core_mod.cho_solve
+        monkeypatch.setattr(core_mod, "cho_solve", lambda *args: calls.append(1) or real(*args))
+        f, g = random_state(rng)
+        field_eval(f, g, 1e-8)
+        assert len(calls) == 3
 
 
 class TestNonFiniteState:
@@ -188,3 +218,113 @@ class TestFieldProperties:
         for kernel in (field_eval, flow_rhs_full, lorapro_direction):
             with pytest.raises(NotPositiveDefinite):
                 kernel(degenerate, g, 0.0)
+
+
+@st.composite
+def residual_problems(draw):
+    """A sensing or regression objective on random data with a random factor
+    state: r <= 3, m, n and o up to 9, factor scales log-uniform in
+    [1e-3, 1e3]."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.integers(r, 9))
+    n = draw(st.integers(r, 9))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w_pt = rng.standard_normal((m, n))
+    if draw(st.booleans()):
+        o = draw(st.integers(1, n))
+        objective = SensingObjective(SensingProblem(
+            s=rng.standard_normal((n, o)), y=rng.standard_normal((m, o)), w_pt=w_pt,
+            a_star=rng.standard_normal((r, n)), b_star=rng.standard_normal((m, r)),
+            delta=0.0,
+        ))
+    else:
+        objective = RegressionObjective(RegressionProblem(
+            s=rng.standard_normal(n), y=rng.standard_normal(m), w_pt=w_pt))
+    f = LoRAFactors(a=scale * rng.standard_normal((r, n)), b=scale * rng.standard_normal((m, r)))
+    return objective, f
+
+
+def residual_scale(objective, f, w_pt):
+    """A bound on the size of the terms summed into the residual W s - y."""
+    p, norm = objective.problem, np.linalg.norm
+    return norm(w_pt) * norm(p.s) + norm(p.y) + norm(f.b) * norm(f.a) * norm(p.s)
+
+
+def assert_sides_close(got, want, objective, f, w_pt):
+    factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
+    g_tol = factor * 1e-13 * residual_scale(objective, f, w_pt) * np.linalg.norm(
+        objective.problem.s)
+    assert np.linalg.norm(got.bt_g - want.bt_g) <= g_tol * np.linalg.norm(f.b)
+    assert np.linalg.norm(got.g_at - want.g_at) <= g_tol * np.linalg.norm(f.a)
+
+
+class TestResidualForm:
+    @PROPERTY_SETTINGS
+    @given(residual_problems())
+    def test_evaluate_matches_dense(self, case):
+        objective, f = case
+        w_pt = objective.problem.w_pt
+        got = objective.evaluate(f, w_pt)
+        want = Objective.evaluate(objective, f, w_pt)
+        factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
+        dense_resid = np.linalg.norm(effective_weight(w_pt, f) @ objective.problem.s
+                                     - objective.problem.y)
+        tol = 1e-13 * residual_scale(objective, f, w_pt)
+        assert abs(got.loss - want.loss) <= factor * tol * (dense_resid + tol)
+        g_tol = factor * tol * np.linalg.norm(objective.problem.s)
+        assert np.linalg.norm(got.grad - want.grad) <= g_tol
+        assert_sides_close(got.sides, want.sides, objective, f, w_pt)
+
+    @PROPERTY_SETTINGS
+    @given(residual_problems())
+    def test_sides_are_the_logged_sides(self, case):
+        objective, f = case
+        w_pt = objective.problem.w_pt
+        sides, logged = objective.sides(f, w_pt), objective.evaluate(f, w_pt).sides
+        assert all(np.array_equal(x, y) for x, y in zip(sides, logged))
+        # a copy of w_pt bypasses the cached offset and gives the same bits
+        fresh = objective.sides(f, w_pt.copy())
+        assert all(np.array_equal(x, y) for x, y in zip(sides, fresh))
+
+    @PROPERTY_SETTINGS
+    @given(residual_problems())
+    def test_another_base_weight_is_not_served_from_the_cache(self, case):
+        objective, f = case
+        objective.sides(f, objective.problem.w_pt)  # caches the problem's offset
+        other = objective.problem.w_pt + 1.0
+        got, want = objective.sides(f, other), Objective.sides(objective, f, other)
+        assert_sides_close(got, want, objective, f, other)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_losses_at_the_exact_optimum_are_round_off(self, n, r, seed):
+        sensing = make_sensing_instance(n + 1, n, n, min(r, n), 0.05, seed)
+        star = LoRAFactors(a=sensing.a_star, b=sensing.b_star)
+        regression = make_regression_instance(n, n + 1, seed)
+        u = regression.y - regression.w_pt @ regression.s
+        rank_one = LoRAFactors(a=regression.s[None, :], b=u[:, None])
+        for objective, f in ((SensingObjective(sensing), star),
+                             (RegressionObjective(regression), rank_one)):
+            w_pt = objective.problem.w_pt
+            assert objective.evaluate(f, w_pt).loss < 1e-20
+            assert objective.loss(effective_weight(w_pt, f)) < 1e-20
+
+
+def test_logged_sensing_rk4_run_forms_the_gradient_once_per_row(monkeypatch):
+    counts = {"grad": 0, "loss": 0, "r_st": 0}
+    for name, key in (("grad", "grad"), ("loss", "loss"), ("_loss_and_grad", "r_st")):
+        real = getattr(SensingObjective, name)
+
+        def counting(self, *args, _real=real, _key=key):
+            counts[_key] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(SensingObjective, name, counting)
+    problem = make_sensing_instance(12, 12, 12, 2, 0.05, 0)
+    k = 5
+    log = run_trajectory(perturbed_balanced_init(problem, 0.8, 0.05, 0),
+                         SensingObjective(problem), SolverConfig(Scheme.ODE_RK4, 0.1, k),
+                         w_pt=problem.w_pt)
+    assert len(log.rows) == k + 1 and not log.diverged
+    assert counts == {"grad": 0, "loss": 0, "r_st": k + 1}

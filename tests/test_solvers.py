@@ -174,7 +174,7 @@ class TestOdeRk4:
             f_b=rng.standard_normal((5, 2)),
             x=np.zeros((2, 2)),
         )
-        monkeypatch.setattr(solvers_mod, "field_eval", lambda *a, **k: frozen)
+        monkeypatch.setattr(solvers_mod, "field_eval_sides", lambda *a, **k: frozen)
         out = ode_rk4_step(f, w_pt, obj, 0.3, 1e-8)
         assert np.allclose(out.a, f.a + 0.3 * frozen.f_a, atol=1e-14)
         assert np.allclose(out.b, f.b + 0.3 * frozen.f_b, atol=1e-14)
