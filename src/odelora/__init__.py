@@ -28,6 +28,7 @@ from .diagnostics import (
     OrderReport,
     PhiReport,
     ReferenceDiverged,
+    ScalingDiverged,
     estimate_order,
     feature_scaling_experiment,
     phi_decompose_classical,

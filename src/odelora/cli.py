@@ -15,6 +15,7 @@ as empty fields. Exit codes: 0 completed (divergence is data, not failure),
 2 configuration error, 3 I/O error. ``order`` also exits 2, writing
 nothing, when its config's problem and start admit no measurement: the
 reference run diverges, or a terminal defect sits at round-off.
+``feature-scaling`` exits 2, writing nothing, when a scheme diverges.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import LoRAFactors, effective_weight
 from .diagnostics import (
     DefectBelowNoiseFloor,
     ReferenceDiverged,
+    ScalingDiverged,
     estimate_order,
     feature_scaling_experiment,
     reference_trajectory,
@@ -286,7 +288,8 @@ def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float)
 
     ``seeds`` is a count or a list of seeds. Raises OutOfRange, before
     writing anything, unless every dimension is at least the rank, there
-    is a seed and a step, and h is positive and finite.
+    is a seed and a step, and h is positive and finite. Raises
+    ScalingDiverged, with nothing written, when either scheme blows up.
     """
     if len(n_list) == 0 or min(n_list) < FEATURE_SCALING_RANK:
         raise OutOfRange("feature-scaling.n_list",
@@ -298,7 +301,6 @@ def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float)
         raise OutOfRange("feature-scaling.steps", f"must be at least 1, got {steps}")
     if not 0 < h < np.inf:
         raise OutOfRange("feature-scaling.h", f"must be positive and finite, got {h}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     phi_lines = ["scheme,n,seed,step,component,norm"]
     slope_lines = ["scheme,component,slope"]
     for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
@@ -316,6 +318,7 @@ def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float)
             slope_lines.append(
                 ",".join([scheme.value, str(comp), _fmt(result.slopes[comp])])
             )
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "phi.csv").write_text("\n".join(phi_lines) + "\n")
     (out_dir / "slopes.csv").write_text("\n".join(slope_lines) + "\n")
     return 0
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
                 Path(args.out), n_list, args.seeds, args.steps, args.h
             )
         raise AssertionError(args.command)  # pragma: no cover
-    except (ConfigError, DefectBelowNoiseFloor, ReferenceDiverged) as err:
+    except (ConfigError, DefectBelowNoiseFloor, ReferenceDiverged, ScalingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -30,6 +30,7 @@ from .solvers import DIVERGENCE_ERRORS, Scheme, _method_for, _rk_stages, _step_f
 __all__ = [
     "ReferenceDiverged",
     "DefectBelowNoiseFloor",
+    "ScalingDiverged",
     "OrderReport",
     "PhiReport",
     "FeatureScalingResult",
@@ -50,6 +51,10 @@ class ReferenceDiverged(Exception):
 
 class DefectBelowNoiseFloor(Exception):
     """A terminal defect sits at round-off level; the order is unmeasurable."""
+
+
+class ScalingDiverged(Exception):
+    """A scheme blew up during the feature-scaling sweep; no slopes exist."""
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,9 @@ class PhiReport:
     ``w_k F_B^(k) A_t s`` followed by the carry-side ``w_k B_t F_A^(k) s``
     (8 entries for RK4, 2 for one-stage schemes). The components plus the
     quadratic cross term reproduce the output change exactly;
-    ``sum_check_residual`` reports the reconstruction error.
+    ``sum_check_residual`` reports the reconstruction error, relative to
+    max(1, ||change||). The output change is taken in factor form,
+    ``B' (A' s) - B (A s)``, so the check forms no m x n product.
     """
 
     n: int
@@ -151,14 +158,18 @@ class PhiReport:
     sum_check_residual: float
 
 
-def _phi_step(factors, problem, scheme, h, eps):
+def _phi_step(factors, problem, objective, scheme, h, eps):
     """Decompose one step of a factor scheme on the regression problem.
 
     Returns the report and the post-step state. Stage k contributes its
     update side ``b_k h F_B^(k) A_t s`` and its carry side
     ``b_k h B_t F_A^(k) s``, with ``b_k`` the scheme's tableau weights.
+    Every product is a factor times a vector or an r-row matrix, so a step
+    costs O((m + n) r) beyond the stage fields; the sum check compares with
+    the output change ``B' (A' s) - B (A s)`` in factor form. ``objective``
+    is the problem's regression objective; it caches the offset
+    ``W_pt s - y``, so a caller that reuses it forms the offset once.
     """
-    objective = regression_objective(problem)
     tableau, stages = _rk_stages(scheme, factors, problem.w_pt, objective, h, eps)
     weights = [b / tableau.denominator for b in tableau.weights]
     s = problem.s
@@ -171,7 +182,7 @@ def _phi_step(factors, problem, scheme, h, eps):
     db = h * sum(w * f_b for w, (_, f_b) in zip(weights, stages))
     cross = db @ (da @ s)
     after = factors.move(da, db, 1.0)
-    change = (after.delta() - factors.delta()) @ s
+    change = after.b @ (after.a @ s) - factors.b @ a_s
     residual = np.linalg.norm(sum(components) + cross - change)
     scale = max(1.0, float(np.linalg.norm(change)))
     report = PhiReport(
@@ -191,14 +202,16 @@ def phi_decompose_rk4(
 ) -> PhiReport:
     """Decompose one RK4 step on the regression problem into its 8 output
     contributions (stage weights h/6, h/3, h/3, h/6)."""
-    return _phi_step(factors, problem, Scheme.ODE_RK4, h, eps)[0]
+    objective = regression_objective(problem)
+    return _phi_step(factors, problem, objective, Scheme.ODE_RK4, h, eps)[0]
 
 
 def phi_decompose_classical(
     factors: LoRAFactors, problem: RegressionProblem, h: float
 ) -> PhiReport:
     """Two-component decomposition of one plain factor-descent step."""
-    return _phi_step(factors, problem, Scheme.CLASSICAL_GD, h, DEFAULT_EPS)[0]
+    objective = regression_objective(problem)
+    return _phi_step(factors, problem, objective, Scheme.CLASSICAL_GD, h, DEFAULT_EPS)[0]
 
 
 @dataclass
@@ -235,6 +248,11 @@ def feature_scaling_experiment(
     slopes are exactly 0. The experiment shows the flow's flatness, not the
     contrast between schemes; that needs the generic start
     (``zero_b_init`` without ``align``).
+
+    Only building an instance touches m x n data: one regression objective
+    serves all of an instance's steps, and no step forms an m x n product.
+    Raises ScalingDiverged when a step meets one of
+    ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component.
     """
     if scheme not in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
         raise ValueError("feature scaling is measured for ODE_RK4 and CLASSICAL_GD")
@@ -244,13 +262,19 @@ def feature_scaling_experiment(
     for n in n_list:
         for seed in seeds:
             problem = make_regression_instance(n, n, seed)
+            objective = regression_objective(problem)
             state = aligned_zero_b_init(problem, rank, seed)
             for step_idx in range(steps):
-                report, state = _phi_step(state, problem, scheme, h, eps)
-                if not all(np.isfinite(report.component_norms)):
-                    raise ArithmeticError(
-                        f"{scheme.value} diverged at n = {n}, seed = {seed}, step = {step_idx}"
-                    )
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        report, state = _phi_step(state, problem, objective, scheme, h, eps)
+                    if not all(np.isfinite(report.component_norms)):
+                        raise FloatingPointError("non-finite output component")
+                except DIVERGENCE_ERRORS as err:
+                    raise ScalingDiverged(
+                        f"{scheme.value} diverged at n = {n}, seed = {seed}, "
+                        f"step = {step_idx}: {err}"
+                    ) from err
                 for comp, norm in enumerate(report.component_norms):
                     rows.append((int(n), int(seed), step_idx, comp, norm))
     n_components = 2 * len(_method_for(scheme)[0].weights)

@@ -341,7 +341,7 @@ def generic_start_scaling():
             state = start
             for _ in range(20):
                 after = ode_rk4_step(state, problem.w_pt, objective, H)
-                change = (after.delta() - state.delta()) @ problem.s
+                change = after.b @ (after.a @ problem.s) - state.b @ (state.a @ problem.s)
                 flow_changes.setdefault(n, []).append(float(np.linalg.norm(change)))
                 state = after
     classical = [

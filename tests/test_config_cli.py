@@ -432,6 +432,19 @@ class TestMain:
             assert main(["feature-scaling", "--out", str(out), *flags]) == 2
             assert not out.exists()
 
+    # h = 2 blows plain factor descent up to a non-finite component; h = 1e3
+    # leaves the first RK4 stage with a Gram the kernel refuses
+    @pytest.mark.parametrize("h, cause", [("2", "non-finite output component"),
+                                          ("1e3", "pivot")])
+    def test_diverging_feature_scaling_exits_two_without_csv(self, tmp_path, capsys, h, cause):
+        out = tmp_path / "out"
+        code = main(["feature-scaling", "--out", str(out), "--n-list", "8,16",
+                     "--seeds", "1", "--steps", "20", "--h", h])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "diverged" in err and cause in err
+
     def test_regression_zero_b_run(self, tmp_path):
         config = tmp_path / "c.ini"
         config.write_text(

@@ -225,11 +225,13 @@ class TestOrderSeedConsistency:
 class TestPhiIdentityAlongTrajectory:
     def test_sum_identity_every_step(self):
         from odelora.diagnostics import _phi_step
+        from odelora.problems import regression_objective
 
         problem = make_regression_instance(24, 24, 3)
+        objective = regression_objective(problem)
         state = zero_b_init(24, 24, 4, np.random.SeedSequence([3, 1]), align=problem.s)
         for _ in range(10):
-            report, state = _phi_step(state, problem, Scheme.ODE_RK4, 0.1, 1e-8)
+            report, state = _phi_step(state, problem, objective, Scheme.ODE_RK4, 0.1, 1e-8)
             assert report.sum_check_residual <= 1e-10
 
     def test_post_step_state_is_the_solver_step(self):
@@ -247,7 +249,7 @@ class TestPhiIdentityAlongTrajectory:
                              (Scheme.CLASSICAL_GD, classical_gd_step)):
             state = start
             for _ in range(5):
-                _, after = _phi_step(state, problem, scheme, 0.1, 1e-8)
+                _, after = _phi_step(state, problem, objective, scheme, 0.1, 1e-8)
                 stepped = step(state, problem.w_pt, objective, 0.1, 1e-8)
                 for got, want in ((after.a, stepped.a), (after.b, stepped.b)):
                     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -264,6 +266,35 @@ class TestFeatureScaling:
         result = feature_scaling_experiment([32, 64], steps=2, h=0.1, seeds=1)
         fitted = [s for s in result.slopes.values() if s is not None]
         assert len(fitted) >= 1
+
+    def test_steps_form_no_weight_and_one_objective_per_instance(self, monkeypatch):
+        # a step's m x n work would be B A, formed by LoRAFactors.delta; the
+        # offset W_pt s - y is cached on the objective, so one objective per
+        # instance forms it once
+        from odelora.problems import RegressionObjective
+
+        deltas, objectives = [], []
+        real_delta, real_init = LoRAFactors.delta, RegressionObjective.__init__
+
+        def counting_delta(self):
+            deltas.append(1)
+            return real_delta(self)
+
+        def counting_init(self, problem):
+            objectives.append(problem)
+            real_init(self, problem)
+
+        monkeypatch.setattr(LoRAFactors, "delta", counting_delta)
+        monkeypatch.setattr(RegressionObjective, "__init__", counting_init)
+        for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
+            objectives.clear()
+            result = feature_scaling_experiment(
+                [16, 32], steps=3, h=0.1, seeds=2, scheme=scheme
+            )
+            assert len(result.rows) == 2 * 2 * 3 * len(result.slopes)
+            assert len(objectives) == 4
+            assert len({id(problem) for problem in objectives}) == 4
+        assert deltas == []
 
     def test_rejects_unsupported_scheme(self):
         with pytest.raises(ValueError):
