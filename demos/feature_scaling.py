@@ -14,15 +14,14 @@ large one.
 
 import sys
 
-from odelora import Scheme, feature_scaling_experiment
+from odelora import feature_scaling_experiment
 
 
 def main(full: bool = False):
     n_list = [64, 128, 256, 512, 1024] if full else [32, 64, 128, 256]
     seeds = 5 if full else 2
     print(f"dimensions {n_list}, {seeds} seeds, 20 steps, h = 0.1\n")
-    for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
-        result = feature_scaling_experiment(n_list, steps=20, h=0.1, seeds=seeds, scheme=scheme)
+    for scheme, result in feature_scaling_experiment(n_list, steps=20, h=0.1, seeds=seeds).items():
         print(scheme.value)
         for comp in sorted(result.slopes):
             slope = result.slopes[comp]

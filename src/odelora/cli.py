@@ -21,6 +21,8 @@ reference run diverges, or a terminal defect sits at round-off.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -38,6 +40,7 @@ from .config import (
 )
 from .core import LoRAFactors, effective_weight
 from .diagnostics import (
+    FEATURE_SCALING_RANK,
     DefectBelowNoiseFloor,
     ReferenceDiverged,
     ScalingDiverged,
@@ -57,16 +60,17 @@ from .problems import (
     sensing_objective,
     zero_b_init,
 )
-from .solvers import Scheme, SolverConfig, TrajectoryLog, run_trajectory
+from .solvers import Scheme, SolverConfig, TrajectoryLog, TrajectoryRow, run_trajectory
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_order", "cmd_feature_scaling"]
 
 ORDER_H_LIST = (0.2, 0.1, 0.05, 0.025)
 ORDER_HORIZON = 1.0
-FEATURE_SCALING_RANK = 4
 # The config key each sweep axis sets.
 SWEEP_KEYS = {"h": "solver.h", "delta": "problem.delta"}
-TRAJECTORY_HEADER = "iter,loss,grad_norm,balance_defect,eps_ratio,dist_to_opt,wall_nanos"
+TRAJECTORY_HEADER = ",".join(field.name for field in dataclasses.fields(TrajectoryRow))
+# A row's values in header order; dataclasses.astuple would deep-copy each.
+_row_values = operator.attrgetter(*TRAJECTORY_HEADER.split(","))
 
 
 def _fmt(value) -> str:
@@ -155,19 +159,7 @@ class Experiment:
 def _write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
     lines = [TRAJECTORY_HEADER]
     for row in log.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.iter),
-                    _fmt(row.loss),
-                    _fmt(row.grad_norm),
-                    _fmt(row.balance_defect),
-                    _fmt(row.eps_ratio),
-                    _fmt(row.dist_to_opt),
-                    _fmt(row.wall_nanos),
-                ]
-            )
-        )
+        lines.append(",".join(map(_fmt, _row_values(row))))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -213,15 +205,17 @@ def _contraction_of(log: TrajectoryLog, optimum_loss: float | None) -> float | N
 
 
 def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: int = 1) -> int:
-    """One subdirectory per (scheme x value) cell, plus summary.csv.
+    """One subdirectory ``{scheme}_{value:g}`` per (scheme x value) cell, plus summary.csv.
 
     Every value is checked by the parser of the swept config key (text or
-    numbers) before any cell runs.
+    numbers), and no two may name the same cell, before any cell runs.
     """
     if param not in SWEEP_KEYS:
         raise OutOfRange("sweep.param", f"must be one of {tuple(SWEEP_KEYS)}, got {param!r}")
     key = SWEEP_KEYS[param]
     values = [parse_value(key, value) for value in values]
+    if len({f"{value:g}" for value in values}) < len(values):
+        raise OutOfRange("sweep.values", f"two values share a cell directory, got {values}")
     cells = [(scheme, value) for scheme in Scheme for value in values]
 
     def run_cell(cell):
@@ -284,17 +278,18 @@ def cmd_order(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float) -> int:
-    """Dimension-scaling sweep for the RK4 flow and plain factor descent.
+    """Dimension-scaling sweep for the RK4 flow and plain factor descent,
+    from one instance per ``(n, seed)``; each CSV lists RK4's rows first.
 
     ``seeds`` is a count or a list of seeds. Raises OutOfRange, before
-    writing anything, unless every dimension is at least the rank, there
-    is a seed and a step, and h is positive and finite. Raises
+    writing anything, unless the dimensions are distinct and at least the
+    rank, there is a seed and a step, and h is positive and finite. Raises
     ScalingDiverged, with nothing written, when either scheme blows up.
     """
-    if len(n_list) == 0 or min(n_list) < FEATURE_SCALING_RANK:
+    if len(n_list) == 0 or min(n_list) < FEATURE_SCALING_RANK or len(set(n_list)) < len(n_list):
         raise OutOfRange("feature-scaling.n_list",
-                         f"needs dimensions of at least the rank {FEATURE_SCALING_RANK}, "
-                         f"got {list(n_list)}")
+                         f"needs distinct dimensions of at least the rank "
+                         f"{FEATURE_SCALING_RANK}, got {list(n_list)}")
     if (seeds if isinstance(seeds, int) else len(seeds)) < 1:
         raise OutOfRange("feature-scaling.seeds", f"needs at least one seed, got {seeds}")
     if steps < 1:
@@ -303,10 +298,7 @@ def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float)
         raise OutOfRange("feature-scaling.h", f"must be positive and finite, got {h}")
     phi_lines = ["scheme,n,seed,step,component,norm"]
     slope_lines = ["scheme,component,slope"]
-    for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
-        result = feature_scaling_experiment(
-            n_list, steps, h, seeds, scheme=scheme, rank=FEATURE_SCALING_RANK
-        )
+    for scheme, result in feature_scaling_experiment(n_list, steps, h, seeds).items():
         for n, seed, step, comp, norm in result.rows:
             phi_lines.append(
                 ",".join([scheme.value, str(n), str(seed), str(step), str(comp), _fmt(norm)])

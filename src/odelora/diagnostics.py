@@ -25,7 +25,7 @@ from .problems import (
     make_regression_instance,
     regression_objective,
 )
-from .solvers import DIVERGENCE_ERRORS, Scheme, _method_for, _rk_stages, _step_for
+from .solvers import DIVERGENCE_ERRORS, Scheme, _rk_stages, _step_for
 
 __all__ = [
     "ReferenceDiverged",
@@ -43,6 +43,8 @@ __all__ = [
 
 # Terminal defects below this are indistinguishable from round-off.
 DEFECT_FLOOR = 1e-12
+# The adapter rank of the feature-scaling experiment.
+FEATURE_SCALING_RANK = 4
 
 
 class ReferenceDiverged(Exception):
@@ -224,72 +226,76 @@ class FeatureScalingResult:
     slopes: dict[int, float | None]               # component -> log-log slope vs n
 
 
-def feature_scaling_experiment(
-    n_list,
-    steps: int,
-    h: float,
-    seeds,
-    scheme: Scheme = Scheme.ODE_RK4,
-    rank: int = 4,
-    eps: float = DEFAULT_EPS,
-) -> FeatureScalingResult:
-    """Track output-contribution norms across model dimensions.
+def _scaling_rows(scheme, problem, objective, start, seed, steps, h):
+    """Rows ``(n, seed, step, component, norm)`` of ``steps`` decomposed steps."""
+    n, rows, state = problem.s.shape[0], [], start
+    for step_idx in range(steps):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report, state = _phi_step(state, problem, objective, scheme, h, DEFAULT_EPS)
+            if not all(np.isfinite(report.component_norms)):
+                raise FloatingPointError("non-finite output component")
+        except DIVERGENCE_ERRORS as err:
+            raise ScalingDiverged(
+                f"{scheme.value} diverged at n = {n}, seed = {seed}, "
+                f"step = {step_idx}: {err}"
+            ) from err
+        rows += [(n, int(seed), step_idx, comp, norm)
+                 for comp, norm in enumerate(report.component_norms)]
+    return rows
 
-    For each n, builds a square regression instance and a zero-B start whose
-    A rows keep a fixed overlap with the feature direction, runs ``steps``
-    iterations of the scheme, and logs every stage contribution. The
-    log-log slope of the median norm against n is the dimension-scaling
-    exponent; flat slopes mean a dimension-independent step size trains at
-    constant output speed. Components with identically-vanishing medians
-    get a ``None`` slope.
+
+def _scaling_fit(scheme, rows, n_list) -> FeatureScalingResult:
+    """Median norm per (n, component), in one pass, and its log-log slope against n."""
+    groups: dict[tuple[int, int], list[float]] = {}
+    for n, _, _, comp, norm in rows:
+        groups.setdefault((n, comp), []).append(norm)
+    medians = {key: float(np.median(norms)) for key, norms in groups.items()}
+    log_n = np.log(np.asarray(n_list, dtype=float))
+    slopes: dict[int, float | None] = {}
+    for comp in sorted({comp for _, comp in medians}):
+        series = [medians[(int(n), comp)] for n in n_list]
+        fits = len(n_list) >= 2 and min(series) > 1e-12
+        slopes[comp] = float(np.polyfit(log_n, np.log(series), 1)[0]) if fits else None
+    return FeatureScalingResult(scheme=scheme, rows=rows, medians=medians, slopes=slopes)
+
+
+def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
+    """Output-contribution norms across model dimensions for the RK4 flow and
+    plain factor descent: ``{ODE_RK4: result, CLASSICAL_GD: result}``.
+
+    Each ``(n, seed)`` square regression instance, its objective and its
+    rank-``FEATURE_SCALING_RANK`` zero-B start (A rows at a fixed overlap
+    with the feature) are built once, and ``steps`` iterations of each
+    scheme run from them, logging every stage contribution; only building
+    touches m x n data. ``seeds`` is a count or a list. A component's slope
+    is the log-log slope of its median norm against n (``None`` when the
+    medians vanish); flat slopes mean one step size trains every width at
+    the same output speed.
 
     Under this aligned start both schemes are dimension-free by
-    construction: plain factor descent's iterates never involve n, so its
-    slopes are exactly 0. The experiment shows the flow's flatness, not the
-    contrast between schemes; that needs the generic start
-    (``zero_b_init`` without ``align``).
+    construction (factor descent's iterates never involve n, so its slopes
+    are exactly 0); the contrast needs ``zero_b_init`` without ``align``.
 
-    Only building an instance touches m x n data: one regression objective
-    serves all of an instance's steps, and no step forms an m x n product.
     Raises ScalingDiverged when a step meets one of
-    ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component.
+    ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component; factor
+    descent's is raised only once the flow has run every instance, as if
+    each scheme ran alone.
     """
-    if scheme not in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
-        raise ValueError("feature scaling is measured for ODE_RK4 and CLASSICAL_GD")
-    if isinstance(seeds, int):
-        seeds = range(seeds)
-    rows: list[tuple[int, int, int, int, float]] = []
+    seeds = range(seeds) if isinstance(seeds, int) else seeds
+    rows = {Scheme.ODE_RK4: [], Scheme.CLASSICAL_GD: []}
+    descent_diverged = None
     for n in n_list:
         for seed in seeds:
             problem = make_regression_instance(n, n, seed)
-            objective = regression_objective(problem)
-            state = aligned_zero_b_init(problem, rank, seed)
-            for step_idx in range(steps):
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        report, state = _phi_step(state, problem, objective, scheme, h, eps)
-                    if not all(np.isfinite(report.component_norms)):
-                        raise FloatingPointError("non-finite output component")
-                except DIVERGENCE_ERRORS as err:
-                    raise ScalingDiverged(
-                        f"{scheme.value} diverged at n = {n}, seed = {seed}, "
-                        f"step = {step_idx}: {err}"
-                    ) from err
-                for comp, norm in enumerate(report.component_norms):
-                    rows.append((int(n), int(seed), step_idx, comp, norm))
-    n_components = 2 * len(_method_for(scheme)[0].weights)
-    medians: dict[tuple[int, int], float] = {}
-    for n in n_list:
-        for comp in range(n_components):
-            vals = [r[4] for r in rows if r[0] == n and r[3] == comp]
-            medians[(int(n), comp)] = float(np.median(vals))
-    slopes: dict[int, float | None] = {}
-    for comp in range(n_components):
-        series = [medians[(int(n), comp)] for n in n_list]
-        if len(n_list) < 2 or min(series) <= 1e-12:
-            slopes[comp] = None
-            continue
-        slopes[comp] = float(
-            np.polyfit(np.log(np.asarray(n_list, dtype=float)), np.log(series), 1)[0]
-        )
-    return FeatureScalingResult(scheme=scheme, rows=rows, medians=medians, slopes=slopes)
+            start = aligned_zero_b_init(problem, FEATURE_SCALING_RANK, seed)
+            instance = (problem, regression_objective(problem), start, seed, steps, h)
+            rows[Scheme.ODE_RK4] += _scaling_rows(Scheme.ODE_RK4, *instance)
+            try:
+                if descent_diverged is None:
+                    rows[Scheme.CLASSICAL_GD] += _scaling_rows(Scheme.CLASSICAL_GD, *instance)
+            except ScalingDiverged as err:
+                descent_diverged = err
+    if descent_diverged is not None:
+        raise descent_diverged
+    return {scheme: _scaling_fit(scheme, found, n_list) for scheme, found in rows.items()}

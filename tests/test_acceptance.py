@@ -298,15 +298,11 @@ def test_criterion_07_null_space_ratio_range():
 @pytest.fixture(scope="module")
 def scaling_results():
     n_list = [64, 128, 256, 512, 1024]
-    rk4 = feature_scaling_experiment(n_list, steps=20, h=H, seeds=5, scheme=Scheme.ODE_RK4)
-    classical = feature_scaling_experiment(
-        n_list, steps=20, h=H, seeds=5, scheme=Scheme.CLASSICAL_GD
-    )
-    return rk4, classical
+    return feature_scaling_experiment(n_list, steps=20, h=H, seeds=5)
 
 
 def test_criterion_08a_flow_feature_scaling_is_flat(scaling_results):
-    rk4, _ = scaling_results
+    rk4 = scaling_results[Scheme.ODE_RK4]
     slopes = [s for s in rk4.slopes.values() if s is not None]
     ok = len(slopes) == 8 and all(abs(s) <= 0.25 for s in slopes)
     assert _report(

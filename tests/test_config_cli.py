@@ -316,6 +316,7 @@ class TestCmdSweep:
             ("h", [0.1, -0.5], "solver.h"),
             ("h", [float("nan")], "solver.h"),
             ("delta", [0.05, 1.5], "problem.delta"),
+            ("h", [0.1, 0.1000001], "sweep.values"),
         ):
             with pytest.raises(OutOfRange) as err:
                 cmd_sweep(_small_config(iterations=1), param, values, tmp_path)
@@ -385,6 +386,7 @@ class TestCmdFeatureScaling:
             ([16], 1, 1, -1.0, "h"),
             ([16], 1, 1, float("nan"), "h"),
             ([16], 1, 1, float("inf"), "h"),
+            ([64, 64], 1, 1, 0.1, "n_list"),
         ],
     )
     def test_unusable_inputs_rejected(self, tmp_path, n_list, seeds, steps, h, flag):

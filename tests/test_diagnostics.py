@@ -6,6 +6,7 @@ from odelora.core import LoRAFactors
 from odelora.diagnostics import (
     DefectBelowNoiseFloor,
     ReferenceDiverged,
+    ScalingDiverged,
     estimate_order,
     feature_scaling_experiment,
     phi_decompose_classical,
@@ -258,44 +259,74 @@ class TestPhiIdentityAlongTrajectory:
 
 class TestFeatureScaling:
     def test_degenerate_sweep(self):
-        result = feature_scaling_experiment([32], steps=1, h=0.1, seeds=1)
-        assert len(result.rows) == 8
-        assert all(slope is None for slope in result.slopes.values())
+        results = feature_scaling_experiment([32], steps=1, h=0.1, seeds=1)
+        assert list(results) == [Scheme.ODE_RK4, Scheme.CLASSICAL_GD]
+        assert [len(result.rows) for result in results.values()] == [8, 2]
+        for result in results.values():
+            assert all(slope is None for slope in result.slopes.values())
 
     def test_two_point_slope_fit(self):
-        result = feature_scaling_experiment([32, 64], steps=2, h=0.1, seeds=1)
-        fitted = [s for s in result.slopes.values() if s is not None]
+        results = feature_scaling_experiment([32, 64], steps=2, h=0.1, seeds=1)
+        fitted = [s for s in results[Scheme.ODE_RK4].slopes.values() if s is not None]
         assert len(fitted) >= 1
 
-    def test_steps_form_no_weight_and_one_objective_per_instance(self, monkeypatch):
+    def test_steps_form_no_weight_and_one_objective_per_instance(self, monkeypatch, tmp_path):
         # a step's m x n work would be B A, formed by LoRAFactors.delta; the
         # offset W_pt s - y is cached on the objective, so one objective per
-        # instance forms it once
+        # instance forms it once, and one instance serves both schemes
+        from odelora import diagnostics
+        from odelora.cli import cmd_feature_scaling
         from odelora.problems import RegressionObjective
 
-        deltas, objectives = [], []
+        deltas, instances, objectives = [], [], []
         real_delta, real_init = LoRAFactors.delta, RegressionObjective.__init__
+        real_instance = diagnostics.make_regression_instance
 
         def counting_delta(self):
             deltas.append(1)
             return real_delta(self)
+
+        def counting_instance(*args):
+            instances.append(args)
+            return real_instance(*args)
 
         def counting_init(self, problem):
             objectives.append(problem)
             real_init(self, problem)
 
         monkeypatch.setattr(LoRAFactors, "delta", counting_delta)
+        monkeypatch.setattr(diagnostics, "make_regression_instance", counting_instance)
         monkeypatch.setattr(RegressionObjective, "__init__", counting_init)
-        for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
-            objectives.clear()
-            result = feature_scaling_experiment(
-                [16, 32], steps=3, h=0.1, seeds=2, scheme=scheme
-            )
+        results = feature_scaling_experiment([16, 32], steps=3, h=0.1, seeds=2)
+        for result in results.values():
             assert len(result.rows) == 2 * 2 * 3 * len(result.slopes)
-            assert len(objectives) == 4
-            assert len({id(problem) for problem in objectives}) == 4
+        assert len(instances) == len(objectives) == 4
+        assert len({id(problem) for problem in objectives}) == 4
+
+        instances.clear()
+        objectives.clear()
+        assert cmd_feature_scaling(tmp_path, [16, 32], seeds=2, steps=3, h=0.1) == 0
+        assert sorted(instances) == [(n, n, seed) for n in (16, 32) for seed in (0, 1)]
+        assert len(objectives) == 4
         assert deltas == []
 
-    def test_rejects_unsupported_scheme(self):
-        with pytest.raises(ValueError):
-            feature_scaling_experiment([32], 1, 0.1, 1, scheme=Scheme.RIEMANNIAN)
+    def test_flow_divergence_takes_precedence(self, monkeypatch):
+        # factor descent fails on the first instance and the flow only on the
+        # second (as at h = 3.6 over n = 8, 16, where RK4's blow-up depends
+        # on n): the flow's error is the one raised, as when each scheme ran
+        # every instance in turn
+        from odelora import diagnostics
+
+        real_step = diagnostics._phi_step
+
+        def failing_step(factors, problem, objective, scheme, h, eps):
+            n = problem.s.shape[0]
+            if (scheme, n) in ((Scheme.CLASSICAL_GD, 16), (Scheme.ODE_RK4, 32)):
+                raise FloatingPointError("injected")
+            return real_step(factors, problem, objective, scheme, h, eps)
+
+        monkeypatch.setattr(diagnostics, "_phi_step", failing_step)
+        with pytest.raises(ScalingDiverged, match="ode_rk4 diverged at n = 32"):
+            feature_scaling_experiment([16, 32], steps=2, h=0.1, seeds=1)
+        with pytest.raises(ScalingDiverged, match="classical_gd diverged at n = 16"):
+            feature_scaling_experiment([16], steps=2, h=0.1, seeds=1)
