@@ -50,6 +50,7 @@ from .diagnostics import (
 )
 from .metrics import NonPositiveGap, WindowTooShort, rate_fit, sensing_eps_certificate
 from .problems import (
+    _unit_balanced_truth,
     aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
@@ -60,7 +61,7 @@ from .problems import (
     sensing_objective,
     zero_b_init,
 )
-from .solvers import Scheme, SolverConfig, TrajectoryLog, TrajectoryRow, run_trajectory
+from .solvers import Scheme, TrajectoryLog, TrajectoryRow, run_trajectory
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_order", "cmd_feature_scaling"]
 
@@ -85,10 +86,15 @@ def _fmt(value) -> str:
 
 
 class Experiment:
-    """A resolved config: objective, frozen base weight, and initial state."""
+    """A resolved problem and start: objective, frozen base weight, and
+    initial state.
+
+    Only the config's ``problem`` and ``init`` sections are read to build
+    it, so one experiment serves every config that shares them; ``run``
+    takes the solver and diagnostics from the config it is given.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
         prob = cfg.problem
         self.sensing = None
         self.regression = None
@@ -101,9 +107,7 @@ class Experiment:
         elif prob.kind == "quadratic":
             rng = np.random.default_rng(prob.seed)
             w_pt = rng.standard_normal((prob.m, prob.n)) / np.sqrt(prob.n)
-            target = rng.standard_normal((prob.m, prob.r)) @ rng.standard_normal((prob.r, prob.n))
-            sigma_r = np.linalg.svd(target, compute_uv=False)[prob.r - 1]
-            star = balanced_init(target / sigma_r, prob.r)
+            star = _unit_balanced_truth(rng, prob.m, prob.n, prob.r)
             self.objective = quadratic_objective(w_pt + star.b @ star.a, mu=1.0)
             self.w_pt = w_pt
         elif prob.kind == "regression":
@@ -112,11 +116,9 @@ class Experiment:
             self.w_pt = self.regression.w_pt
         else:  # pragma: no cover - guarded by config validation
             raise OutOfRange("problem.kind", prob.kind)
-        self.factors = self._initial_factors()
+        self.factors = self._initial_factors(prob, cfg.init)
 
-    def _initial_factors(self) -> LoRAFactors:
-        cfg = self.cfg
-        prob, init = cfg.problem, cfg.init
+    def _initial_factors(self, prob, init) -> LoRAFactors:
         if init.scheme == "zero_b":
             if self.regression is not None:
                 return aligned_zero_b_init(self.regression, prob.r, init.seed)
@@ -139,15 +141,15 @@ class Experiment:
             return effective_weight(self.w_pt, self.factors)
         return self.factors
 
-    def run(self, solver: SolverConfig | None = None) -> TrajectoryLog:
-        solver = solver or self.cfg.solver
+    def run(self, cfg: ExperimentConfig) -> TrajectoryLog:
+        """One trajectory with ``cfg``'s solver and diagnostics."""
         return run_trajectory(
-            self.initial_state(solver.scheme),
+            self.initial_state(cfg.solver.scheme),
             self.objective,
-            solver,
+            cfg.solver,
             w_pt=self.w_pt,
-            log_eps_ratio=self.cfg.diagnostics.eps_ratio,
-            log_balance=self.cfg.diagnostics.balance,
+            log_eps_ratio=cfg.diagnostics.eps_ratio,
+            log_balance=cfg.diagnostics.balance,
         )
 
     def certificate(self) -> float | None:
@@ -174,10 +176,11 @@ plot 'trajectory.csv' every ::1 using 1:2 with lines title '{label}'
 """
 
 
-def _run_into(cfg: ExperimentConfig, out_dir: Path) -> tuple[TrajectoryLog, Experiment]:
+def _run_into(cfg: ExperimentConfig, experiment: Experiment, out_dir: Path) -> TrajectoryLog:
+    """Run ``cfg`` from ``experiment``, which was built from ``cfg``'s
+    problem and start, and write the ``run`` outputs into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiment = Experiment(cfg)
-    log = experiment.run()
+    log = experiment.run(cfg)
     _write_trajectory_csv(out_dir / "trajectory.csv", log)
     meta = [serialize_config(cfg).rstrip("\n"), ""]
     meta.append(f"final_loss = {_fmt(log.final_loss)}")
@@ -187,11 +190,11 @@ def _run_into(cfg: ExperimentConfig, out_dir: Path) -> tuple[TrajectoryLog, Expe
         meta.append(f"eps_certificate = {_fmt(cert)}")
     (out_dir / "meta.txt").write_text("\n".join(meta) + "\n")
     (out_dir / "plot.gnuplot").write_text(_PLOT_SCRIPT.format(label=cfg.output.run_label))
-    return log, experiment
+    return log
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
-    _run_into(cfg, out_dir)
+    _run_into(cfg, Experiment(cfg), out_dir)
     return 0
 
 
@@ -209,6 +212,9 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
 
     Every value is checked by the parser of the swept config key (text or
     numbers), and no two may name the same cell, before any cell runs.
+    One experiment is built per distinct problem and start, and every cell
+    that shares them runs from it: one for an ``h`` sweep, one per value
+    for a ``delta`` sweep.
     """
     if param not in SWEEP_KEYS:
         raise OutOfRange("sweep.param", f"must be one of {tuple(SWEEP_KEYS)}, got {param!r}")
@@ -216,13 +222,19 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
     values = [parse_value(key, value) for value in values]
     if len({f"{value:g}" for value in values}) < len(values):
         raise OutOfRange("sweep.values", f"two values share a cell directory, got {values}")
+    experiments = {}
+    for value in values:
+        value_cfg = set_value(cfg, key, value)
+        pair = (value_cfg.problem, value_cfg.init)
+        if pair not in experiments:
+            experiments[pair] = Experiment(value_cfg)
     cells = [(scheme, value) for scheme in Scheme for value in values]
 
     def run_cell(cell):
         scheme, value = cell
         cell_cfg = set_value(set_value(cfg, "solver.scheme", scheme), key, value)
-        cell_dir = out_dir / f"{scheme.value}_{value:g}"
-        log, experiment = _run_into(cell_cfg, cell_dir)
+        experiment = experiments[cell_cfg.problem, cell_cfg.init]
+        log = _run_into(cell_cfg, experiment, out_dir / f"{scheme.value}_{value:g}")
         return scheme, value, log, experiment.objective.optimum_loss
 
     if jobs > 1:
@@ -371,7 +383,11 @@ def main(argv=None) -> int:
             cfg = _load_config(args.config, args.seed)
             return cmd_order(cfg, Path(args.out))
         if args.command == "feature-scaling":
-            n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
+            try:
+                n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
+            except ValueError:
+                raise OutOfRange("feature-scaling.n_list",
+                                 f"needs integer dimensions, got {args.n_list!r}") from None
             return cmd_feature_scaling(
                 Path(args.out), n_list, args.seeds, args.steps, args.h
             )

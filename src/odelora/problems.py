@@ -99,21 +99,42 @@ def make_rip_sensing(n: int, o: int, delta: float, seed) -> np.ndarray:
     return (u[:, :k] * sigma) @ v[:, :k].T
 
 
+def _unit_balanced_truth(rng: np.random.Generator, m: int, n: int, r: int) -> LoRAFactors:
+    """Balanced factors of ``L R / sigma_r(L R)`` for Gaussian L (m x r),
+    drawn first, and R (r x n).
+
+    The SVD of the product comes from its factors: with thin QRs
+    ``L = Q_L R_L`` and ``R^T = Q_R R_R`` and the r x r SVD
+    ``R_L R_R^T = U' S V'^T``, ``L R = (Q_L U') S (Q_R V')^T``. The split
+    ``A* = root (Q_R V')^T``, ``B* = (Q_L U') root`` with
+    ``root = sqrt(S / S[r-1])`` is balanced, with smin(A*) = smin(B*) = 1,
+    at O((m + n) r^2) cost and without forming the m x n product.
+    """
+    left = rng.standard_normal((m, r))
+    right = rng.standard_normal((r, n))
+    q_left, r_left = np.linalg.qr(left)
+    q_right, r_right = np.linalg.qr(right.T)
+    u, sigma, vt = np.linalg.svd(r_left @ r_right.T)
+    root = np.sqrt(sigma / sigma[r - 1])
+    return LoRAFactors(a=root[:, None] * (q_right @ vt.T).T, b=(q_left @ u) * root)
+
+
 def make_sensing_instance(
     m: int, n: int, o: int, r: int, delta: float, seed
 ) -> SensingProblem:
     """Seeded sensing instance with balanced ground-truth factors.
 
     The ground-truth factors are the balanced factorization of a random
-    rank-r product rescaled so smin(A*) = smin(B*) = 1, which makes the
-    initialization certificate directly interpretable.
+    rank-r product ``L R`` of Gaussian factors, rescaled so
+    smin(A*) = smin(B*) = 1, which makes the initialization certificate
+    directly interpretable. They are built in factor form, from thin QRs
+    of L and R^T and one r x r SVD, in O((m + n) r^2); the n x n QRs of
+    ``make_rip_sensing`` are the build's only dense factorizations.
     """
     rng = np.random.default_rng(seed)
     s = make_rip_sensing(n, o, delta, rng)
     w_pt = rng.standard_normal((m, n)) / np.sqrt(n)
-    target = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-    sigma_r = np.linalg.svd(target, compute_uv=False)[r - 1]
-    star = balanced_init(target / sigma_r, r)
+    star = _unit_balanced_truth(rng, m, n, r)
     y = (w_pt + star.b @ star.a) @ s
     return SensingProblem(s=s, y=y, w_pt=w_pt, a_star=star.a, b_star=star.b, delta=delta)
 

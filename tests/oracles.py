@@ -6,7 +6,9 @@ Kronecker vectorization instead of eigendecomposition, trace-power Newton
 identities instead of an eigensolver, stacked least squares instead of the
 closed-form constrained minimizer, and finite differences instead of exact
 gradients. The null-space projectors are formed as explicit n x n and
-m x m matrices, where the library only applies them through Gram solves.
+m x m matrices, where the library only applies them through Gram solves,
+and the sensing ground truth is balanced from its dense m x n product,
+where the library works from its factors.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from odelora.core import gram_a, gram_b
 from odelora.linalg import cho_factor, cho_solve
+from odelora.problems import balanced_init
 
 
 def gauss_solve(g, rhs):
@@ -47,6 +50,15 @@ def null_projector_b(factors, eps=0.0):
     """I - B (B^T B + eps I)^{-1} B^T, the column-space annihilator (m x m)."""
     b = factors.b
     return np.eye(b.shape[0]) - b @ cho_solve(cho_factor(gram_b(factors, eps)), b.T)
+
+
+def dense_unit_balanced_truth(rng, m, n, r):
+    """Balanced factors of ``L R / sigma_r(L R)`` from the dense product:
+    sigma_r from its full SVD, then ``balanced_init`` (a second SVD) on the
+    rescaled product. Draws L (m x r), then R (r x n)."""
+    target = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    sigma_r = np.linalg.svd(target, compute_uv=False)[r - 1]
+    return balanced_init(target / sigma_r, r)
 
 
 def charpoly_from_traces(h):

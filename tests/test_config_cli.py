@@ -332,6 +332,25 @@ class TestCmdSweep:
             == (tmp_path / "float" / "summary.csv").read_text()
         )
 
+    def test_builds_each_instance_once(self, tmp_path, monkeypatch):
+        import odelora.cli as cli_mod
+
+        builds = []
+        real = cli_mod.make_sensing_instance
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, "make_sensing_instance", counting)
+        config = tmp_path / "c.ini"
+        config.write_text("[problem]\nm = 10\nn = 10\no = 10\nr = 2\n[solver]\niterations = 2\n")
+        for param, values, want in (("h", "0.1,0.5", 1), ("delta", "0.05,0.1", 2)):
+            builds.clear()
+            assert main(["sweep", "--config", str(config), "--out", str(tmp_path / param),
+                         "--param", param, "--values", values]) == 0
+            assert len(builds) == want
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = _small_config(iterations=15)
         cmd_sweep(cfg, "h", [0.1, 0.2], tmp_path / "serial", jobs=1)
@@ -428,11 +447,13 @@ class TestMain:
             assert not out.exists()
             assert capsys.readouterr().err.startswith("error: ")
 
-    def test_bad_feature_scaling_flags_exit_two(self, tmp_path):
-        for flags in (["--seeds", "0"], ["--steps", "0"], ["--h", "-1"], ["--n-list", "2,4"]):
+    def test_bad_feature_scaling_flags_exit_two(self, tmp_path, capsys):
+        for flags in (["--seeds", "0"], ["--steps", "0"], ["--h", "-1"], ["--n-list", "2,4"],
+                      ["--n-list", "8,a"], ["--n-list", "8.5,16"]):
             out = tmp_path / "_".join(flags)
             assert main(["feature-scaling", "--out", str(out), *flags]) == 2
             assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: feature-scaling.")
 
     # h = 2 blows plain factor descent up to a non-finite component; h = 1e3
     # leaves the first RK4 stage with a Gram the kernel refuses

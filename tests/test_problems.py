@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from odelora.cli import Experiment
+from odelora.config import parse_config
 from odelora.core import LoRAFactors
 from odelora.metrics import balance_defect, sensing_eps_certificate
 from odelora.problems import (
     InvalidDelta,
     SensingProblem,
+    _unit_balanced_truth,
     aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
@@ -16,7 +20,7 @@ from odelora.problems import (
     sensing_objective,
     zero_b_init,
 )
-from oracles import gradient_probe_error
+from oracles import dense_unit_balanced_truth, gradient_probe_error
 
 
 class TestMakeRipSensing:
@@ -64,6 +68,48 @@ class TestMakeRipSensing:
 
     def test_deterministic_in_seed(self):
         assert np.array_equal(make_rip_sensing(9, 9, 0.05, 4), make_rip_sensing(9, 9, 0.05, 4))
+
+
+@st.composite
+def truth_shapes(draw):
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    return m, n, draw(st.integers(1, min(m, n))), draw(st.integers(0, 2**32 - 1))
+
+
+class TestUnitBalancedTruth:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(truth_shapes())
+    @example((5, 9, 1, 0))
+    @example((9, 5, 5, 1))
+    @example((7, 7, 7, 2))
+    def test_matches_dense_construction(self, shape):
+        m, n, r, seed = shape
+        star = _unit_balanced_truth(np.random.default_rng(seed), m, n, r)
+        dense = dense_unit_balanced_truth(np.random.default_rng(seed), m, n, r)
+        want = dense.b @ dense.a
+        # both routes carry an absolute round-off of order eps * sigma_1 in
+        # sigma_r, which rescales the product by eps * cond relative
+        cond = np.linalg.norm(want, 2)
+        assert np.linalg.norm(star.b @ star.a - want) <= 1e-14 * cond * np.linalg.norm(want)
+        gram = star.a @ star.a.T
+        assert np.linalg.norm(gram - star.b.T @ star.b) <= 1e-13 * np.linalg.norm(gram)
+        for factor in (star.a, star.b):
+            assert np.linalg.svd(factor, compute_uv=False)[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_dense_svd_builds_the_truth(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        make_sensing_instance(30, 20, 20, 3, 0.05, 0)
+        # a zero-B start makes no SVD, so every call is the ground truth's
+        Experiment(parse_config("[problem]\nkind = quadratic\nm = 30\nn = 20\nr = 3\n"
+                                "[init]\nscheme = zero_b\n"))
+        assert shapes == [(3, 3), (3, 3)]
 
 
 class TestSensingObjective:
