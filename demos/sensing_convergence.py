@@ -10,7 +10,6 @@ that has to be below 1 for the linear-rate guarantee to apply.
 from odelora import (
     Scheme,
     SolverConfig,
-    effective_weight,
     make_sensing_instance,
     perturbed_balanced_init,
     rate_fit,
@@ -35,8 +34,7 @@ def main():
 
     print(f"{'solver':<14} {'final loss':>12} {'contraction':>12} {'balance defect':>15}")
     for scheme in Scheme:
-        init = start if scheme is not Scheme.FULL_FT else effective_weight(problem.w_pt, start)
-        log = run_trajectory(init, objective, SolverConfig(scheme, H, ITERS), w_pt=problem.w_pt)
+        log = run_trajectory(start, objective, SolverConfig(scheme, H, ITERS), w_pt=problem.w_pt)
         if log.diverged:
             print(f"{scheme.value:<14} {'diverged':>12}")
             continue

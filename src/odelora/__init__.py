@@ -42,7 +42,6 @@ from .linalg import (
     thin_svd,
 )
 from .metrics import (
-    NonPositiveGap,
     RateFit,
     WindowTooShort,
     ZeroGradient,

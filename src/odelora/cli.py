@@ -38,7 +38,7 @@ from .config import (
     serialize_config,
     set_value,
 )
-from .core import LoRAFactors, effective_weight
+from .core import LoRAFactors
 from .diagnostics import (
     FEATURE_SCALING_RANK,
     DefectBelowNoiseFloor,
@@ -48,14 +48,14 @@ from .diagnostics import (
     feature_scaling_experiment,
     reference_trajectory,
 )
-from .metrics import NonPositiveGap, WindowTooShort, rate_fit, sensing_eps_certificate
+from .metrics import WindowTooShort, rate_fit, sensing_eps_certificate
 from .problems import (
     _unit_balanced_truth,
     aligned_zero_b_init,
-    balanced_init,
     make_regression_instance,
     make_sensing_instance,
     perturbed_balanced_init,
+    perturbed_target_init,
     quadratic_objective,
     regression_objective,
     sensing_objective,
@@ -128,23 +128,16 @@ class Experiment:
         if self.objective.optimum_w is not None:
             target = self.objective.optimum_w - self.w_pt
         else:
-            rng = np.random.default_rng(init.seed)
+            # A random unit target, drawn apart from the perturbation's stream.
+            rng = np.random.default_rng(np.random.SeedSequence([init.seed, 1]))
             target = rng.standard_normal((prob.m, prob.n))
             target *= 1.0 / np.linalg.norm(target)
-        rng = np.random.default_rng(init.seed)
-        noise = rng.standard_normal((prob.m, prob.n))
-        noise *= np.linalg.norm(target) / np.linalg.norm(noise)
-        return balanced_init(init.scale * target + init.perturbation * noise, prob.r)
-
-    def initial_state(self, scheme: Scheme):
-        if scheme is Scheme.FULL_FT:
-            return effective_weight(self.w_pt, self.factors)
-        return self.factors
+        return perturbed_target_init(target, prob.r, init.scale, init.perturbation, init.seed)
 
     def run(self, cfg: ExperimentConfig) -> TrajectoryLog:
         """One trajectory with ``cfg``'s solver and diagnostics."""
         return run_trajectory(
-            self.initial_state(cfg.solver.scheme),
+            self.factors,
             self.objective,
             cfg.solver,
             w_pt=self.w_pt,
@@ -203,7 +196,7 @@ def _contraction_of(log: TrajectoryLog, optimum_loss: float | None) -> float | N
         return None
     try:
         return rate_fit(log.losses(), optimum_loss).contraction
-    except (WindowTooShort, NonPositiveGap):
+    except WindowTooShort:
         return None
 
 

@@ -154,9 +154,7 @@ class PhiReport:
     ``B' (A' s) - B (A s)``, so the check forms no m x n product.
     """
 
-    n: int
     component_norms: tuple[float, ...]
-    cross_norm: float
     sum_check_residual: float
 
 
@@ -188,9 +186,7 @@ def _phi_step(factors, problem, objective, scheme, h, eps):
     residual = np.linalg.norm(sum(components) + cross - change)
     scale = max(1.0, float(np.linalg.norm(change)))
     report = PhiReport(
-        n=factors.a.shape[1],
         component_norms=tuple(float(np.linalg.norm(c)) for c in components),
-        cross_norm=float(np.linalg.norm(cross)),
         sum_check_residual=float(residual / scale),
     )
     return report, after
@@ -220,7 +216,6 @@ def phi_decompose_classical(
 class FeatureScalingResult:
     """Raw per-step component norms and their dimension-scaling fits."""
 
-    scheme: Scheme
     rows: list[tuple[int, int, int, int, float]]  # (n, seed, step, component, norm)
     medians: dict[tuple[int, int], float]         # (n, component) -> median norm
     slopes: dict[int, float | None]               # component -> log-log slope vs n
@@ -245,7 +240,7 @@ def _scaling_rows(scheme, problem, objective, start, seed, steps, h):
     return rows
 
 
-def _scaling_fit(scheme, rows, n_list) -> FeatureScalingResult:
+def _scaling_fit(rows, n_list) -> FeatureScalingResult:
     """Median norm per (n, component), in one pass, and its log-log slope against n."""
     groups: dict[tuple[int, int], list[float]] = {}
     for n, _, _, comp, norm in rows:
@@ -257,7 +252,7 @@ def _scaling_fit(scheme, rows, n_list) -> FeatureScalingResult:
         series = [medians[(int(n), comp)] for n in n_list]
         fits = len(n_list) >= 2 and min(series) > 1e-12
         slopes[comp] = float(np.polyfit(log_n, np.log(series), 1)[0]) if fits else None
-    return FeatureScalingResult(scheme=scheme, rows=rows, medians=medians, slopes=slopes)
+    return FeatureScalingResult(rows=rows, medians=medians, slopes=slopes)
 
 
 def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
@@ -298,4 +293,4 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
                 descent_diverged = err
     if descent_diverged is not None:
         raise descent_diverged
-    return {scheme: _scaling_fit(scheme, found, n_list) for scheme, found in rows.items()}
+    return {scheme: _scaling_fit(found, n_list) for scheme, found in rows.items()}

@@ -18,7 +18,6 @@ from .linalg import as_matrix
 __all__ = [
     "ZeroGradient",
     "WindowTooShort",
-    "NonPositiveGap",
     "RateFit",
     "eps_ratio",
     "balance_defect",
@@ -36,10 +35,6 @@ class ZeroGradient(Exception):
 
 class WindowTooShort(Exception):
     """Fewer than 5 usable points in the rate-fit window."""
-
-
-class NonPositiveGap(Exception):
-    """A loss in the fit window does not exceed the optimal value."""
 
 
 def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
@@ -71,30 +66,23 @@ class RateFit:
     window: tuple[int, int]
 
 
-def rate_fit(losses, loss_star: float, window: tuple[int, int] | None = None) -> RateFit:
+def rate_fit(losses, loss_star: float) -> RateFit:
     """Fit the per-iteration contraction factor of the loss gap.
 
-    ``window`` is a half-open index range (start, stop); when omitted, the
-    fit uses the last half of the iterations whose gap is still above the
-    noise floor (the early half is transient, and gaps below round-off
-    carry no rate information).
+    The fit uses the last half of the iterations whose gap is still above
+    the noise floor (the early half is transient, and gaps below round-off
+    carry no rate information); ``window`` reports that half-open index
+    range (start, stop).
     """
     losses = np.asarray(losses, dtype=np.float64)
-    if window is None:
-        usable = np.flatnonzero(losses - loss_star >= NOISE_FLOOR)
-        idx = usable[len(usable) // 2 :]
-        win = (int(idx[0]) if len(idx) else len(losses), int(idx[-1]) + 1 if len(idx) else len(losses))
-    else:
-        start, stop = window
-        idx = np.arange(start, stop)
-        win = (int(start), int(stop))
+    usable = np.flatnonzero(losses - loss_star >= NOISE_FLOOR)
+    idx = usable[len(usable) // 2 :]
     if len(idx) < 5:
-        raise WindowTooShort(f"only {len(idx)} usable points in window {win}")
+        raise WindowTooShort(f"only {len(idx)} usable points in the fit window")
     gaps = losses[idx] - loss_star
-    if np.any(gaps <= 0):
-        raise NonPositiveGap("loss does not exceed loss_star on the fit window")
     slope = float(np.polyfit(idx.astype(np.float64), np.log(gaps), 1)[0])
-    return RateFit(slope=slope, contraction=float(np.exp(slope)), window=win)
+    return RateFit(slope=slope, contraction=float(np.exp(slope)),
+                   window=(int(idx[0]), int(idx[-1]) + 1))
 
 
 def sensing_eps_certificate(problem, f0: LoRAFactors) -> float:

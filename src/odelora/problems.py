@@ -37,6 +37,7 @@ __all__ = [
     "aligned_zero_b_init",
     "make_regression_instance",
     "perturbed_balanced_init",
+    "perturbed_target_init",
 ]
 
 
@@ -323,11 +324,20 @@ def make_regression_instance(n: int, m: int, seed) -> RegressionProblem:
 def perturbed_balanced_init(
     problem: SensingProblem, scale: float, perturbation: float, seed
 ) -> LoRAFactors:
-    """Start factors for sensing runs: balance scale * B* A* plus a relative
-    Gaussian perturbation. Small scales and perturbations keep the
+    """Start factors for sensing runs: ``perturbed_target_init`` of the
+    ground truth B* A*. Small scales and perturbations keep the
     initialization certificate below 1."""
+    return perturbed_target_init(
+        problem.b_star @ problem.a_star, problem.rank, scale, perturbation, seed
+    )
+
+
+def perturbed_target_init(target, r: int, scale: float, perturbation: float,
+                          seed) -> LoRAFactors:
+    """Balanced rank-r start for ``scale * target`` plus a Gaussian
+    perturbation whose Frobenius norm is ``perturbation`` times the
+    target's, drawn from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    target = problem.b_star @ problem.a_star
     noise = rng.standard_normal(target.shape)
     noise *= np.linalg.norm(target) / np.linalg.norm(noise)
-    return balanced_init(scale * target + perturbation * noise, problem.rank)
+    return balanced_init(scale * target + perturbation * noise, r)

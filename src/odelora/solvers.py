@@ -12,12 +12,15 @@ one-stage (Euler) runs of their own directions: plain factor gradient
 descent, Gram-preconditioned descent, and the gradient-matching update
 with zero gauge (the X = 0 member of the same solution family as the Euler
 flow step). Full-weight gradient descent steps the dense weight instead.
-All steppers are pure functions from state to state and every factor step
-takes ``(factors, w_pt, objective, h, eps, g=None)``; ``run_trajectory``
-iterates one of them and logs per-iteration diagnostics. A step given
-``g``, the ``Sides`` of the gradient at its start state, uses them as the
-first stage's instead of evaluating them again; ``run_trajectory`` passes
-the sides of the row it just logged.
+All steppers are pure functions from state to state with one signature,
+``(state, w_pt, objective, h, eps, g=None)``; ``full_ft_step`` ignores
+``w_pt`` and ``eps``. ``run_trajectory`` starts every scheme from one
+``LoRAFactors`` (full fine-tuning from its effective weight
+``W_pt + B A``), iterates the scheme's step and logs per-iteration
+diagnostics. A step given ``g``, the gradient at its start state (its
+``Sides`` for a factor step, the dense G for ``full_ft_step``), uses it as
+the first stage's instead of evaluating it again; ``run_trajectory`` passes
+the one of the row it just logged.
 """
 
 from __future__ import annotations
@@ -156,19 +159,15 @@ def lorapro_direction(
     return _lorapro_direction(factors, gradient_sides(factors, g), eps)
 
 
-def _method_for(scheme: Scheme):
-    """(tableau, direction) of a factor scheme.
-
-    Built per call, so that a replaced module-level direction is seen.
-    """
-    return {
-        Scheme.ODE_EULER: (EULER, _flow_direction),
-        Scheme.ODE_RK2: (HEUN, _flow_direction),
-        Scheme.ODE_RK4: (RK4, _flow_direction),
-        Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
-        Scheme.RIEMANNIAN: (EULER, _riemannian_direction),
-        Scheme.LORA_PRO: (EULER, _lorapro_direction),
-    }[scheme]
+# (tableau, direction) of each factor scheme.
+_METHODS = {
+    Scheme.ODE_EULER: (EULER, _flow_direction),
+    Scheme.ODE_RK2: (HEUN, _flow_direction),
+    Scheme.ODE_RK4: (RK4, _flow_direction),
+    Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
+    Scheme.RIEMANNIAN: (EULER, _riemannian_direction),
+    Scheme.LORA_PRO: (EULER, _lorapro_direction),
+}
 
 
 def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps,
@@ -178,7 +177,7 @@ def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective,
     ``g`` is the ``Sides`` of the gradient at ``factors``' effective weight
     when the caller already has them.
     """
-    tableau, direction = _method_for(scheme)
+    tableau, direction = _METHODS[scheme]
     sides = objective.sides(factors, w_pt) if g is None else g
     stages = [direction(factors, sides, eps)]
     for c in tableau.subdiagonal:
@@ -232,8 +231,10 @@ def lorapro_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
     return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps, g)
 
 
-def full_ft_step(w: np.ndarray, objective: Objective, h: float, g=None) -> np.ndarray:
-    """Full-weight gradient descent: W - h grad(W); ``g`` is grad(W) when known."""
+def full_ft_step(w: np.ndarray, w_pt, objective: Objective, h: float,
+                 eps: float = DEFAULT_EPS, g=None) -> np.ndarray:
+    """Full-weight gradient descent: W - h grad(W); ``g`` is grad(W) when
+    known. Ignores ``w_pt`` and ``eps``."""
     return w - h * (objective.grad(w) if g is None else g)
 
 
@@ -271,42 +272,40 @@ def _step_for(scheme: Scheme):
         Scheme.CLASSICAL_GD: classical_gd_step,
         Scheme.RIEMANNIAN: riemannian_step,
         Scheme.LORA_PRO: lorapro_step,
+        Scheme.FULL_FT: full_ft_step,
     }[scheme]
 
 
 def run_trajectory(
-    init,
+    start: LoRAFactors,
     objective: Objective,
     config: SolverConfig,
-    w_pt: np.ndarray | None = None,
+    w_pt: np.ndarray,
     *,
     log_eps_ratio: bool = True,
     log_balance: bool = True,
 ) -> TrajectoryLog:
     """Iterate the configured stepper, logging one row per state.
 
-    ``init`` is a LoRAFactors for factor schemes (with ``w_pt`` the frozen
-    base weight) or the full weight matrix for FULL_FT. Divergence (loss
-    above DIVERGENCE_LOSS, a non-finite state, or a step that fails a
-    factorization) is recorded, not raised: the log gets its final row,
-    with a ``nan`` gradient norm, and ``diverged`` is set. Any other
-    exception, a plain ``ValueError`` included, propagates. A logged row
-    reads ``objective.evaluate`` once (``loss`` and ``grad`` for FULL_FT),
-    and the gradient it logs is the next step's first-stage gradient, passed
-    to factor steps as its sides. The null-space ratio and the balance
-    defect are computed only when their ``log_*`` flag is set; otherwise
-    their fields stay ``None``.
+    Every scheme starts from the factors ``start`` on the frozen base
+    weight ``w_pt``; FULL_FT steps the dense weight ``W_pt + B A``, which
+    it builds from them. A start of any other type raises ``TypeError``.
+    Divergence (loss above DIVERGENCE_LOSS, a non-finite state, or a step
+    that fails a factorization) is recorded, not raised: the log gets its
+    final row, with a ``nan`` gradient norm, and ``diverged`` is set. Any
+    other exception, a plain ``ValueError`` included, propagates. A logged
+    row reads ``objective.evaluate`` once (``loss`` and ``grad`` for
+    FULL_FT), and the gradient it logs is the next step's first-stage
+    gradient: the sides for a factor step, G for ``full_ft_step``. The
+    null-space ratio and the balance defect are computed only when their
+    ``log_*`` flag is set, and never for FULL_FT; otherwise their fields
+    stay ``None``.
     """
+    if not isinstance(start, LoRAFactors):
+        raise TypeError("run_trajectory takes a LoRAFactors start")
     log = TrajectoryLog()
     full = config.scheme is Scheme.FULL_FT
-    if full:
-        w = np.asarray(init, dtype=np.float64)
-    else:
-        if not isinstance(init, LoRAFactors):
-            raise TypeError("factor schemes take a LoRAFactors initial state")
-        if w_pt is None:
-            raise ValueError("factor schemes require the frozen base weight w_pt")
-        factors = init
+    state = effective_weight(w_pt, start) if full else start
 
     def halt(i: int, loss: float) -> None:
         log.rows.append(
@@ -316,51 +315,43 @@ def run_trajectory(
 
     def record(i: int):
         """Append a row for the current state and return the gradient the
-        next step starts from (its sides for factor schemes); None halts
-        the run."""
-        state_w = w if full else effective_weight(w_pt, factors)
-        if not np.all(np.isfinite(state_w)):
+        next step starts from; None halts the run."""
+        w = state if full else effective_weight(w_pt, state)
+        if not np.all(np.isfinite(w)):
             halt(i, float("nan"))
             return None
         if full:
-            loss = float(objective.loss(state_w))
+            loss, g = float(objective.loss(w)), objective.grad(w)
+            first = g
         else:
-            loss, g, sides = objective.evaluate(factors, w_pt)
+            loss, g, first = objective.evaluate(state, w_pt)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             halt(i, loss)
             return None
-        if full:
-            g = objective.grad(state_w)
-        grad_norm = float(np.linalg.norm(g))
-        defect = ratio = None
+        defect = ratio = dist = None
         if not full and log_balance:
-            defect = balance_defect(factors)
+            defect = balance_defect(state)
         if not full and log_eps_ratio:
             try:
-                ratio = eps_ratio(factors, g, config.eps_reg)
+                ratio = eps_ratio(state, g, config.eps_reg)
             except ZeroGradient:
                 ratio = 0.0
-        dist = None
         if objective.optimum_w is not None:
-            dist = float(np.linalg.norm(state_w - objective.optimum_w))
+            dist = float(np.linalg.norm(w - objective.optimum_w))
         log.rows.append(
-            TrajectoryRow(i, loss, grad_norm, defect, ratio, dist,
+            TrajectoryRow(i, loss, float(np.linalg.norm(g)), defect, ratio, dist,
                           time.perf_counter_ns())
         )
-        return g if full else sides
+        return first
 
-    step = None if full else _step_for(config.scheme)
+    step = _step_for(config.scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         g = record(0)
         for i in range(1, config.iterations + 1):
             if g is None:
                 break
             try:
-                if full:
-                    w = full_ft_step(w, objective, config.step_size, g)
-                else:
-                    factors = step(factors, w_pt, objective, config.step_size,
-                                   config.eps_reg, g)
+                state = step(state, w_pt, objective, config.step_size, config.eps_reg, g)
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
                 halt(i, float("nan"))

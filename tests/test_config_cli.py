@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odelora.cli import cmd_feature_scaling, cmd_order, cmd_run, cmd_sweep, main
+from odelora.cli import Experiment, cmd_feature_scaling, cmd_order, cmd_run, cmd_sweep, main
 from odelora.config import (
     ExperimentConfig,
     OutOfRange,
@@ -479,6 +479,16 @@ class TestMain:
             assert main(["run", "--config", str(config), "--out", str(out), "--seed", seed]) == 0
             rows = _read_csv(out / "trajectory.csv")
             assert len(rows) == 5 and rows[-1][1] != "nan"
+
+    def test_regression_balanced_start_is_perturbed(self):
+        def start_delta(perturbation):
+            cfg = parse_config("[problem]\nkind = regression\nm = 12\nn = 16\nr = 2\n"
+                               f"[init]\nperturbation = {perturbation}\n")
+            return Experiment(cfg).factors.delta()
+
+        clean, perturbed = start_delta(0.0), start_delta(0.05)
+        cosine = np.sum(clean * perturbed) / (np.linalg.norm(clean) * np.linalg.norm(perturbed))
+        assert cosine < 1.0 - 1e-6
 
     def test_negative_seed_exits_two_without_output(self, tmp_path, capsys):
         config = tmp_path / "c.ini"

@@ -14,7 +14,6 @@ from odelora.diagnostics import (
     reference_trajectory,
 )
 from odelora.metrics import (
-    NonPositiveGap,
     WindowTooShort,
     ZeroGradient,
     balance_defect,
@@ -98,16 +97,6 @@ class TestRateFit:
     def test_window_too_short(self):
         with pytest.raises(WindowTooShort):
             rate_fit([1.0, 0.9, 0.8], 0.0)
-
-    def test_non_positive_gap(self):
-        with pytest.raises(NonPositiveGap):
-            rate_fit([1.0, 0.5, 0.2, 0.1, 0.05, 0.01], 0.05, window=(0, 6))
-
-    def test_explicit_window(self):
-        losses = 2.0 * 0.8 ** np.arange(30)
-        fit = rate_fit(losses, 0.0, window=(10, 30))
-        assert fit.window == (10, 30)
-        assert fit.contraction == pytest.approx(0.8, abs=1e-10)
 
 
 @pytest.fixture(scope="module")

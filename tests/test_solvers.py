@@ -13,6 +13,7 @@ from odelora.problems import (
     perturbed_balanced_init,
     quadratic_objective,
     sensing_objective,
+    zero_b_init,
 )
 from odelora.solvers import (
     Scheme,
@@ -68,26 +69,19 @@ def quadratic_fixture(rng, r=3, m=6, n=7):
     return f, w_pt, quadratic_objective(w_pt + rng.standard_normal((m, n)), mu=1.0)
 
 
-ALL_FACTOR_STEPS = (
-    ode_euler_step,
-    ode_rk2_step,
-    ode_rk4_step,
-    classical_gd_step,
-    riemannian_step,
-    lorapro_step,
-)
-
-
 class TestFixedPoints:
-    def test_every_scheme_fixes_zero_gradient_states(self, rng):
+    @pytest.mark.parametrize("scheme", Scheme)
+    def test_every_scheme_fixes_zero_gradient_states(self, rng, scheme):
         f = random_factors(rng, 2, 5, 6)
         w_pt = rng.standard_normal((5, 6))
-        obj = quadratic_objective(effective_weight(w_pt, f), mu=2.0)  # optimum here
-        for step in ALL_FACTOR_STEPS:
-            out = step(f, w_pt, obj, 0.25, 1e-8)
+        w = effective_weight(w_pt, f)
+        obj = quadratic_objective(w, mu=2.0)  # optimum here
+        state = w if scheme is Scheme.FULL_FT else f
+        out = solvers_mod._step_for(scheme)(state, w_pt, obj, 0.25, 1e-8)
+        if scheme is Scheme.FULL_FT:
+            assert np.array_equal(out, w)
+        else:
             assert np.array_equal(out.a, f.a) and np.array_equal(out.b, f.b)
-        w = obj.optimum_w
-        assert np.array_equal(full_ft_step(w, obj, 0.25), w)
 
 
 class TestOdeEuler:
@@ -297,7 +291,7 @@ class TestFullFineTune:
         obj = quadratic_objective(w_star, mu=1.0)
         w = rng.standard_normal((4, 5))
         for h in (0.3, 0.9, 1.5):
-            w_next = full_ft_step(w, obj, h)
+            w_next = full_ft_step(w, None, obj, h)
             assert np.linalg.norm(w_next - w_star) == pytest.approx(
                 abs(1.0 - h) * np.linalg.norm(w - w_star), rel=1e-12
             )
@@ -308,7 +302,7 @@ class TestFullFineTune:
         h = 1.0 / (1.0 + p.delta)
         w = p.w_pt + 0.3 * p.b_star @ p.a_star
         for _ in range(50):
-            w_next = full_ft_step(w, obj, h)
+            w_next = full_ft_step(w, p.w_pt, obj, h)
             if obj.loss(w) <= 1e-20:  # numerical floor reached
                 break
             assert obj.loss(w_next) < obj.loss(w)
@@ -412,16 +406,15 @@ class TestRunTrajectory:
         f, w_pt, obj = quadratic_fixture(rng)
         counting = CountingObjective(obj)
         k = 6
-        init = effective_weight(w_pt, f) if scheme is Scheme.FULL_FT else f
         cfg = SolverConfig(scheme, 0.1, k)
-        reused = run_trajectory(init, counting, cfg, w_pt=w_pt)
+        reused = run_trajectory(f, counting, cfg, w_pt=w_pt)
         assert counting.grads == stages * k + 1
         assert len(reused.rows) == k + 1 and not reused.diverged
 
-        name = "full_ft_step" if scheme is Scheme.FULL_FT else solvers_mod._step_for(scheme).__name__
+        name = solvers_mod._step_for(scheme).__name__
         real = getattr(solvers_mod, name)
         monkeypatch.setattr(solvers_mod, name, lambda *args: real(*args[:-1], g=None))
-        fresh = run_trajectory(init, counting, cfg, w_pt=w_pt)
+        fresh = run_trajectory(f, counting, cfg, w_pt=w_pt)
         assert counting.grads == (stages * k + 1) + (stages + 1) * k + 1
         assert row_values(reused) == row_values(fresh)
 
@@ -448,16 +441,39 @@ class TestRunTrajectory:
             assert r1.balance_defect == r2.balance_defect
             assert r1.eps_ratio == r2.eps_ratio
 
-    def test_full_ft_requires_matrix_state(self, rng):
+    def test_missing_base_weight_is_rejected(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
-        with pytest.raises(ValueError):
-            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 1))
+        for scheme in (Scheme.ODE_RK4, Scheme.FULL_FT):
+            with pytest.raises(TypeError):
+                run_trajectory(f, obj, SolverConfig(scheme, 0.1, 1))
+
+    def test_dense_start_is_rejected(self, rng):
+        f, w_pt, obj = quadratic_fixture(rng)
+        for scheme in (Scheme.ODE_RK4, Scheme.FULL_FT):
+            with pytest.raises(TypeError, match="LoRAFactors"):
+                run_trajectory(effective_weight(w_pt, f), obj, SolverConfig(scheme, 0.1, 1), w_pt)
+
+    def test_full_ft_steps_the_effective_weight_of_the_start(self, rng):
+        f, w_pt, obj = quadratic_fixture(rng)
+        h, k = 0.1, 5
+        log = run_trajectory(f, obj, SolverConfig(Scheme.FULL_FT, h, k), w_pt)
+        assert len(log.rows) == k + 1 and not log.diverged
+        w = effective_weight(w_pt, f)
+        for i, row in enumerate(log.rows):
+            assert row.iter == i
+            assert row.loss == float(obj.loss(w))
+            assert row.grad_norm == float(np.linalg.norm(obj.grad(w)))
+            assert row.dist_to_opt == float(np.linalg.norm(w - obj.optimum_w))
+            assert row.balance_defect is None and row.eps_ratio is None
+            w = full_ft_step(w, w_pt, obj, h)
 
     def test_rate_matches_theory_on_quadratic_full_ft(self, rng):
         w_star = rng.standard_normal((4, 5))
         obj = quadratic_objective(w_star, mu=1.0)
         w0 = w_star + rng.standard_normal((4, 5))
-        log = run_trajectory(w0, obj, SolverConfig(Scheme.FULL_FT, 0.1, 40))
+        # B = 0, so the start's effective weight is w0 itself
+        start = zero_b_init(5, 4, 1, 0)
+        log = run_trajectory(start, obj, SolverConfig(Scheme.FULL_FT, 0.1, 40), w0)
         losses = log.losses()
         # gap contracts by (1 - h)^2 per step in loss for the quadratic
         ratios = losses[1:] / losses[:-1]
