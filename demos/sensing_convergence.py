@@ -10,6 +10,7 @@ that has to be below 1 for the linear-rate guarantee to apply.
 from odelora import (
     Scheme,
     SolverConfig,
+    WindowTooShort,
     make_sensing_instance,
     perturbed_balanced_init,
     rate_fit,
@@ -40,7 +41,7 @@ def main():
             continue
         try:
             contraction = f"{rate_fit(log.losses(), 0.0).contraction:.4f}"
-        except Exception:
+        except WindowTooShort:
             contraction = "-"
         defect = log.rows[-1].balance_defect
         defect_str = f"{defect:.2e}" if defect is not None else "-"

@@ -31,8 +31,7 @@ from .diagnostics import (
     ScalingDiverged,
     estimate_order,
     feature_scaling_experiment,
-    phi_decompose_classical,
-    phi_decompose_rk4,
+    phi_decompose,
 )
 from .linalg import (
     DegenerateSpectrum,

@@ -46,7 +46,6 @@ from .diagnostics import (
     ScalingDiverged,
     estimate_order,
     feature_scaling_experiment,
-    reference_trajectory,
 )
 from .metrics import WindowTooShort, rate_fit, sensing_eps_certificate
 from .problems import (
@@ -253,26 +252,16 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
 def cmd_order(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Measure observed orders for the three flow steppers on one problem."""
     experiment = Experiment(cfg)
-    reference = reference_trajectory(
+    reports = estimate_order(
         experiment.factors,
         experiment.w_pt,
         experiment.objective,
         ORDER_HORIZON,
-        min(ORDER_H_LIST) / 100.0,
+        ORDER_H_LIST,
         cfg.solver.eps_reg,
     )
     lines = ["scheme,h,defect,observed_order"]
-    for scheme in (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4):
-        report = estimate_order(
-            experiment.factors,
-            experiment.w_pt,
-            experiment.objective,
-            scheme,
-            ORDER_HORIZON,
-            ORDER_H_LIST,
-            cfg.solver.eps_reg,
-            reference=reference,
-        )
+    for scheme, report in reports.items():
         for h, defect in zip(report.step_sizes, report.defects):
             lines.append(
                 ",".join([scheme.value, _fmt(h), _fmt(defect), _fmt(report.observed_order)])

@@ -1,14 +1,15 @@
 """Trajectory-level measurements: discretization order, one-step output
 decompositions, and the feature-scaling sweep over model dimension.
 
-Order estimation is Richardson-style: integrate to a fixed horizon at each
-step size, measure the terminal defect against a fine-step RK4 reference,
-and read the order off consecutive defect ratios. The output decomposition
-splits the one-step change of the model output ``(B A) s`` into the
-per-stage contributions of the integrator, whose scaling with the model
-dimension n is what "stable feature learning" constrains. Its stage fields
-come from the same Runge–Kutta engine that ``solvers`` steps with, so the
-decomposed step is the solver's step up to the rounding of the stage sum.
+``estimate_order`` is Richardson-style: it integrates each flow stepper to
+a fixed horizon at each step size, measures the terminal defect against one
+fine-step RK4 reference that it integrates itself, and reads the order off
+consecutive defect ratios. ``phi_decompose`` splits the one-step change of
+the model output ``(B A) s`` into the per-stage contributions of any factor
+scheme, whose scaling with the model dimension n is what "stable feature
+learning" constrains. Its stage fields come from the same Runge–Kutta
+engine that ``solvers`` steps with, so the decomposed step is the solver's
+step up to the rounding of the stage sum.
 """
 
 from __future__ import annotations
@@ -19,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight
-from .problems import (
-    RegressionProblem,
-    aligned_zero_b_init,
-    make_regression_instance,
-    regression_objective,
-)
+from .linalg import NonFiniteState
+from .problems import aligned_zero_b_init, make_regression_instance, regression_objective
 from .solvers import DIVERGENCE_ERRORS, Scheme, _rk_stages, _step_for
 
 __all__ = [
@@ -35,9 +32,7 @@ __all__ = [
     "PhiReport",
     "FeatureScalingResult",
     "estimate_order",
-    "reference_trajectory",
-    "phi_decompose_rk4",
-    "phi_decompose_classical",
+    "phi_decompose",
     "feature_scaling_experiment",
 ]
 
@@ -45,6 +40,8 @@ __all__ = [
 DEFECT_FLOOR = 1e-12
 # The adapter rank of the feature-scaling experiment.
 FEATURE_SCALING_RANK = 4
+# The flow steppers an order study measures, in the order it measures them.
+FLOW_SCHEMES = (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4)
 
 
 class ReferenceDiverged(Exception):
@@ -61,84 +58,65 @@ class ScalingDiverged(Exception):
 
 @dataclass(frozen=True)
 class OrderReport:
-    scheme: Scheme
     step_sizes: tuple[float, ...]
     defects: tuple[float, ...]
     observed_order: float
 
 
-def _integrate_weight(factors, w_pt, objective, scheme, h, steps, eps):
-    """Integrate without logging and return the terminal effective weight."""
+def _integrate_weight(factors, w_pt, objective, scheme, h, horizon, eps):
+    """Integrate to ``horizon`` without logging, in ``horizon / h`` steps
+    rounded (at least one), and return the terminal effective weight."""
     step = _step_for(scheme)
     state = factors
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for _ in range(max(1, round(horizon / h))):
             state = step(state, w_pt, objective, h, eps)
     return effective_weight(w_pt, state)
-
-
-def reference_trajectory(
-    factors: LoRAFactors,
-    w_pt: np.ndarray,
-    objective: Objective,
-    horizon: float,
-    h_ref: float,
-    eps: float = DEFAULT_EPS,
-) -> np.ndarray:
-    """Terminal weight of the fine-step RK4 reference run.
-
-    Raises ReferenceDiverged when the run blows up, that is on any of
-    ``solvers.DIVERGENCE_ERRORS`` (a non-finite state among them).
-    """
-    steps = max(1, round(horizon / h_ref))
-    try:
-        return _integrate_weight(factors, w_pt, objective, Scheme.ODE_RK4, h_ref, steps, eps)
-    except DIVERGENCE_ERRORS as err:
-        raise ReferenceDiverged(str(err)) from err
 
 
 def estimate_order(
     factors: LoRAFactors,
     w_pt: np.ndarray,
     objective: Objective,
-    scheme: Scheme,
     horizon: float,
     h_list,
     eps: float = DEFAULT_EPS,
-    reference: np.ndarray | None = None,
-) -> OrderReport:
-    """Measure the observed convergence order of a flow discretization.
+) -> dict[Scheme, OrderReport]:
+    """Observed convergence order of each of ``FLOW_SCHEMES``, keyed in
+    that order.
 
-    ``h_list`` must be descending; step counts are rounded to cover the
-    horizon. The reference is RK4 at min(h_list)/100 and may be passed in
-    to share it across schemes.
+    ``h_list`` must hold at least two strictly descending step sizes.
+    Every scheme is measured against one RK4 reference run at
+    min(h_list)/100. Raises ReferenceDiverged when the reference meets one
+    of ``solvers.DIVERGENCE_ERRORS``, and DefectBelowNoiseFloor when a
+    scheme's smallest defect sits at round-off; the reference is checked
+    first, then each scheme in turn.
     """
     h_list = [float(h) for h in h_list]
-    if sorted(h_list, reverse=True) != h_list:
-        raise ValueError("h_list must be descending")
-    if reference is None:
-        reference = reference_trajectory(
-            factors, w_pt, objective, horizon, min(h_list) / 100.0, eps
+    if len(h_list) < 2 or any(h <= h_next for h, h_next in zip(h_list, h_list[1:])):
+        raise ValueError("h_list must hold at least two strictly descending step sizes")
+    try:
+        reference = _integrate_weight(
+            factors, w_pt, objective, Scheme.ODE_RK4, min(h_list) / 100.0, horizon, eps
         )
-    defects = []
-    for h in h_list:
-        steps = max(1, round(horizon / h))
-        w_end = _integrate_weight(factors, w_pt, objective, scheme, h, steps, eps)
-        defects.append(float(np.linalg.norm(w_end - reference)))
-    if min(defects) < DEFECT_FLOOR:
-        raise DefectBelowNoiseFloor(
-            f"defect {min(defects):.3e} below {DEFECT_FLOOR:g}; order unmeasurable"
-        )
-    orders = [
-        math.log(defects[i] / defects[i + 1]) / math.log(h_list[i] / h_list[i + 1])
-        for i in range(len(h_list) - 1)
-    ]
-    return OrderReport(
-        scheme=scheme,
-        step_sizes=tuple(h_list),
-        defects=tuple(defects),
-        observed_order=float(np.mean(orders)),
-    )
+    except DIVERGENCE_ERRORS as err:
+        raise ReferenceDiverged(str(err)) from err
+    reports = {}
+    for scheme in FLOW_SCHEMES:
+        defects = []
+        for h in h_list:
+            w_end = _integrate_weight(factors, w_pt, objective, scheme, h, horizon, eps)
+            defects.append(float(np.linalg.norm(w_end - reference)))
+        if min(defects) < DEFECT_FLOOR:
+            raise DefectBelowNoiseFloor(
+                f"defect {min(defects):.3e} below {DEFECT_FLOOR:g}; order unmeasurable"
+            )
+        orders = [
+            math.log(defects[i] / defects[i + 1]) / math.log(h_list[i] / h_list[i + 1])
+            for i in range(len(h_list) - 1)
+        ]
+        reports[scheme] = OrderReport(tuple(h_list), tuple(defects), float(np.mean(orders)))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -158,18 +136,26 @@ class PhiReport:
     sum_check_residual: float
 
 
-def _phi_step(factors, problem, objective, scheme, h, eps):
-    """Decompose one step of a factor scheme on the regression problem.
+def phi_decompose(
+    factors: LoRAFactors,
+    objective: Objective,
+    scheme: Scheme,
+    h: float,
+    eps: float = DEFAULT_EPS,
+) -> tuple[PhiReport, LoRAFactors]:
+    """Decompose one step of a factor scheme on a regression objective.
 
     Returns the report and the post-step state. Stage k contributes its
     update side ``b_k h F_B^(k) A_t s`` and its carry side
-    ``b_k h B_t F_A^(k) s``, with ``b_k`` the scheme's tableau weights.
+    ``b_k h B_t F_A^(k) s``, with ``b_k`` the scheme's tableau weights
+    (h/6, h/3, h/3, h/6 for RK4). The problem is ``objective.problem``.
     Every product is a factor times a vector or an r-row matrix, so a step
     costs O((m + n) r) beyond the stage fields; the sum check compares with
-    the output change ``B' (A' s) - B (A s)`` in factor form. ``objective``
-    is the problem's regression objective; it caches the offset
-    ``W_pt s - y``, so a caller that reuses it forms the offset once.
+    the output change ``B' (A' s) - B (A s)`` in factor form. The objective
+    caches the offset ``W_pt s - y``, so a caller that reuses it forms the
+    offset once.
     """
+    problem = objective.problem
     tableau, stages = _rk_stages(scheme, factors, problem.w_pt, objective, h, eps)
     weights = [b / tableau.denominator for b in tableau.weights]
     s = problem.s
@@ -192,26 +178,6 @@ def _phi_step(factors, problem, objective, scheme, h, eps):
     return report, after
 
 
-def phi_decompose_rk4(
-    factors: LoRAFactors,
-    problem: RegressionProblem,
-    h: float,
-    eps: float = DEFAULT_EPS,
-) -> PhiReport:
-    """Decompose one RK4 step on the regression problem into its 8 output
-    contributions (stage weights h/6, h/3, h/3, h/6)."""
-    objective = regression_objective(problem)
-    return _phi_step(factors, problem, objective, Scheme.ODE_RK4, h, eps)[0]
-
-
-def phi_decompose_classical(
-    factors: LoRAFactors, problem: RegressionProblem, h: float
-) -> PhiReport:
-    """Two-component decomposition of one plain factor-descent step."""
-    objective = regression_objective(problem)
-    return _phi_step(factors, problem, objective, Scheme.CLASSICAL_GD, h, DEFAULT_EPS)[0]
-
-
 @dataclass
 class FeatureScalingResult:
     """Raw per-step component norms and their dimension-scaling fits."""
@@ -221,15 +187,15 @@ class FeatureScalingResult:
     slopes: dict[int, float | None]               # component -> log-log slope vs n
 
 
-def _scaling_rows(scheme, problem, objective, start, seed, steps, h):
+def _scaling_rows(scheme, objective, start, seed, steps, h):
     """Rows ``(n, seed, step, component, norm)`` of ``steps`` decomposed steps."""
-    n, rows, state = problem.s.shape[0], [], start
+    n, rows, state = objective.problem.s.shape[0], [], start
     for step_idx in range(steps):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                report, state = _phi_step(state, problem, objective, scheme, h, DEFAULT_EPS)
+                report, state = phi_decompose(state, objective, scheme, h)
             if not all(np.isfinite(report.component_norms)):
-                raise FloatingPointError("non-finite output component")
+                raise NonFiniteState("non-finite output component")
         except DIVERGENCE_ERRORS as err:
             raise ScalingDiverged(
                 f"{scheme.value} diverged at n = {n}, seed = {seed}, "
@@ -284,7 +250,7 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
         for seed in seeds:
             problem = make_regression_instance(n, n, seed)
             start = aligned_zero_b_init(problem, FEATURE_SCALING_RANK, seed)
-            instance = (problem, regression_objective(problem), start, seed, steps, h)
+            instance = (regression_objective(problem), start, seed, steps, h)
             rows[Scheme.ODE_RK4] += _scaling_rows(Scheme.ODE_RK4, *instance)
             try:
                 if descent_diverged is None:

@@ -71,15 +71,10 @@ __all__ = [
 DIVERGENCE_LOSS = 1e12
 
 # What a step raises when a blown-up state reaches the kernel: a non-finite
-# factor, gradient or Gram norm, or a failed factorization.
-DIVERGENCE_ERRORS = (
-    NonFiniteState,
-    NotPositiveDefinite,
-    DegenerateSpectrum,
-    NoConvergence,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+# factor, gradient or Gram norm, or a failed factorization. The kernel turns
+# LAPACK failures into these, and the loops ignore overflow, so any other
+# exception (a bare LinAlgError among them) is a bug and propagates.
+DIVERGENCE_ERRORS = (NonFiniteState, NotPositiveDefinite, DegenerateSpectrum, NoConvergence)
 
 
 class Scheme(enum.Enum):

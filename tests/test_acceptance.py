@@ -14,8 +14,8 @@ import pytest
 
 from odelora.cli import cmd_order, cmd_run, cmd_sweep
 from odelora.config import parse_config
-from odelora.core import LoRAFactors, effective_weight, field_eval, gram_a, gram_b
-from odelora.diagnostics import feature_scaling_experiment, phi_decompose_classical
+from odelora.core import LoRAFactors, field_eval, gram_a, gram_b
+from odelora.diagnostics import feature_scaling_experiment, phi_decompose
 from odelora.metrics import balance_defect, eps_ratio, rate_fit, sensing_eps_certificate
 from odelora.problems import (
     make_sensing_instance,
@@ -330,7 +330,7 @@ def generic_start_scaling():
             start = zero_b_init(n, n, 4, np.random.SeedSequence([seed, 1]))
             state = start
             for _ in range(20):
-                report = phi_decompose_classical(state, problem, H)
+                report, _ = phi_decompose(state, objective, Scheme.CLASSICAL_GD, H)
                 for comp, norm in enumerate(report.component_norms):
                     components.setdefault((n, comp), []).append(norm)
                 state = classical_gd_step(state, problem.w_pt, objective, H)

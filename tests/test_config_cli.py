@@ -515,7 +515,7 @@ class TestMain:
         def diverged(*args):
             raise ReferenceDiverged("reference blew up")
 
-        monkeypatch.setattr(cli_mod, "reference_trajectory", diverged)
+        monkeypatch.setattr(cli_mod, "estimate_order", diverged)
         assert main(["order", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: reference blew up\n"

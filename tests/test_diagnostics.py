@@ -9,9 +9,7 @@ from odelora.diagnostics import (
     ScalingDiverged,
     estimate_order,
     feature_scaling_experiment,
-    phi_decompose_classical,
-    phi_decompose_rk4,
-    reference_trajectory,
+    phi_decompose,
 )
 from odelora.metrics import (
     WindowTooShort,
@@ -27,6 +25,7 @@ from odelora.problems import (
     make_sensing_instance,
     perturbed_balanced_init,
     quadratic_objective,
+    regression_objective,
     sensing_objective,
     zero_b_init,
 )
@@ -112,37 +111,56 @@ class TestEstimateOrder:
     def setup(self, order_setup):
         return order_setup
 
-    def test_self_comparison_is_below_noise_floor(self, setup):
-        p, obj, f0 = setup
-        h_ref = 0.05 / 100.0
-        reference = reference_trajectory(f0, p.w_pt, obj, 0.2, h_ref)
+    def test_start_at_optimum_is_below_noise_floor(self, rng):
+        # the field vanishes at the optimum, so every run stays where it
+        # started and each defect sits at round-off
+        w_pt = rng.standard_normal((8, 8))
+        w_star = w_pt + rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
+        obj = quadratic_objective(w_star, mu=1.0)
+        f0 = balanced_init(w_star - w_pt, 2)
         with pytest.raises(DefectBelowNoiseFloor):
-            estimate_order(
-                f0, p.w_pt, obj, Scheme.ODE_RK4, 0.2, [h_ref], reference=reference
-            )
+            estimate_order(f0, w_pt, obj, 0.2, [0.1, 0.05])
 
     def test_euler_first_order(self, setup):
         p, obj, f0 = setup
-        report = estimate_order(
-            f0, p.w_pt, obj, Scheme.ODE_EULER, 0.5, [0.1, 0.05, 0.025]
-        )
+        report = estimate_order(f0, p.w_pt, obj, 0.5, [0.1, 0.05, 0.025])[Scheme.ODE_EULER]
         assert 0.7 <= report.observed_order <= 1.3
         assert all(d > 0 for d in report.defects)
         assert list(report.defects) == sorted(report.defects, reverse=True)
 
+    def test_one_reference_serves_every_flow_scheme(self, setup, monkeypatch):
+        from odelora import diagnostics
+
+        p, obj, f0 = setup
+        calls = []
+        real = diagnostics._integrate_weight
+
+        def counting(factors, w_pt, objective, scheme, h, horizon, eps):
+            calls.append((scheme, h))
+            return real(factors, w_pt, objective, scheme, h, horizon, eps)
+
+        monkeypatch.setattr(diagnostics, "_integrate_weight", counting)
+        h_list = [0.1, 0.05]
+        reports = estimate_order(f0, p.w_pt, obj, 0.2, h_list)
+        assert list(reports) == [Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4]
+        assert len(calls) == 1 + 3 * len(h_list)
+        assert calls[0] == (Scheme.ODE_RK4, min(h_list) / 100.0)
+        assert calls[1:] == [(scheme, h) for scheme in reports for h in h_list]
+
     def test_requires_descending_steps(self, setup):
         p, obj, f0 = setup
-        with pytest.raises(ValueError):
-            estimate_order(f0, p.w_pt, obj, Scheme.ODE_EULER, 0.5, [0.05, 0.1])
+        for h_list in ([0.05, 0.1], [0.1, 0.1], [0.1]):
+            with pytest.raises(ValueError, match="strictly descending"):
+                estimate_order(f0, p.w_pt, obj, 0.5, h_list)
 
     def test_reference_divergence_detected(self, rng):
         # a stiff quadratic pushes the fine RK4 reference out of its
-        # stability region when the requested reference step is too coarse
+        # stability region when the step list is too coarse
         w_star = np.zeros((3, 3))
         obj = quadratic_objective(w_star, mu=40.0)
         f0 = random_factors(rng, 2, 3, 3)
         with pytest.raises(ReferenceDiverged):
-            reference_trajectory(f0, np.zeros((3, 3)), obj, 40.0, 0.5)
+            estimate_order(f0, np.zeros((3, 3)), obj, 40.0, [50.0, 25.0])
 
 
 class TestPhiDecomposition:
@@ -153,13 +171,13 @@ class TestPhiDecomposition:
         s /= np.linalg.norm(s)
         problem = RegressionProblem(s=s, y=w_pt @ s, w_pt=w_pt)  # zero residual
         f = LoRAFactors(a=rng.standard_normal((2, n)) * 0.0, b=np.zeros((m, 2)))
-        report = phi_decompose_rk4(f, problem, 0.1)
+        report, _ = phi_decompose(f, regression_objective(problem), Scheme.ODE_RK4, 0.1)
         assert all(c <= 1e-14 for c in report.component_norms)
 
     def test_zero_b_start_structure(self):
         problem = make_regression_instance(12, 12, 0)
         f = zero_b_init(12, 12, 3, np.random.SeedSequence([0, 1]), align=problem.s)
-        report = phi_decompose_rk4(f, problem, 0.1)
+        report, _ = phi_decompose(f, regression_objective(problem), Scheme.ODE_RK4, 0.1)
         # carry-side components multiply B_t = 0, so they vanish at step 0;
         # update-side components at stages past the first are nonzero
         carry = report.component_norms[1::2]
@@ -171,13 +189,13 @@ class TestPhiDecomposition:
         problem = make_regression_instance(10, 9, 1)
         f = LoRAFactors(a=rng.standard_normal((3, 10)), b=rng.standard_normal((9, 3)))
         for h in (0.05, 0.3):
-            report = phi_decompose_rk4(f, problem, h)
+            report, _ = phi_decompose(f, regression_objective(problem), Scheme.ODE_RK4, h)
             assert report.sum_check_residual <= 1e-10
 
     def test_classical_two_components(self, rng):
         problem = make_regression_instance(10, 9, 1)
         f = LoRAFactors(a=rng.standard_normal((3, 10)), b=rng.standard_normal((9, 3)))
-        report = phi_decompose_classical(f, problem, 0.1)
+        report, _ = phi_decompose(f, regression_objective(problem), Scheme.CLASSICAL_GD, 0.1)
         assert len(report.component_norms) == 2
         assert report.sum_check_residual <= 1e-10
 
@@ -206,30 +224,25 @@ class TestOrderSeedConsistency:
             w_star = w_pt + rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
             obj = quadratic_objective(w_star, mu=1.0)
             f0 = balanced_init(0.6 * (w_star - w_pt), 2)
-            report = estimate_order(f0, w_pt, obj, Scheme.ODE_EULER, 0.5, [0.1, 0.05, 0.025])
-            orders.append(report.observed_order)
+            reports = estimate_order(f0, w_pt, obj, 0.5, [0.1, 0.05, 0.025])
+            orders.append(reports[Scheme.ODE_EULER].observed_order)
         assert all(0.7 <= o <= 1.3 for o in orders)
         assert abs(orders[0] - orders[1]) <= 0.3
 
 
 class TestPhiIdentityAlongTrajectory:
     def test_sum_identity_every_step(self):
-        from odelora.diagnostics import _phi_step
-        from odelora.problems import regression_objective
-
         problem = make_regression_instance(24, 24, 3)
         objective = regression_objective(problem)
         state = zero_b_init(24, 24, 4, np.random.SeedSequence([3, 1]), align=problem.s)
         for _ in range(10):
-            report, state = _phi_step(state, problem, objective, Scheme.ODE_RK4, 0.1, 1e-8)
+            report, state = phi_decompose(state, objective, Scheme.ODE_RK4, 0.1, 1e-8)
             assert report.sum_check_residual <= 1e-10
 
     def test_post_step_state_is_the_solver_step(self):
         # the decomposition and the solver share their stages, so the state
         # after a decomposed step is the solver's step up to the order in
         # which the stage sum is rounded
-        from odelora.diagnostics import _phi_step
-        from odelora.problems import regression_objective
         from odelora.solvers import classical_gd_step, ode_rk4_step
 
         problem = make_regression_instance(24, 24, 3)
@@ -239,7 +252,7 @@ class TestPhiIdentityAlongTrajectory:
                              (Scheme.CLASSICAL_GD, classical_gd_step)):
             state = start
             for _ in range(5):
-                _, after = _phi_step(state, problem, objective, scheme, 0.1, 1e-8)
+                _, after = phi_decompose(state, objective, scheme, 0.1, 1e-8)
                 stepped = step(state, problem.w_pt, objective, 0.1, 1e-8)
                 for got, want in ((after.a, stepped.a), (after.b, stepped.b)):
                     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -305,16 +318,17 @@ class TestFeatureScaling:
         # on n): the flow's error is the one raised, as when each scheme ran
         # every instance in turn
         from odelora import diagnostics
+        from odelora.linalg import NonFiniteState
 
-        real_step = diagnostics._phi_step
+        real_step = diagnostics.phi_decompose
 
-        def failing_step(factors, problem, objective, scheme, h, eps):
-            n = problem.s.shape[0]
+        def failing_step(factors, objective, scheme, h, *eps):
+            n = objective.problem.s.shape[0]
             if (scheme, n) in ((Scheme.CLASSICAL_GD, 16), (Scheme.ODE_RK4, 32)):
-                raise FloatingPointError("injected")
-            return real_step(factors, problem, objective, scheme, h, eps)
+                raise NonFiniteState("injected")
+            return real_step(factors, objective, scheme, h, *eps)
 
-        monkeypatch.setattr(diagnostics, "_phi_step", failing_step)
+        monkeypatch.setattr(diagnostics, "phi_decompose", failing_step)
         with pytest.raises(ScalingDiverged, match="ode_rk4 diverged at n = 32"):
             feature_scaling_experiment([16, 32], steps=2, h=0.1, seeds=1)
         with pytest.raises(ScalingDiverged, match="classical_gd diverged at n = 16"):

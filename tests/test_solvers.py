@@ -396,6 +396,18 @@ class TestRunTrajectory:
         with pytest.raises(ValueError, match="not a divergence"):
             run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3), w_pt=w_pt)
 
+    def test_linalg_error_in_a_step_propagates(self, rng, monkeypatch):
+        # the kernel turns LAPACK failures into its own exceptions, so a bare
+        # LinAlgError is a bug (a shape error, say), not a divergence
+        f, w_pt, obj = quadratic_fixture(rng)
+
+        def buggy_step(*args):
+            return np.linalg.solve(np.ones((2, 3)), np.ones(2))
+
+        monkeypatch.setattr(solvers_mod, "ode_rk4_step", buggy_step)
+        with pytest.raises(np.linalg.LinAlgError):
+            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3), w_pt=w_pt)
+
     @pytest.mark.parametrize(
         "scheme, stages",
         [(Scheme.ODE_RK4, 4), (Scheme.ODE_RK2, 2), (Scheme.ODE_EULER, 1),
