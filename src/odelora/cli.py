@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -144,7 +145,10 @@ class Experiment:
             log_balance=cfg.diagnostics.balance,
         )
 
+    @functools.cached_property
     def certificate(self) -> float | None:
+        """The sensing start's initialization certificate, computed on first
+        read and kept for every run of this experiment; None off sensing."""
         if self.sensing is None:
             return None
         return sensing_eps_certificate(self.sensing, self.factors)
@@ -177,7 +181,7 @@ def _run_into(cfg: ExperimentConfig, experiment: Experiment, out_dir: Path) -> T
     meta = [serialize_config(cfg).rstrip("\n"), ""]
     meta.append(f"final_loss = {_fmt(log.final_loss)}")
     meta.append(f"diverged = {_fmt(log.diverged)}")
-    cert = experiment.certificate() if cfg.diagnostics.certificate else None
+    cert = experiment.certificate if cfg.diagnostics.certificate else None
     if cert is not None:
         meta.append(f"eps_certificate = {_fmt(cert)}")
     (out_dir / "meta.txt").write_text("\n".join(meta) + "\n")

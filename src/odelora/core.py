@@ -15,16 +15,18 @@ where G is the full-weight gradient. All Gram inverses carry an optional
 Tikhonov term ``eps * I`` so the field stays defined near rank-deficient
 factors (e.g. the zero-B start); H then gains ``2 eps * I``.
 
-The field, and every factor direction in ``solvers``, reads G only through
-its two sides ``B^T G`` (r x n) and ``G A^T`` (m x r). ``field_eval_sides``
-takes them directly; ``Objective.sides`` returns them at a factor state,
-and an objective with low-rank structure computes them without forming G.
+The field, every factor direction in ``solvers`` and the null-space ratio
+in ``metrics`` read G only through its two sides ``B^T G`` (r x n) and
+``G A^T`` (m x r). ``field_eval_sides`` takes them directly;
+``Objective.sides`` returns them at a factor state, and an objective with
+low-rank structure computes them without forming G.
 
 ``FactorGrams`` builds both regularized Grams of one state and factors each
 once; the field, the flow's full-weight velocity and the null-space ratio
-are a few products on top of it. Inputs are validated at the boundary
-(``LoRAFactors`` and the gradient check in ``gradient_sides``), not inside
-each solve.
+are a few products on top of it. Only the full-weight velocity projects
+an m x n matrix; the ratio takes a trace identity on G's sides. Inputs are
+validated at the boundary (``LoRAFactors`` and the gradient check in
+``gradient_sides``), not inside each solve.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class FactorGrams:
     is factored first. Construction raises NotPositiveDefinite when a pivot
     fails ``linalg.cho_factor``'s rule and NonFiniteState when a Gram or its
     norm is not finite; the factors themselves are trusted, because
-    ``LoRAFactors`` validated them.
+    ``LoRAFactors`` validated them. ``project_out_both`` serves
+    ``flow_rhs_full``; ``metrics.eps_ratio`` uses the two solves alone.
     """
 
     def __init__(self, factors: LoRAFactors, eps: float = 0.0):

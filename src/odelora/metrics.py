@@ -43,13 +43,33 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
     Returns <P_B^null G P_A^null, G> / ||G||_F^2, which equals
     ||P_B^null G P_A^null||_F^2 / ||G||_F^2 and hence lies in [0, 1].
     Linear convergence requires this ratio bounded away from 1.
+
+    G is not projected. With ``FactorGrams``' regularized Grams G_A, G_B
+    and ``T = B^T G A^T``, the numerator is read from G's own sides:
+
+        <P_B^null G P_A^null, G> = ||G||^2 - tr(G_B^{-1} (B^T G)(B^T G)^T)
+            - tr(G_A^{-1} (G A^T)^T (G A^T)) + tr(G_B^{-1} T G_A^{-1} T^T)
+
+    Each Gram's two right-hand sides share one solve. The sides cost
+    O(r m n); everything else is O((m + n) r^2) but the norm's pass over G.
+    Both this and the dense projection carry round-off of order machine
+    epsilon times the Grams' conditioning, so a ratio at that floor can
+    come out slightly below 0.
     """
     g = as_matrix(g, "G")
     gnorm2 = float(np.sum(g * g))
     if np.sqrt(gnorm2) <= 1e-14:
         raise ZeroGradient("gradient norm at or below 1e-14")
-    both = FactorGrams(factors, eps).project_out_both(g)
-    return float(np.sum(both * g)) / gnorm2
+    a, b = factors.a, factors.b
+    bt_g, g_at = b.T @ g, g @ a.T
+    t = bt_g @ a.T
+    grams = FactorGrams(factors, eps)
+    m, n = g.shape
+    left = grams.solve_b(np.concatenate((bt_g, t), axis=1))
+    right = grams.solve_a(np.concatenate((g_at.T, t.T), axis=1))
+    trapped = (gnorm2 - np.vdot(left[:, :n], bt_g) - np.vdot(right[:, :m], g_at.T)
+               + np.vdot(left[:, n:], right[:, m:].T))
+    return float(trapped) / gnorm2
 
 
 def balance_defect(factors: LoRAFactors) -> float:
@@ -95,12 +115,14 @@ def sensing_eps_certificate(problem, f0: LoRAFactors) -> float:
         / (1 - delta)
 
     A value below 1 certifies the null-space-leakage bound that yields the
-    linear rate; >= 1 is a valid report meaning the hypothesis fails.
+    linear rate; >= 1 is a valid report meaning the hypothesis fails. The
+    mismatch is taken as ``||B0 (A0 S) - B* (A* S)||_F``, in factor form.
     """
     sa = np.linalg.svd(problem.a_star, compute_uv=False)
     sb = np.linalg.svd(problem.b_star, compute_uv=False)
     delta = problem.delta
-    mismatch = np.linalg.norm((f0.delta() - problem.b_star @ problem.a_star) @ problem.s)
+    s = problem.s
+    mismatch = np.linalg.norm(f0.b @ (f0.a @ s) - problem.b_star @ (problem.a_star @ s))
     term1 = delta * sa[0] / sa[-1]
     term2 = mismatch / (np.sqrt(1.0 - delta) * sa[-1] * sb[-1])
     return float((term1 + term2) / (1.0 - delta))

@@ -145,34 +145,39 @@ class _ResidualObjective(Objective):
 
     At a factor state the residual is ``C0 + B (A s)``, where
     ``C0 = W_pt s - y`` is computed on first use for the problem's own
-    ``w_pt`` and kept; any other ``w_pt`` gets its own, uncached. Subclasses
-    build the loss, gradient and sides from the residual and ``A s``, so
-    ``sides`` never forms the m x n gradient.
+    ``w_pt`` and kept; any other ``w_pt`` gets its own, uncached
+    (``_per_base``). Subclasses build the loss, gradient and sides from the
+    residual and ``A s``, so ``sides`` never forms the m x n gradient.
     """
 
     def __init__(self, problem):
         self.problem = problem
-        self._offset = None
+        self._kept = {}
+
+    def _per_base(self, name: str, w_pt: np.ndarray, build):
+        """``build(w_pt)``, kept under ``name`` only for the problem's own ``w_pt``."""
+        if w_pt is not self.problem.w_pt:
+            return build(w_pt)
+        if name not in self._kept:
+            self._kept[name] = build(w_pt)
+        return self._kept[name]
+
+    def _offset(self, w_pt: np.ndarray) -> np.ndarray:
+        """``C0 = W_pt s - y``."""
+        return self._per_base("offset", w_pt, lambda w: w @ self.problem.s - self.problem.y)
 
     def _residual(self, factors: LoRAFactors, w_pt: np.ndarray):
         """``(C0 + B (A s), A s)`` at the factor state."""
-        p = self.problem
-        if w_pt is not p.w_pt:
-            offset = w_pt @ p.s - p.y
-        else:
-            if self._offset is None:
-                self._offset = p.w_pt @ p.s - p.y
-            offset = self._offset
-        a_s = factors.a @ p.s
-        return offset + factors.b @ a_s, a_s
+        a_s = factors.a @ self.problem.s
+        return self._offset(w_pt) + factors.b @ a_s, a_s
 
     def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
         return self._sides(factors, *self._residual(factors, w_pt))
 
     def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
         resid, a_s = self._residual(factors, w_pt)
-        loss, grad = self._loss_and_grad(resid)
-        return StateEval(loss, grad, self._sides(factors, resid, a_s))
+        return StateEval(self._loss_of(resid), self._grad_of(factors, w_pt, resid, a_s),
+                         self._sides(factors, resid, a_s))
 
 
 class SensingObjective(_ResidualObjective):
@@ -181,7 +186,10 @@ class SensingObjective(_ResidualObjective):
     At a factor state, with R the residual: the loss is ``0.5 ||R||_F^2``,
     kept in this form because the rate fits read losses near round-off,
     and the sides are ``B^T G = (B^T R) S^T`` and ``G A^T = R (A S)^T``,
-    O(r (m + n) o) work. Only ``evaluate`` forms ``G = R S^T``.
+    O(r (m + n) o) work. Only the dense ``grad`` forms ``R S^T``:
+    ``evaluate`` builds ``G = K + B ((A S) S^T)`` from ``K = C0 S^T``, which
+    is built on first use and kept under ``C0``'s rule, so a logged row costs
+    O(r n (m + o)) plus O(m n) passes.
     """
 
     def __init__(self, problem: SensingProblem):
@@ -190,14 +198,18 @@ class SensingObjective(_ResidualObjective):
         self.optimum_w = problem.w_pt + problem.b_star @ problem.a_star
 
     def loss(self, w: np.ndarray) -> float:
-        resid = w @ self.problem.s - self.problem.y
-        return 0.5 * float(np.sum(resid * resid))
+        return self._loss_of(w @ self.problem.s - self.problem.y)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.problem.s - self.problem.y) @ self.problem.s.T
 
-    def _loss_and_grad(self, resid):
-        return 0.5 * float(np.sum(resid * resid)), resid @ self.problem.s.T
+    def _loss_of(self, resid) -> float:
+        return 0.5 * float(np.sum(resid * resid))
+
+    def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
+        s_t = self.problem.s.T
+        k = self._per_base("offset grad", w_pt, lambda w: self._offset(w) @ s_t)
+        return k + factors.b @ (a_s @ s_t)
 
     def _sides(self, factors, resid, a_s) -> Sides:
         return Sides((factors.b.T @ resid) @ self.problem.s.T, resid @ a_s.T)
@@ -231,14 +243,16 @@ class RegressionObjective(_ResidualObjective):
     """
 
     def loss(self, w: np.ndarray) -> float:
-        resid = w @ self.problem.s - self.problem.y
-        return float(resid @ resid)
+        return self._loss_of(w @ self.problem.s - self.problem.y)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * np.outer(w @ self.problem.s - self.problem.y, self.problem.s)
 
-    def _loss_and_grad(self, resid):
-        return float(resid @ resid), 2.0 * np.outer(resid, self.problem.s)
+    def _loss_of(self, resid) -> float:
+        return float(resid @ resid)
+
+    def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
+        return 2.0 * np.outer(resid, self.problem.s)
 
     def _sides(self, factors, resid, a_s) -> Sides:
         return Sides(2.0 * np.outer(factors.b.T @ resid, self.problem.s),

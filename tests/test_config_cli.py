@@ -351,6 +351,23 @@ class TestCmdSweep:
                          "--param", param, "--values", values]) == 0
             assert len(builds) == want
 
+    def test_certificate_once_per_experiment_and_skipped_when_off(self, tmp_path, monkeypatch):
+        import odelora.cli as cli_mod
+
+        calls = []
+        real = cli_mod.sensing_eps_certificate
+        monkeypatch.setattr(cli_mod, "sensing_eps_certificate",
+                            lambda *args: calls.append(1) or real(*args))
+        cfg = _small_config(iterations=2)
+        cmd_sweep(cfg, "h", [0.1, 0.2], tmp_path / "on")
+        metas = [path.read_text() for path in (tmp_path / "on").rglob("meta.txt")]
+        assert len(metas) == 14 and all("eps_certificate" in meta for meta in metas)
+        assert len(calls) == 1
+        calls.clear()
+        off = replace(cfg, diagnostics=replace(cfg.diagnostics, certificate=False))
+        cmd_sweep(off, "h", [0.1, 0.2], tmp_path / "off")
+        assert calls == []
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         cfg = _small_config(iterations=15)
         cmd_sweep(cfg, "h", [0.1, 0.2], tmp_path / "serial", jobs=1)

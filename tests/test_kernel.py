@@ -4,10 +4,13 @@ gradient sides it reads.
 
 The property tests draw shapes, factor and gradient scales from 1e-6 to 1e3
 and eps in {0, 1e-8}, and check the paper's identities against routes that
-do not go through ``FactorGrams``: plain ``np.linalg.solve`` on the Grams
-and the Kronecker-vectorized Sylvester oracle. The residual-form objectives
-are checked against the dense default of ``Objective``, which forms G.
+do not go through ``FactorGrams``: plain ``np.linalg.solve`` on the Grams,
+the Kronecker-vectorized Sylvester oracle and the explicit null projectors.
+The residual-form objectives are checked against the dense default of
+``Objective``, which forms G.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from odelora.problems import (
     quadratic_objective,
 )
 from odelora.solvers import Scheme, SolverConfig, lorapro_direction, riemannian_step, run_trajectory
-from oracles import kron_sylvester
+from oracles import kron_sylvester, null_projector_a, null_projector_b
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -95,6 +98,15 @@ class TestFactorizationCounts:
         f, g = random_state(rng)
         field_eval(f, g, 1e-8)
         assert len(calls) == 3
+
+    def test_eps_ratio_makes_two_gram_solves(self, rng, monkeypatch):
+        # each Gram's two right-hand sides of the trace identity share one solve
+        calls = []
+        real = core_mod.cho_solve
+        monkeypatch.setattr(core_mod, "cho_solve", lambda *args: calls.append(1) or real(*args))
+        f, g = random_state(rng)
+        eps_ratio(f, g, 1e-8)
+        assert len(calls) == 2
 
 
 class TestNonFiniteState:
@@ -205,6 +217,17 @@ class TestFieldProperties:
         ratio = eps_ratio(f, g, eps)
         slack = 1e-15 * conditioning(f, eps)
         assert -slack <= ratio <= 1.0 + slack
+
+    @PROPERTY_SETTINGS
+    @given(states())
+    def test_eps_ratio_matches_the_dense_projectors(self, state):
+        # the library reads the ratio from G's sides by a trace identity;
+        # the oracle projects G through both explicit null projectors
+        f, g, eps = state
+        assume_factorable(f, eps)
+        trapped = null_projector_b(f, eps) @ g @ null_projector_a(f, eps)
+        want = float(np.sum(trapped * g)) / float(np.sum(g * g))
+        assert abs(eps_ratio(f, g, eps) - want) <= 1e-14 * conditioning(f, eps)
 
     @PROPERTY_SETTINGS
     @given(states())
@@ -343,10 +366,15 @@ class TestResidualForm:
     @given(residual_problems())
     def test_another_base_weight_is_not_served_from_the_cache(self, case):
         objective, f = case
-        objective.sides(f, objective.problem.w_pt)  # caches the problem's offset
+        objective.evaluate(f, objective.problem.w_pt)  # caches C0 and, for sensing, C0 S^T
         other = objective.problem.w_pt + 1.0
         got, want = objective.sides(f, other), Objective.sides(objective, f, other)
         assert_sides_close(got, want, objective, f, other)
+        factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
+        g_tol = factor * 1e-13 * residual_scale(objective, f, other) * np.linalg.norm(
+            objective.problem.s)
+        grad = objective.evaluate(f, other).grad
+        assert np.linalg.norm(grad - Objective.evaluate(objective, f, other).grad) <= g_tol
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -363,20 +391,26 @@ class TestResidualForm:
             assert objective.loss(effective_weight(w_pt, f)) < 1e-20
 
 
-def test_logged_sensing_rk4_run_forms_the_gradient_once_per_row(monkeypatch):
-    counts = {"grad": 0, "loss": 0, "r_st": 0}
-    for name, key in (("grad", "grad"), ("loss", "loss"), ("_loss_and_grad", "r_st")):
-        real = getattr(SensingObjective, name)
+def test_logged_sensing_rk4_run_forms_no_r_st_and_k_once_per_objective():
+    # Every O(m n o) product is an m x o matrix times S^T. The residual form
+    # makes one, K = C0 S^T, on an objective's first logged row and keeps
+    # it; R S^T, one per row, and the dense grad would add more.
+    m, n, o, k = 12, 10, 8, 5
+    products = []
 
-        def counting(self, *args, _real=real, _key=key):
-            counts[_key] += 1
-            return _real(self, *args)
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(tuple(np.shape(x) for x in inputs))
+            plain = [x.view(np.ndarray) if isinstance(x, Recording) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
 
-        monkeypatch.setattr(SensingObjective, name, counting)
-    problem = make_sensing_instance(12, 12, 12, 2, 0.05, 0)
-    k = 5
-    log = run_trajectory(perturbed_balanced_init(problem, 0.8, 0.05, 0),
-                         SensingObjective(problem), SolverConfig(Scheme.ODE_RK4, 0.1, k),
-                         w_pt=problem.w_pt)
-    assert len(log.rows) == k + 1 and not log.diverged
-    assert counts == {"grad": 0, "loss": 0, "r_st": k + 1}
+    problem = make_sensing_instance(m, n, o, 2, 0.05, 0)
+    start = perturbed_balanced_init(problem, 0.8, 0.05, 0)
+    problem = dataclasses.replace(problem, s=problem.s.view(Recording))
+    config = SolverConfig(Scheme.ODE_RK4, 0.1, k)
+    first, second = SensingObjective(problem), SensingObjective(problem)
+    for objective in (first, first, second):
+        log = run_trajectory(start, objective, config, w_pt=problem.w_pt)
+        assert len(log.rows) == k + 1 and not log.diverged
+    assert products and products.count(((m, o), (o, n))) == 2
