@@ -21,12 +21,12 @@ in ``metrics`` read G only through its two sides ``B^T G`` (r x n) and
 ``Objective.sides`` returns them at a factor state, and an objective with
 low-rank structure computes them without forming G.
 
-``FactorGrams`` builds both regularized Grams of one state and factors each
-once; the field, the flow's full-weight velocity and the null-space ratio
-are a few products on top of it. Only the full-weight velocity projects
-an m x n matrix; the ratio takes a trace identity on G's sides. Inputs are
-validated at the boundary (``LoRAFactors`` and the gradient check in
-``gradient_sides``), not inside each solve.
+``FactorGrams`` builds both regularized Grams of one state and their inverse
+Cholesky factors once; the field, the flow's full-weight velocity and the
+null-space ratio are a few products on top of it. Only the full-weight
+velocity projects an m x n matrix; the ratio takes a trace identity on G's
+sides. Inputs are validated at the boundary (``LoRAFactors`` and the
+gradient check in ``gradient_sides``), not inside each solve.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, cho_factor, cho_solve, sylvester_eig
+from .linalg import as_matrix, inverse_cholesky, sylvester_eig
 
 __all__ = [
     "DEFAULT_EPS",
@@ -180,31 +180,29 @@ def gram_b(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
 
 
 class FactorGrams:
-    """The regularized Grams of one factor state, each Cholesky-factored once.
+    """The regularized Grams of one factor state and their inverse Cholesky factors.
 
-    Holds ``G_A = A A^T + eps I`` and ``G_B = B^T B + eps I`` (r x r) and
-    applies their inverses by two triangular solves per product. B's Gram
-    is factored first. Construction raises NotPositiveDefinite when a pivot
-    fails ``linalg.cho_factor``'s rule and NonFiniteState when a Gram or its
-    norm is not finite; the factors themselves are trusted, because
-    ``LoRAFactors`` validated them. ``project_out_both`` serves
-    ``flow_rhs_full``; ``metrics.eps_ratio`` uses the two solves alone.
+    Holds ``G_A = A A^T + eps I`` and ``G_B = B^T B + eps I`` (r x r), built
+    by ``gram_a`` and ``gram_b``; inverts both lower Cholesky factors in one
+    ``linalg.inverse_cholesky`` call, which raises NotPositiveDefinite or
+    NonFiniteState; and applies each Gram's inverse as two products,
+    ``L^{-T} (L^{-1} rhs)``. The factors are trusted (``LoRAFactors``
+    validated them). ``project_out_both`` serves ``flow_rhs_full``;
+    ``metrics.eps_ratio`` uses the two solves alone.
     """
 
     def __init__(self, factors: LoRAFactors, eps: float = 0.0):
         self.a, self.b = factors.a, factors.b
-        self.ga = gram_a(factors, eps)
-        self.gb = gram_b(factors, eps)
-        self._chol_b = cho_factor(self.gb)
-        self._chol_a = cho_factor(self.ga)
+        self.gb, self.ga = gram_b(factors, eps), gram_a(factors, eps)
+        self._inv_b, self._inv_a = inverse_cholesky(np.array((self.gb, self.ga)))
 
     def solve_a(self, rhs: np.ndarray) -> np.ndarray:
         """(A A^T + eps I)^{-1} rhs."""
-        return cho_solve(self._chol_a, rhs)
+        return self._inv_a.T @ (self._inv_a @ rhs)
 
     def solve_b(self, rhs: np.ndarray) -> np.ndarray:
         """(B^T B + eps I)^{-1} rhs."""
-        return cho_solve(self._chol_b, rhs)
+        return self._inv_b.T @ (self._inv_b @ rhs)
 
     def project_out_b(self, w: np.ndarray) -> np.ndarray:
         """P_B^null w, the column-space annihilator of B applied without forming it."""

@@ -3,12 +3,13 @@
 Everything here operates on plain float64 ``numpy`` arrays. The matrices that
 show up in practice are the r x r Gram matrices of the adapter factors
 (r <= 64), so the routines favour clarity and strict error reporting over
-blocked performance. Factorizations are delegated to LAPACK through numpy;
-the symmetric Sylvester solve is built on top of the eigendecomposition,
-which is valid because its coefficient matrix is symmetric positive definite
-on the feasible set.
+blocked performance. Factorizations are delegated to LAPACK through numpy,
+and a Gram's inverse is applied as two products with its inverse Cholesky
+factor (``inverse_cholesky`` takes a whole stack of Grams). The symmetric
+Sylvester solve is built on the eigendecomposition, valid because its
+coefficient matrix is symmetric positive definite on the feasible set.
 
-``cho_factor``, ``cho_solve`` and ``sylvester_eig`` trust their operands:
+``inverse_cholesky`` and ``sylvester_eig`` trust their operands:
 inputs are validated where they enter the library (``as_matrix``,
 ``LoRAFactors`` and the dense-gradient check in ``core.gradient_sides``).
 The gradient sides that an objective supplies for a Runge–Kutta stage are
@@ -26,8 +27,7 @@ __all__ = [
     "NoConvergence",
     "DegenerateSpectrum",
     "as_matrix",
-    "cho_factor",
-    "cho_solve",
+    "inverse_cholesky",
     "sylvester_eig",
     "thin_svd",
 ]
@@ -68,32 +68,31 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def cho_factor(g: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+def inverse_cholesky(grams: np.ndarray) -> np.ndarray:
+    """Inverses ``L^{-1}`` of the lower Cholesky factors of a (k, r, r) stack.
 
-    G is trusted to be 2-D and symmetric; only its lower triangle is read.
-    Raises NonFiniteState if ``||G||_F`` is not finite, and
-    NotPositiveDefinite if the factorization fails or any pivot is at or
-    below ``PIVOT_RTOL * ||G||_F``.
+    Each G is trusted to be symmetric; only its lower triangle is read, and
+    each gets bit-for-bit what a stack holding it alone gets. An explicit
+    inverse is not backward stable in general (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 14); the condition-scaled field
+    identities in ``tests/test_kernel.py`` gate its use. Raises NonFiniteState
+    if some ``||G||_F`` is not finite, and NotPositiveDefinite if the
+    factorization fails or some pivot is at or below ``PIVOT_RTOL * ||G||_F``.
+    Norms are checked before factoring: a non-finite one wins over a refusal.
     """
-    norm = np.linalg.norm(g)
-    if not np.isfinite(norm):
-        raise NonFiniteState(f"||G||_F = {norm} is not finite")
+    norms = np.sqrt(np.einsum("kij,kij->k", grams, grams))
+    if not np.isfinite(norms).all():
+        raise NonFiniteState(f"||G||_F = {norms} is not finite")
     try:
-        chol = np.linalg.cholesky(g)
+        chol = np.linalg.cholesky(grams)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(str(err)) from err
-    pivots = np.diag(chol) ** 2
-    if pivots.min() <= PIVOT_RTOL * norm:
+    pivots = (chol.diagonal(0, 1, 2) ** 2).min(axis=1)
+    if (pivots <= PIVOT_RTOL * norms).any():
         raise NotPositiveDefinite(
-            f"pivot {pivots.min():.3e} below threshold for ||G|| = {norm:.3e}"
+            f"pivots {pivots} below threshold for ||G|| = {norms}"
         )
-    return chol
-
-
-def cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G Z = RHS given the lower Cholesky factor of G."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return np.linalg.inv(chol)
 
 
 def sylvester_eig(h: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from odelora.core import gram_a, gram_b
-from odelora.linalg import cho_factor, cho_solve
+from odelora.linalg import NotPositiveDefinite
 from odelora.problems import balanced_init
 
 
@@ -40,16 +40,26 @@ def gauss_solve(g, rhs):
     return x
 
 
+def _gram_solve(gram, rhs):
+    """``gauss_solve`` on a Gram; one that elimination finds singular raises
+    NotPositiveDefinite, as the library's kernel does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = gauss_solve(gram, rhs)
+    if not np.all(np.isfinite(z)):
+        raise NotPositiveDefinite("Gaussian elimination met a zero pivot")
+    return z
+
+
 def null_projector_a(factors, eps=0.0):
     """I - A^T (A A^T + eps I)^{-1} A, the row-space annihilator (n x n)."""
     a = factors.a
-    return np.eye(a.shape[1]) - a.T @ cho_solve(cho_factor(gram_a(factors, eps)), a)
+    return np.eye(a.shape[1]) - a.T @ _gram_solve(gram_a(factors, eps), a)
 
 
 def null_projector_b(factors, eps=0.0):
     """I - B (B^T B + eps I)^{-1} B^T, the column-space annihilator (m x m)."""
     b = factors.b
-    return np.eye(b.shape[0]) - b @ cho_solve(cho_factor(gram_b(factors, eps)), b.T)
+    return np.eye(b.shape[0]) - b @ _gram_solve(gram_b(factors, eps), b.T)
 
 
 def dense_unit_balanced_truth(rng, m, n, r):

@@ -4,9 +4,9 @@ import pytest
 from conftest import random_spd
 from odelora.linalg import (
     DegenerateSpectrum,
+    NonFiniteState,
     NotPositiveDefinite,
-    cho_factor,
-    cho_solve,
+    inverse_cholesky,
     sylvester_eig,
     thin_svd,
 )
@@ -14,7 +14,9 @@ from oracles import charpoly_from_traces, gauss_solve, kron_sylvester
 
 
 def cholesky_solve(g, rhs):
-    return cho_solve(cho_factor(g), rhs)
+    """G^{-1} rhs as the two products L^{-T} (L^{-1} rhs)."""
+    inv = inverse_cholesky(g[None])[0]
+    return inv.T @ (inv @ rhs)
 
 
 class TestCholeskySolve:
@@ -47,6 +49,35 @@ class TestCholeskySolve:
     def test_rejects_near_singular(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky_solve(np.diag([1.0, 1e-16]), np.ones((2, 1)))
+
+    def test_stack_matches_single_bit_for_bit(self, rng):
+        for _ in range(200):
+            r = int(rng.integers(1, 9))
+            grams = np.stack([random_spd(rng, r), random_spd(rng, r)])
+            stacked = inverse_cholesky(grams)
+            for k in range(2):
+                assert np.array_equal(stacked[k], inverse_cholesky(grams[k : k + 1])[0])
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.diag([1.0, 0.0]), NotPositiveDefinite),
+            (np.diag([1.0, 1e-16]), NotPositiveDefinite),
+            (np.diag([1e200, 1.0]), NonFiniteState),  # finite entries, ||G||_F overflows
+            (np.diag([1.0, np.nan]), NonFiniteState),
+        ],
+    )
+    def test_stack_raises_what_its_bad_gram_raises(self, rng, bad, error):
+        with np.errstate(over="ignore"):
+            with pytest.raises(error):
+                inverse_cholesky(bad[None])
+            with pytest.raises(error):
+                inverse_cholesky(np.stack([random_spd(rng, 2), bad]))
+
+    def test_norms_are_checked_before_any_factorization(self):
+        # the first Gram alone raises NotPositiveDefinite, the second NonFiniteState
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
+            inverse_cholesky(np.stack([np.diag([1.0, 0.0]), np.diag([1e200, 1.0])]))
 
 
 class TestSymEig:
