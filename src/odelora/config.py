@@ -13,6 +13,7 @@ range. Parsing, serialization and the sweep axes of the CLI all read it.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .solvers import Scheme, SolverConfig
@@ -138,8 +139,9 @@ def _int(rule=None) -> _Parser:
     return _Parser(int, "expected an integer", rule)
 
 
-def _float(rule=None) -> _Parser:
-    return _Parser(float, "expected a number", rule, repr)
+def _float(rule) -> _Parser:
+    finite = (lambda v: math.isfinite(v) and rule[0](v), f"{rule[1]} and finite")
+    return _Parser(float, "expected a number", finite, repr)
 
 
 def _choice(names, convert=str, render=str) -> _Parser:

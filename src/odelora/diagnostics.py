@@ -7,9 +7,8 @@ fine-step RK4 reference that it integrates itself, and reads the order off
 consecutive defect ratios. ``phi_decompose`` splits the one-step change of
 the model output ``(B A) s`` into the per-stage contributions of any factor
 scheme, whose scaling with the model dimension n is what "stable feature
-learning" constrains. Its stage fields come from the same Runge–Kutta
-engine that ``solvers`` steps with, so the decomposed step is the solver's
-step up to the rounding of the stage sum.
+learning" constrains. It takes one step of the same Runge–Kutta engine
+that ``solvers`` steps with, so the decomposed step is the solver's step.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight
 from .linalg import NonFiniteState
 from .problems import aligned_zero_b_init, make_regression_instance, regression_objective
-from .solvers import DIVERGENCE_ERRORS, Scheme, _rk_stages, _step_for
+from .solvers import DIVERGENCE_ERRORS, Scheme, _rk_step, _step_for
 
 __all__ = [
     "ReferenceDiverged",
@@ -145,10 +144,11 @@ def phi_decompose(
 ) -> tuple[PhiReport, LoRAFactors]:
     """Decompose one step of a factor scheme on a regression objective.
 
-    Returns the report and the post-step state. Stage k contributes its
-    update side ``b_k h F_B^(k) A_t s`` and its carry side
+    Returns the report and the solver's own post-step state. Stage k
+    contributes its update side ``b_k h F_B^(k) A_t s`` and its carry side
     ``b_k h B_t F_A^(k) s``, with ``b_k`` the scheme's tableau weights
-    (h/6, h/3, h/3, h/6 for RK4). The problem is ``objective.problem``.
+    (h/6, h/3, h/3, h/6 for RK4); the cross term ``(B' - B) ((A' - A) s)``
+    comes from the step's increments. The problem is ``objective.problem``.
     Every product is a factor times a vector or an r-row matrix, so a step
     costs O((m + n) r) beyond the stage fields; the sum check compares with
     the output change ``B' (A' s) - B (A s)`` in factor form. The objective
@@ -156,7 +156,7 @@ def phi_decompose(
     offset once.
     """
     problem = objective.problem
-    tableau, stages = _rk_stages(scheme, factors, problem.w_pt, objective, h, eps)
+    after, tableau, stages = _rk_step(scheme, factors, problem.w_pt, objective, h, eps)
     weights = [b / tableau.denominator for b in tableau.weights]
     s = problem.s
     a_s = factors.a @ s
@@ -164,10 +164,7 @@ def phi_decompose(
     for w, (f_a, f_b) in zip(weights, stages):
         components.append(w * h * (f_b @ a_s))
         components.append(w * h * (factors.b @ (f_a @ s)))
-    da = h * sum(w * f_a for w, (f_a, _) in zip(weights, stages))
-    db = h * sum(w * f_b for w, (_, f_b) in zip(weights, stages))
-    cross = db @ (da @ s)
-    after = factors.move(da, db, 1.0)
+    cross = (after.b - factors.b) @ ((after.a - factors.a) @ s)
     change = after.b @ (after.a @ s) - factors.b @ a_s
     residual = np.linalg.norm(sum(components) + cross - change)
     scale = max(1.0, float(np.linalg.norm(change)))
@@ -229,10 +226,10 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
     rank-``FEATURE_SCALING_RANK`` zero-B start (A rows at a fixed overlap
     with the feature) are built once, and ``steps`` iterations of each
     scheme run from them, logging every stage contribution; only building
-    touches m x n data. ``seeds`` is a count or a list. A component's slope
-    is the log-log slope of its median norm against n (``None`` when the
-    medians vanish); flat slopes mean one step size trains every width at
-    the same output speed.
+    touches m x n data, and one instance is alive at a time. ``seeds`` is
+    a count or a list. A component's slope is the log-log slope of its
+    median norm against n (``None`` when the medians vanish); flat slopes
+    mean one step size trains every width at the same output speed.
 
     Under this aligned start both schemes are dimension-free by
     construction (factor descent's iterates never involve n, so its slopes
@@ -257,6 +254,7 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
                     rows[Scheme.CLASSICAL_GD] += _scaling_rows(Scheme.CLASSICAL_GD, *instance)
             except ScalingDiverged as err:
                 descent_diverged = err
+            del problem, start, instance
     if descent_diverged is not None:
         raise descent_diverged
     return {scheme: _scaling_fit(found, n_list) for scheme, found in rows.items()}

@@ -97,12 +97,12 @@ class SolverConfig:
     eps_reg: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if self.eps_reg < 0:
-            raise ValueError("eps_reg must be nonnegative")
+        if not 0 <= self.eps_reg < np.inf:
+            raise ValueError("eps_reg must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,10 @@ _METHODS = {
 }
 
 
-def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps,
-               g=None):
-    """The scheme's tableau and the stage fields ``[(f_a, f_b), ...]`` of one step.
+def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps,
+             g=None):
+    """One step of a factor scheme: ``(next_state, tableau, stages)``, with
+    ``stages`` the stage fields ``[(f_a, f_b), ...]`` the step summed.
 
     ``g`` is the ``Sides`` of the gradient at ``factors``' effective weight
     when the caller already has them.
@@ -178,52 +179,47 @@ def _rk_stages(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective,
     for c in tableau.subdiagonal:
         state = factors.move(*stages[-1], c * h)
         stages.append(direction(state, objective.sides(state, w_pt), eps))
-    return tableau, stages
-
-
-def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps, g):
-    tableau, stages = _rk_stages(scheme, factors, w_pt, objective, h, eps, g)
     total = [tableau.weights[0] * part for part in stages[0]]
     for b, stage in zip(tableau.weights[1:], stages[1:]):
         total = [acc + b * part for acc, part in zip(total, stage)]
-    return factors.move(*(acc / tableau.denominator for acc in total), h)
+    return factors.move(*(acc / tableau.denominator for acc in total), h), tableau, stages
 
 
 def ode_euler_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
                    eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One forward-Euler step of the balanced flow."""
-    return _rk_step(Scheme.ODE_EULER, factors, w_pt, objective, h, eps, g)
+    return _rk_step(Scheme.ODE_EULER, factors, w_pt, objective, h, eps, g)[0]
 
 
 def ode_rk2_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One Heun (two-stage, second-order) step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK2, factors, w_pt, objective, h, eps, g)
+    return _rk_step(Scheme.ODE_RK2, factors, w_pt, objective, h, eps, g)[0]
 
 
 def ode_rk4_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One classical four-stage RK4 step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK4, factors, w_pt, objective, h, eps, g)
+    return _rk_step(Scheme.ODE_RK4, factors, w_pt, objective, h, eps, g)[0]
 
 
 def classical_gd_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
                       eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Plain gradient descent on the factors (B^T G in A, G A^T in B); ignores ``eps``."""
-    return _rk_step(Scheme.CLASSICAL_GD, factors, w_pt, objective, h, eps, g)
+    return _rk_step(Scheme.CLASSICAL_GD, factors, w_pt, objective, h, eps, g)[0]
 
 
 def riemannian_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
                     eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Gram-preconditioned factor descent:
     A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
-    return _rk_step(Scheme.RIEMANNIAN, factors, w_pt, objective, h, eps, g)
+    return _rk_step(Scheme.RIEMANNIAN, factors, w_pt, objective, h, eps, g)[0]
 
 
 def lorapro_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One step along the zero-gauge gradient-matching direction."""
-    return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps, g)
+    return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps, g)[0]
 
 
 def full_ft_step(w: np.ndarray, w_pt, objective: Objective, h: float,
@@ -260,6 +256,7 @@ class TrajectoryLog:
 
 
 def _step_for(scheme: Scheme):
+    # Built per call, as perfbench's tracer and tests patch solvers.<name>_step.
     return {
         Scheme.ODE_EULER: ode_euler_step,
         Scheme.ODE_RK2: ode_rk2_step,

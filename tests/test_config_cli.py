@@ -169,6 +169,10 @@ CORPUS = [
     (SWEEP_SMALL, _expect(diagnostics=dict(eps_ratio=False))),
     ("[problem]\nseed = -1\n", (OutOfRange, "problem.seed")),
     ("[init]\nseed = -2\n", (OutOfRange, "init.seed")),
+    ("[solver]\nh = inf\n", (OutOfRange, "solver.h")),
+    ("[solver]\neps_reg = inf\n", (OutOfRange, "solver.eps_reg")),
+    ("[init]\nscale = inf\n", (OutOfRange, "init.scale")),
+    ("[init]\nperturbation = -inf\n", (OutOfRange, "init.perturbation")),
 ]
 
 
@@ -457,7 +461,8 @@ class TestMain:
         assert _strip_wall(a) != _strip_wall(b)
 
     def test_bad_sweep_values_exit_two_without_cells(self, tmp_path, capsys):
-        for param, values in (("h", "x"), ("h", "0.1,-0.5"), ("h", "nan"), ("delta", "1.5")):
+        for param, values in (("h", "x"), ("h", "0.1,-0.5"), ("h", "nan"), ("delta", "1.5"),
+                              ("h", "inf")):
             out = tmp_path / f"{param}_{values}"
             code = main(["sweep", "--out", str(out), "--param", param, "--values", values])
             assert code == 2

@@ -13,25 +13,28 @@ from odelora.linalg import (
 from oracles import charpoly_from_traces, gauss_solve, kron_sylvester
 
 
-def cholesky_solve(g, rhs):
+def inverse_cholesky_solve(g, rhs):
     """G^{-1} rhs as the two products L^{-T} (L^{-1} rhs)."""
     inv = inverse_cholesky(g[None])[0]
     return inv.T @ (inv @ rhs)
 
 
 class TestCholeskySolve:
+    """``inverse_cholesky``, applied as a solve by ``inverse_cholesky_solve``."""
+
     def test_identity(self, rng):
         m = rng.standard_normal((2, 3))
-        assert np.allclose(cholesky_solve(np.eye(2), m), m, atol=1e-14)
+        assert np.allclose(inverse_cholesky_solve(np.eye(2), m), m, atol=1e-14)
 
     def test_scalar(self):
-        assert cholesky_solve(np.array([[2.0]]), np.array([[4.0]]))[0, 0] == pytest.approx(2.0)
+        z = inverse_cholesky_solve(np.array([[2.0]]), np.array([[4.0]]))
+        assert z[0, 0] == pytest.approx(2.0)
 
     def test_against_gaussian_elimination(self, rng):
         for _ in range(25):
             g = random_spd(rng, 3)
             rhs = rng.standard_normal((3, 2))
-            z = cholesky_solve(g, rhs)
+            z = inverse_cholesky_solve(g, rhs)
             assert np.linalg.norm(z - gauss_solve(g, rhs)) <= 1e-10
 
     def test_residual_bound_bulk(self, rng):
@@ -39,16 +42,16 @@ class TestCholeskySolve:
             r = int(rng.integers(1, 9))
             g = random_spd(rng, r)
             rhs = rng.standard_normal((r, int(rng.integers(1, 4))))
-            z = cholesky_solve(g, rhs)
+            z = inverse_cholesky_solve(g, rhs)
             assert np.linalg.norm(g @ z - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            cholesky_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
+            inverse_cholesky_solve(np.diag([1.0, -1.0]), np.ones((2, 1)))
 
     def test_rejects_near_singular(self):
         with pytest.raises(NotPositiveDefinite):
-            cholesky_solve(np.diag([1.0, 1e-16]), np.ones((2, 1)))
+            inverse_cholesky_solve(np.diag([1.0, 1e-16]), np.ones((2, 1)))
 
     def test_stack_matches_single_bit_for_bit(self, rng):
         for _ in range(200):
@@ -98,6 +101,8 @@ class TestSymEig:
 
 
 class TestSylvesterSpd:
+    """``sylvester_eig``, the SPD Sylvester solve."""
+
     def test_scalar(self):
         assert sylvester_eig(np.array([[2.0]]), np.array([[4.0]]))[0, 0] == pytest.approx(1.0)
 

@@ -334,6 +334,14 @@ class TestBalancePreservation:
             assert lo <= ratio <= hi, (step_fn.__name__, ratio)
 
 
+def test_solver_config_rejects_non_finite_step_and_eps():
+    good = SolverConfig(Scheme.ODE_RK4, 0.1, 1)
+    for field in ("step_size", "eps_reg"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                dataclasses.replace(good, **{field: bad})
+
+
 class TestRunTrajectory:
     def test_zero_iterations_logs_initial_row(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
