@@ -79,6 +79,7 @@ from .solvers import (
     ode_rk2_step,
     ode_rk4_step,
     riemannian_step,
+    run_stack,
     run_trajectory,
 )
 

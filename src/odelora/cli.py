@@ -61,7 +61,7 @@ from .problems import (
     sensing_objective,
     zero_b_init,
 )
-from .solvers import Scheme, TrajectoryLog, TrajectoryRow, run_trajectory
+from .solvers import Scheme, TrajectoryLog, TrajectoryRow, run_stack
 
 __all__ = ["main", "cmd_run", "cmd_sweep", "cmd_order", "cmd_feature_scaling"]
 
@@ -134,15 +134,16 @@ class Experiment:
             target *= 1.0 / np.linalg.norm(target)
         return perturbed_target_init(target, prob.r, init.scale, init.perturbation, init.seed)
 
-    def run(self, cfg: ExperimentConfig) -> TrajectoryLog:
-        """One trajectory with ``cfg``'s solver and diagnostics."""
-        return run_trajectory(
+    def run(self, cfgs) -> list[TrajectoryLog]:
+        """One trajectory per config, run as one stack; the configs differ
+        at most in ``solver.h``, and the first one's diagnostics are read."""
+        return run_stack(
             self.factors,
             self.objective,
-            cfg.solver,
+            [cfg.solver for cfg in cfgs],
             w_pt=self.w_pt,
-            log_eps_ratio=cfg.diagnostics.eps_ratio,
-            log_balance=cfg.diagnostics.balance,
+            log_eps_ratio=cfgs[0].diagnostics.eps_ratio,
+            log_balance=cfgs[0].diagnostics.balance,
         )
 
     @functools.cached_property
@@ -172,11 +173,11 @@ plot 'trajectory.csv' every ::1 using 1:2 with lines title '{label}'
 """
 
 
-def _run_into(cfg: ExperimentConfig, experiment: Experiment, out_dir: Path) -> TrajectoryLog:
-    """Run ``cfg`` from ``experiment``, which was built from ``cfg``'s
-    problem and start, and write the ``run`` outputs into ``out_dir``."""
+def _write_run(cfg: ExperimentConfig, experiment: Experiment, log: TrajectoryLog,
+               out_dir: Path) -> None:
+    """Write the ``run`` outputs of ``cfg``'s trajectory ``log`` into ``out_dir``;
+    ``experiment`` was built from ``cfg``'s problem and start."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    log = experiment.run(cfg)
     _write_trajectory_csv(out_dir / "trajectory.csv", log)
     meta = [serialize_config(cfg).rstrip("\n"), ""]
     meta.append(f"final_loss = {_fmt(log.final_loss)}")
@@ -186,11 +187,11 @@ def _run_into(cfg: ExperimentConfig, experiment: Experiment, out_dir: Path) -> T
         meta.append(f"eps_certificate = {_fmt(cert)}")
     (out_dir / "meta.txt").write_text("\n".join(meta) + "\n")
     (out_dir / "plot.gnuplot").write_text(_PLOT_SCRIPT.format(label=cfg.output.run_label))
-    return log
 
 
 def cmd_run(cfg: ExperimentConfig, out_dir: Path) -> int:
-    _run_into(cfg, Experiment(cfg), out_dir)
+    experiment = Experiment(cfg)
+    _write_run(cfg, experiment, experiment.run([cfg])[0], out_dir)
     return 0
 
 
@@ -210,7 +211,10 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
     numbers), and no two may name the same cell, before any cell runs.
     One experiment is built per distinct problem and start, and every cell
     that shares them runs from it: one for an ``h`` sweep, one per value
-    for a ``delta`` sweep.
+    for a ``delta`` sweep. The cells of one scheme and one experiment run
+    as one stack (``solvers.run_stack``): one stack per scheme for an ``h``
+    sweep, one cell per stack for a ``delta`` sweep. With ``jobs > 1`` the
+    stacks, not the cells, run on that many threads.
     """
     if param not in SWEEP_KEYS:
         raise OutOfRange("sweep.param", f"must be one of {tuple(SWEEP_KEYS)}, got {param!r}")
@@ -224,23 +228,30 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
         pair = (value_cfg.problem, value_cfg.init)
         if pair not in experiments:
             experiments[pair] = Experiment(value_cfg)
-    cells = [(scheme, value) for scheme in Scheme for value in values]
+    stacks = {}
+    for scheme in Scheme:
+        for value in values:
+            cell_cfg = set_value(set_value(cfg, "solver.scheme", scheme), key, value)
+            pair = (cell_cfg.problem, cell_cfg.init)
+            stacks.setdefault((scheme, pair), []).append((value, cell_cfg))
 
-    def run_cell(cell):
-        scheme, value = cell
-        cell_cfg = set_value(set_value(cfg, "solver.scheme", scheme), key, value)
-        experiment = experiments[cell_cfg.problem, cell_cfg.init]
-        log = _run_into(cell_cfg, experiment, out_dir / f"{scheme.value}_{value:g}")
-        return scheme, value, log, experiment.objective.optimum_loss
+    def run_cells(stack):
+        (scheme, pair), cells = stack
+        experiment = experiments[pair]
+        logs = experiment.run([cell_cfg for _, cell_cfg in cells])
+        for (value, cell_cfg), log in zip(cells, logs):
+            _write_run(cell_cfg, experiment, log, out_dir / f"{scheme.value}_{value:g}")
+        return [(scheme, value, log, experiment.objective.optimum_loss)
+                for (value, _), log in zip(cells, logs)]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cells))
+            done = list(pool.map(run_cells, stacks.items()))
     else:
-        results = [run_cell(cell) for cell in cells]
+        done = [run_cells(stack) for stack in stacks.items()]
 
     lines = ["scheme,value,final_loss,diverged,contraction"]
-    for scheme, value, log, optimum_loss in results:
+    for scheme, value, log, optimum_loss in (cell for cells in done for cell in cells):
         contraction = _contraction_of(log, optimum_loss)
         lines.append(
             ",".join(
@@ -339,7 +350,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sweep_p)
     sweep_p.add_argument("--param", required=True, choices=tuple(SWEEP_KEYS))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="concurrent sweep cells")
+    sweep_p.add_argument(
+        "--jobs", type=int, default=1,
+        help="threads that run the sweep's stacks, not its cells (the cells of one "
+             "scheme that share a problem and start step as one stack); outputs do "
+             "not depend on it")
 
     order_p = sub.add_parser("order", help="measure discretization orders")
     common(order_p)

@@ -238,7 +238,9 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
     Raises ScalingDiverged when a step meets one of
     ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component; factor
     descent's is raised only once the flow has run every instance, as if
-    each scheme ran alone.
+    each scheme ran alone. It is kept until then as a fresh error with the
+    same message, without a traceback or a cause, whose frames would hold
+    its instance's dense ``W_pt`` alive.
     """
     seeds = range(seeds) if isinstance(seeds, int) else seeds
     rows = {Scheme.ODE_RK4: [], Scheme.CLASSICAL_GD: []}
@@ -253,7 +255,7 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
                 if descent_diverged is None:
                     rows[Scheme.CLASSICAL_GD] += _scaling_rows(Scheme.CLASSICAL_GD, *instance)
             except ScalingDiverged as err:
-                descent_diverged = err
+                descent_diverged = ScalingDiverged(str(err))
             del problem, start, instance
     if descent_diverged is not None:
         raise descent_diverged

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorGrams, LoRAFactors, gram_a, gram_b
+from .core import FactorGrams, LoRAFactors, gram_a, gram_b, per_slice
 from .linalg import as_matrix
 
 __all__ = [
@@ -55,26 +55,35 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
     Both this and the dense projection carry round-off of order machine
     epsilon times the Grams' conditioning, so a ratio at that floor can
     come out slightly below 0.
+
+    At a stacked state, with G a (k, m, n) stack, the ratios come as a (k,)
+    array, and ZeroGradient is raised if any slice's gradient vanishes.
     """
-    g = as_matrix(g, "G")
-    gnorm2 = float(np.sum(g * g))
-    if np.sqrt(gnorm2) <= 1e-14:
+    g = as_matrix(g, "G", stack=True)
+    gnorm2 = per_slice(factors, lambda x: float(np.sum(x * x)), g)
+    if (np.sqrt(gnorm2) <= 1e-14).any():
         raise ZeroGradient("gradient norm at or below 1e-14")
     a, b = factors.a, factors.b
-    bt_g, g_at = b.T @ g, g @ a.T
-    t = bt_g @ a.T
+    bt_g, g_at = b.mT @ g, g @ a.mT
+    t = bt_g @ a.mT
     grams = FactorGrams(factors, eps)
-    m, n = g.shape
-    left = grams.solve_b(np.concatenate((bt_g, t), axis=1))
-    right = grams.solve_a(np.concatenate((g_at.T, t.T), axis=1))
-    trapped = (gnorm2 - np.vdot(left[:, :n], bt_g) - np.vdot(right[:, :m], g_at.T)
-               + np.vdot(left[:, n:], right[:, m:].T))
-    return float(trapped) / gnorm2
+    m, n = factors.shape
+    left = grams.solve_b(np.concatenate((bt_g, t), axis=-1))
+    right = grams.solve_a(np.concatenate((g_at.mT, t.mT), axis=-1))
+
+    def ratio(norm2, left, right, bt_g, g_at):
+        trapped = (norm2 - np.vdot(left[:, :n], bt_g) - np.vdot(right[:, :m], g_at.T)
+                   + np.vdot(left[:, n:], right[:, m:].T))
+        return float(trapped) / norm2
+
+    return per_slice(factors, ratio, gnorm2, left, right, bt_g, g_at)
 
 
 def balance_defect(factors: LoRAFactors) -> float:
-    """Frobenius distance ||A A^T - B^T B||_F from the balanced manifold."""
-    return float(np.linalg.norm(gram_a(factors) - gram_b(factors)))
+    """Frobenius distance ||A A^T - B^T B||_F from the balanced manifold;
+    a (k,) array of them at a stacked state."""
+    return per_slice(factors, lambda d: float(np.linalg.norm(d)),
+                     gram_a(factors) - gram_b(factors))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LoRAFactors, Objective, Sides, StateEval
+from .core import LoRAFactors, Objective, Sides, StateEval, per_slice
 from .linalg import as_matrix, thin_svd
 
 __all__ = [
@@ -147,7 +147,9 @@ class _ResidualObjective(Objective):
     ``C0 = W_pt s - y`` is computed on first use for the problem's own
     ``w_pt`` and kept; any other ``w_pt`` gets its own, uncached
     (``_per_base``). Subclasses build the loss, gradient and sides from the
-    residual and ``A s``, so ``sides`` never forms the m x n gradient.
+    residual and ``A s``, so ``sides`` never forms the m x n gradient. At a
+    stacked state the residual, ``A s``, gradient and sides carry the stack
+    axis, and the loss is taken slice by slice.
     """
 
     def __init__(self, problem):
@@ -168,15 +170,19 @@ class _ResidualObjective(Objective):
 
     def _residual(self, factors: LoRAFactors, w_pt: np.ndarray):
         """``(C0 + B (A s), A s)`` at the factor state."""
-        a_s = factors.a @ self.problem.s
-        return self._offset(w_pt) + factors.b @ a_s, a_s
+        s = self.problem.s
+        a_s = factors.a @ s
+        resid = (factors.b @ a_s[..., :, None])[..., 0] if s.ndim == 1 else factors.b @ a_s
+        resid += self._offset(w_pt)  # in place, as in core.effective_weight
+        return resid, a_s
 
     def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
         return self._sides(factors, *self._residual(factors, w_pt))
 
     def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
         resid, a_s = self._residual(factors, w_pt)
-        return StateEval(self._loss_of(resid), self._grad_of(factors, w_pt, resid, a_s),
+        return StateEval(per_slice(factors, self._loss_of, resid),
+                         self._grad_of(factors, w_pt, resid, a_s),
                          self._sides(factors, resid, a_s))
 
 
@@ -209,10 +215,12 @@ class SensingObjective(_ResidualObjective):
     def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
         s_t = self.problem.s.T
         k = self._per_base("offset grad", w_pt, lambda w: self._offset(w) @ s_t)
-        return k + factors.b @ (a_s @ s_t)
+        g = factors.b @ (a_s @ s_t)
+        g += k  # in place, as in core.effective_weight
+        return g
 
     def _sides(self, factors, resid, a_s) -> Sides:
-        return Sides((factors.b.T @ resid) @ self.problem.s.T, resid @ a_s.T)
+        return Sides((factors.b.mT @ resid) @ self.problem.s.T, resid @ a_s.mT)
 
 
 class QuadraticObjective(Objective):
@@ -252,11 +260,12 @@ class RegressionObjective(_ResidualObjective):
         return float(resid @ resid)
 
     def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
-        return 2.0 * np.outer(resid, self.problem.s)
+        return 2.0 * (resid[..., :, None] * self.problem.s)
 
     def _sides(self, factors, resid, a_s) -> Sides:
-        return Sides(2.0 * np.outer(factors.b.T @ resid, self.problem.s),
-                     2.0 * np.outer(resid, a_s))
+        bt_res = (factors.b.mT @ resid[..., :, None])[..., 0]
+        return Sides(2.0 * (bt_res[..., :, None] * self.problem.s),
+                     2.0 * (resid[..., :, None] * a_s[..., None, :]))
 
 
 def sensing_objective(problem: SensingProblem) -> SensingObjective:

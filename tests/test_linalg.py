@@ -60,6 +60,11 @@ class TestCholeskySolve:
             stacked = inverse_cholesky(grams)
             for k in range(2):
                 assert np.array_equal(stacked[k], inverse_cholesky(grams[k : k + 1])[0])
+            # a stack of states' Gram pairs, as FactorGrams builds for a stacked state
+            pairs = np.stack([grams, grams[::-1], grams + np.eye(r)], axis=1)
+            stacked = inverse_cholesky(pairs)
+            for j in range(3):
+                assert np.array_equal(stacked[:, j], inverse_cholesky(pairs[:, j]))
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -125,6 +130,25 @@ class TestSylvesterSpd:
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
             sylvester_eig(np.diag([1.0, 0.0]), np.eye(2))
+
+    def test_stack_matches_single_bit_for_bit(self, rng):
+        for _ in range(200):
+            r = int(rng.integers(1, 9))
+            k = int(rng.integers(2, 5))
+            h = np.stack([random_spd(rng, r) for _ in range(k)])
+            c = rng.standard_normal((k, r, r))
+            c = c + c.mT
+            stacked = sylvester_eig(h, c)
+            assert stacked.shape == (k, r, r)
+            for j in range(k):
+                assert np.array_equal(stacked[j], sylvester_eig(h[j], c[j]))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_stack_with_one_degenerate_slice_raises(self, rng, slot):
+        h = np.stack([random_spd(rng, 2) for _ in range(3)])
+        h[slot] = np.diag([1.0, 0.0])
+        with pytest.raises(DegenerateSpectrum):
+            sylvester_eig(h, np.stack([np.eye(2)] * 3))
 
 
 class TestThinSvd:

@@ -1,0 +1,147 @@
+"""A stack of k cells, stepped as one by ``run_stack``, gives each cell the
+rows of its run alone, halts included."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from odelora.core import LoRAFactors
+from odelora.problems import (
+    balanced_init,
+    make_regression_instance,
+    make_sensing_instance,
+    perturbed_balanced_init,
+    perturbed_target_init,
+    quadratic_objective,
+    regression_objective,
+    sensing_objective,
+    zero_b_init,
+)
+from odelora.solvers import Scheme, SolverConfig, run_stack, run_trajectory
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def row_values(log):
+    """Every logged value but the wall clock, as exact reprs (nan == nan)."""
+    return repr([dataclasses.replace(row, wall_nanos=0) for row in log.rows])
+
+
+def assert_stack_matches_single_runs(start, objective, configs, w_pt, **flags):
+    """Run ``configs`` as one stack and each alone; return the stack's logs."""
+    logs = run_stack(start, objective, configs, w_pt, **flags)
+    assert len(logs) == len(configs)
+    for j, (log, config) in enumerate(zip(logs, configs)):
+        alone = run_trajectory(start.take(j) if start.stacked else start, objective, config,
+                               w_pt, **flags)
+        assert log.diverged == alone.diverged
+        assert row_values(log) == row_values(alone)
+    return logs
+
+
+def instance(kind: str, seed: int):
+    """(start, objective, w_pt) of a small problem of the given kind."""
+    if kind == "sensing":
+        p = make_sensing_instance(8, 8, 8, 2, 0.05, seed)
+        return perturbed_balanced_init(p, 0.8, 0.3, seed), sensing_objective(p), p.w_pt
+    if kind == "regression":
+        p = make_regression_instance(9, 7, seed)
+        return zero_b_init(9, 7, 2, seed + 100), regression_objective(p), p.w_pt
+    rng = np.random.default_rng(seed)
+    w_pt = rng.standard_normal((6, 7))
+    obj = quadratic_objective(w_pt + rng.standard_normal((6, 7)), mu=1.0)
+    return perturbed_target_init(obj.optimum_w - w_pt, 3, 0.8, 0.3, seed), obj, w_pt
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["sensing", "regression", "quadratic"]),
+    scheme=st.sampled_from(list(Scheme)),
+    hs=st.lists(st.sampled_from([0.05, 0.5, 1.5, 2.2, 3.5, 8.0]), min_size=1, max_size=4),
+    seed=st.integers(0, 3),
+    log_eps_ratio=st.booleans(),
+)
+def test_stack_equals_single_runs(kind, scheme, hs, seed, log_eps_ratio):
+    start, obj, w_pt = instance(kind, seed)
+    configs = [SolverConfig(scheme, h, 25) for h in hs]
+    assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=log_eps_ratio)
+
+
+@pytest.fixture(scope="module")
+def sweep_small():
+    """The benchmark's sweep-small instance and start (seed 0)."""
+    p = make_sensing_instance(40, 40, 40, 4, 0.05, 0)
+    return perturbed_balanced_init(p, 0.8, 0.05, 0), sensing_objective(p), p.w_pt
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_sweep_small_cells_halt_on_their_own_rows(sweep_small, scheme):
+    start, obj, w_pt = sweep_small
+    configs = [SolverConfig(scheme, h, 100) for h in (2.2, 0.1, 0.5)]
+    logs = assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=False)
+    halts = {Scheme.CLASSICAL_GD: 4, Scheme.RIEMANNIAN: 20, Scheme.LORA_PRO: 61,
+             Scheme.FULL_FT: 61}
+    assert [len(log.rows) for log in logs] == [halts.get(scheme, 101), 101, 101]
+    assert [log.diverged for log in logs] == [scheme in halts, False, False]
+
+
+def test_sweep_small_with_eps_ratio_logged(sweep_small):
+    start, obj, w_pt = sweep_small
+    configs = [SolverConfig(Scheme.ODE_RK4, h, 30) for h in (0.1, 0.5, 2.2)]
+    logs = assert_stack_matches_single_runs(start, obj, configs, w_pt)
+    assert all(row.eps_ratio is not None for log in logs for row in log.rows)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.ODE_EULER, Scheme.ODE_RK4, Scheme.RIEMANNIAN,
+                                    Scheme.LORA_PRO])
+def test_slice_refused_by_the_kernel_leaves_the_stack(sweep_small, scheme):
+    # B = 0 at eps_reg = 0: the Gram pivot check refuses that slice's step,
+    # which raises for the whole stack; the others step on
+    start, obj, w_pt = sweep_small
+    zero_b = LoRAFactors(start.a, np.zeros_like(start.b))
+    stack = LoRAFactors(np.stack([start.a, zero_b.a, start.a]),
+                        np.stack([start.b, zero_b.b, start.b]))
+    configs = [SolverConfig(scheme, h, 20, eps_reg=0.0) for h in (0.1, 0.1, 0.5)]
+    logs = assert_stack_matches_single_runs(stack, obj, configs, w_pt, log_eps_ratio=False)
+    assert [log.diverged for log in logs] == [False, True, False]
+    assert [row.iter for row in logs[1].rows] == [0, 1]
+    assert np.isnan(logs[1].rows[-1].loss)
+
+
+def test_slice_with_a_vanishing_gradient_logs_a_zero_ratio():
+    # a start at the optimum has no null-space ratio; the stacked ratio
+    # falls back to slice-by-slice and logs 0.0 there, as a run alone does
+    rng = np.random.default_rng(5)
+    w_pt = rng.standard_normal((6, 7))
+    target = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 7))
+    obj = quadratic_objective(w_pt + target, mu=1.0)
+    exact, off = balanced_init(target, 2), perturbed_target_init(target, 2, 0.8, 0.3, 5)
+    stack = LoRAFactors(np.stack([off.a, exact.a]), np.stack([off.b, exact.b]))
+    configs = [SolverConfig(Scheme.ODE_RK2, 0.2, 5)] * 2
+    logs = assert_stack_matches_single_runs(stack, obj, configs, w_pt)
+    assert logs[1].rows[0].eps_ratio == 0.0 and logs[0].rows[0].eps_ratio > 0.0
+
+
+def test_cells_must_differ_only_in_step_size(sweep_small):
+    start, obj, w_pt = sweep_small
+    for other in (SolverConfig(Scheme.ODE_RK2, 0.1, 5), SolverConfig(Scheme.ODE_RK4, 0.1, 6),
+                  SolverConfig(Scheme.ODE_RK4, 0.1, 5, eps_reg=0.0)):
+        with pytest.raises(ValueError, match="step sizes"):
+            run_stack(start, obj, [SolverConfig(Scheme.ODE_RK4, 0.2, 5), other], w_pt)
+
+
+def test_stacked_factors_are_checked_as_one_stack():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((3, 2, 7)), rng.standard_normal((3, 6, 2))
+    stack = LoRAFactors(a, b)
+    assert stack.stacked and stack.rank == 2 and stack.shape == (6, 7)
+    one = stack.take(1)
+    assert not one.stacked and np.array_equal(one.a, a[1]) and np.array_equal(one.b, b[1])
+    with pytest.raises(ValueError, match="stack mismatch"):
+        LoRAFactors(a, b[:2])
+    with pytest.raises(ValueError, match="stack mismatch"):
+        LoRAFactors(a, b[0])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        LoRAFactors(a, rng.standard_normal((3, 6, 3)))
