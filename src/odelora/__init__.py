@@ -18,7 +18,6 @@ from .core import (
     Objective,
     effective_weight,
     field_eval,
-    flow_rhs_full,
     gram_a,
     gram_b,
 )
@@ -73,7 +72,6 @@ from .solvers import (
     TrajectoryRow,
     classical_gd_step,
     full_ft_step,
-    lorapro_direction,
     lorapro_step,
     ode_euler_step,
     ode_rk2_step,

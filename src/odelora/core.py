@@ -22,10 +22,9 @@ in ``metrics`` read G only through its two sides ``B^T G`` (r x n) and
 low-rank structure computes them without forming G.
 
 ``FactorGrams`` builds both regularized Grams of one state and their inverse
-Cholesky factors once; the field, the flow's full-weight velocity and the
-null-space ratio are a few products on top of it. Only the full-weight
-velocity projects an m x n matrix; the ratio takes a trace identity on G's
-sides. Inputs are validated at the boundary (``LoRAFactors`` and the
+Cholesky factors once; the field, the baselines' directions and the
+null-space ratio are a few products on top of it, and none projects an
+m x n matrix. Inputs are validated at the boundary (``LoRAFactors`` and the
 gradient check in ``gradient_sides``), not inside each solve.
 
 A state may be a stack of k states along a leading axis: A is (k, r, n) and
@@ -35,13 +34,7 @@ carries the same leading axis. The code is written once, with ``.mT`` and
 it, and each slice of a stacked result is bit-for-bit the result of that
 slice alone. A measurement that is one number per state (a loss, a defect,
 a ratio) is a float at an unstacked state and a (k,) array at a stacked
-one (``per_slice``). ``solvers.run_stack`` steps such stacks: the cells
-of one scheme that share a start, an objective and every setting but the
-step size, which is one stack per scheme in an ``h`` sweep.
-``run_trajectory`` is its k = 1 case, and a cell that halts gets its final
-row and leaves the stack. On the benchmark's sweep-small workload (21 cells
-at n = 40, r = 4, one BLAS thread) this took the median ``run_s`` from
-2.85 s to 1.54 s.
+one (``per_slice``). ``solvers.run_stack`` steps such stacks.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ __all__ = [
     "gradient_sides",
     "field_eval",
     "field_eval_sides",
-    "flow_rhs_full",
     "per_slice",
 ]
 
@@ -236,12 +228,11 @@ class FactorGrams:
     ``linalg.inverse_cholesky`` call, which raises NotPositiveDefinite or
     NonFiniteState; and applies each Gram's inverse as two products,
     ``L^{-T} (L^{-1} rhs)``. The factors are trusted (``LoRAFactors``
-    validated them). ``project_out_both`` serves ``flow_rhs_full``;
-    ``metrics.eps_ratio`` uses the two solves alone.
+    validated them).
     """
 
     def __init__(self, factors: LoRAFactors, eps: float = 0.0):
-        self.a, self.b = factors.a, factors.b
+        self.b = factors.b
         self.gb, self.ga = gram_b(factors, eps), gram_a(factors, eps)
         self._inv_b, self._inv_a = inverse_cholesky(np.array((self.gb, self.ga)))
 
@@ -256,11 +247,6 @@ class FactorGrams:
     def project_out_b(self, w: np.ndarray) -> np.ndarray:
         """P_B^null w, the column-space annihilator of B applied without forming it."""
         return w - self.b @ self.solve_b(self.b.mT @ w)
-
-    def project_out_both(self, g: np.ndarray) -> np.ndarray:
-        """P_B^null G P_A^null, the part of G trapped in both factor null spaces."""
-        left = self.project_out_b(g)
-        return left - (self.solve_a((left @ self.a.mT).mT).mT @ self.a)
 
     def gauge(self, c: np.ndarray) -> np.ndarray:
         """Solve H X + X H = C with H = G_A + G_B, for symmetric C."""
@@ -297,14 +283,3 @@ def field_eval_sides(factors: LoRAFactors, sides: Sides, eps: float = 0.0) -> Fi
     f_a = -both[..., r:] + x @ a
     f_b = -grams.project_out_b(grams.solve_a(g_at.mT).mT) - b @ x
     return FieldEval(f_a, f_b, x)
-
-
-def flow_rhs_full(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Effective full-weight velocity -G + P_B^null G P_A^null.
-
-    This equals B F_A + F_B A for the field above (exactly, for any eps),
-    i.e. the induced weight dynamic is the negative gradient up to the
-    component trapped in both factor null spaces.
-    """
-    g = as_matrix(g, "G", stack=True)
-    return -g + FactorGrams(factors, eps).project_out_both(g)

@@ -32,9 +32,7 @@ raises one of ``DIVERGENCE_ERRORS`` is taken again slice by slice; only the
 slices that raise halt, and the rest go on as a stack. ``run_trajectory``
 is the k = 1 case. ``odelora sweep`` stacks the cells of one scheme that
 share a problem and start: one stack per scheme for an ``h`` sweep, and one
-cell per stack for a ``delta`` sweep. On the benchmark's sweep-small
-workload (seven stacks of k = 3) the median ``run_s`` went from
-2.85 s to 1.54 s.
+cell per stack for a ``delta`` sweep.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .core import (
     Sides,
     effective_weight,
     field_eval_sides,
-    gradient_sides,
 )
 from .linalg import (
     DegenerateSpectrum,
@@ -76,7 +73,6 @@ __all__ = [
     "classical_gd_step",
     "riemannian_step",
     "lorapro_step",
-    "lorapro_direction",
     "full_ft_step",
     "run_stack",
     "run_trajectory",
@@ -157,16 +153,10 @@ def _riemannian_direction(factors: LoRAFactors, sides: Sides, eps: float):
 
 
 def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float):
+    """Gradient matching with zero gauge (X = 0): dA = -(B^T B + eps I)^{-1} B^T G,
+    dB = -P_B^null G A^T (A A^T + eps I)^{-1}."""
     grams = FactorGrams(factors, eps)
     return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.mT).mT)
-
-
-def lorapro_direction(
-    factors: LoRAFactors, g: np.ndarray, eps: float = DEFAULT_EPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient-matching direction with zero gauge (X = 0):
-    dA = -(B^T B + eps I)^{-1} B^T G, dB = -P_B^null G A^T (A A^T + eps I)^{-1}."""
-    return _lorapro_direction(factors, gradient_sides(factors, g), eps)
 
 
 # (tableau, direction) of each factor scheme.
@@ -300,10 +290,12 @@ def _join(parts):
 
 
 def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
-    """``eps_ratio`` of each slice, 0.0 where the gradient vanishes."""
+    """``eps_ratio`` of each slice: 0.0 where the gradient vanishes, and
+    None (a blank field) where the kernel refuses the slice's Grams. It is
+    a diagnostic, so a refusal here never halts the run."""
     try:
         return eps_ratio(state, g, eps)
-    except ZeroGradient:
+    except (ZeroGradient, *DIVERGENCE_ERRORS):
         pass
     ratios = []
     for j in range(len(g)):
@@ -311,6 +303,8 @@ def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
             ratios.append(eps_ratio(state.take(j), g[j], eps))
         except ZeroGradient:
             ratios.append(0.0)
+        except DIVERGENCE_ERRORS:
+            ratios.append(None)
     return ratios
 
 

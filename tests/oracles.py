@@ -6,9 +6,11 @@ Kronecker vectorization instead of eigendecomposition, trace-power Newton
 identities instead of an eigensolver, stacked least squares instead of the
 closed-form constrained minimizer, and finite differences instead of exact
 gradients. The null-space projectors are formed as explicit n x n and
-m x m matrices, where the library only applies them through Gram solves,
-and the sensing ground truth is balanced from its dense m x n product,
-where the library works from its factors.
+m x m matrices, where the library only applies them through Gram solves;
+``flow_rhs_full``, the full-weight velocity ``-G + P_B^null G P_A^null``
+the flow must induce, is built from them. The sensing ground truth is
+balanced from its dense m x n product, where the library works from its
+factors.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ def null_projector_b(factors, eps=0.0):
     """I - B (B^T B + eps I)^{-1} B^T, the column-space annihilator (m x m)."""
     b = factors.b
     return np.eye(b.shape[0]) - b @ _gram_solve(gram_b(factors, eps), b.T)
+
+
+def flow_rhs_full(factors, g, eps=0.0):
+    """-G + P_B^null G P_A^null, the full-weight velocity B F_A + F_B A that
+    the balanced field induces (for any eps), from the explicit projectors."""
+    return -g + null_projector_b(factors, eps) @ g @ null_projector_a(factors, eps)
 
 
 def dense_unit_balanced_truth(rng, m, n, r):

@@ -5,7 +5,10 @@ gradient sides it reads.
 The property tests draw shapes, factor and gradient scales from 1e-6 to 1e3
 and eps in {0, 1e-8}, and check the paper's identities against routes that
 do not go through ``FactorGrams``: plain ``np.linalg.solve`` on the Grams,
-the Kronecker-vectorized Sylvester oracle and the explicit null projectors.
+the Kronecker-vectorized Sylvester oracle and the explicit null projectors
+(the oracle's ``flow_rhs_full``). Only the flow identity at a Gram condition
+number of 1e14 is checked against ``FactorGrams`` itself; see
+``TestNearRankDeficientB``.
 The residual-form objectives are checked against the dense default of
 ``Objective``, which forms G.
 """
@@ -21,7 +24,7 @@ from odelora.core import (
     Objective,
     effective_weight,
     field_eval,
-    flow_rhs_full,
+    gradient_sides,
     gram_a,
     gram_b,
 )
@@ -37,8 +40,15 @@ from odelora.problems import (
     perturbed_balanced_init,
     quadratic_objective,
 )
-from odelora.solvers import Scheme, SolverConfig, lorapro_direction, riemannian_step, run_trajectory
-from oracles import kron_sylvester, null_projector_a, null_projector_b
+from odelora.solvers import (
+    Scheme,
+    SolverConfig,
+    _lorapro_direction,
+    _riemannian_direction,
+    riemannian_step,
+    run_trajectory,
+)
+from oracles import flow_rhs_full, kron_sylvester, null_projector_a, null_projector_b
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -91,7 +101,7 @@ class TestFactorizationCounts:
 
     def test_lorapro_direction(self, rng, counted):
         f, g = random_state(rng)
-        lorapro_direction(f, g, 1e-8)
+        _lorapro_direction(f, gradient_sides(f, g), 1e-8)
         assert counted == {"cholesky": 2, "eigh": 0}
 
     def test_riemannian_direction(self, rng, counted):
@@ -102,9 +112,8 @@ class TestFactorizationCounts:
 
     def test_flow_rhs_full_and_eps_ratio(self, rng, counted):
         f, g = random_state(rng)
-        flow_rhs_full(f, g, 1e-8)
         eps_ratio(f, g, 1e-8)
-        assert counted == {"cholesky": 4, "eigh": 0}
+        assert counted == {"cholesky": 2, "eigh": 0}
 
     def test_field_eval_makes_three_gram_solves(self, rng, gram_solves):
         # both right-hand sides of B's Gram go through one solve
@@ -174,11 +183,20 @@ def assume_factorable(f, eps):
         hypothesis.reject()
 
 
-def assert_flow_identity(f, g, eps, fe, rel_tol):
-    """B F_A + F_B A = flow_rhs_full to ``rel_tol`` ||G||."""
+def assert_flow_identity(f, g, eps, fe, rel_tol, reference=flow_rhs_full):
+    """B F_A + F_B A = ``reference(f, g, eps)`` to ``rel_tol`` ||G||; the
+    reference is the oracle's ``-G + P_B^null G P_A^null`` by default."""
     dw = f.b @ fe.f_a + fe.f_b @ f.a
     tol = rel_tol * np.linalg.norm(g)
-    assert np.linalg.norm(dw - flow_rhs_full(f, g, eps)) <= tol
+    assert np.linalg.norm(dw - reference(f, g, eps)) <= tol
+
+
+def flow_rhs_on_factor_grams(f, g, eps):
+    """-G + P_B^null G P_A^null applied through the library's own Gram
+    inverses (``FactorGrams``) rather than the oracle's."""
+    grams = FactorGrams(f, eps)
+    left = grams.project_out_b(g)
+    return -g + (left - grams.solve_a((left @ f.a.T).T).T @ f.a)
 
 
 def assert_tangent(f, g, eps, fe, rel_tol):
@@ -257,9 +275,12 @@ class TestFieldProperties:
         b = f.b.copy()
         b[:, -1] = c * b[:, 0] if f.rank > 1 else 0.0
         degenerate = LoRAFactors(a=f.a, b=b)
-        for kernel in (field_eval, flow_rhs_full, lorapro_direction):
+        with pytest.raises(NotPositiveDefinite):
+            field_eval(degenerate, g, 0.0)
+        sides = gradient_sides(degenerate, g)
+        for direction in (_lorapro_direction, _riemannian_direction):
             with pytest.raises(NotPositiveDefinite):
-                kernel(degenerate, g, 0.0)
+                direction(degenerate, sides, 0.0)
 
 
 @st.composite
@@ -286,7 +307,14 @@ class TestNearRankDeficientB:
     def test_field_is_refused_or_meets_the_identities(self, state):
         # B's Gram has condition number 1e14, at the kernel's pivot rule:
         # the kernel may refuse it, but a field it returns must be finite
-        # and satisfy the flow and tangency identities at eps = 0. The
+        # and satisfy the flow and tangency identities at eps = 0. The flow
+        # identity is a consistency check only: its reference applies the
+        # projectors through the library's own Gram inverses, because at
+        # this conditioning the projected form is itself ill-conditioned.
+        # Against a 60-digit mpmath reference, the field, the projected
+        # form on FactorGrams and the Gaussian-elimination oracle each
+        # missed the exact value in 25 of 39 draws, by up to 2.9e3 times
+        # this tolerance, so no independent route can be held to it. The
         # tolerance scales with sqrt(cond) = sigma_max / sigma_min of B, the
         # amplification the field's B-side solve can reach; the full
         # condition number would allow 10 ||G||, which a zero field meets.
@@ -301,7 +329,7 @@ class TestNearRankDeficientB:
             return
         assert all(np.all(np.isfinite(part)) for part in fe)
         rel_tol = 1e-13 * np.sqrt(conditioning(f, 0.0))
-        assert_flow_identity(f, g, 0.0, fe, rel_tol)
+        assert_flow_identity(f, g, 0.0, fe, rel_tol, reference=flow_rhs_on_factor_grams)
         assert_tangent(f, g, 0.0, fe, rel_tol)
 
 

@@ -5,22 +5,34 @@ import pytest
 
 import odelora.solvers as solvers_mod
 from conftest import random_factors
-from odelora.core import FieldEval, LoRAFactors, Objective, effective_weight, field_eval
+from odelora.core import (
+    FactorGrams,
+    FieldEval,
+    LoRAFactors,
+    Objective,
+    effective_weight,
+    field_eval,
+    gradient_sides,
+)
+from odelora.linalg import NotPositiveDefinite
 from odelora.metrics import balance_defect
 from odelora.problems import (
+    aligned_zero_b_init,
     balanced_init,
+    make_regression_instance,
     make_sensing_instance,
     perturbed_balanced_init,
     quadratic_objective,
+    regression_objective,
     sensing_objective,
     zero_b_init,
 )
 from odelora.solvers import (
     Scheme,
     SolverConfig,
+    _lorapro_direction,
     classical_gd_step,
     full_ft_step,
-    lorapro_direction,
     lorapro_step,
     ode_euler_step,
     ode_rk2_step,
@@ -28,6 +40,7 @@ from odelora.solvers import (
     riemannian_step,
     run_trajectory,
 )
+from oracles import flow_rhs_full
 
 class ConstantGradient(Objective):
     """Linear objective: loss = <G0, W>, gradient identically G0."""
@@ -252,11 +265,9 @@ class TestRiemannian:
 
 class TestLoraPro:
     def test_effective_direction_matches_projected_flow(self, rng):
-        from odelora.core import flow_rhs_full
-
         f, w_pt, obj = quadratic_fixture(rng)
         g = obj.grad(effective_weight(w_pt, f))
-        da, db = lorapro_direction(f, g, eps=0.0)
+        da, db = _lorapro_direction(f, gradient_sides(f, g), 0.0)
         assert np.linalg.norm(
             f.b @ da + db @ f.a - flow_rhs_full(f, g)
         ) <= 1e-10 * np.linalg.norm(g)
@@ -374,8 +385,6 @@ class TestRunTrajectory:
         assert len(log.rows) < 201
 
     def test_raised_step_failure_gets_a_final_row(self, rng, monkeypatch):
-        from odelora.linalg import NotPositiveDefinite
-
         f, w_pt, obj = quadratic_fixture(rng)
         calls = []
 
@@ -450,6 +459,23 @@ class TestRunTrajectory:
         fresh = run_trajectory(f0, obj, cfg, w_pt=p.w_pt)
         assert reused.diverged and fresh.diverged
         assert row_values(reused) == row_values(fresh)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_a_refused_null_space_ratio_is_logged_blank(self, scheme):
+        # a regression zero-B start at eps_reg = 0: the kernel refuses B's
+        # Gram (and, after a classical_gd step, B's rank-one Gram), so each
+        # row's ratio is blank, and the run is the one that logs no ratio
+        p = make_regression_instance(12, 10, 0)
+        start, obj = aligned_zero_b_init(p, 2, 0), regression_objective(p)
+        with pytest.raises(NotPositiveDefinite):
+            FactorGrams(start, 0.0)
+        config = SolverConfig(scheme, 0.1, 4, eps_reg=0.0)
+        logged = run_trajectory(start, obj, config, w_pt=p.w_pt)
+        unlogged = run_trajectory(start, obj, config, w_pt=p.w_pt, log_eps_ratio=False)
+        assert all(row.eps_ratio is None for row in logged.rows)
+        assert logged.diverged == unlogged.diverged
+        assert row_values(logged) == row_values(unlogged)
+        assert len(logged.rows) == (2 if logged.diverged else 5)
 
     def test_determinism(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)

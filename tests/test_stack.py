@@ -110,6 +110,20 @@ def test_slice_refused_by_the_kernel_leaves_the_stack(sweep_small, scheme):
     assert np.isnan(logs[1].rows[-1].loss)
 
 
+def test_slice_with_a_refused_ratio_logs_a_blank(sweep_small):
+    # B = 0 at eps_reg = 0, with the ratio logged: the kernel refuses that
+    # slice's ratio, which raises for the whole stack; the stacked ratio
+    # falls back to slice-by-slice and logs None there, as a run alone does
+    start, obj, w_pt = sweep_small
+    stack = LoRAFactors(np.stack([start.a, start.a, start.a]),
+                        np.stack([start.b, np.zeros_like(start.b), start.b]))
+    for scheme in Scheme:
+        configs = [SolverConfig(scheme, h, 10, eps_reg=0.0) for h in (0.1, 0.1, 0.5)]
+        logs = assert_stack_matches_single_runs(stack, obj, configs, w_pt)
+        if scheme is not Scheme.FULL_FT:
+            assert [log.rows[0].eps_ratio is None for log in logs] == [False, True, False]
+
+
 def test_slice_with_a_vanishing_gradient_logs_a_zero_ratio():
     # a start at the optimum has no null-space ratio; the stacked ratio
     # falls back to slice-by-slice and logs 0.0 there, as a run alone does
