@@ -8,7 +8,18 @@ consecutive defect ratios. ``phi_decompose`` splits the one-step change of
 the model output ``(B A) s`` into the per-stage contributions of any factor
 scheme, whose scaling with the model dimension n is what "stable feature
 learning" constrains. It takes one step of the same Runge–Kutta engine
-that ``solvers`` steps with, so the decomposed step is the solver's step.
+that ``solvers`` steps with, so the decomposed step is the solver's step,
+and like that engine it takes a stacked state: on a ``RegressionStack``,
+slice j on instance j, with each value a (k,) array.
+
+``feature_scaling_experiment`` runs the seeds of one dimension n as one
+stack per scheme. It keeps each instance's feature and offset
+``W_pt s - y``, and frees the instance's dense ``W_pt`` before the next is
+built, so one dense ``W_pt`` is alive at a time; the stack holds
+O(k (m + n) r) floats, below one ``W_pt`` while k r is well under n. A
+stacked step that fails is redone slice by slice, as in
+``solvers.run_stack``, so every row and error is the one each seed gives
+alone.
 """
 
 from __future__ import annotations
@@ -20,7 +31,12 @@ import numpy as np
 
 from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight
 from .linalg import NonFiniteState
-from .problems import aligned_zero_b_init, make_regression_instance, regression_objective
+from .problems import (
+    RegressionStack,
+    aligned_zero_b_init,
+    make_regression_instance,
+    regression_objective,
+)
 from .solvers import DIVERGENCE_ERRORS, Scheme, _rk_step, _step_for
 
 __all__ = [
@@ -128,7 +144,9 @@ class PhiReport:
     quadratic cross term reproduce the output change exactly;
     ``sum_check_residual`` reports the reconstruction error, relative to
     max(1, ||change||). The output change is taken in factor form,
-    ``B' (A' s) - B (A s)``, so the check forms no m x n product.
+    ``B' (A' s) - B (A s)``, so the check forms no m x n product. At a
+    stacked state each entry and the residual are (k,) arrays, one value
+    per slice.
     """
 
     component_norms: tuple[float, ...]
@@ -154,11 +172,15 @@ def phi_decompose(
     the output change ``B' (A' s) - B (A s)`` in factor form. The objective
     caches the offset ``W_pt s - y``, so a caller that reuses it forms the
     offset once.
+
+    A stacked state on a ``RegressionStack`` of as many instances steps as
+    one, slice j on instance j: the report holds (k,) arrays, and slice j's
+    values and post-step state are what that slice gives alone.
     """
     problem = objective.problem
     after, tableau, stages = _rk_step(scheme, factors, problem.w_pt, objective, h, eps)
     weights = [b / tableau.denominator for b in tableau.weights]
-    s = problem.s
+    s = problem.s[..., :, None]
     a_s = factors.a @ s
     components = []
     for w, (f_a, f_b) in zip(weights, stages):
@@ -166,11 +188,15 @@ def phi_decompose(
         components.append(w * h * (factors.b @ (f_a @ s)))
     cross = (after.b - factors.b) @ ((after.a - factors.a) @ s)
     change = after.b @ (after.a @ s) - factors.b @ a_s
-    residual = np.linalg.norm(sum(components) + cross - change)
-    scale = max(1.0, float(np.linalg.norm(change)))
+
+    def norm(x):
+        """Each slice's column norm, from the dot product np.linalg.norm takes."""
+        return np.sqrt((x.mT @ x)[..., 0, 0])
+
+    error = sum(components) + cross - change
     report = PhiReport(
-        component_norms=tuple(float(np.linalg.norm(c)) for c in components),
-        sum_check_residual=float(residual / scale),
+        component_norms=tuple(norm(c) for c in components),
+        sum_check_residual=norm(error) / np.fmax(1.0, norm(change)),
     )
     return report, after
 
@@ -184,23 +210,74 @@ class FeatureScalingResult:
     slopes: dict[int, float | None]               # component -> log-log slope vs n
 
 
-def _scaling_rows(scheme, objective, start, seed, steps, h):
-    """Rows ``(n, seed, step, component, norm)`` of ``steps`` decomposed steps."""
-    n, rows, state = objective.problem.s.shape[0], [], start
+def _seed_stack(n: int, seeds):
+    """The objective of the ``(n, seed)`` regression instances, stacked in
+    seed order, and their starts as one stack. Each instance's dense
+    ``W_pt`` is freed once its offset is formed, so one is alive at a time."""
+    features, offsets, a, b = [], [], [], []
+    for seed in seeds:
+        problem = make_regression_instance(n, n, seed)
+        start = aligned_zero_b_init(problem, FEATURE_SCALING_RANK, seed)
+        features.append(problem.s)
+        offsets.append(problem.w_pt @ problem.s - problem.y)
+        a.append(start.a)
+        b.append(start.b)
+        del problem, start
+    stack = RegressionStack(np.array(features), np.array(offsets))
+    return regression_objective(stack), LoRAFactors(np.array(a), np.array(b))
+
+
+def _checked_phi(state, objective, scheme, h):
+    """``phi_decompose``, raising NonFiniteState on a non-finite component."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, after = phi_decompose(state, objective, scheme, h)
+    if not np.isfinite(report.component_norms).all():
+        raise NonFiniteState("non-finite output component")
+    return report, after
+
+
+def _scaling_rows(scheme, objective, start, n, seeds, steps, h):
+    """Rows ``(n, seed, step, component, norm)`` of ``steps`` decomposed steps
+    of each slice of the stack ``start`` (slice j on seed j), seed-major, and
+    the failure ``(seed, step, error)`` of the first seed that meets one of
+    ``solvers.DIVERGENCE_ERRORS`` or a non-finite component, at its first
+    such step, or None.
+
+    The stack steps as one. A stacked step that fails is redone slice by
+    slice, each slice alone, since a stacked kernel's message lists every
+    slice's values. The first slice that fails leaves the stack with every
+    slice after it, and the slices before it step on, as one of them may
+    still fail and precede it.
+    """
+    norms = [[] for _ in seeds]  # per seed, per step, the component norms
+    failure, state = None, start
     for step_idx in range(steps):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                report, state = phi_decompose(state, objective, scheme, h)
-            if not all(np.isfinite(report.component_norms)):
-                raise NonFiniteState("non-finite output component")
-        except DIVERGENCE_ERRORS as err:
-            raise ScalingDiverged(
-                f"{scheme.value} diverged at n = {n}, seed = {seed}, "
-                f"step = {step_idx}: {err}"
-            ) from err
-        rows += [(n, int(seed), step_idx, comp, norm)
-                 for comp, norm in enumerate(report.component_norms)]
-    return rows
+            report, state = _checked_phi(state, objective, scheme, h)
+            stepped = np.array(report.component_norms).T.tolist()
+        except DIVERGENCE_ERRORS:
+            alone = []
+            for j in range(len(state.a)):
+                try:
+                    alone.append(_checked_phi(state.take(j),
+                                              regression_objective(objective.problem.take(j)),
+                                              scheme, h))
+                except DIVERGENCE_ERRORS as err:
+                    failure = (seeds[j], step_idx, err)
+                    break
+            if not alone:
+                break
+            stepped = np.array([report.component_norms for report, _ in alone]).tolist()
+            state = LoRAFactors(np.array([after.a for _, after in alone]),
+                                np.array([after.b for _, after in alone]))
+            objective = regression_objective(objective.problem.take(slice(len(alone))))
+        for history, comps in zip(norms, stepped):
+            history.append(comps)
+    rows = [(n, int(seed), step_idx, comp, norm)
+            for seed, history in zip(seeds, norms)
+            for step_idx, comps in enumerate(history)
+            for comp, norm in enumerate(comps)]
+    return rows, failure
 
 
 def _scaling_fit(rows, n_list) -> FeatureScalingResult:
@@ -222,41 +299,54 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
     """Output-contribution norms across model dimensions for the RK4 flow and
     plain factor descent: ``{ODE_RK4: result, CLASSICAL_GD: result}``.
 
-    Each ``(n, seed)`` square regression instance, its objective and its
+    Each ``(n, seed)`` square regression instance is built once, and its
     rank-``FEATURE_SCALING_RANK`` zero-B start (A rows at a fixed overlap
-    with the feature) are built once, and ``steps`` iterations of each
-    scheme run from them, logging every stage contribution; only building
-    touches m x n data, and one instance is alive at a time. ``seeds`` is
-    a count or a list. A component's slope is the log-log slope of its
-    median norm against n (``None`` when the medians vanish); flat slopes
-    mean one step size trains every width at the same output speed.
+    with the feature) with it. ``seeds`` is a count or a list. The seeds of
+    one n run as one stack per scheme, ``steps`` iterations from their
+    starts, logging every stage contribution; its rows are seed-major, then
+    in step order. The stack keeps each instance's feature and offset
+    ``W_pt s - y`` (a ``RegressionStack``), not its dense ``W_pt``, which is
+    freed before the next instance is built: one dense ``W_pt`` is alive at
+    a time, and the stack holds O(k (m + n) r) floats for k seeds, below one
+    ``W_pt`` while k r is well under n. A component's slope is the log-log
+    slope of its median norm against n (``None`` when the medians vanish);
+    flat slopes mean one step size trains every width at the same output
+    speed.
 
     Under this aligned start both schemes are dimension-free by
     construction (factor descent's iterates never involve n, so its slopes
     are exactly 0); the contrast needs ``zero_b_init`` without ``align``.
 
     Raises ScalingDiverged when a step meets one of
-    ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component; factor
-    descent's is raised only once the flow has run every instance, as if
-    each scheme ran alone. It is kept until then as a fresh error with the
-    same message, without a traceback or a cause, whose frames would hold
-    its instance's dense ``W_pt`` alive.
+    ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component, naming
+    the first ``(n, seed)`` that fails, in n order and then in the order of
+    ``seeds``, and that seed's first failing step, as if each instance ran
+    alone. The flow's error wins: factor descent's is raised only once the
+    flow has run every instance, and is kept until then as a fresh error,
+    without a traceback or a cause.
     """
     seeds = range(seeds) if isinstance(seeds, int) else seeds
     rows = {Scheme.ODE_RK4: [], Scheme.CLASSICAL_GD: []}
     descent_diverged = None
     for n in n_list:
-        for seed in seeds:
-            problem = make_regression_instance(n, n, seed)
-            start = aligned_zero_b_init(problem, FEATURE_SCALING_RANK, seed)
-            instance = (regression_objective(problem), start, seed, steps, h)
-            rows[Scheme.ODE_RK4] += _scaling_rows(Scheme.ODE_RK4, *instance)
-            try:
-                if descent_diverged is None:
-                    rows[Scheme.CLASSICAL_GD] += _scaling_rows(Scheme.CLASSICAL_GD, *instance)
-            except ScalingDiverged as err:
-                descent_diverged = ScalingDiverged(str(err))
-            del problem, start, instance
+        objective, start = _seed_stack(n, seeds)
+        found, failure = _scaling_rows(Scheme.ODE_RK4, objective, start, n, seeds, steps, h)
+        if failure is not None:
+            raise _diverged(Scheme.ODE_RK4, n, *failure) from failure[-1]
+        rows[Scheme.ODE_RK4] += found
+        if descent_diverged is None:
+            found, failure = _scaling_rows(Scheme.CLASSICAL_GD, objective, start, n, seeds,
+                                           steps, h)
+            if failure is None:
+                rows[Scheme.CLASSICAL_GD] += found
+            else:
+                descent_diverged = _diverged(Scheme.CLASSICAL_GD, n, *failure)
     if descent_diverged is not None:
         raise descent_diverged
     return {scheme: _scaling_fit(found, n_list) for scheme, found in rows.items()}
+
+
+def _diverged(scheme, n, seed, step_idx, err) -> ScalingDiverged:
+    return ScalingDiverged(
+        f"{scheme.value} diverged at n = {n}, seed = {seed}, step = {step_idx}: {err}"
+    )

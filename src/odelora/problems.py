@@ -24,6 +24,7 @@ __all__ = [
     "InvalidDelta",
     "SensingProblem",
     "RegressionProblem",
+    "RegressionStack",
     "SensingObjective",
     "QuadraticObjective",
     "RegressionObjective",
@@ -68,6 +69,24 @@ class RegressionProblem:
     s: np.ndarray        # n-vector, ||s|| = 1
     y: np.ndarray        # m-vector
     w_pt: np.ndarray     # m x n
+
+
+@dataclass(frozen=True)
+class RegressionStack:
+    """k regression instances of one shape, kept as what a factor state reads
+    of them: features ``s`` (k, n) and offsets ``W_pt s - y`` (k, m); or one
+    instance, with s (n,) and its offset (m,). The dense base weights are
+    not kept: ``w_pt`` is None, and ``RegressionObjective`` reads the
+    offsets in its place.
+    """
+
+    s: np.ndarray
+    offset: np.ndarray
+    w_pt = None
+
+    def take(self, index) -> "RegressionStack":
+        """The instances ``index`` of the stack: one instance for an int."""
+        return RegressionStack(self.s[index], self.offset[index])
 
 
 def _seeded_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,15 +183,16 @@ class _ResidualObjective(Objective):
             self._kept[name] = build(w_pt)
         return self._kept[name]
 
-    def _offset(self, w_pt: np.ndarray) -> np.ndarray:
-        """``C0 = W_pt s - y``."""
+    def _offset(self, w_pt: np.ndarray | None) -> np.ndarray:
+        """``C0 = W_pt s - y``; a problem that keeps no ``W_pt`` holds it."""
+        if w_pt is None:
+            return self.problem.offset
         return self._per_base("offset", w_pt, lambda w: w @ self.problem.s - self.problem.y)
 
-    def _residual(self, factors: LoRAFactors, w_pt: np.ndarray):
+    def _residual(self, factors: LoRAFactors, w_pt: np.ndarray | None):
         """``(C0 + B (A s), A s)`` at the factor state."""
-        s = self.problem.s
-        a_s = factors.a @ s
-        resid = (factors.b @ a_s[..., :, None])[..., 0] if s.ndim == 1 else factors.b @ a_s
+        a_s = factors.a @ self.problem.s
+        resid = factors.b @ a_s
         resid += self._offset(w_pt)  # in place, as in core.effective_weight
         return resid, a_s
 
@@ -247,7 +267,9 @@ class RegressionObjective(_ResidualObjective):
 
     At a factor state, with res the residual, the sides are
     ``B^T G = 2 (B^T res) s^T`` and ``G A^T = 2 res (A s)^T``, O((m + n) r)
-    work.
+    work. Its problem is a ``RegressionProblem``, or a ``RegressionStack``
+    read only at factor states: a stacked state on a stack of k instances
+    takes slice j to instance j, with ``None`` for the base weight.
     """
 
     def loss(self, w: np.ndarray) -> float:
@@ -256,15 +278,22 @@ class RegressionObjective(_ResidualObjective):
     def grad(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * np.outer(w @ self.problem.s - self.problem.y, self.problem.s)
 
+    def _residual(self, factors: LoRAFactors, w_pt: np.ndarray | None):
+        s = self.problem.s[..., :, None]
+        a_s = (factors.a @ s)[..., 0]
+        resid = (factors.b @ a_s[..., :, None])[..., 0]
+        resid += self._offset(w_pt)  # in place, as in core.effective_weight
+        return resid, a_s
+
     def _loss_of(self, resid) -> float:
         return float(resid @ resid)
 
     def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
-        return 2.0 * (resid[..., :, None] * self.problem.s)
+        return 2.0 * (resid[..., :, None] * self.problem.s[..., None, :])
 
     def _sides(self, factors, resid, a_s) -> Sides:
         bt_res = (factors.b.mT @ resid[..., :, None])[..., 0]
-        return Sides(2.0 * (bt_res[..., :, None] * self.problem.s),
+        return Sides(2.0 * (bt_res[..., :, None] * self.problem.s[..., None, :]),
                      2.0 * (resid[..., :, None] * a_s[..., None, :]))
 
 
@@ -276,7 +305,7 @@ def quadratic_objective(w_star, mu: float) -> QuadraticObjective:
     return QuadraticObjective(w_star, mu)
 
 
-def regression_objective(problem: RegressionProblem) -> RegressionObjective:
+def regression_objective(problem: RegressionProblem | RegressionStack) -> RegressionObjective:
     return RegressionObjective(problem)
 
 

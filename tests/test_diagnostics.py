@@ -271,9 +271,10 @@ class TestFeatureScaling:
         assert len(fitted) >= 1
 
     def test_steps_form_no_weight_and_one_objective_per_instance(self, monkeypatch, tmp_path):
-        # a step's m x n work would be B A, formed by LoRAFactors.delta; the
-        # offset W_pt s - y is cached on the objective, so one objective per
-        # instance forms it once, and one instance serves both schemes
+        # a step's m x n work would be B A, formed by LoRAFactors.delta; each
+        # instance is built once and forms its offset W_pt s - y once, and
+        # the seeds of one n share one objective, over the stack of their
+        # offsets, which serves both schemes
         from odelora import diagnostics
         from odelora.cli import cmd_feature_scaling
         from odelora.problems import RegressionObjective
@@ -300,14 +301,14 @@ class TestFeatureScaling:
         results = feature_scaling_experiment([16, 32], steps=3, h=0.1, seeds=2)
         for result in results.values():
             assert len(result.rows) == 2 * 2 * 3 * len(result.slopes)
-        assert len(instances) == len(objectives) == 4
-        assert len({id(problem) for problem in objectives}) == 4
+        assert len(instances) == 4 and len(objectives) == 2
+        assert [problem.s.shape for problem in objectives] == [(2, 16), (2, 32)]
 
         instances.clear()
         objectives.clear()
         assert cmd_feature_scaling(tmp_path, [16, 32], seeds=2, steps=3, h=0.1) == 0
         assert sorted(instances) == [(n, n, seed) for n in (16, 32) for seed in (0, 1)]
-        assert len(objectives) == 4
+        assert len(objectives) == 2
         assert deltas == []
 
     def test_one_instance_alive_at_a_time(self):
@@ -335,7 +336,7 @@ class TestFeatureScaling:
         real_step = diagnostics.phi_decompose
 
         def failing_step(factors, objective, scheme, h, *eps):
-            n = objective.problem.s.shape[0]
+            n = objective.problem.s.shape[-1]
             if (scheme, n) in ((Scheme.CLASSICAL_GD, 16), (Scheme.ODE_RK4, 32)):
                 raise NonFiniteState("injected")
             return real_step(factors, objective, scheme, h, *eps)
@@ -345,6 +346,33 @@ class TestFeatureScaling:
             feature_scaling_experiment([16, 32], steps=2, h=0.1, seeds=1)
         with pytest.raises(ScalingDiverged, match="classical_gd diverged at n = 16"):
             feature_scaling_experiment([16], steps=2, h=0.1, seeds=1)
+
+    def test_stacked_seeds_raise_the_single_seed_error(self):
+        # at h = 3.6 RK4 first fails on seed 2 of n = 8, at step 16, while
+        # seeds 0, 1, 3 and 4 run on; the stack names what seed 2 alone names
+        with pytest.raises(ScalingDiverged) as alone:
+            feature_scaling_experiment([8], 20, 3.6, [2])
+        assert str(alone.value).startswith("ode_rk4 diverged at n = 8, seed = 2, step = 16: "
+                                           "pivots [")
+        with pytest.raises(ScalingDiverged) as stacked:
+            feature_scaling_experiment([8, 16, 32], 20, 3.6, 5)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("n, seeds, seed, step", [
+        # only seed 1 fails, and it is the last slice of the stack
+        (32, [0, 2, 1], 1, 14),
+        # seed 7 alone fails at step 9 and seed 2 alone at step 16: the seed
+        # given first wins, so the slices before a failed one step on
+        (8, [2, 7], 2, 16),
+        (8, [7, 2], 7, 9),
+    ])
+    def test_seed_order_is_the_order_given(self, n, seeds, seed, step):
+        with pytest.raises(ScalingDiverged) as alone:
+            feature_scaling_experiment([n], 20, 3.6, [seed])
+        assert f"seed = {seed}, step = {step}: " in str(alone.value)
+        with pytest.raises(ScalingDiverged) as stacked:
+            feature_scaling_experiment([n], 20, 3.6, seeds)
+        assert str(stacked.value) == str(alone.value)
 
     def test_held_descent_divergence_keeps_no_frame(self):
         # factor descent blows up at h = 2 on the first instance and the flow

@@ -1,5 +1,6 @@
 """A stack of k cells, stepped as one by ``run_stack``, gives each cell the
-rows of its run alone, halts included."""
+rows of its run alone, halts included; a stacked ``phi_decompose`` gives each
+slice its report and post-step state alone."""
 
 import dataclasses
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 from odelora.core import LoRAFactors
+from odelora.diagnostics import phi_decompose
 from odelora.problems import (
+    RegressionStack,
+    aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
     make_sensing_instance,
@@ -67,6 +71,32 @@ def test_stack_equals_single_runs(kind, scheme, hs, seed, log_eps_ratio):
     start, obj, w_pt = instance(kind, seed)
     configs = [SolverConfig(scheme, h, 25) for h in hs]
     assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=log_eps_ratio)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(4, 40),
+    seeds=st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True),
+    h=st.sampled_from([0.05, 0.1, 0.5, 1.5]),
+    scheme=st.sampled_from([Scheme.ODE_RK4, Scheme.CLASSICAL_GD]),
+)
+def test_stacked_phi_equals_single_instances(n, seeds, h, scheme):
+    # the stack keeps each instance's feature and offset, not its W_pt; each
+    # slice alone runs on today's objective, which forms its offset from W_pt
+    problems = [make_regression_instance(n, n, seed) for seed in seeds]
+    singles = [regression_objective(p) for p in problems]
+    states = [aligned_zero_b_init(p, 4, seed) for p, seed in zip(problems, seeds)]
+    stack = regression_objective(RegressionStack(
+        np.array([p.s for p in problems]), np.array([p.w_pt @ p.s - p.y for p in problems])))
+    state = LoRAFactors(np.array([f.a for f in states]), np.array([f.b for f in states]))
+    for _ in range(3):
+        report, state = phi_decompose(state, stack, scheme, h)
+        for j, objective in enumerate(singles):
+            alone, states[j] = phi_decompose(states[j], objective, scheme, h)
+            assert [norms[j] for norms in report.component_norms] == list(alone.component_norms)
+            assert report.sum_check_residual[j] == alone.sum_check_residual
+            assert np.array_equal(state.a[j], states[j].a)
+            assert np.array_equal(state.b[j], states[j].b)
 
 
 @pytest.fixture(scope="module")
