@@ -16,10 +16,10 @@ slice j on instance j, with each value a (k,) array.
 stack per scheme. It keeps each instance's feature and offset
 ``W_pt s - y``, and frees the instance's dense ``W_pt`` before the next is
 built, so one dense ``W_pt`` is alive at a time; the stack holds
-O(k (m + n) r) floats, below one ``W_pt`` while k r is well under n. A
-stacked step that fails is redone slice by slice, as in
-``solvers.run_stack``, so every row and error is the one each seed gives
-alone.
+O(k (m + n) r) floats, below one ``W_pt`` while k r is well under n. When
+a stacked step fails, the seeds run again alone, each from its start, as
+cells do in ``solvers.run_stack``, so every row and error is the one each
+seed gives alone.
 """
 
 from __future__ import annotations
@@ -227,57 +227,45 @@ def _seed_stack(n: int, seeds):
     return regression_objective(stack), LoRAFactors(np.array(a), np.array(b))
 
 
-def _checked_phi(state, objective, scheme, h):
-    """``phi_decompose``, raising NonFiniteState on a non-finite component."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        report, after = phi_decompose(state, objective, scheme, h)
-    if not np.isfinite(report.component_norms).all():
-        raise NonFiniteState("non-finite output component")
-    return report, after
-
-
 def _scaling_rows(scheme, objective, start, n, seeds, steps, h):
     """Rows ``(n, seed, step, component, norm)`` of ``steps`` decomposed steps
-    of each slice of the stack ``start`` (slice j on seed j), seed-major, and
-    the failure ``(seed, step, error)`` of the first seed that meets one of
-    ``solvers.DIVERGENCE_ERRORS`` or a non-finite component, at its first
-    such step, or None.
+    of each slice of ``start`` (slice j on seed j; an unstacked start is one
+    seed), seed-major, and the failure ``(seed, step, error)`` of the first
+    seed that meets one of ``solvers.DIVERGENCE_ERRORS`` or a non-finite
+    component, at its first such step, or None.
 
-    The stack steps as one. A stacked step that fails is redone slice by
-    slice, each slice alone, since a stacked kernel's message lists every
-    slice's values. The first slice that fails leaves the stack with every
-    slice after it, and the slices before it step on, as one of them may
-    still fail and precede it.
+    The stack steps as one. A stacked step that fails raises for every
+    slice, and a stacked kernel's message lists every slice's values, so the
+    seeds then run again alone, unstacked, in the order given and each from
+    its start: the first that fails gives the failure, and with none the
+    rows are theirs.
     """
-    norms = [[] for _ in seeds]  # per seed, per step, the component norms
-    failure, state = None, start
-    for step_idx in range(steps):
-        try:
-            report, state = _checked_phi(state, objective, scheme, h)
-            stepped = np.array(report.component_norms).T.tolist()
-        except DIVERGENCE_ERRORS:
-            alone = []
-            for j in range(len(state.a)):
-                try:
-                    alone.append(_checked_phi(state.take(j),
-                                              regression_objective(objective.problem.take(j)),
-                                              scheme, h))
-                except DIVERGENCE_ERRORS as err:
-                    failure = (seeds[j], step_idx, err)
-                    break
-            if not alone:
-                break
-            stepped = np.array([report.component_norms for report, _ in alone]).tolist()
-            state = LoRAFactors(np.array([after.a for _, after in alone]),
-                                np.array([after.b for _, after in alone]))
-            objective = regression_objective(objective.problem.take(slice(len(alone))))
-        for history, comps in zip(norms, stepped):
-            history.append(comps)
+    norms, state = [], start  # per step, per seed, the component norms
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                report, state = phi_decompose(state, objective, scheme, h)
+                comps = report.component_norms
+                if not np.isfinite(comps).all():
+                    raise NonFiniteState("non-finite output component")
+                norms.append(np.reshape(comps, (len(comps), -1)).T.tolist())
+    except DIVERGENCE_ERRORS as err:
+        if not start.stacked:
+            return [], (seeds[0], len(norms), err)
+        rows = []
+        for j, seed in enumerate(seeds):
+            found, failure = _scaling_rows(
+                scheme, regression_objective(objective.problem.take(j)), start.take(j), n,
+                [seed], steps, h)
+            if failure is not None:
+                return [], failure
+            rows += found
+        return rows, None
     rows = [(n, int(seed), step_idx, comp, norm)
-            for seed, history in zip(seeds, norms)
-            for step_idx, comps in enumerate(history)
-            for comp, norm in enumerate(comps)]
-    return rows, failure
+            for j, seed in enumerate(seeds)
+            for step_idx, per_seed in enumerate(norms)
+            for comp, norm in enumerate(per_seed[j])]
+    return rows, None
 
 
 def _scaling_fit(rows, n_list) -> FeatureScalingResult:

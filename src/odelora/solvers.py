@@ -27,12 +27,13 @@ stack with the step sizes held as a (k, 1, 1) array, and each cell keeps
 its own ``TrajectoryLog``. Every stacked operation gives each slice
 bit-for-bit what it gives that slice alone, so a cell's rows are those of
 its run alone. A cell that halts gets its final row and leaves the stack.
-numpy's stacked factorizations raise for the whole stack, so a step that
-raises one of ``DIVERGENCE_ERRORS`` is taken again slice by slice; only the
-slices that raise halt, and the rest go on as a stack. ``run_trajectory``
-is the k = 1 case. ``odelora sweep`` stacks the cells of one scheme that
-share a problem and start: one stack per scheme for an ``h`` sweep, and one
-cell per stack for a ``delta`` sweep.
+numpy's stacked factorizations raise for the whole stack, so when a step
+raises one of ``DIVERGENCE_ERRORS`` with more than one cell live, each live
+cell runs again alone from its start and keeps that run's log; a stack of
+one halts at once. ``run_trajectory`` is the k = 1 case. ``odelora sweep``
+stacks the cells of one scheme that share a problem and start: one stack
+per scheme for an ``h`` sweep, and one cell per stack for a ``delta``
+sweep.
 """
 
 from __future__ import annotations
@@ -281,14 +282,6 @@ def _take(x, index):
     return x[index] if isinstance(x, np.ndarray) else x.take(index)
 
 
-def _join(parts):
-    """One stack of the stacked states ``parts``."""
-    if isinstance(parts[0], LoRAFactors):
-        return LoRAFactors(np.concatenate([p.a for p in parts]),
-                           np.concatenate([p.b for p in parts]))
-    return np.concatenate(parts)
-
-
 def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
     """``eps_ratio`` of each slice: 0.0 where the gradient vanishes, and
     None (a blank field) where the kernel refuses the slice's Grams. It is
@@ -393,14 +386,6 @@ def run_stack(
                 dist, time.perf_counter_ns()))
         return first
 
-    def step_alone(slot: int, g):
-        """The slot's own step, or None if it meets one of DIVERGENCE_ERRORS."""
-        try:
-            return step(_take(state, [slot]), w_pt, objective, h[slot : slot + 1], eps,
-                        _take(g, [slot]))
-        except DIVERGENCE_ERRORS:
-            return None
-
     step = _step_for(config.scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         g = record(0)
@@ -411,14 +396,17 @@ def run_stack(
                 state = step(state, w_pt, objective, h, eps, g)
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
-                # A stacked call raises for the whole stack, so a stack of
-                # more than one cell takes the step again slice by slice.
-                after = [step_alone(slot, g) if len(live) > 1 else None
-                         for slot in range(len(live))]
-                leave(np.array([part is not None for part in after]), i)
-                if not live:
-                    break
-                state = _join([part for part in after if part is not None])
+                # A stacked call raises for the whole stack, so each live
+                # cell of a larger stack runs again alone, from its start.
+                if len(live) == 1:
+                    leave(np.array([False]), i)
+                else:
+                    for cell in live:
+                        logs[cell] = run_stack(start.take([cell]), objective,
+                                               [configs[cell]], w_pt,
+                                               log_eps_ratio=log_eps_ratio,
+                                               log_balance=log_balance)[0]
+                break
             g = record(i)
     return logs
 

@@ -361,8 +361,8 @@ class TestFeatureScaling:
     @pytest.mark.parametrize("n, seeds, seed, step", [
         # only seed 1 fails, and it is the last slice of the stack
         (32, [0, 2, 1], 1, 14),
-        # seed 7 alone fails at step 9 and seed 2 alone at step 16: the seed
-        # given first wins, so the slices before a failed one step on
+        # seed 7 alone fails at step 9 and seed 2 alone at step 16: the seeds
+        # run again alone in the order given, so the seed given first wins
         (8, [2, 7], 2, 16),
         (8, [7, 2], 7, 9),
     ])

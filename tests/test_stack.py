@@ -9,7 +9,9 @@ import pytest
 
 from odelora.core import LoRAFactors
 from odelora.diagnostics import phi_decompose
+from odelora.linalg import NonFiniteState
 from odelora.problems import (
+    QuadraticObjective,
     RegressionStack,
     aligned_zero_b_init,
     balanced_init,
@@ -22,7 +24,7 @@ from odelora.problems import (
     sensing_objective,
     zero_b_init,
 )
-from odelora.solvers import Scheme, SolverConfig, run_stack, run_trajectory
+from odelora.solvers import DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -128,7 +130,8 @@ def test_sweep_small_with_eps_ratio_logged(sweep_small):
                                     Scheme.LORA_PRO])
 def test_slice_refused_by_the_kernel_leaves_the_stack(sweep_small, scheme):
     # B = 0 at eps_reg = 0: the Gram pivot check refuses that slice's step,
-    # which raises for the whole stack; the others step on
+    # which raises for the whole stack; each cell then runs again alone, so
+    # only that one halts
     start, obj, w_pt = sweep_small
     zero_b = LoRAFactors(start.a, np.zeros_like(start.b))
     stack = LoRAFactors(np.stack([start.a, zero_b.a, start.a]),
@@ -138,6 +141,36 @@ def test_slice_refused_by_the_kernel_leaves_the_stack(sweep_small, scheme):
     assert [log.diverged for log in logs] == [False, True, False]
     assert [row.iter for row in logs[1].rows] == [0, 1]
     assert np.isnan(logs[1].rows[-1].loss)
+
+
+class RefusesLargeB(QuadraticObjective):
+    """A quadratic objective whose stage sides refuse the whole stack once
+    any slice's ||B||_F passes ``bound``, as the stacked kernel refuses every
+    slice at once."""
+
+    bound = 1e4
+
+    def sides(self, factors, w_pt):
+        if (np.linalg.norm(factors.b, axis=(-2, -1)) > self.bound).any():
+            raise NonFiniteState("||B||_F past the bound")
+        return super().sides(factors, w_pt)
+
+
+def test_stack_whose_step_raises_reruns_its_live_cells_alone():
+    # RK2 on the quadratic instance of seed 0: the h = 8 cell halts on the
+    # loss threshold (its ||B||_F stays under 2.5e3); later the h = 1.5
+    # cell's B passes the bound while three cells are live, which raises
+    # for the stack. Each live cell runs again alone: the h = 1.5 cell halts
+    # at its own refused step, and the others run to the end.
+    start, quadratic, w_pt = instance("quadratic", 0)
+    obj = RefusesLargeB(quadratic.w_star, quadratic.mu)
+    configs = [SolverConfig(Scheme.ODE_RK2, h, 60) for h in (8.0, 1.5, 0.5, 2.2)]
+    logs = assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=False)
+    assert [log.diverged for log in logs] == [True, True, False, False]
+    assert DIVERGENCE_LOSS < logs[0].rows[-1].loss < np.inf
+    assert np.isnan(logs[1].rows[-1].loss)
+    assert len(logs[0].rows) < len(logs[1].rows) < 61
+    assert [len(log.rows) for log in logs[2:]] == [61, 61]
 
 
 def test_slice_with_a_refused_ratio_logs_a_blank(sweep_small):
