@@ -12,6 +12,16 @@ matrices along leading axes as well as a single one; each slice gets
 bit-for-bit what it gets alone, and a slice that is refused refuses the
 whole call, since numpy's stacked factorizations raise for the whole stack.
 
+``thin_svd`` keeps the leading k singular triplets of an m x n matrix
+without its dense SVD when it can certify them: orthogonal iteration on a
+fixed-seed block of 2k + 4 columns with a Rayleigh–Ritz finish each sweep
+(Halko, Martinsson & Tropp, *SIAM Review* 53(2), 2011, Alg. 4.4; Golub &
+Van Loan, *Matrix Computations*, §8.2.4). A sweep is accepted when its
+residual is at round-off and its tail energy ``||M||_F^2 - sum s_i^2`` is
+below s_k^2, which proves sigma_{k+1} < s_k since Ritz values interlace
+(s_i <= sigma_i). Where no sweep can be accepted (no gap at k, a flat
+spectrum, a block as wide as M) it returns what the dense SVD gives.
+
 ``inverse_cholesky`` and ``sylvester_eig`` trust their operands:
 inputs are validated where they enter the library (``as_matrix``,
 ``LoRAFactors`` and the dense-gradient check in ``core.gradient_sides``).
@@ -37,6 +47,9 @@ __all__ = [
 
 # Relative pivot / spectrum-gap threshold below which a solve is refused.
 PIVOT_RTOL = 1e-14
+# thin_svd's certificate tolerance, in units of eps ||M||_F, and sweep cap.
+CERT_EPS = 64.0
+SWEEPS = 8
 
 
 class NonFiniteState(ValueError):
@@ -129,9 +142,41 @@ def thin_svd(m, k: int):
     """Rank-k truncated SVD: returns (U, sigma, V) with M ~ U diag(sigma) V^T.
 
     sigma is descending; U is m x k and V is n x k with orthonormal columns.
+    With p = 2k + 4 < min(m, n), orthogonal iteration runs from a fixed-seed
+    Gaussian block Z (n x p, orthonormal), so the result is a deterministic
+    function of M. A sweep takes the thin SVD ``M Z = U Sigma W^T`` and sets
+    ``V = Z W``, so ``M V = U Sigma``; ``M^T U`` is both the residual check
+    and, orthonormalized, the next Z. A sweep is accepted when its leading k
+    pairs have (i) ``||M^T U_k - V_k Sigma_k||_F <= c eps ||M||_F`` and
+    (ii) ``||M||_F^2 - sum_{i<=k} s_i^2 + c eps ||M||_F^2 < s_k^2``, with
+    c = ``CERT_EPS``. Proof that (ii) makes them the leading k: Ritz values
+    interlace, s_i <= sigma_i(M), so sigma_{k+1}(M)^2 <= sum_{i>k}
+    sigma_i(M)^2 <= ||M||_F^2 - sum_{i<=k} s_i^2 < s_k^2. A tie
+    sigma_k = sigma_{k+1} or a flat spectrum never meets (ii). The dense SVD
+    runs instead when p >= min(m, n), when a sweep misses (ii) and shrank
+    the tail bound ``||M||_F^2 - sum s_i^2`` by no more than (ii) still
+    lacks, and when ``SWEEPS`` sweeps do not certify.
     """
     m = as_matrix(m, "M")
     if not 0 < k <= min(m.shape):
         raise ValueError(f"target rank {k} out of range for shape {m.shape}")
+    p = 2 * k + 4
+    if p < min(m.shape):
+        fro = np.linalg.norm(m)
+        tol = CERT_EPS * np.finfo(np.float64).eps * fro
+        z = np.linalg.qr(np.random.default_rng(0).standard_normal((m.shape[1], p)))[0]
+        prev = np.inf
+        for _ in range(SWEEPS):
+            u, s, wt = np.linalg.svd(m @ z, full_matrices=False)
+            mtu = m.T @ u
+            u, s, v = u[:, :k], s[:k], z @ wt[:k].T
+            tail = fro**2 - s @ s
+            lack = tail + tol * fro - s[-1] ** 2
+            if lack < 0 and np.linalg.norm(mtu[:, :k] - v * s) <= tol:
+                return u, s, v
+            if lack >= 0 and prev - tail <= lack:
+                break
+            prev = tail
+            z = np.linalg.qr(mtu)[0]
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return u[:, :k], s[:k], vt[:k].T

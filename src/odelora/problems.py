@@ -315,7 +315,10 @@ def balanced_init(w_delta, r: int) -> LoRAFactors:
     Splits the truncated SVD as A = S^{1/2} V^T, B = U S^{1/2}, which puts
     the pair exactly on the balanced manifold (A A^T = B^T B = S). Singular
     values below 1e-12 of the largest are clamped to that threshold so the
-    factor Grams stay invertible.
+    factor Grams stay invertible. The SVD is ``thin_svd``'s: a block
+    iteration on 2r + 4 columns whose residual and tail-energy certificate
+    proves the r pairs are the leading ones (sigma_{r+1} < s_r), or, where
+    it cannot (no gap, a flat spectrum, 2r + 4 >= min(m, n)), the dense SVD.
     """
     w_delta = as_matrix(w_delta, "w_delta")
     u, sigma, v = thin_svd(w_delta, r)

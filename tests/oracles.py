@@ -9,17 +9,17 @@ gradients. The null-space projectors are formed as explicit n x n and
 m x m matrices, where the library only applies them through Gram solves;
 ``flow_rhs_full``, the full-weight velocity ``-G + P_B^null G P_A^null``
 the flow must induce, is built from them. The sensing ground truth is
-balanced from its dense m x n product, where the library works from its
-factors.
+balanced from its dense m x n product's full SVD, where the library works
+from its factors, and ``dense_thin_svd`` truncates the full SVD, where the
+library's ``thin_svd`` iterates on a block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from odelora.core import gram_a, gram_b
+from odelora.core import LoRAFactors, gram_a, gram_b
 from odelora.linalg import NotPositiveDefinite
-from odelora.problems import balanced_init
 
 
 def gauss_solve(g, rhs):
@@ -70,13 +70,22 @@ def flow_rhs_full(factors, g, eps=0.0):
     return -g + null_projector_b(factors, eps) @ g @ null_projector_a(factors, eps)
 
 
+def dense_thin_svd(m, k):
+    """(U, sigma, V) of the rank-k truncation of M's full dense SVD."""
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    return u[:, :k], s[:k], vt[:k].T
+
+
 def dense_unit_balanced_truth(rng, m, n, r):
     """Balanced factors of ``L R / sigma_r(L R)`` from the dense product:
-    sigma_r from its full SVD, then ``balanced_init`` (a second SVD) on the
-    rescaled product. Draws L (m x r), then R (r x n)."""
+    sigma_r from its full SVD, then the split ``A = S^{1/2} V^T``,
+    ``B = U S^{1/2}`` of the rescaled product's full SVD. Draws L (m x r),
+    then R (r x n)."""
     target = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
     sigma_r = np.linalg.svd(target, compute_uv=False)[r - 1]
-    return balanced_init(target / sigma_r, r)
+    u, sigma, v = dense_thin_svd(target / sigma_r, r)
+    root = np.sqrt(sigma)
+    return LoRAFactors(a=root[:, None] * v.T, b=u * root)
 
 
 def charpoly_from_traces(h):

@@ -1,5 +1,8 @@
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_spd
 from odelora.linalg import (
@@ -10,7 +13,7 @@ from odelora.linalg import (
     sylvester_eig,
     thin_svd,
 )
-from oracles import charpoly_from_traces, gauss_solve, kron_sylvester
+from oracles import charpoly_from_traces, dense_thin_svd, gauss_solve, kron_sylvester
 
 
 def inverse_cholesky_solve(g, rhs):
@@ -151,7 +154,103 @@ class TestSylvesterSpd:
             sylvester_eig(h, np.stack([np.eye(2)] * 3))
 
 
+@contextlib.contextmanager
+def svd_operands():
+    """Records the shape of every ``np.linalg.svd`` operand."""
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    np.linalg.svd = recording
+    try:
+        yield shapes
+    finally:
+        np.linalg.svd = svd
+
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+def low_rank_plus_noise(m, n, k, seed):
+    """Rank k with singular values in [1, 10], plus Gaussian noise of
+    spectral norm about 2e-3."""
+    rng = np.random.default_rng(seed)
+    d = np.sort(rng.uniform(1.0, 10.0, k))[::-1]
+    noise = rng.standard_normal((m, n)) * 1e-3 / np.sqrt(max(m, n))
+    return (_orthonormal(rng, m, k) * d) @ _orthonormal(rng, n, k).T + noise
+
+
+def refused(kind, m, n, k, seed):
+    """A matrix the certificate must refuse: a flat spectrum (min(m, n)
+    singular values in [1, 2], so the tail outweighs sigma_k^2), a tie
+    sigma_k = sigma_{k+1}, or zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "tie":
+        d = np.sort(rng.uniform(1.0, 10.0, k))[::-1]
+        d = np.append(d, d[-1])
+    else:
+        d = rng.uniform(1.0, 2.0, min(m, n))
+    return (_orthonormal(rng, m, len(d)) * d) @ _orthonormal(rng, n, len(d)).T
+
+
+@st.composite
+def iterated_shapes(draw):
+    """(m, n, k, seed) with a block of 2k + 4 < min(m, n) columns."""
+    k = draw(st.integers(1, 4))
+    m, n = draw(st.integers(2 * k + 5, 40)), draw(st.integers(2 * k + 5, 40))
+    return m, n, k, draw(st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def refused_cases(draw):
+    """A flat, tied or zero matrix that the block iterates on, or a flat one
+    with 2k + 4 >= min(m, n), which never iterates."""
+    kind = draw(st.sampled_from(["flat", "tie", "zero", "narrow"]))
+    m, n, k, seed = draw(iterated_shapes())
+    if kind == "narrow":
+        kind, m = "flat", draw(st.integers(k, 2 * k + 4))
+        if draw(st.booleans()):
+            m, n = n, m
+    return kind, m, n, k, seed
+
+
 class TestThinSvd:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(iterated_shapes())
+    @example((40, 9, 2, 0))
+    @example((9, 40, 2, 1))
+    @example((30, 30, 4, 2))
+    def test_certified_path_matches_dense_oracle(self, shape):
+        m = low_rank_plus_noise(*shape)
+        k = shape[2]
+        with svd_operands() as shapes:
+            u, sigma, v = thin_svd(m, k)
+        assert m.shape not in shapes
+        want_u, want_sigma, want_v = dense_thin_svd(m, k)
+        full = np.linalg.svd(m, compute_uv=False)
+        want = (want_u * want_sigma) @ want_v.T
+        gap = full[k - 1] - full[k]
+        assert np.linalg.norm((u * sigma) @ v.T - want) <= 1e-13 * full[0] ** 2 / gap
+        assert np.all(np.abs(sigma - want_sigma) <= 1e-13 * want_sigma)
+        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-14
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-14
+        for got, again in zip((u, sigma, v), thin_svd(m, k)):
+            assert np.array_equal(got, again)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(refused_cases())
+    @example(("tie", 20, 20, 2, 0))
+    @example(("zero", 9, 9, 1, 0))
+    def test_refused_inputs_take_the_dense_path(self, case):
+        m, k = refused(*case), case[3]
+        for got, want in zip(thin_svd(m, k), dense_thin_svd(m, k)):
+            assert np.array_equal(got, want)
+
     def test_diagonal(self):
         m = np.zeros((3, 2))
         m[0, 0], m[1, 1] = 3.0, 1.0

@@ -15,6 +15,7 @@ from odelora.problems import (
     make_regression_instance,
     make_rip_sensing,
     make_sensing_instance,
+    perturbed_balanced_init,
     quadratic_objective,
     regression_objective,
     sensing_objective,
@@ -217,6 +218,19 @@ class TestBalancedInit:
             assert np.linalg.norm(f.delta() - w) <= 1e-9 * np.linalg.norm(w)
             gram = f.a @ f.a.T
             assert balance_defect(f) <= 1e-10 * max(1.0, np.linalg.norm(gram))
+
+    def test_no_dense_svd_builds_the_start(self, monkeypatch):
+        problem = make_sensing_instance(200, 150, 150, 3, 0.05, 0)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        perturbed_balanced_init(problem, 0.8, 0.05, 0)
+        assert shapes and (200, 150) not in shapes
 
 
 class TestZeroBInit:
