@@ -14,6 +14,7 @@ probability) and the restricted-isometry constant is exactly delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,9 +167,11 @@ class _ResidualObjective(Objective):
     ``C0 = W_pt s - y`` is computed on first use for the problem's own
     ``w_pt`` and kept; any other ``w_pt`` gets its own, uncached
     (``_per_base``). Subclasses build the loss, gradient and sides from the
-    residual and ``A s``, so ``sides`` never forms the m x n gradient. At a
-    stacked state the residual, ``A s``, gradient and sides carry the stack
-    axis, and the loss is taken slice by slice.
+    residual and ``A s``, so ``sides`` never forms the m x n gradient;
+    ``SensingObjective`` replaces this residual form of the sides with a
+    Gram form where its shapes favour it. At a stacked state the residual,
+    ``A s``, gradient and sides carry the stack axis, and the loss is taken
+    slice by slice.
     """
 
     def __init__(self, problem):
@@ -209,19 +212,49 @@ class _ResidualObjective(Objective):
 class SensingObjective(_ResidualObjective):
     """0.5 ||W S - Y||_F^2 with gradient (W S - Y) S^T.
 
-    At a factor state, with R the residual: the loss is ``0.5 ||R||_F^2``,
-    kept in this form because the rate fits read losses near round-off,
-    and the sides are ``B^T G = (B^T R) S^T`` and ``G A^T = R (A S)^T``,
-    O(r (m + n) o) work. Only the dense ``grad`` forms ``R S^T``:
-    ``evaluate`` builds ``G = K + B ((A S) S^T)`` from ``K = C0 S^T``, which
-    is built on first use and kept under ``C0``'s rule, so a logged row costs
-    O(r n (m + o)) plus O(m n) passes.
+    At a factor state, with R = C0 + B (A S) the residual, the loss is
+    ``0.5 ||R||_F^2``, kept in this form because the rate fits read losses
+    near round-off. The sides take one of two forms, chosen from the shapes
+    alone. The Gram form writes G as ``K + B (A Q)``, with ``K = C0 S^T``
+    kept under ``C0``'s rule and ``Q = S S^T`` (n x n) kept on first use,
+    and takes ``B^T G = B^T K + (B^T B)(A Q)`` and
+    ``G A^T = K A^T + B ((A Q) A^T)``: r (2mn + n^2) work and no m x o
+    temporary. The residual form takes ``B^T G = (B^T R) S^T`` and
+    ``G A^T = R (A S)^T``: r (3mo + 2no) work. The Gram form is used where
+    it costs no more (``gram_form``), which holds at m = n for o above about
+    0.6 n, so Q is built only there. ``evaluate`` forms G in the same form
+    as its sides, after the loss, and only the dense ``grad`` forms
+    ``R S^T``.
     """
 
     def __init__(self, problem: SensingProblem):
         super().__init__(problem)
         self.optimum_loss = 0.0
         self.optimum_w = problem.w_pt + problem.b_star @ problem.a_star
+        m, o = problem.y.shape
+        n = problem.s.shape[0]
+        self.gram_form = 2 * m * n + n * n <= 3 * m * o + 2 * n * o
+
+    @cached_property
+    def _s_gram(self) -> np.ndarray:
+        """``Q = S S^T``, built on first use; it does not depend on ``w_pt``."""
+        return self.problem.s @ self.problem.s.T
+
+    def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
+        if not self.gram_form:
+            return super().sides(factors, w_pt)
+        return self._gram_sides(factors, self._offset_grad(w_pt), factors.a @ self._s_gram)
+
+    def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
+        if not self.gram_form:
+            return super().evaluate(factors, w_pt)
+        resid, _ = self._residual(factors, w_pt)
+        loss = per_slice(factors, self._loss_of, resid)
+        del resid
+        k, a_q = self._offset_grad(w_pt), factors.a @ self._s_gram
+        g = factors.b @ a_q
+        g += k  # in place, as in core.effective_weight
+        return StateEval(loss, g, self._gram_sides(factors, k, a_q))
 
     def loss(self, w: np.ndarray) -> float:
         return self._loss_of(w @ self.problem.s - self.problem.y)
@@ -229,14 +262,25 @@ class SensingObjective(_ResidualObjective):
     def grad(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.problem.s - self.problem.y) @ self.problem.s.T
 
+    def _offset_grad(self, w_pt: np.ndarray) -> np.ndarray:
+        """``K = C0 S^T``, kept under ``C0``'s rule."""
+        return self._per_base("offset grad", w_pt, lambda w: self._offset(w) @ self.problem.s.T)
+
+    @staticmethod
+    def _gram_sides(factors, k, a_q) -> Sides:
+        a, b = factors.a, factors.b
+        bt_g = b.mT @ k
+        bt_g += (b.mT @ b) @ a_q
+        g_at = k @ a.mT
+        g_at += b @ (a_q @ a.mT)
+        return Sides(bt_g, g_at)
+
     def _loss_of(self, resid) -> float:
         return 0.5 * float(np.sum(resid * resid))
 
     def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
-        s_t = self.problem.s.T
-        k = self._per_base("offset grad", w_pt, lambda w: self._offset(w) @ s_t)
-        g = factors.b @ (a_s @ s_t)
-        g += k  # in place, as in core.effective_weight
+        g = factors.b @ (a_s @ self.problem.s.T)
+        g += self._offset_grad(w_pt)  # in place, as in core.effective_weight
         return g
 
     def _sides(self, factors, resid, a_s) -> Sides:

@@ -359,31 +359,33 @@ def run_stack(
             if not live:
                 return None
             w = w[stays]
+        dist = [None] * len(live)
+        if objective.optimum_w is not None:
+            dist = [float(np.linalg.norm(x - objective.optimum_w)) for x in w]
         if full:
             loss = np.array([float(objective.loss(x)) for x in w])
             g = first = np.array([objective.grad(x) for x in w])
         else:
+            del w  # the dense W is not held while the objective is evaluated
             loss, g, first = objective.evaluate(state, w_pt)
         stays = np.isfinite(loss) & (loss <= DIVERGENCE_LOSS)
         if not stays.all():
             leave(stays, i, loss)
             if not live:
                 return None
-            w, loss, g, first = w[stays], loss[stays], g[stays], _take(first, stays)
+            loss, g, first = loss[stays], g[stays], _take(first, stays)
+            dist = [d for d, stay in zip(dist, stays) if stay]
         defect = ratio = [None] * len(live)
         if not full and log_balance:
             defect = balance_defect(state)
         if not full and log_eps_ratio:
             ratio = _null_space_ratios(state, g, eps)
         for slot, cell in enumerate(live):
-            dist = None
-            if objective.optimum_w is not None:
-                dist = float(np.linalg.norm(w[slot] - objective.optimum_w))
             logs[cell].rows.append(TrajectoryRow(
                 i, float(loss[slot]), float(np.linalg.norm(g[slot])),
                 None if defect[slot] is None else float(defect[slot]),
                 None if ratio[slot] is None else float(ratio[slot]),
-                dist, time.perf_counter_ns()))
+                dist[slot], time.perf_counter_ns()))
         return first
 
     step = _step_for(config.scheme)

@@ -18,10 +18,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from odelora.cli import Experiment
+from odelora.config import ExperimentConfig
 from odelora.core import (
     FactorGrams,
     LoRAFactors,
     Objective,
+    Sides,
     effective_weight,
     field_eval,
     gradient_sides,
@@ -51,7 +54,7 @@ from odelora.solvers import (
 from oracles import flow_rhs_full, kron_sylvester, null_projector_a, null_projector_b
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -342,20 +345,33 @@ def residual_problems(draw):
     m = draw(st.integers(r, 9))
     n = draw(st.integers(r, 9))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    w_pt = rng.standard_normal((m, n))
+    seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
-        o = draw(st.integers(1, n))
-        objective = SensingObjective(SensingProblem(
-            s=rng.standard_normal((n, o)), y=rng.standard_normal((m, o)), w_pt=w_pt,
-            a_star=rng.standard_normal((r, n)), b_star=rng.standard_normal((m, r)),
-            delta=0.0,
-        ))
-    else:
-        objective = RegressionObjective(RegressionProblem(
-            s=rng.standard_normal(n), y=rng.standard_normal(m), w_pt=w_pt))
+        return sensing_case(m, n, draw(st.integers(1, n)), r, seed, scale)
+    rng = np.random.default_rng(seed)
+    objective = RegressionObjective(RegressionProblem(
+        w_pt=rng.standard_normal((m, n)), s=rng.standard_normal(n), y=rng.standard_normal(m)))
     f = LoRAFactors(a=scale * rng.standard_normal((r, n)), b=scale * rng.standard_normal((m, r)))
     return objective, f
+
+
+def sensing_case(m, n, o, r=2, seed=0, scale=1.0):
+    """A sensing objective on random data from ``default_rng(seed)``, with a
+    random factor state of the given scale."""
+    rng = np.random.default_rng(seed)
+    w_pt = rng.standard_normal((m, n))
+    objective = SensingObjective(SensingProblem(
+        s=rng.standard_normal((n, o)), y=rng.standard_normal((m, o)), w_pt=w_pt,
+        a_star=rng.standard_normal((r, n)), b_star=rng.standard_normal((m, r)), delta=0.0,
+    ))
+    f = LoRAFactors(a=scale * rng.standard_normal((r, n)), b=scale * rng.standard_normal((m, r)))
+    return objective, f
+
+
+def both_forms(test):
+    """Add one sensing example on each side of the shape rule: o = n takes
+    the Gram form of the sides, o = n / 4 the residual form."""
+    return example(sensing_case(9, 8, 8))(example(sensing_case(9, 8, 2))(test))
 
 
 def residual_scale(objective, f, w_pt):
@@ -375,6 +391,7 @@ def assert_sides_close(got, want, objective, f, w_pt):
 class TestResidualForm:
     @PROPERTY_SETTINGS
     @given(residual_problems())
+    @both_forms
     def test_evaluate_matches_dense(self, case):
         objective, f = case
         w_pt = objective.problem.w_pt
@@ -391,6 +408,7 @@ class TestResidualForm:
 
     @PROPERTY_SETTINGS
     @given(residual_problems())
+    @both_forms
     def test_sides_are_the_logged_sides(self, case):
         objective, f = case
         w_pt = objective.problem.w_pt
@@ -402,6 +420,7 @@ class TestResidualForm:
 
     @PROPERTY_SETTINGS
     @given(residual_problems())
+    @both_forms
     def test_another_base_weight_is_not_served_from_the_cache(self, case):
         objective, f = case
         objective.evaluate(f, objective.problem.w_pt)  # caches C0 and, for sensing, C0 S^T
@@ -417,22 +436,39 @@ class TestResidualForm:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_losses_at_the_exact_optimum_are_round_off(self, n, r, seed):
-        sensing = make_sensing_instance(n + 1, n, n, min(r, n), 0.05, seed)
-        star = LoRAFactors(a=sensing.a_star, b=sensing.b_star)
+        # o = n takes the Gram form of the sensing sides, o = n / 4 the residual form
+        cases = []
+        for o in (n, max(1, n // 4)):
+            sensing = make_sensing_instance(n + 1, n, o, min(r, n), 0.05, seed)
+            objective = SensingObjective(sensing)
+            assert objective.gram_form == (o == n)
+            cases.append((objective, LoRAFactors(a=sensing.a_star, b=sensing.b_star)))
         regression = make_regression_instance(n, n + 1, seed)
         u = regression.y - regression.w_pt @ regression.s
-        rank_one = LoRAFactors(a=regression.s[None, :], b=u[:, None])
-        for objective, f in ((SensingObjective(sensing), star),
-                             (RegressionObjective(regression), rank_one)):
+        cases.append((RegressionObjective(regression),
+                      LoRAFactors(a=regression.s[None, :], b=u[:, None])))
+        for objective, f in cases:
             w_pt = objective.problem.w_pt
-            assert objective.evaluate(f, w_pt).loss < 1e-20
+            state = objective.evaluate(f, w_pt)
+            assert state.loss < 1e-20
             assert objective.loss(effective_weight(w_pt, f)) < 1e-20
+            # G vanishes at the optimum: both sides are round-off of the residual's terms
+            zero = Sides(np.zeros_like(f.a), np.zeros_like(f.b))
+            assert_sides_close(state.sides, zero, objective, f, w_pt)
+
+    def test_shape_rule_takes_the_gram_form_where_it_costs_no_more(self):
+        # r (2mn + n^2) work per stage in Gram form, r (3mo + 2no) in residual
+        # form; at m = n = 10 the two tie at o = 6
+        for (m, n, o), gram in {(10, 10, 10): True, (10, 10, 6): True, (10, 10, 5): False,
+                                (9, 8, 2): False, (12, 10, 8): True, (40, 40, 12): False}.items():
+            assert sensing_case(m, n, o)[0].gram_form == gram
 
 
 def test_logged_sensing_rk4_run_forms_no_r_st_and_k_once_per_objective():
-    # Every O(m n o) product is an m x o matrix times S^T. The residual form
-    # makes one, K = C0 S^T, on an objective's first logged row and keeps
-    # it; R S^T, one per row, and the dense grad would add more.
+    # Every O(m n o) product is an n x o or m x o matrix times S^T. At these
+    # shapes the sides take the Gram form, which makes two, K = C0 S^T and
+    # Q = S S^T, on an objective's first logged row and keeps both; R S^T,
+    # one per row, and the dense grad would add more.
     m, n, o, k = 12, 10, 8, 5
     products = []
 
@@ -451,4 +487,19 @@ def test_logged_sensing_rk4_run_forms_no_r_st_and_k_once_per_objective():
     for objective in (first, first, second):
         log = run_trajectory(start, objective, config, w_pt=problem.w_pt)
         assert len(log.rows) == k + 1 and not log.diverged
+    assert first.gram_form
     assert products and products.count(((m, o), (o, n))) == 2
+    assert products.count(((n, o), (o, n))) == 2
+
+
+def test_default_sensing_run_logs_null_space_ratios_in_range_down_to_the_floor():
+    # eps_ratio reads B^T G and G A^T of the logged G itself, not the Gram-form
+    # sides the row hands the next step: those carry round-off of the size of
+    # G's parts K and B (A Q), which near the floor is far larger than G, and
+    # the trace identity then leaves [0, 1] by far more than round-off.
+    cfg = ExperimentConfig()
+    log = Experiment(cfg).run([cfg])[0]
+    assert not log.diverged and log.rows[-1].loss < 1e-20
+    ratios = [row.eps_ratio for row in log.rows]
+    assert None not in ratios
+    assert all(-1e-12 <= x <= 1 + 1e-12 for x in ratios)

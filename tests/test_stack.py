@@ -47,10 +47,15 @@ def assert_stack_matches_single_runs(start, objective, configs, w_pt, **flags):
     return logs
 
 
+# (m, n, o) of each sensing kind: the square instance takes the Gram form of
+# its sides, the one with o = n / 4 the residual form
+SENSING_SHAPES = {"sensing": (8, 8, 8), "sensing_o_lt_n": (9, 12, 3)}
+
+
 def instance(kind: str, seed: int):
     """(start, objective, w_pt) of a small problem of the given kind."""
-    if kind == "sensing":
-        p = make_sensing_instance(8, 8, 8, 2, 0.05, seed)
+    if kind in SENSING_SHAPES:
+        p = make_sensing_instance(*SENSING_SHAPES[kind], 2, 0.05, seed)
         return perturbed_balanced_init(p, 0.8, 0.3, seed), sensing_objective(p), p.w_pt
     if kind == "regression":
         p = make_regression_instance(9, 7, seed)
@@ -63,7 +68,7 @@ def instance(kind: str, seed: int):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    kind=st.sampled_from(["sensing", "regression", "quadratic"]),
+    kind=st.sampled_from([*SENSING_SHAPES, "regression", "quadratic"]),
     scheme=st.sampled_from(list(Scheme)),
     hs=st.lists(st.sampled_from([0.05, 0.5, 1.5, 2.2, 3.5, 8.0]), min_size=1, max_size=4),
     seed=st.integers(0, 3),
