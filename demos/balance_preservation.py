@@ -32,7 +32,7 @@ def main():
 
     print("terminal defect after 200 steps at h = 0.1:")
     for scheme in (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
-        log = run_trajectory(start, objective, SolverConfig(scheme, 0.1, 200), w_pt=problem.w_pt)
+        log = run_trajectory(start, objective, SolverConfig(scheme, 0.1, 200))
         defect = log.rows[-1].balance_defect
         print(f"    {scheme.value:<14} {defect:.3e}" + ("  (diverged)" if log.diverged else ""))
 
@@ -42,13 +42,13 @@ def main():
         def defect_after(h, steps=3):
             state = start
             for _ in range(steps):
-                state = step_fn(state, problem.w_pt, objective, h, 1e-8)
+                state = step_fn(state, objective, h, 1e-8)
             return balance_defect(state)
 
         ratio = np.log2(defect_after(0.1) / defect_after(0.05))
         print(f"    {name:<6} measured {ratio:.2f}   (theory: order p = {order} leaks h^{order + 1})")
 
-    one_classical = classical_gd_step(start, problem.w_pt, objective, 0.1)
+    one_classical = classical_gd_step(start, objective, 0.1)
     print(f"\nplain factor descent, defect after ONE step: {balance_defect(one_classical):.3e}")
 
 

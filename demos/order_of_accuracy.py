@@ -24,7 +24,7 @@ def main():
     start = perturbed_balanced_init(problem, scale=0.8, perturbation=0.05, seed=0)
 
     print(f"horizon T = {HORIZON}, reference: RK4 at h = {min(H_LIST) / 100:g}\n")
-    for scheme, report in estimate_order(start, problem.w_pt, objective, HORIZON, H_LIST).items():
+    for scheme, report in estimate_order(start, objective, HORIZON, H_LIST).items():
         print(f"{scheme.value}: observed order {report.observed_order:.3f}")
         for h, defect in zip(report.step_sizes, report.defects):
             print(f"    h = {h:<6g} terminal defect = {defect:.3e}")

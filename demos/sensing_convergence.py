@@ -35,7 +35,7 @@ def main():
 
     print(f"{'solver':<14} {'final loss':>12} {'contraction':>12} {'balance defect':>15}")
     for scheme in Scheme:
-        log = run_trajectory(start, objective, SolverConfig(scheme, H, ITERS), w_pt=problem.w_pt)
+        log = run_trajectory(start, objective, SolverConfig(scheme, H, ITERS))
         if log.diverged:
             print(f"{scheme.value:<14} {'diverged':>12}")
             continue

@@ -86,8 +86,8 @@ def _fmt(value) -> str:
 
 
 class Experiment:
-    """A resolved problem and start: objective, frozen base weight, and
-    initial state.
+    """A resolved problem and start: the objective, which holds the frozen
+    base weight, and the initial state.
 
     Only the config's ``problem`` and ``init`` sections are read to build
     it, so one experiment serves every config that shares them; ``run``
@@ -103,17 +103,14 @@ class Experiment:
                 prob.m, prob.n, prob.o, prob.r, prob.delta, prob.seed
             )
             self.objective = sensing_objective(self.sensing)
-            self.w_pt = self.sensing.w_pt
         elif prob.kind == "quadratic":
             rng = np.random.default_rng(prob.seed)
             w_pt = rng.standard_normal((prob.m, prob.n)) / np.sqrt(prob.n)
             star = _unit_balanced_truth(rng, prob.m, prob.n, prob.r)
-            self.objective = quadratic_objective(w_pt + star.b @ star.a, mu=1.0)
-            self.w_pt = w_pt
+            self.objective = quadratic_objective(w_pt + star.b @ star.a, mu=1.0, w_pt=w_pt)
         elif prob.kind == "regression":
             self.regression = make_regression_instance(prob.n, prob.m, prob.seed)
             self.objective = regression_objective(self.regression)
-            self.w_pt = self.regression.w_pt
         else:  # pragma: no cover - guarded by config validation
             raise OutOfRange("problem.kind", prob.kind)
         self.factors = self._initial_factors(prob, cfg.init)
@@ -126,7 +123,7 @@ class Experiment:
         if self.sensing is not None:
             return perturbed_balanced_init(self.sensing, init.scale, init.perturbation, init.seed)
         if self.objective.optimum_w is not None:
-            target = self.objective.optimum_w - self.w_pt
+            target = self.objective.optimum_w - self.objective.w_pt
         else:
             # A random unit target, drawn apart from the perturbation's stream.
             rng = np.random.default_rng(np.random.SeedSequence([init.seed, 1]))
@@ -141,7 +138,6 @@ class Experiment:
             self.factors,
             self.objective,
             [cfg.solver for cfg in cfgs],
-            w_pt=self.w_pt,
             log_eps_ratio=cfgs[0].diagnostics.eps_ratio,
             log_balance=cfgs[0].diagnostics.balance,
         )
@@ -269,7 +265,6 @@ def cmd_order(cfg: ExperimentConfig, out_dir: Path) -> int:
     experiment = Experiment(cfg)
     reports = estimate_order(
         experiment.factors,
-        experiment.w_pt,
         experiment.objective,
         ORDER_HORIZON,
         ORDER_H_LIST,

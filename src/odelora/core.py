@@ -168,15 +168,16 @@ def gradient_sides(factors: LoRAFactors, g) -> Sides:
 class Objective:
     """Differentiable scalar objective over dense weight matrices.
 
-    Subclasses implement ``loss`` and ``grad``; ``optimum_loss`` and
-    ``optimum_w`` are set when the minimizer is known in closed form.
-    ``sides`` and ``evaluate`` read the objective at a factor state
+    Subclasses implement ``loss`` and ``grad`` and set ``w_pt``, the frozen
+    base weight; ``optimum_*`` are set when the minimizer is known in closed
+    form. ``sides`` and ``evaluate`` read the objective at a factor state
     ``W = W_pt + B A``, stacked or not. Their defaults form G densely with
     ``grad``, one slice at a time, so ``loss`` and ``grad`` only ever see a
     2-D W; an objective whose residual is cheap in factor form overrides
     both so that ``sides`` never forms an m x n matrix.
     """
 
+    w_pt: np.ndarray | None = None
     optimum_loss: float | None = None
     optimum_w: np.ndarray | None = None
 
@@ -186,14 +187,14 @@ class Objective:
     def grad(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
+    def sides(self, factors: LoRAFactors) -> Sides:
         """``(B^T G, G A^T)`` with G the gradient at ``W_pt + B A``."""
-        w = effective_weight(w_pt, factors)
+        w = effective_weight(self.w_pt, factors)
         return gradient_sides(factors, per_slice(factors, self.grad, w))
 
-    def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
+    def evaluate(self, factors: LoRAFactors) -> StateEval:
         """Loss, gradient and sides at ``W_pt + B A``, for a logged row."""
-        w = effective_weight(w_pt, factors)
+        w = effective_weight(self.w_pt, factors)
         g = per_slice(factors, self.grad, w)
         loss = per_slice(factors, lambda x: float(self.loss(x)), w)
         return StateEval(loss, g, gradient_sides(factors, g))

@@ -78,20 +78,19 @@ class OrderReport:
     observed_order: float
 
 
-def _integrate_weight(factors, w_pt, objective, scheme, h, horizon, eps):
+def _integrate_weight(factors, objective, scheme, h, horizon, eps):
     """Integrate to ``horizon`` without logging, in ``horizon / h`` steps
     rounded (at least one), and return the terminal effective weight."""
     step = _step_for(scheme)
     state = factors
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max(1, round(horizon / h))):
-            state = step(state, w_pt, objective, h, eps)
-    return effective_weight(w_pt, state)
+            state = step(state, objective, h, eps)
+    return effective_weight(objective.w_pt, state)
 
 
 def estimate_order(
     factors: LoRAFactors,
-    w_pt: np.ndarray,
     objective: Objective,
     horizon: float,
     h_list,
@@ -112,7 +111,7 @@ def estimate_order(
         raise ValueError("h_list must hold at least two strictly descending step sizes")
     try:
         reference = _integrate_weight(
-            factors, w_pt, objective, Scheme.ODE_RK4, min(h_list) / 100.0, horizon, eps
+            factors, objective, Scheme.ODE_RK4, min(h_list) / 100.0, horizon, eps
         )
     except DIVERGENCE_ERRORS as err:
         raise ReferenceDiverged(str(err)) from err
@@ -120,7 +119,7 @@ def estimate_order(
     for scheme in FLOW_SCHEMES:
         defects = []
         for h in h_list:
-            w_end = _integrate_weight(factors, w_pt, objective, scheme, h, horizon, eps)
+            w_end = _integrate_weight(factors, objective, scheme, h, horizon, eps)
             defects.append(float(np.linalg.norm(w_end - reference)))
         if min(defects) < DEFECT_FLOOR:
             raise DefectBelowNoiseFloor(
@@ -178,7 +177,7 @@ def phi_decompose(
     values and post-step state are what that slice gives alone.
     """
     problem = objective.problem
-    after, tableau, stages = _rk_step(scheme, factors, problem.w_pt, objective, h, eps)
+    after, tableau, stages = _rk_step(scheme, factors, objective, h, eps)
     weights = [b / tableau.denominator for b in tableau.weights]
     s = problem.s[..., :, None]
     a_s = factors.a @ s

@@ -77,13 +77,11 @@ class RegressionStack:
     """k regression instances of one shape, kept as what a factor state reads
     of them: features ``s`` (k, n) and offsets ``W_pt s - y`` (k, m); or one
     instance, with s (n,) and its offset (m,). The dense base weights are
-    not kept: ``w_pt`` is None, and ``RegressionObjective`` reads the
-    offsets in its place.
+    not kept.
     """
 
     s: np.ndarray
     offset: np.ndarray
-    w_pt = None
 
     def take(self, index) -> "RegressionStack":
         """The instances ``index`` of the stack: one instance for an int."""
@@ -164,48 +162,40 @@ class _ResidualObjective(Objective):
     """An objective of the residual ``W s - y``, with s a matrix or a vector.
 
     At a factor state the residual is ``C0 + B (A s)``, where
-    ``C0 = W_pt s - y`` is computed on first use for the problem's own
-    ``w_pt`` and kept; any other ``w_pt`` gets its own, uncached
-    (``_per_base``). Subclasses build the loss, gradient and sides from the
-    residual and ``A s``, so ``sides`` never forms the m x n gradient;
-    ``SensingObjective`` replaces this residual form of the sides with a
-    Gram form where its shapes favour it. At a stacked state the residual,
-    ``A s``, gradient and sides carry the stack axis, and the loss is taken
-    slice by slice.
+    ``C0 = W_pt s - y`` is built on first use and kept (on a
+    ``RegressionStack``, which keeps no W_pt, C0 is its offsets). Subclasses
+    build the loss, gradient and sides from the residual and ``A s``, so
+    ``sides`` never forms the m x n gradient; ``SensingObjective`` replaces
+    this residual form of the sides with a Gram form where its shapes
+    favour it. At a stacked state the residual, ``A s``, gradient and sides
+    carry the stack axis, and the loss is taken slice by slice.
     """
 
     def __init__(self, problem):
         self.problem = problem
-        self._kept = {}
+        self.w_pt = None if isinstance(problem, RegressionStack) else problem.w_pt
 
-    def _per_base(self, name: str, w_pt: np.ndarray, build):
-        """``build(w_pt)``, kept under ``name`` only for the problem's own ``w_pt``."""
-        if w_pt is not self.problem.w_pt:
-            return build(w_pt)
-        if name not in self._kept:
-            self._kept[name] = build(w_pt)
-        return self._kept[name]
-
-    def _offset(self, w_pt: np.ndarray | None) -> np.ndarray:
-        """``C0 = W_pt s - y``; a problem that keeps no ``W_pt`` holds it."""
-        if w_pt is None:
+    @cached_property
+    def _offset(self) -> np.ndarray:
+        """``C0 = W_pt s - y``, built on first use."""
+        if self.w_pt is None:
             return self.problem.offset
-        return self._per_base("offset", w_pt, lambda w: w @ self.problem.s - self.problem.y)
+        return self.w_pt @ self.problem.s - self.problem.y
 
-    def _residual(self, factors: LoRAFactors, w_pt: np.ndarray | None):
+    def _residual(self, factors: LoRAFactors):
         """``(C0 + B (A s), A s)`` at the factor state."""
         a_s = factors.a @ self.problem.s
         resid = factors.b @ a_s
-        resid += self._offset(w_pt)  # in place, as in core.effective_weight
+        resid += self._offset  # in place, as in core.effective_weight
         return resid, a_s
 
-    def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
-        return self._sides(factors, *self._residual(factors, w_pt))
+    def sides(self, factors: LoRAFactors) -> Sides:
+        return self._sides(factors, *self._residual(factors))
 
-    def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
-        resid, a_s = self._residual(factors, w_pt)
+    def evaluate(self, factors: LoRAFactors) -> StateEval:
+        resid, a_s = self._residual(factors)
         return StateEval(per_slice(factors, self._loss_of, resid),
-                         self._grad_of(factors, w_pt, resid, a_s),
+                         self._grad_of(factors, resid, a_s),
                          self._sides(factors, resid, a_s))
 
 
@@ -216,7 +206,7 @@ class SensingObjective(_ResidualObjective):
     ``0.5 ||R||_F^2``, kept in this form because the rate fits read losses
     near round-off. The sides take one of two forms, chosen from the shapes
     alone. The Gram form writes G as ``K + B (A Q)``, with ``K = C0 S^T``
-    kept under ``C0``'s rule and ``Q = S S^T`` (n x n) kept on first use,
+    and ``Q = S S^T`` (n x n) each built on first use and kept,
     and takes ``B^T G = B^T K + (B^T B)(A Q)`` and
     ``G A^T = K A^T + B ((A Q) A^T)``: r (2mn + n^2) work and no m x o
     temporary. The residual form takes ``B^T G = (B^T R) S^T`` and
@@ -230,28 +220,33 @@ class SensingObjective(_ResidualObjective):
     def __init__(self, problem: SensingProblem):
         super().__init__(problem)
         self.optimum_loss = 0.0
-        self.optimum_w = problem.w_pt + problem.b_star @ problem.a_star
+        self.optimum_w = self.w_pt + problem.b_star @ problem.a_star
         m, o = problem.y.shape
         n = problem.s.shape[0]
         self.gram_form = 2 * m * n + n * n <= 3 * m * o + 2 * n * o
 
     @cached_property
     def _s_gram(self) -> np.ndarray:
-        """``Q = S S^T``, built on first use; it does not depend on ``w_pt``."""
+        """``Q = S S^T``, built on first use."""
         return self.problem.s @ self.problem.s.T
 
-    def sides(self, factors: LoRAFactors, w_pt: np.ndarray) -> Sides:
-        if not self.gram_form:
-            return super().sides(factors, w_pt)
-        return self._gram_sides(factors, self._offset_grad(w_pt), factors.a @ self._s_gram)
+    @cached_property
+    def _offset_grad(self) -> np.ndarray:
+        """``K = C0 S^T``, built on first use."""
+        return self._offset @ self.problem.s.T
 
-    def evaluate(self, factors: LoRAFactors, w_pt: np.ndarray) -> StateEval:
+    def sides(self, factors: LoRAFactors) -> Sides:
         if not self.gram_form:
-            return super().evaluate(factors, w_pt)
-        resid, _ = self._residual(factors, w_pt)
+            return super().sides(factors)
+        return self._gram_sides(factors, self._offset_grad, factors.a @ self._s_gram)
+
+    def evaluate(self, factors: LoRAFactors) -> StateEval:
+        if not self.gram_form:
+            return super().evaluate(factors)
+        resid, _ = self._residual(factors)
         loss = per_slice(factors, self._loss_of, resid)
         del resid
-        k, a_q = self._offset_grad(w_pt), factors.a @ self._s_gram
+        k, a_q = self._offset_grad, factors.a @ self._s_gram
         g = factors.b @ a_q
         g += k  # in place, as in core.effective_weight
         return StateEval(loss, g, self._gram_sides(factors, k, a_q))
@@ -261,10 +256,6 @@ class SensingObjective(_ResidualObjective):
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.problem.s - self.problem.y) @ self.problem.s.T
-
-    def _offset_grad(self, w_pt: np.ndarray) -> np.ndarray:
-        """``K = C0 S^T``, kept under ``C0``'s rule."""
-        return self._per_base("offset grad", w_pt, lambda w: self._offset(w) @ self.problem.s.T)
 
     @staticmethod
     def _gram_sides(factors, k, a_q) -> Sides:
@@ -278,9 +269,9 @@ class SensingObjective(_ResidualObjective):
     def _loss_of(self, resid) -> float:
         return 0.5 * float(np.sum(resid * resid))
 
-    def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
+    def _grad_of(self, factors, resid, a_s) -> np.ndarray:
         g = factors.b @ (a_s @ self.problem.s.T)
-        g += self._offset_grad(w_pt)  # in place, as in core.effective_weight
+        g += self._offset_grad  # in place, as in core.effective_weight
         return g
 
     def _sides(self, factors, resid, a_s) -> Sides:
@@ -288,12 +279,13 @@ class SensingObjective(_ResidualObjective):
 
 
 class QuadraticObjective(Objective):
-    """(mu/2) ||W - W*||_F^2, the canonical strongly convex test objective."""
+    """(mu/2) ||W - W*||_F^2 on the base weight ``w_pt``: a strongly convex test objective."""
 
-    def __init__(self, w_star: np.ndarray, mu: float):
+    def __init__(self, w_star: np.ndarray, mu: float, w_pt: np.ndarray):
         if mu <= 0:
             raise ValueError("mu must be positive")
         self.w_star = as_matrix(w_star, "W_star")
+        self.w_pt = as_matrix(w_pt, "W_pt")
         self.mu = float(mu)
         self.optimum_loss = 0.0
         self.optimum_w = self.w_star
@@ -313,7 +305,7 @@ class RegressionObjective(_ResidualObjective):
     ``B^T G = 2 (B^T res) s^T`` and ``G A^T = 2 res (A s)^T``, O((m + n) r)
     work. Its problem is a ``RegressionProblem``, or a ``RegressionStack``
     read only at factor states: a stacked state on a stack of k instances
-    takes slice j to instance j, with ``None`` for the base weight.
+    takes slice j to instance j, and C0 is the stack's offsets.
     """
 
     def loss(self, w: np.ndarray) -> float:
@@ -322,17 +314,17 @@ class RegressionObjective(_ResidualObjective):
     def grad(self, w: np.ndarray) -> np.ndarray:
         return 2.0 * np.outer(w @ self.problem.s - self.problem.y, self.problem.s)
 
-    def _residual(self, factors: LoRAFactors, w_pt: np.ndarray | None):
+    def _residual(self, factors: LoRAFactors):
         s = self.problem.s[..., :, None]
         a_s = (factors.a @ s)[..., 0]
         resid = (factors.b @ a_s[..., :, None])[..., 0]
-        resid += self._offset(w_pt)  # in place, as in core.effective_weight
+        resid += self._offset  # in place, as in core.effective_weight
         return resid, a_s
 
     def _loss_of(self, resid) -> float:
         return float(resid @ resid)
 
-    def _grad_of(self, factors, w_pt, resid, a_s) -> np.ndarray:
+    def _grad_of(self, factors, resid, a_s) -> np.ndarray:
         return 2.0 * (resid[..., :, None] * self.problem.s[..., None, :])
 
     def _sides(self, factors, resid, a_s) -> Sides:
@@ -345,8 +337,8 @@ def sensing_objective(problem: SensingProblem) -> SensingObjective:
     return SensingObjective(problem)
 
 
-def quadratic_objective(w_star, mu: float) -> QuadraticObjective:
-    return QuadraticObjective(w_star, mu)
+def quadratic_objective(w_star, mu: float, w_pt) -> QuadraticObjective:
+    return QuadraticObjective(w_star, mu, w_pt)
 
 
 def regression_objective(problem: RegressionProblem | RegressionStack) -> RegressionObjective:

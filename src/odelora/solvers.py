@@ -13,14 +13,14 @@ descent, Gram-preconditioned descent, and the gradient-matching update
 with zero gauge (the X = 0 member of the same solution family as the Euler
 flow step). Full-weight gradient descent steps the dense weight instead.
 All steppers are pure functions from state to state with one signature,
-``(state, w_pt, objective, h, eps, g=None)``; ``full_ft_step`` ignores
-``w_pt`` and ``eps``. A step given ``g``, the gradient at its start state
-(its ``Sides`` for a factor step, the dense G for ``full_ft_step``), uses it
-as the first stage's instead of evaluating it again; the run loop passes the
-one of the row it just logged.
+``(state, objective, h, eps, g=None)``, the objective holding the frozen
+base weight; ``full_ft_step`` ignores ``eps``. A step given ``g``, the
+gradient at its start state (its ``Sides`` for a factor step, the dense G
+for ``full_ft_step``), uses it as the first stage's instead of evaluating
+it again; the run loop passes the one of the row it just logged.
 
-``run_stack`` runs k cells that share a start, an objective, a base weight
-and every setting but the step size, as one stack: the factor pairs are
+``run_stack`` runs k cells that share a start, an objective and every
+setting but the step size, as one stack: the factor pairs are
 A (k, r, n) and B (k, m, r) (full fine-tuning steps the dense weights
 ``W_pt + B A`` as a (k, m, n) stack), each step is one call on the whole
 stack with the step sizes held as a (k, 1, 1) array, and each cell keeps
@@ -171,8 +171,7 @@ _METHODS = {
 }
 
 
-def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h, eps,
-             g=None):
+def _rk_step(scheme: Scheme, factors: LoRAFactors, objective: Objective, h, eps, g=None):
     """One step of a factor scheme: ``(next_state, tableau, stages)``, with
     ``stages`` the stage fields ``[(f_a, f_b), ...]`` the step summed.
 
@@ -180,59 +179,59 @@ def _rk_step(scheme: Scheme, factors: LoRAFactors, w_pt, objective: Objective, h
     when the caller already has them.
     """
     tableau, direction = _METHODS[scheme]
-    sides = objective.sides(factors, w_pt) if g is None else g
+    sides = objective.sides(factors) if g is None else g
     stages = [direction(factors, sides, eps)]
     for c in tableau.subdiagonal:
         state = factors.move(*stages[-1], c * h)
-        stages.append(direction(state, objective.sides(state, w_pt), eps))
+        stages.append(direction(state, objective.sides(state), eps))
     total = [tableau.weights[0] * part for part in stages[0]]
     for b, stage in zip(tableau.weights[1:], stages[1:]):
         total = [acc + b * part for acc, part in zip(total, stage)]
     return factors.move(*(acc / tableau.denominator for acc in total), h), tableau, stages
 
 
-def ode_euler_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+def ode_euler_step(factors: LoRAFactors, objective: Objective, h: float,
                    eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One forward-Euler step of the balanced flow."""
-    return _rk_step(Scheme.ODE_EULER, factors, w_pt, objective, h, eps, g)[0]
+    return _rk_step(Scheme.ODE_EULER, factors, objective, h, eps, g)[0]
 
 
-def ode_rk2_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+def ode_rk2_step(factors: LoRAFactors, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One Heun (two-stage, second-order) step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK2, factors, w_pt, objective, h, eps, g)[0]
+    return _rk_step(Scheme.ODE_RK2, factors, objective, h, eps, g)[0]
 
 
-def ode_rk4_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+def ode_rk4_step(factors: LoRAFactors, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One classical four-stage RK4 step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK4, factors, w_pt, objective, h, eps, g)[0]
+    return _rk_step(Scheme.ODE_RK4, factors, objective, h, eps, g)[0]
 
 
-def classical_gd_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+def classical_gd_step(factors: LoRAFactors, objective: Objective, h: float,
                       eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Plain gradient descent on the factors (B^T G in A, G A^T in B); ignores ``eps``."""
-    return _rk_step(Scheme.CLASSICAL_GD, factors, w_pt, objective, h, eps, g)[0]
+    return _rk_step(Scheme.CLASSICAL_GD, factors, objective, h, eps, g)[0]
 
 
-def riemannian_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+def riemannian_step(factors: LoRAFactors, objective: Objective, h: float,
                     eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Gram-preconditioned factor descent:
     A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
-    return _rk_step(Scheme.RIEMANNIAN, factors, w_pt, objective, h, eps, g)[0]
+    return _rk_step(Scheme.RIEMANNIAN, factors, objective, h, eps, g)[0]
 
 
-def lorapro_step(factors: LoRAFactors, w_pt, objective: Objective, h: float,
+def lorapro_step(factors: LoRAFactors, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One step along the zero-gauge gradient-matching direction."""
-    return _rk_step(Scheme.LORA_PRO, factors, w_pt, objective, h, eps, g)[0]
+    return _rk_step(Scheme.LORA_PRO, factors, objective, h, eps, g)[0]
 
 
-def full_ft_step(w: np.ndarray, w_pt, objective: Objective, h,
+def full_ft_step(w: np.ndarray, objective: Objective, h,
                  eps: float = DEFAULT_EPS, g=None) -> np.ndarray:
     """Full-weight gradient descent: W - h grad(W); ``g`` is grad(W) when
     known. W may be a (k, m, n) stack, with h a (k, 1, 1) array; ``grad``
-    then runs slice by slice. Ignores ``w_pt`` and ``eps``."""
+    then runs slice by slice. Ignores ``eps``."""
     if g is None:
         g = objective.grad(w) if w.ndim == 2 else np.array([objective.grad(x) for x in w])
     return w - h * g
@@ -305,7 +304,6 @@ def run_stack(
     start: LoRAFactors,
     objective: Objective,
     configs,
-    w_pt: np.ndarray,
     *,
     log_eps_ratio: bool = True,
     log_balance: bool = True,
@@ -331,7 +329,7 @@ def run_stack(
         raise ValueError(f"a stack of {start.a.shape[0]} starts for {k} cells")
     logs = [TrajectoryLog() for _ in configs]
     full = config.scheme is Scheme.FULL_FT
-    state = effective_weight(w_pt, start) if full else start
+    state = effective_weight(objective.w_pt, start) if full else start
     h = np.array([c.step_size for c in configs])[:, None, None]
     eps = config.eps_reg
     live = list(range(k))  # the cell of each stack slice
@@ -352,7 +350,7 @@ def run_stack(
     def record(i: int):
         """Append a row for each slice and return the gradient the next step
         starts from; None halts the run."""
-        w = state if full else effective_weight(w_pt, state)
+        w = state if full else effective_weight(objective.w_pt, state)
         stays = np.isfinite(w).all(axis=(1, 2))
         if not stays.all():
             leave(stays, i)
@@ -367,7 +365,7 @@ def run_stack(
             g = first = np.array([objective.grad(x) for x in w])
         else:
             del w  # the dense W is not held while the objective is evaluated
-            loss, g, first = objective.evaluate(state, w_pt)
+            loss, g, first = objective.evaluate(state)
         stays = np.isfinite(loss) & (loss <= DIVERGENCE_LOSS)
         if not stays.all():
             leave(stays, i, loss)
@@ -395,7 +393,7 @@ def run_stack(
             if g is None:
                 break
             try:
-                state = step(state, w_pt, objective, h, eps, g)
+                state = step(state, objective, h, eps, g)
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
                 # A stacked call raises for the whole stack, so each live
@@ -405,7 +403,7 @@ def run_stack(
                 else:
                     for cell in live:
                         logs[cell] = run_stack(start.take([cell]), objective,
-                                               [configs[cell]], w_pt,
+                                               [configs[cell]],
                                                log_eps_ratio=log_eps_ratio,
                                                log_balance=log_balance)[0]
                 break
@@ -417,16 +415,16 @@ def run_trajectory(
     start: LoRAFactors,
     objective: Objective,
     config: SolverConfig,
-    w_pt: np.ndarray,
     *,
+    w_pt: np.ndarray | None = None,
     log_eps_ratio: bool = True,
     log_balance: bool = True,
 ) -> TrajectoryLog:
     """Iterate the configured stepper, logging one row per state.
 
-    Every scheme starts from the factors ``start`` on the frozen base
-    weight ``w_pt``; FULL_FT steps the dense weight ``W_pt + B A``, which
-    it builds from them. A start of any other type raises ``TypeError``.
+    Every scheme starts from the factors ``start``; FULL_FT steps the dense
+    weight ``objective.w_pt + B A``, which it builds from them. A start of
+    any other type raises ``TypeError``.
     Divergence (loss above DIVERGENCE_LOSS, a non-finite state, or a step
     that fails a factorization) is recorded, not raised: the log gets its
     final row, with a ``nan`` gradient norm, and ``diverged`` is set. Any
@@ -437,6 +435,10 @@ def run_trajectory(
     null-space ratio and the balance defect are computed only when their
     ``log_*`` flag is set, and never for FULL_FT; otherwise their fields
     stay ``None``. This is ``run_stack`` with one cell, a stack of k = 1.
+    ``w_pt``, if given, must be ``objective.w_pt`` itself, else ValueError;
+    ROADMAP item 1 drops it, together with the benchmark's ``jobs=1``.
     """
-    return run_stack(start, objective, [config], w_pt, log_eps_ratio=log_eps_ratio,
+    if w_pt is not None and w_pt is not objective.w_pt:
+        raise ValueError("w_pt is not the objective's own base weight")
+    return run_stack(start, objective, [config], log_eps_ratio=log_eps_ratio,
                      log_balance=log_balance)[0]

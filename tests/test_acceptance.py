@@ -127,7 +127,7 @@ def test_criterion_03_balance_tangency_and_preservation(sensing40):
     ok_tangency = worst_tangency <= 1e-10
 
     log = run_trajectory(
-        start, objective, SolverConfig(Scheme.ODE_RK4, H, 200), w_pt=problem.w_pt
+        start, objective, SolverConfig(Scheme.ODE_RK4, H, 200)
     )
     max_defect = max(row.balance_defect for row in log.rows)
     ok_defect = max_defect <= 1e-6
@@ -138,7 +138,7 @@ def test_criterion_03_balance_tangency_and_preservation(sensing40):
     def defect_after(step_fn, h, steps=3):
         state = start
         for _ in range(steps):
-            state = step_fn(state, problem.w_pt, objective, h, 1e-8)
+            state = step_fn(state, objective, h, 1e-8)
         return balance_defect(state)
 
     euler_ratio = np.log2(
@@ -182,7 +182,7 @@ def test_criterion_05_linear_convergence_rate(sensing40):
     details = [f"certificate {certificate:.3f}"]
     for scheme in (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4):
         log = run_trajectory(
-            start, objective, SolverConfig(scheme, H, 500), w_pt=problem.w_pt
+            start, objective, SolverConfig(scheme, H, 500)
         )
         losses = log.losses()
         fit = rate_fit(losses, 0.0)
@@ -333,10 +333,10 @@ def generic_start_scaling():
                 report, _ = phi_decompose(state, objective, Scheme.CLASSICAL_GD, H)
                 for comp, norm in enumerate(report.component_norms):
                     components.setdefault((n, comp), []).append(norm)
-                state = classical_gd_step(state, problem.w_pt, objective, H)
+                state = classical_gd_step(state, objective, H)
             state = start
             for _ in range(20):
-                after = ode_rk4_step(state, problem.w_pt, objective, H)
+                after = ode_rk4_step(state, objective, H)
                 change = after.b @ (after.a @ problem.s) - state.b @ (state.a @ problem.s)
                 flow_changes.setdefault(n, []).append(float(np.linalg.norm(change)))
                 state = after
@@ -368,7 +368,7 @@ def test_criterion_08b_factor_descent_feature_scaling_degrades(generic_start_sca
 def test_criterion_09_gradient_correctness():
     rng = np.random.default_rng(9)
     sensing = sensing_objective(make_sensing_instance(8, 9, 9, 2, 0.1, 3))
-    quad = quadratic_objective(rng.standard_normal((6, 7)), mu=1.7)
+    quad = quadratic_objective(rng.standard_normal((6, 7)), mu=1.7, w_pt=np.zeros((6, 7)))
     regress = regression_objective(make_regression_instance(9, 7, 3))
     worst = 0.0
     for objective, shape in ((sensing, (8, 9)), (quad, (6, 7)), (regress, (7, 9))):

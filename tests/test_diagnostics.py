@@ -116,14 +116,14 @@ class TestEstimateOrder:
         # started and each defect sits at round-off
         w_pt = rng.standard_normal((8, 8))
         w_star = w_pt + rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
-        obj = quadratic_objective(w_star, mu=1.0)
+        obj = quadratic_objective(w_star, mu=1.0, w_pt=w_pt)
         f0 = balanced_init(w_star - w_pt, 2)
         with pytest.raises(DefectBelowNoiseFloor):
-            estimate_order(f0, w_pt, obj, 0.2, [0.1, 0.05])
+            estimate_order(f0, obj, 0.2, [0.1, 0.05])
 
     def test_euler_first_order(self, setup):
         p, obj, f0 = setup
-        report = estimate_order(f0, p.w_pt, obj, 0.5, [0.1, 0.05, 0.025])[Scheme.ODE_EULER]
+        report = estimate_order(f0, obj, 0.5, [0.1, 0.05, 0.025])[Scheme.ODE_EULER]
         assert 0.7 <= report.observed_order <= 1.3
         assert all(d > 0 for d in report.defects)
         assert list(report.defects) == sorted(report.defects, reverse=True)
@@ -135,13 +135,13 @@ class TestEstimateOrder:
         calls = []
         real = diagnostics._integrate_weight
 
-        def counting(factors, w_pt, objective, scheme, h, horizon, eps):
+        def counting(factors, objective, scheme, h, horizon, eps):
             calls.append((scheme, h))
-            return real(factors, w_pt, objective, scheme, h, horizon, eps)
+            return real(factors, objective, scheme, h, horizon, eps)
 
         monkeypatch.setattr(diagnostics, "_integrate_weight", counting)
         h_list = [0.1, 0.05]
-        reports = estimate_order(f0, p.w_pt, obj, 0.2, h_list)
+        reports = estimate_order(f0, obj, 0.2, h_list)
         assert list(reports) == [Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4]
         assert len(calls) == 1 + 3 * len(h_list)
         assert calls[0] == (Scheme.ODE_RK4, min(h_list) / 100.0)
@@ -151,16 +151,16 @@ class TestEstimateOrder:
         p, obj, f0 = setup
         for h_list in ([0.05, 0.1], [0.1, 0.1], [0.1]):
             with pytest.raises(ValueError, match="strictly descending"):
-                estimate_order(f0, p.w_pt, obj, 0.5, h_list)
+                estimate_order(f0, obj, 0.5, h_list)
 
     def test_reference_divergence_detected(self, rng):
         # a stiff quadratic pushes the fine RK4 reference out of its
         # stability region when the step list is too coarse
         w_star = np.zeros((3, 3))
-        obj = quadratic_objective(w_star, mu=40.0)
+        obj = quadratic_objective(w_star, mu=40.0, w_pt=np.zeros((3, 3)))
         f0 = random_factors(rng, 2, 3, 3)
         with pytest.raises(ReferenceDiverged):
-            estimate_order(f0, np.zeros((3, 3)), obj, 40.0, [50.0, 25.0])
+            estimate_order(f0, obj, 40.0, [50.0, 25.0])
 
 
 class TestPhiDecomposition:
@@ -207,8 +207,8 @@ class TestTrajectoryDefectContrast:
         p = make_sensing_instance(40, 40, 40, 4, 0.05, 0)
         obj = sensing_objective(p)
         f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
-        rk4 = run_trajectory(f0, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 200), w_pt=p.w_pt)
-        gd = run_trajectory(f0, obj, SolverConfig(Scheme.CLASSICAL_GD, 0.1, 200), w_pt=p.w_pt)
+        rk4 = run_trajectory(f0, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 200))
+        gd = run_trajectory(f0, obj, SolverConfig(Scheme.CLASSICAL_GD, 0.1, 200))
         assert rk4.rows[-1].balance_defect <= 1e-6
         assert gd.rows[-1].balance_defect > 10 * rk4.rows[-1].balance_defect
 
@@ -222,9 +222,9 @@ class TestOrderSeedConsistency:
             rng = np.random.default_rng(seed)
             w_pt = rng.standard_normal((8, 8))
             w_star = w_pt + rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
-            obj = quadratic_objective(w_star, mu=1.0)
+            obj = quadratic_objective(w_star, mu=1.0, w_pt=w_pt)
             f0 = balanced_init(0.6 * (w_star - w_pt), 2)
-            reports = estimate_order(f0, w_pt, obj, 0.5, [0.1, 0.05, 0.025])
+            reports = estimate_order(f0, obj, 0.5, [0.1, 0.05, 0.025])
             orders.append(reports[Scheme.ODE_EULER].observed_order)
         assert all(0.7 <= o <= 1.3 for o in orders)
         assert abs(orders[0] - orders[1]) <= 0.3
@@ -251,7 +251,7 @@ class TestPhiIdentityAlongTrajectory:
             state = start
             for _ in range(5):
                 _, after = phi_decompose(state, objective, scheme, 0.1, 1e-8)
-                stepped = step(state, problem.w_pt, objective, 0.1, 1e-8)
+                stepped = step(state, objective, 0.1, 1e-8)
                 assert np.array_equal(after.a, stepped.a)
                 assert np.array_equal(after.b, stepped.b)
                 state = stepped

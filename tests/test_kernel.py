@@ -110,7 +110,7 @@ class TestFactorizationCounts:
     def test_riemannian_direction(self, rng, counted):
         f, g = random_state(rng)
         w_pt = np.zeros(f.shape)
-        riemannian_step(f, w_pt, quadratic_objective(g, mu=1.0), 0.1, 1e-8)
+        riemannian_step(f, quadratic_objective(g, mu=1.0, w_pt=w_pt), 0.1, 1e-8)
         assert counted == {"cholesky": 2, "eigh": 0}
 
     def test_flow_rhs_full_and_eps_ratio(self, rng, counted):
@@ -394,9 +394,9 @@ class TestResidualForm:
     @both_forms
     def test_evaluate_matches_dense(self, case):
         objective, f = case
-        w_pt = objective.problem.w_pt
-        got = objective.evaluate(f, w_pt)
-        want = Objective.evaluate(objective, f, w_pt)
+        w_pt = objective.w_pt
+        got = objective.evaluate(f)
+        want = Objective.evaluate(objective, f)
         factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
         dense_resid = np.linalg.norm(effective_weight(w_pt, f) @ objective.problem.s
                                      - objective.problem.y)
@@ -411,27 +411,24 @@ class TestResidualForm:
     @both_forms
     def test_sides_are_the_logged_sides(self, case):
         objective, f = case
-        w_pt = objective.problem.w_pt
-        sides, logged = objective.sides(f, w_pt), objective.evaluate(f, w_pt).sides
+        sides, logged = objective.sides(f), objective.evaluate(f).sides
         assert all(np.array_equal(x, y) for x, y in zip(sides, logged))
-        # a copy of w_pt bypasses the cached offset and gives the same bits
-        fresh = objective.sides(f, w_pt.copy())
-        assert all(np.array_equal(x, y) for x, y in zip(sides, fresh))
 
     @PROPERTY_SETTINGS
     @given(residual_problems())
     @both_forms
     def test_another_base_weight_is_not_served_from_the_cache(self, case):
         objective, f = case
-        objective.evaluate(f, objective.problem.w_pt)  # caches C0 and, for sensing, C0 S^T
-        other = objective.problem.w_pt + 1.0
-        got, want = objective.sides(f, other), Objective.sides(objective, f, other)
-        assert_sides_close(got, want, objective, f, other)
+        objective.evaluate(f)  # caches C0 and, for sensing, C0 S^T
+        # an objective on the same S and Y with base W_pt + 1 builds its own
+        other = type(objective)(dataclasses.replace(objective.problem, w_pt=objective.w_pt + 1.0))
+        got, want = other.sides(f), Objective.sides(other, f)
+        assert_sides_close(got, want, other, f, other.w_pt)
         factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
-        g_tol = factor * 1e-13 * residual_scale(objective, f, other) * np.linalg.norm(
+        g_tol = factor * 1e-13 * residual_scale(other, f, other.w_pt) * np.linalg.norm(
             objective.problem.s)
-        grad = objective.evaluate(f, other).grad
-        assert np.linalg.norm(grad - Objective.evaluate(objective, f, other).grad) <= g_tol
+        grad = other.evaluate(f).grad
+        assert np.linalg.norm(grad - Objective.evaluate(other, f).grad) <= g_tol
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -448,8 +445,8 @@ class TestResidualForm:
         cases.append((RegressionObjective(regression),
                       LoRAFactors(a=regression.s[None, :], b=u[:, None])))
         for objective, f in cases:
-            w_pt = objective.problem.w_pt
-            state = objective.evaluate(f, w_pt)
+            w_pt = objective.w_pt
+            state = objective.evaluate(f)
             assert state.loss < 1e-20
             assert objective.loss(effective_weight(w_pt, f)) < 1e-20
             # G vanishes at the optimum: both sides are round-off of the residual's terms
@@ -485,7 +482,7 @@ def test_logged_sensing_rk4_run_forms_no_r_st_and_k_once_per_objective():
     config = SolverConfig(Scheme.ODE_RK4, 0.1, k)
     first, second = SensingObjective(problem), SensingObjective(problem)
     for objective in (first, first, second):
-        log = run_trajectory(start, objective, config, w_pt=problem.w_pt)
+        log = run_trajectory(start, objective, config)
         assert len(log.rows) == k + 1 and not log.diverged
     assert first.gram_form
     assert products and products.count(((m, o), (o, n))) == 2

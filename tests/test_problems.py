@@ -166,14 +166,14 @@ class TestSensingObjective:
 class TestQuadraticObjective:
     def test_examples(self, rng):
         w_star = rng.standard_normal((3, 4))
-        obj = quadratic_objective(w_star, mu=2.0)
+        obj = quadratic_objective(w_star, mu=2.0, w_pt=np.zeros_like(w_star))
         assert obj.loss(w_star) == 0.0
         assert obj.loss(w_star + np.ones((3, 4))) == pytest.approx(12.0)  # (mu/2)*12
         assert gradient_probe_error(obj, rng.standard_normal((3, 4)), rng) <= 1e-6
 
     def test_identity_shift_example(self):
         w_star = np.zeros((2, 2))
-        obj = quadratic_objective(w_star, mu=2.0)
+        obj = quadratic_objective(w_star, mu=2.0, w_pt=np.zeros_like(w_star))
         assert obj.loss(np.eye(2)) == pytest.approx(2.0)
 
 

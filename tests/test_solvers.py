@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from odelora.core import (
     field_eval,
     gradient_sides,
 )
+from odelora.diagnostics import _integrate_weight, estimate_order
 from odelora.linalg import NotPositiveDefinite
 from odelora.metrics import balance_defect
 from odelora.problems import (
@@ -45,8 +47,9 @@ from oracles import flow_rhs_full
 class ConstantGradient(Objective):
     """Linear objective: loss = <G0, W>, gradient identically G0."""
 
-    def __init__(self, g0):
+    def __init__(self, g0, w_pt):
         self.g0 = np.asarray(g0, dtype=np.float64)
+        self.w_pt = w_pt
 
     def loss(self, w):
         return float(np.sum(self.g0 * w))
@@ -60,6 +63,7 @@ class CountingObjective(Objective):
 
     def __init__(self, inner):
         self.inner = inner
+        self.w_pt = inner.w_pt
         self.optimum_w = inner.optimum_w
         self.grads = 0
 
@@ -79,7 +83,7 @@ def row_values(log):
 def quadratic_fixture(rng, r=3, m=6, n=7):
     f = random_factors(rng, r, m, n)
     w_pt = rng.standard_normal((m, n))
-    return f, w_pt, quadratic_objective(w_pt + rng.standard_normal((m, n)), mu=1.0)
+    return f, w_pt, quadratic_objective(w_pt + rng.standard_normal((m, n)), mu=1.0, w_pt=w_pt)
 
 
 class TestFixedPoints:
@@ -88,9 +92,9 @@ class TestFixedPoints:
         f = random_factors(rng, 2, 5, 6)
         w_pt = rng.standard_normal((5, 6))
         w = effective_weight(w_pt, f)
-        obj = quadratic_objective(w, mu=2.0)  # optimum here
+        obj = quadratic_objective(w, mu=2.0, w_pt=w_pt)  # optimum here
         state = w if scheme is Scheme.FULL_FT else f
-        out = solvers_mod._step_for(scheme)(state, w_pt, obj, 0.25, 1e-8)
+        out = solvers_mod._step_for(scheme)(state, obj, 0.25, 1e-8)
         if scheme is Scheme.FULL_FT:
             assert np.array_equal(out, w)
         else:
@@ -101,7 +105,7 @@ class TestOdeEuler:
     def test_scalar_derivation(self):
         f = LoRAFactors(a=[[1.0]], b=[[1.0]])
         g = 0.8
-        out = ode_euler_step(f, np.zeros((1, 1)), ConstantGradient([[g]]), 0.1, eps=0.0)
+        out = ode_euler_step(f, ConstantGradient([[g]], np.zeros((1, 1))), 0.1, eps=0.0)
         assert out.a[0, 0] == pytest.approx(1.0 - 0.05 * g)
         assert out.b[0, 0] == pytest.approx(1.0 - 0.05 * g)
 
@@ -114,11 +118,11 @@ class TestOdeEuler:
         def defect(h):
             state = f0
             for _ in range(round(horizon / h)):
-                state = ode_euler_step(state, p.w_pt, obj, h, 1e-8)
+                state = ode_euler_step(state, obj, h, 1e-8)
             ref = f0
             h_ref = h / 64
             for _ in range(round(horizon / h_ref)):
-                ref = ode_rk4_step(ref, p.w_pt, obj, h_ref, 1e-8)
+                ref = ode_rk4_step(ref, obj, h_ref, 1e-8)
             return np.linalg.norm(
                 effective_weight(p.w_pt, state) - effective_weight(p.w_pt, ref)
             )
@@ -144,7 +148,7 @@ class TestOdeRk2:
         dfb = (k_tau.f_b - k1.f_b) / tau
         taylor_a = f.a + h * k1.f_a + 0.5 * h**2 * dfa
         taylor_b = f.b + h * k1.f_b + 0.5 * h**2 * dfb
-        out = ode_rk2_step(f, w_pt, obj, h, eps=0.0)
+        out = ode_rk2_step(f, obj, h, eps=0.0)
         scale = np.linalg.norm(k1.f_a) + np.linalg.norm(k1.f_b)
         err = np.linalg.norm(out.a - taylor_a) + np.linalg.norm(out.b - taylor_b)
         assert err <= 50.0 * h**3 * max(1.0, scale)
@@ -158,13 +162,13 @@ class TestOdeRk2:
         ref = f0
         h_ref = 0.4 / 2048
         for _ in range(2048):
-            ref = ode_rk4_step(ref, p.w_pt, obj, h_ref, 1e-8)
+            ref = ode_rk4_step(ref, obj, h_ref, 1e-8)
         w_ref = effective_weight(p.w_pt, ref)
 
         def defect(h):
             state = f0
             for _ in range(round(horizon / h)):
-                state = ode_rk2_step(state, p.w_pt, obj, h, 1e-8)
+                state = ode_rk2_step(state, obj, h, 1e-8)
             return np.linalg.norm(effective_weight(p.w_pt, state) - w_ref)
 
         order = np.log2(defect(0.1) / defect(0.05))
@@ -175,14 +179,14 @@ class TestOdeRk4:
     def test_constant_field_collapses_to_euler(self, rng, monkeypatch):
         f = random_factors(rng, 2, 5, 6)
         w_pt = np.zeros((5, 6))
-        obj = ConstantGradient(rng.standard_normal((5, 6)))
+        obj = ConstantGradient(rng.standard_normal((5, 6)), w_pt)
         frozen = FieldEval(
             f_a=rng.standard_normal((2, 6)),
             f_b=rng.standard_normal((5, 2)),
             x=np.zeros((2, 2)),
         )
         monkeypatch.setattr(solvers_mod, "field_eval_sides", lambda *a, **k: frozen)
-        out = ode_rk4_step(f, w_pt, obj, 0.3, 1e-8)
+        out = ode_rk4_step(f, obj, 0.3, 1e-8)
         assert np.allclose(out.a, f.a + 0.3 * frozen.f_a, atol=1e-14)
         assert np.allclose(out.b, f.b + 0.3 * frozen.f_b, atol=1e-14)
 
@@ -195,13 +199,13 @@ class TestOdeRk4:
         ref = f0
         h_ref = 0.4 / 4096
         for _ in range(4096):
-            ref = ode_rk4_step(ref, p.w_pt, obj, h_ref, 1e-8)
+            ref = ode_rk4_step(ref, obj, h_ref, 1e-8)
         w_ref = effective_weight(p.w_pt, ref)
 
         def defect(h):
             state = f0
             for _ in range(round(horizon / h)):
-                state = ode_rk4_step(state, p.w_pt, obj, h, 1e-8)
+                state = ode_rk4_step(state, obj, h, 1e-8)
             return np.linalg.norm(effective_weight(p.w_pt, state) - w_ref)
 
         order = np.log2(defect(0.1) / defect(0.05))
@@ -213,16 +217,16 @@ class TestClassicalGd:
         a = rng.standard_normal((2, 6))
         f = LoRAFactors(a=a, b=np.zeros((5, 2)))
         w_pt = rng.standard_normal((5, 6))
-        obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.0)
+        obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.0, w_pt=w_pt)
         g = obj.grad(effective_weight(w_pt, f))
-        out = classical_gd_step(f, w_pt, obj, 0.2)
+        out = classical_gd_step(f, obj, 0.2)
         assert np.array_equal(out.a, f.a)
         assert np.allclose(out.b, -0.2 * g @ a.T, atol=1e-14)
 
     def test_factor_gradients_match_finite_differences(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         h = 0.05
-        out = classical_gd_step(f, w_pt, obj, h)
+        out = classical_gd_step(f, obj, h)
         da = (out.a - f.a) / -h  # implemented gradient w.r.t. A
         db = (out.b - f.b) / -h
         step = 1e-6
@@ -247,16 +251,16 @@ class TestRiemannian:
         qb, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         f = LoRAFactors(a=qa[:, :2].T, b=qb[:, :2])
         w_pt = rng.standard_normal((5, 6))
-        obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.0)
-        out_r = riemannian_step(f, w_pt, obj, 0.1, eps=0.0)
-        out_c = classical_gd_step(f, w_pt, obj, 0.1)
+        obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.0, w_pt=w_pt)
+        out_r = riemannian_step(f, obj, 0.1, eps=0.0)
+        out_c = classical_gd_step(f, obj, 0.1)
         assert np.allclose(out_r.a, out_c.a, atol=1e-12)
         assert np.allclose(out_r.b, out_c.b, atol=1e-12)
 
     def test_preconditioned_directions(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         g = obj.grad(effective_weight(w_pt, f))
-        out = riemannian_step(f, w_pt, obj, 0.1, eps=0.0)
+        out = riemannian_step(f, obj, 0.1, eps=0.0)
         da = np.linalg.solve(f.b.T @ f.b, f.b.T @ g)
         db = (g @ f.a.T) @ np.linalg.inv(f.a @ f.a.T)
         assert np.linalg.norm(out.a - (f.a - 0.1 * da)) <= 1e-10
@@ -279,8 +283,8 @@ class TestLoraPro:
         g = obj.grad(effective_weight(p.w_pt, f))
         h = 0.1
         fe = field_eval(f, g, 0.0)
-        pro = lorapro_step(f, p.w_pt, obj, h, eps=0.0)
-        euler = ode_euler_step(f, p.w_pt, obj, h, eps=0.0)
+        pro = lorapro_step(f, obj, h, eps=0.0)
+        euler = ode_euler_step(f, obj, h, eps=0.0)
         assert np.allclose(euler.a - pro.a, h * fe.x @ f.a, atol=1e-10)
         assert np.allclose(euler.b - pro.b, -h * f.b @ fe.x, atol=1e-10)
 
@@ -288,8 +292,8 @@ class TestLoraPro:
         f, w_pt, obj = quadratic_fixture(rng)
 
         def gap(h):
-            pro = lorapro_step(f, w_pt, obj, h, eps=0.0)
-            euler = ode_euler_step(f, w_pt, obj, h, eps=0.0)
+            pro = lorapro_step(f, obj, h, eps=0.0)
+            euler = ode_euler_step(f, obj, h, eps=0.0)
             return np.linalg.norm(pro.delta() - euler.delta())
 
         ratio = gap(0.1) / gap(0.05)
@@ -299,10 +303,10 @@ class TestLoraPro:
 class TestFullFineTune:
     def test_quadratic_contraction(self, rng):
         w_star = rng.standard_normal((4, 5))
-        obj = quadratic_objective(w_star, mu=1.0)
+        obj = quadratic_objective(w_star, mu=1.0, w_pt=np.zeros((4, 5)))
         w = rng.standard_normal((4, 5))
         for h in (0.3, 0.9, 1.5):
-            w_next = full_ft_step(w, None, obj, h)
+            w_next = full_ft_step(w, obj, h)
             assert np.linalg.norm(w_next - w_star) == pytest.approx(
                 abs(1.0 - h) * np.linalg.norm(w - w_star), rel=1e-12
             )
@@ -313,7 +317,7 @@ class TestFullFineTune:
         h = 1.0 / (1.0 + p.delta)
         w = p.w_pt + 0.3 * p.b_star @ p.a_star
         for _ in range(50):
-            w_next = full_ft_step(w, p.w_pt, obj, h)
+            w_next = full_ft_step(w, obj, h)
             if obj.loss(w) <= 1e-20:  # numerical floor reached
                 break
             assert obj.loss(w_next) < obj.loss(w)
@@ -331,7 +335,7 @@ class TestBalancePreservation:
         def defect_after(step_fn, h, steps):
             state = f0
             for _ in range(steps):
-                state = step_fn(state, p.w_pt, obj, h, 1e-8)
+                state = step_fn(state, obj, h, 1e-8)
             return balance_defect(state)
 
         cases = (
@@ -356,13 +360,13 @@ def test_solver_config_rejects_non_finite_step_and_eps():
 class TestRunTrajectory:
     def test_zero_iterations_logs_initial_row(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
-        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 0), w_pt=w_pt)
+        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 0))
         assert len(log.rows) == 1 and not log.diverged
         assert log.rows[0].iter == 0
 
     def test_row_count_and_fields(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
-        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK2, 0.1, 7), w_pt=w_pt)
+        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK2, 0.1, 7))
         assert len(log.rows) == 8
         for row in log.rows:
             assert row.balance_defect is not None and row.eps_ratio is not None
@@ -372,7 +376,7 @@ class TestRunTrajectory:
         p = make_sensing_instance(40, 40, 40, 4, 0.05, 0)
         obj = sensing_objective(p)
         f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
-        log = run_trajectory(f0, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 60), w_pt=p.w_pt)
+        log = run_trajectory(f0, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 60))
         losses = log.losses()
         assert np.all(np.diff(losses) <= 0)
 
@@ -380,7 +384,7 @@ class TestRunTrajectory:
         p = make_sensing_instance(40, 40, 40, 4, 0.05, 0)
         obj = sensing_objective(p)
         f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
-        log = run_trajectory(f0, obj, SolverConfig(Scheme.CLASSICAL_GD, 1.0, 200), w_pt=p.w_pt)
+        log = run_trajectory(f0, obj, SolverConfig(Scheme.CLASSICAL_GD, 1.0, 200))
         assert log.diverged
         assert len(log.rows) < 201
 
@@ -395,7 +399,7 @@ class TestRunTrajectory:
             return ode_rk4_step(*args)
 
         monkeypatch.setattr(solvers_mod, "ode_rk4_step", failing_step)
-        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 10), w_pt=w_pt)
+        log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 10))
         assert log.diverged
         assert [row.iter for row in log.rows] == [0, 1, 2, 3]
         last = log.rows[-1]
@@ -411,7 +415,7 @@ class TestRunTrajectory:
 
         monkeypatch.setattr(solvers_mod, "ode_rk4_step", buggy_step)
         with pytest.raises(ValueError, match="not a divergence"):
-            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3), w_pt=w_pt)
+            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3))
 
     def test_linalg_error_in_a_step_propagates(self, rng, monkeypatch):
         # the kernel turns LAPACK failures into its own exceptions, so a bare
@@ -423,7 +427,7 @@ class TestRunTrajectory:
 
         monkeypatch.setattr(solvers_mod, "ode_rk4_step", buggy_step)
         with pytest.raises(np.linalg.LinAlgError):
-            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3), w_pt=w_pt)
+            run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3))
 
     @pytest.mark.parametrize(
         "scheme, stages",
@@ -436,14 +440,14 @@ class TestRunTrajectory:
         counting = CountingObjective(obj)
         k = 6
         cfg = SolverConfig(scheme, 0.1, k)
-        reused = run_trajectory(f, counting, cfg, w_pt=w_pt)
+        reused = run_trajectory(f, counting, cfg)
         assert counting.grads == stages * k + 1
         assert len(reused.rows) == k + 1 and not reused.diverged
 
         name = solvers_mod._step_for(scheme).__name__
         real = getattr(solvers_mod, name)
         monkeypatch.setattr(solvers_mod, name, lambda *args: real(*args[:-1], g=None))
-        fresh = run_trajectory(f, counting, cfg, w_pt=w_pt)
+        fresh = run_trajectory(f, counting, cfg)
         assert counting.grads == (stages * k + 1) + (stages + 1) * k + 1
         assert row_values(reused) == row_values(fresh)
 
@@ -452,11 +456,11 @@ class TestRunTrajectory:
         obj = sensing_objective(p)
         f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
         cfg = SolverConfig(Scheme.CLASSICAL_GD, 1.0, 200)
-        reused = run_trajectory(f0, obj, cfg, w_pt=p.w_pt)
+        reused = run_trajectory(f0, obj, cfg)
         monkeypatch.setattr(
             solvers_mod, "classical_gd_step", lambda *args: classical_gd_step(*args[:-1], g=None)
         )
-        fresh = run_trajectory(f0, obj, cfg, w_pt=p.w_pt)
+        fresh = run_trajectory(f0, obj, cfg)
         assert reused.diverged and fresh.diverged
         assert row_values(reused) == row_values(fresh)
 
@@ -470,8 +474,8 @@ class TestRunTrajectory:
         with pytest.raises(NotPositiveDefinite):
             FactorGrams(start, 0.0)
         config = SolverConfig(scheme, 0.1, 4, eps_reg=0.0)
-        logged = run_trajectory(start, obj, config, w_pt=p.w_pt)
-        unlogged = run_trajectory(start, obj, config, w_pt=p.w_pt, log_eps_ratio=False)
+        logged = run_trajectory(start, obj, config)
+        unlogged = run_trajectory(start, obj, config, log_eps_ratio=False)
         assert all(row.eps_ratio is None for row in logged.rows)
         assert logged.diverged == unlogged.diverged
         assert row_values(logged) == row_values(unlogged)
@@ -480,8 +484,8 @@ class TestRunTrajectory:
     def test_determinism(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         cfg = SolverConfig(Scheme.ODE_RK4, 0.1, 20)
-        log1 = run_trajectory(f, obj, cfg, w_pt=w_pt)
-        log2 = run_trajectory(f, obj, cfg, w_pt=w_pt)
+        log1 = run_trajectory(f, obj, cfg)
+        log2 = run_trajectory(f, obj, cfg)
         for r1, r2 in zip(log1.rows, log2.rows):
             assert r1.loss == r2.loss and r1.grad_norm == r2.grad_norm
             assert r1.balance_defect == r2.balance_defect
@@ -489,20 +493,35 @@ class TestRunTrajectory:
 
     def test_missing_base_weight_is_rejected(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
+        obj.w_pt = None
         for scheme in (Scheme.ODE_RK4, Scheme.FULL_FT):
             with pytest.raises(TypeError):
                 run_trajectory(f, obj, SolverConfig(scheme, 0.1, 1))
+
+    def test_base_weight_keyword_takes_only_the_objectives_own(self):
+        # kept for callers that still pass it; an equal copy or any other
+        # array would be a base the objective does not hold
+        p = make_sensing_instance(8, 8, 8, 2, 0.05, 3)
+        obj = sensing_objective(p)
+        f0 = perturbed_balanced_init(p, 0.8, 0.05, 3)
+        cfg = SolverConfig(Scheme.ODE_RK4, 0.1, 5)
+        assert obj.w_pt is p.w_pt
+        given = run_trajectory(f0, obj, cfg, w_pt=obj.w_pt)
+        assert row_values(given) == row_values(run_trajectory(f0, obj, cfg))
+        for other in (obj.w_pt.copy(), obj.w_pt + 1.0, np.zeros((8, 8))):
+            with pytest.raises(ValueError, match="base weight"):
+                run_trajectory(f0, obj, cfg, w_pt=other)
 
     def test_dense_start_is_rejected(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         for scheme in (Scheme.ODE_RK4, Scheme.FULL_FT):
             with pytest.raises(TypeError, match="LoRAFactors"):
-                run_trajectory(effective_weight(w_pt, f), obj, SolverConfig(scheme, 0.1, 1), w_pt)
+                run_trajectory(effective_weight(w_pt, f), obj, SolverConfig(scheme, 0.1, 1))
 
     def test_full_ft_steps_the_effective_weight_of_the_start(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         h, k = 0.1, 5
-        log = run_trajectory(f, obj, SolverConfig(Scheme.FULL_FT, h, k), w_pt)
+        log = run_trajectory(f, obj, SolverConfig(Scheme.FULL_FT, h, k))
         assert len(log.rows) == k + 1 and not log.diverged
         w = effective_weight(w_pt, f)
         for i, row in enumerate(log.rows):
@@ -511,16 +530,27 @@ class TestRunTrajectory:
             assert row.grad_norm == float(np.linalg.norm(obj.grad(w)))
             assert row.dist_to_opt == float(np.linalg.norm(w - obj.optimum_w))
             assert row.balance_defect is None and row.eps_ratio is None
-            w = full_ft_step(w, w_pt, obj, h)
+            w = full_ft_step(w, obj, h)
 
     def test_rate_matches_theory_on_quadratic_full_ft(self, rng):
         w_star = rng.standard_normal((4, 5))
-        obj = quadratic_objective(w_star, mu=1.0)
         w0 = w_star + rng.standard_normal((4, 5))
+        obj = quadratic_objective(w_star, mu=1.0, w_pt=w0)
         # B = 0, so the start's effective weight is w0 itself
         start = zero_b_init(5, 4, 1, 0)
-        log = run_trajectory(start, obj, SolverConfig(Scheme.FULL_FT, 0.1, 40), w0)
+        log = run_trajectory(start, obj, SolverConfig(Scheme.FULL_FT, 0.1, 40))
         losses = log.losses()
         # gap contracts by (1 - h)^2 per step in loss for the quadratic
         ratios = losses[1:] / losses[:-1]
         assert np.allclose(ratios, 0.81, atol=1e-8)
+
+
+def test_every_step_takes_one_signature_and_nothing_takes_a_base_weight():
+    # the objective holds the frozen base weight, so no step or run reads one
+    for name in solvers_mod.__all__:
+        if name.endswith("_step"):
+            params = list(inspect.signature(getattr(solvers_mod, name)).parameters)
+            assert params[1:] == ["objective", "h", "eps", "g"], name
+    for fn in (solvers_mod.run_stack, estimate_order, _integrate_weight, Objective.sides,
+               Objective.evaluate):
+        assert "w_pt" not in inspect.signature(fn).parameters, fn.__name__

@@ -35,13 +35,13 @@ def row_values(log):
     return repr([dataclasses.replace(row, wall_nanos=0) for row in log.rows])
 
 
-def assert_stack_matches_single_runs(start, objective, configs, w_pt, **flags):
+def assert_stack_matches_single_runs(start, objective, configs, **flags):
     """Run ``configs`` as one stack and each alone; return the stack's logs."""
-    logs = run_stack(start, objective, configs, w_pt, **flags)
+    logs = run_stack(start, objective, configs, **flags)
     assert len(logs) == len(configs)
     for j, (log, config) in enumerate(zip(logs, configs)):
         alone = run_trajectory(start.take(j) if start.stacked else start, objective, config,
-                               w_pt, **flags)
+                               **flags)
         assert log.diverged == alone.diverged
         assert row_values(log) == row_values(alone)
     return logs
@@ -53,17 +53,17 @@ SENSING_SHAPES = {"sensing": (8, 8, 8), "sensing_o_lt_n": (9, 12, 3)}
 
 
 def instance(kind: str, seed: int):
-    """(start, objective, w_pt) of a small problem of the given kind."""
+    """(start, objective) of a small problem of the given kind."""
     if kind in SENSING_SHAPES:
         p = make_sensing_instance(*SENSING_SHAPES[kind], 2, 0.05, seed)
-        return perturbed_balanced_init(p, 0.8, 0.3, seed), sensing_objective(p), p.w_pt
+        return perturbed_balanced_init(p, 0.8, 0.3, seed), sensing_objective(p)
     if kind == "regression":
         p = make_regression_instance(9, 7, seed)
-        return zero_b_init(9, 7, 2, seed + 100), regression_objective(p), p.w_pt
+        return zero_b_init(9, 7, 2, seed + 100), regression_objective(p)
     rng = np.random.default_rng(seed)
     w_pt = rng.standard_normal((6, 7))
-    obj = quadratic_objective(w_pt + rng.standard_normal((6, 7)), mu=1.0)
-    return perturbed_target_init(obj.optimum_w - w_pt, 3, 0.8, 0.3, seed), obj, w_pt
+    obj = quadratic_objective(w_pt + rng.standard_normal((6, 7)), mu=1.0, w_pt=w_pt)
+    return perturbed_target_init(obj.optimum_w - w_pt, 3, 0.8, 0.3, seed), obj
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -75,9 +75,9 @@ def instance(kind: str, seed: int):
     log_eps_ratio=st.booleans(),
 )
 def test_stack_equals_single_runs(kind, scheme, hs, seed, log_eps_ratio):
-    start, obj, w_pt = instance(kind, seed)
+    start, obj = instance(kind, seed)
     configs = [SolverConfig(scheme, h, 25) for h in hs]
-    assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=log_eps_ratio)
+    assert_stack_matches_single_runs(start, obj, configs, log_eps_ratio=log_eps_ratio)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -110,14 +110,14 @@ def test_stacked_phi_equals_single_instances(n, seeds, h, scheme):
 def sweep_small():
     """The benchmark's sweep-small instance and start (seed 0)."""
     p = make_sensing_instance(40, 40, 40, 4, 0.05, 0)
-    return perturbed_balanced_init(p, 0.8, 0.05, 0), sensing_objective(p), p.w_pt
+    return perturbed_balanced_init(p, 0.8, 0.05, 0), sensing_objective(p)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_sweep_small_cells_halt_on_their_own_rows(sweep_small, scheme):
-    start, obj, w_pt = sweep_small
+    start, obj = sweep_small
     configs = [SolverConfig(scheme, h, 100) for h in (2.2, 0.1, 0.5)]
-    logs = assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=False)
+    logs = assert_stack_matches_single_runs(start, obj, configs, log_eps_ratio=False)
     halts = {Scheme.CLASSICAL_GD: 4, Scheme.RIEMANNIAN: 20, Scheme.LORA_PRO: 61,
              Scheme.FULL_FT: 61}
     assert [len(log.rows) for log in logs] == [halts.get(scheme, 101), 101, 101]
@@ -125,9 +125,9 @@ def test_sweep_small_cells_halt_on_their_own_rows(sweep_small, scheme):
 
 
 def test_sweep_small_with_eps_ratio_logged(sweep_small):
-    start, obj, w_pt = sweep_small
+    start, obj = sweep_small
     configs = [SolverConfig(Scheme.ODE_RK4, h, 30) for h in (0.1, 0.5, 2.2)]
-    logs = assert_stack_matches_single_runs(start, obj, configs, w_pt)
+    logs = assert_stack_matches_single_runs(start, obj, configs)
     assert all(row.eps_ratio is not None for log in logs for row in log.rows)
 
 
@@ -137,12 +137,12 @@ def test_slice_refused_by_the_kernel_leaves_the_stack(sweep_small, scheme):
     # B = 0 at eps_reg = 0: the Gram pivot check refuses that slice's step,
     # which raises for the whole stack; each cell then runs again alone, so
     # only that one halts
-    start, obj, w_pt = sweep_small
+    start, obj = sweep_small
     zero_b = LoRAFactors(start.a, np.zeros_like(start.b))
     stack = LoRAFactors(np.stack([start.a, zero_b.a, start.a]),
                         np.stack([start.b, zero_b.b, start.b]))
     configs = [SolverConfig(scheme, h, 20, eps_reg=0.0) for h in (0.1, 0.1, 0.5)]
-    logs = assert_stack_matches_single_runs(stack, obj, configs, w_pt, log_eps_ratio=False)
+    logs = assert_stack_matches_single_runs(stack, obj, configs, log_eps_ratio=False)
     assert [log.diverged for log in logs] == [False, True, False]
     assert [row.iter for row in logs[1].rows] == [0, 1]
     assert np.isnan(logs[1].rows[-1].loss)
@@ -155,10 +155,10 @@ class RefusesLargeB(QuadraticObjective):
 
     bound = 1e4
 
-    def sides(self, factors, w_pt):
+    def sides(self, factors):
         if (np.linalg.norm(factors.b, axis=(-2, -1)) > self.bound).any():
             raise NonFiniteState("||B||_F past the bound")
-        return super().sides(factors, w_pt)
+        return super().sides(factors)
 
 
 def test_stack_whose_step_raises_reruns_its_live_cells_alone():
@@ -167,10 +167,10 @@ def test_stack_whose_step_raises_reruns_its_live_cells_alone():
     # cell's B passes the bound while three cells are live, which raises
     # for the stack. Each live cell runs again alone: the h = 1.5 cell halts
     # at its own refused step, and the others run to the end.
-    start, quadratic, w_pt = instance("quadratic", 0)
-    obj = RefusesLargeB(quadratic.w_star, quadratic.mu)
+    start, quadratic = instance("quadratic", 0)
+    obj = RefusesLargeB(quadratic.w_star, quadratic.mu, quadratic.w_pt)
     configs = [SolverConfig(Scheme.ODE_RK2, h, 60) for h in (8.0, 1.5, 0.5, 2.2)]
-    logs = assert_stack_matches_single_runs(start, obj, configs, w_pt, log_eps_ratio=False)
+    logs = assert_stack_matches_single_runs(start, obj, configs, log_eps_ratio=False)
     assert [log.diverged for log in logs] == [True, True, False, False]
     assert DIVERGENCE_LOSS < logs[0].rows[-1].loss < np.inf
     assert np.isnan(logs[1].rows[-1].loss)
@@ -182,12 +182,12 @@ def test_slice_with_a_refused_ratio_logs_a_blank(sweep_small):
     # B = 0 at eps_reg = 0, with the ratio logged: the kernel refuses that
     # slice's ratio, which raises for the whole stack; the stacked ratio
     # falls back to slice-by-slice and logs None there, as a run alone does
-    start, obj, w_pt = sweep_small
+    start, obj = sweep_small
     stack = LoRAFactors(np.stack([start.a, start.a, start.a]),
                         np.stack([start.b, np.zeros_like(start.b), start.b]))
     for scheme in Scheme:
         configs = [SolverConfig(scheme, h, 10, eps_reg=0.0) for h in (0.1, 0.1, 0.5)]
-        logs = assert_stack_matches_single_runs(stack, obj, configs, w_pt)
+        logs = assert_stack_matches_single_runs(stack, obj, configs)
         if scheme is not Scheme.FULL_FT:
             assert [log.rows[0].eps_ratio is None for log in logs] == [False, True, False]
 
@@ -198,20 +198,20 @@ def test_slice_with_a_vanishing_gradient_logs_a_zero_ratio():
     rng = np.random.default_rng(5)
     w_pt = rng.standard_normal((6, 7))
     target = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 7))
-    obj = quadratic_objective(w_pt + target, mu=1.0)
+    obj = quadratic_objective(w_pt + target, mu=1.0, w_pt=w_pt)
     exact, off = balanced_init(target, 2), perturbed_target_init(target, 2, 0.8, 0.3, 5)
     stack = LoRAFactors(np.stack([off.a, exact.a]), np.stack([off.b, exact.b]))
     configs = [SolverConfig(Scheme.ODE_RK2, 0.2, 5)] * 2
-    logs = assert_stack_matches_single_runs(stack, obj, configs, w_pt)
+    logs = assert_stack_matches_single_runs(stack, obj, configs)
     assert logs[1].rows[0].eps_ratio == 0.0 and logs[0].rows[0].eps_ratio > 0.0
 
 
 def test_cells_must_differ_only_in_step_size(sweep_small):
-    start, obj, w_pt = sweep_small
+    start, obj = sweep_small
     for other in (SolverConfig(Scheme.ODE_RK2, 0.1, 5), SolverConfig(Scheme.ODE_RK4, 0.1, 6),
                   SolverConfig(Scheme.ODE_RK4, 0.1, 5, eps_reg=0.0)):
         with pytest.raises(ValueError, match="step sizes"):
-            run_stack(start, obj, [SolverConfig(Scheme.ODE_RK4, 0.2, 5), other], w_pt)
+            run_stack(start, obj, [SolverConfig(Scheme.ODE_RK4, 0.2, 5), other])
 
 
 def test_stacked_factors_are_checked_as_one_stack():
