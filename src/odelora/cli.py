@@ -25,7 +25,6 @@ import dataclasses
 import functools
 import operator
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +199,7 @@ def _contraction_of(log: TrajectoryLog, optimum_loss: float | None) -> float | N
         return None
 
 
-def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: int = 1) -> int:
+def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, *, jobs: int = 1) -> int:
     """One subdirectory ``{scheme}_{value:g}`` per (scheme x value) cell, plus summary.csv.
 
     Every value is checked by the parser of the swept config key (text or
@@ -209,8 +208,9 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
     that shares them runs from it: one for an ``h`` sweep, one per value
     for a ``delta`` sweep. The cells of one scheme and one experiment run
     as one stack (``solvers.run_stack``): one stack per scheme for an ``h``
-    sweep, one cell per stack for a ``delta`` sweep. With ``jobs > 1`` the
-    stacks, not the cells, run on that many threads.
+    sweep, one cell per stack for a ``delta`` sweep. The stacks run one
+    after another, scheme-major. ``jobs`` has no effect; ROADMAP item 1
+    drops it, together with the benchmark's ``jobs=1``.
     """
     if param not in SWEEP_KEYS:
         raise OutOfRange("sweep.param", f"must be one of {tuple(SWEEP_KEYS)}, got {param!r}")
@@ -231,30 +231,15 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, jobs: in
             pair = (cell_cfg.problem, cell_cfg.init)
             stacks.setdefault((scheme, pair), []).append((value, cell_cfg))
 
-    def run_cells(stack):
-        (scheme, pair), cells = stack
+    lines = ["scheme,value,final_loss,diverged,contraction"]
+    for (scheme, pair), cells in stacks.items():
         experiment = experiments[pair]
         logs = experiment.run([cell_cfg for _, cell_cfg in cells])
         for (value, cell_cfg), log in zip(cells, logs):
             _write_run(cell_cfg, experiment, log, out_dir / f"{scheme.value}_{value:g}")
-        return [(scheme, value, log, experiment.objective.optimum_loss)
-                for (value, _), log in zip(cells, logs)]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run_cells, stacks.items()))
-    else:
-        done = [run_cells(stack) for stack in stacks.items()]
-
-    lines = ["scheme,value,final_loss,diverged,contraction"]
-    for scheme, value, log, optimum_loss in (cell for cells in done for cell in cells):
-        contraction = _contraction_of(log, optimum_loss)
-        lines.append(
-            ",".join(
-                [scheme.value, _fmt(value), _fmt(log.final_loss), _fmt(log.diverged),
-                 _fmt(contraction)]
-            )
-        )
+            contraction = _contraction_of(log, experiment.objective.optimum_loss)
+            lines.append(",".join([scheme.value, _fmt(value), _fmt(log.final_loss),
+                                   _fmt(log.diverged), _fmt(contraction)]))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
     return 0
@@ -345,11 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sweep_p)
     sweep_p.add_argument("--param", required=True, choices=tuple(SWEEP_KEYS))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="threads that run the sweep's stacks, not its cells (the cells of one "
-             "scheme that share a problem and start step as one stack); outputs do "
-             "not depend on it")
 
     order_p = sub.add_parser("order", help="measure discretization orders")
     common(order_p)
@@ -374,7 +354,7 @@ def main(argv=None) -> int:
             values = [v for v in args.values.split(",") if v.strip()]
             if not values:
                 raise OutOfRange("sweep.values", "no values given")
-            return cmd_sweep(cfg, args.param, values, Path(args.out), jobs=args.jobs)
+            return cmd_sweep(cfg, args.param, values, Path(args.out))
         if args.command == "order":
             cfg = _load_config(args.config, args.seed)
             return cmd_order(cfg, Path(args.out))

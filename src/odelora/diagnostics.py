@@ -37,7 +37,7 @@ from .problems import (
     make_regression_instance,
     regression_objective,
 )
-from .solvers import DIVERGENCE_ERRORS, Scheme, _rk_step, _step_for
+from .solvers import DIVERGENCE_ERRORS, Scheme, _require_base_weight, _rk_step, _step_for
 
 __all__ = [
     "ReferenceDiverged",
@@ -104,11 +104,13 @@ def estimate_order(
     min(h_list)/100. Raises ReferenceDiverged when the reference meets one
     of ``solvers.DIVERGENCE_ERRORS``, and DefectBelowNoiseFloor when a
     scheme's smallest defect sits at round-off; the reference is checked
-    first, then each scheme in turn.
+    first, then each scheme in turn. An objective with no base weight raises
+    TypeError before any step.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 2 or any(h <= h_next for h, h_next in zip(h_list, h_list[1:])):
         raise ValueError("h_list must hold at least two strictly descending step sizes")
+    _require_base_weight(objective)
     try:
         reference = _integrate_weight(
             factors, objective, Scheme.ODE_RK4, min(h_list) / 100.0, horizon, eps

@@ -300,6 +300,12 @@ def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
     return ratios
 
 
+def _require_base_weight(objective: Objective) -> None:
+    """TypeError, naming ``objective``'s class, unless it holds a base weight."""
+    if objective.w_pt is None:
+        raise TypeError(f"{type(objective).__name__} has no base weight (w_pt is None)")
+
+
 def run_stack(
     start: LoRAFactors,
     objective: Objective,
@@ -315,9 +321,12 @@ def run_stack(
     stack of one state per config. Each cell's log is the one
     ``run_trajectory`` gives it alone, but for ``wall_nanos``: see the
     module docstring for how the stack is stepped and how a cell leaves it.
+    A start that is not ``LoRAFactors``, or an objective with no base
+    weight, raises TypeError before any step.
     """
     if not isinstance(start, LoRAFactors):
         raise TypeError("a run takes a LoRAFactors start")
+    _require_base_weight(objective)
     configs = list(configs)
     config, k = configs[0], len(configs)
     if any(replace(c, step_size=config.step_size) != config for c in configs):
@@ -424,7 +433,7 @@ def run_trajectory(
 
     Every scheme starts from the factors ``start``; FULL_FT steps the dense
     weight ``objective.w_pt + B A``, which it builds from them. A start of
-    any other type raises ``TypeError``.
+    any other type, or an objective with no base weight, raises TypeError.
     Divergence (loss above DIVERGENCE_LOSS, a non-finite state, or a step
     that fails a factorization) is recorded, not raised: the log gets its
     final row, with a ``nan`` gradient norm, and ``diverged`` is set. Any
@@ -436,7 +445,7 @@ def run_trajectory(
     ``log_*`` flag is set, and never for FULL_FT; otherwise their fields
     stay ``None``. This is ``run_stack`` with one cell, a stack of k = 1.
     ``w_pt``, if given, must be ``objective.w_pt`` itself, else ValueError;
-    ROADMAP item 1 drops it, together with the benchmark's ``jobs=1``.
+    ROADMAP item 1 drops it, together with ``cmd_sweep``'s inert ``jobs``.
     """
     if w_pt is not None and w_pt is not objective.w_pt:
         raise ValueError("w_pt is not the objective's own base weight")

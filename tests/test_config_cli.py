@@ -1,4 +1,5 @@
 import csv
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -381,6 +382,16 @@ class TestCmdSweep:
             == (tmp_path / "par" / "summary.csv").read_text()
         )
 
+    def test_jobs_starts_no_thread(self, tmp_path, monkeypatch):
+        # the sweep runs its stacks one after another whatever ``jobs`` says
+        def refuse(self):
+            raise AssertionError("the sweep started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = _small_config(iterations=3)
+        assert cmd_sweep(cfg, "h", [0.1, 0.2], tmp_path, jobs=4) == 0
+        assert len((tmp_path / "summary.csv").read_text().splitlines()) == 15
+
 
 class TestCmdOrder:
     def test_csv_shape_and_ranges(self, tmp_path):
@@ -541,6 +552,14 @@ class TestMain:
         assert main(["order", "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: reference blew up\n"
+
+    def test_sweep_takes_no_jobs_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--out", str(tmp_path / "out"), "--param", "h",
+                  "--values", "0.1", "--jobs", "2"])
+        assert err.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_only_on_sweep(self, tmp_path):
         for verb in ("run", "order", "feature-scaling"):

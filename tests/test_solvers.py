@@ -15,7 +15,7 @@ from odelora.core import (
     field_eval,
     gradient_sides,
 )
-from odelora.diagnostics import _integrate_weight, estimate_order
+from odelora.diagnostics import _integrate_weight, _seed_stack, estimate_order
 from odelora.linalg import NotPositiveDefinite
 from odelora.metrics import balance_defect
 from odelora.problems import (
@@ -40,6 +40,7 @@ from odelora.solvers import (
     ode_rk2_step,
     ode_rk4_step,
     riemannian_step,
+    run_stack,
     run_trajectory,
 )
 from oracles import flow_rhs_full
@@ -497,6 +498,22 @@ class TestRunTrajectory:
         for scheme in (Scheme.ODE_RK4, Scheme.FULL_FT):
             with pytest.raises(TypeError):
                 run_trajectory(f, obj, SolverConfig(scheme, 0.1, 1))
+
+    def test_stack_objective_without_base_weight_is_rejected_before_any_step(self):
+        # a RegressionStack objective holds offsets, not a base weight; a run
+        # or an order study on it must say so before it steps or evaluates
+        objective, start = _seed_stack(8, [0, 1])
+        assert objective.w_pt is None
+
+        def stepped(*args):
+            raise AssertionError("the objective was read before the base check")
+
+        objective.sides = objective.evaluate = objective.grad = stepped
+        for scheme in (Scheme.ODE_RK4, Scheme.FULL_FT):
+            with pytest.raises(TypeError, match="RegressionObjective.*w_pt"):
+                run_stack(start, objective, [SolverConfig(scheme, 0.1, 1)] * 2)
+        with pytest.raises(TypeError, match="RegressionObjective.*w_pt"):
+            estimate_order(start, objective, 1.0, (0.2, 0.1))
 
     def test_base_weight_keyword_takes_only_the_objectives_own(self):
         # kept for callers that still pass it; an equal copy or any other
