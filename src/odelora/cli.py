@@ -132,7 +132,9 @@ class Experiment:
 
     def run(self, cfgs) -> list[TrajectoryLog]:
         """One trajectory per config, run as one stack; the configs differ
-        at most in ``solver.h``, and the first one's diagnostics are read."""
+        at most in ``solver.scheme`` and ``solver.h``, ``full_ft`` shares no
+        stack with a factor scheme, and the first one's diagnostics are
+        read."""
         return run_stack(
             self.factors,
             self.objective,
@@ -206,11 +208,12 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, *, jobs:
     numbers), and no two may name the same cell, before any cell runs.
     One experiment is built per distinct problem and start, and every cell
     that shares them runs from it: one for an ``h`` sweep, one per value
-    for a ``delta`` sweep. The cells of one scheme and one experiment run
-    as one stack (``solvers.run_stack``): one stack per scheme for an ``h``
-    sweep, one cell per stack for a ``delta`` sweep. The stacks run one
-    after another, scheme-major. ``jobs`` has no effect; ROADMAP item 1
-    drops it, together with the benchmark's ``jobs=1``.
+    for a ``delta`` sweep. Each experiment runs its cells as two stacks
+    (``solvers.run_stack``): every factor scheme's cells as one, and the
+    ``full_ft`` cells as the other. The stacks run one after another, and
+    summary.csv lists the cells scheme-major, then by value. ``jobs`` has
+    no effect; ROADMAP item 1 drops it, together with the benchmark's
+    ``jobs=1``.
     """
     if param not in SWEEP_KEYS:
         raise OutOfRange("sweep.param", f"must be one of {tuple(SWEEP_KEYS)}, got {param!r}")
@@ -224,22 +227,25 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, *, jobs:
         pair = (value_cfg.problem, value_cfg.init)
         if pair not in experiments:
             experiments[pair] = Experiment(value_cfg)
+    cells = [(scheme, value, set_value(set_value(cfg, "solver.scheme", scheme), key, value))
+             for scheme in Scheme for value in values]
     stacks = {}
-    for scheme in Scheme:
-        for value in values:
-            cell_cfg = set_value(set_value(cfg, "solver.scheme", scheme), key, value)
-            pair = (cell_cfg.problem, cell_cfg.init)
-            stacks.setdefault((scheme, pair), []).append((value, cell_cfg))
+    for cell in cells:
+        cell_cfg = cell[2]
+        pair = (cell_cfg.problem, cell_cfg.init)
+        stacks.setdefault((pair, cell_cfg.solver.scheme is Scheme.FULL_FT), []).append(cell)
+    logs = {}
+    for (pair, _), stack in stacks.items():
+        ran = experiments[pair].run([cell_cfg for _, _, cell_cfg in stack])
+        logs.update(((scheme, value), log) for (scheme, value, _), log in zip(stack, ran))
 
     lines = ["scheme,value,final_loss,diverged,contraction"]
-    for (scheme, pair), cells in stacks.items():
-        experiment = experiments[pair]
-        logs = experiment.run([cell_cfg for _, cell_cfg in cells])
-        for (value, cell_cfg), log in zip(cells, logs):
-            _write_run(cell_cfg, experiment, log, out_dir / f"{scheme.value}_{value:g}")
-            contraction = _contraction_of(log, experiment.objective.optimum_loss)
-            lines.append(",".join([scheme.value, _fmt(value), _fmt(log.final_loss),
-                                   _fmt(log.diverged), _fmt(contraction)]))
+    for scheme, value, cell_cfg in cells:
+        experiment, log = experiments[(cell_cfg.problem, cell_cfg.init)], logs[scheme, value]
+        _write_run(cell_cfg, experiment, log, out_dir / f"{scheme.value}_{value:g}")
+        contraction = _contraction_of(log, experiment.objective.optimum_loss)
+        lines.append(",".join([scheme.value, _fmt(value), _fmt(log.final_loss),
+                               _fmt(log.diverged), _fmt(contraction)]))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
     return 0

@@ -37,7 +37,8 @@ from .problems import (
     make_regression_instance,
     regression_objective,
 )
-from .solvers import DIVERGENCE_ERRORS, Scheme, _require_base_weight, _rk_step, _step_for
+from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _METHODS, _require_base_weight,
+                      _rk_step, _step_for)
 
 __all__ = [
     "ReferenceDiverged",
@@ -179,7 +180,8 @@ def phi_decompose(
     values and post-step state are what that slice gives alone.
     """
     problem = objective.problem
-    after, tableau, stages = _rk_step(scheme, factors, objective, h, eps)
+    after, stages = _rk_step(_ALONE[scheme], factors, objective, h, eps)
+    tableau = _METHODS[scheme][0]
     weights = [b / tableau.denominator for b in tableau.weights]
     s = problem.s[..., :, None]
     a_s = factors.a @ s

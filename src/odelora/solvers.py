@@ -20,27 +20,38 @@ for ``full_ft_step``), uses it as the first stage's instead of evaluating
 it again; the run loop passes the one of the row it just logged.
 
 ``run_stack`` runs k cells that share a start, an objective and every
-setting but the step size, as one stack: the factor pairs are
-A (k, r, n) and B (k, m, r) (full fine-tuning steps the dense weights
-``W_pt + B A`` as a (k, m, n) stack), each step is one call on the whole
-stack with the step sizes held as a (k, 1, 1) array, and each cell keeps
-its own ``TrajectoryLog``. Every stacked operation gives each slice
-bit-for-bit what it gives that slice alone, so a cell's rows are those of
-its run alone. A cell that halts gets its final row and leaves the stack.
-numpy's stacked factorizations raise for the whole stack, so when a step
-raises one of ``DIVERGENCE_ERRORS`` with more than one cell live, each live
-cell runs again alone from its start and keeps that run's log; a stack of
-one halts at once. ``run_trajectory`` is the k = 1 case. ``odelora sweep``
-stacks the cells of one scheme that share a problem and start: one stack
-per scheme for an ``h`` sweep, and one cell per stack for a ``delta``
-sweep.
+setting but the scheme and the step size, as one stack: the factor pairs
+are A (k, r, n) and B (k, m, r), each step is one call on the whole stack
+with the step sizes held as a (k, 1, 1) array, and each cell keeps its own
+``TrajectoryLog``. The factor cells, of any of the six factor schemes, step
+through one engine, ``_rk_step``. Their slices are ordered by non-increasing
+stage count (RK4, RK2, then the one-stage Euler flow and the three
+baselines), so stage i steps a prefix of the stack; each stage reads the
+objective's sides once, the three flows share one field evaluation per
+stage, each tableau sums its stages on its own slices, and one ``move``
+finishes the step. The six public factor steps and
+``diagnostics.phi_decompose`` are its one-scheme case. Full fine-tuning
+steps the dense weights ``W_pt + B A`` as a (k, m, n) stack of its own.
+Every stacked operation gives each slice bit-for-bit what it gives that
+slice alone, so a cell's rows are those of its run alone. A cell that
+halts gets its final row and leaves the stack. numpy's stacked
+factorizations raise for the whole stack, so when a step raises one of
+``DIVERGENCE_ERRORS`` with more than one cell live, each live cell runs
+again alone from its start and keeps that run's log; a stack of one halts
+at once. ``run_trajectory`` is the k = 1 case. ``odelora sweep`` runs the
+factor cells that share a problem and start as one stack and their
+``full_ft`` cells as another: two stacks for an ``h`` sweep, two per value
+for a ``delta`` sweep.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,71 +171,149 @@ def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float):
     return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.mT).mT)
 
 
-# (tableau, direction) of each factor scheme.
+# (tableau, direction) of each factor scheme, in stack order: by non-increasing
+# stage count, with the three flows side by side so that they share one
+# field evaluation per stage.
 _METHODS = {
-    Scheme.ODE_EULER: (EULER, _flow_direction),
-    Scheme.ODE_RK2: (HEUN, _flow_direction),
     Scheme.ODE_RK4: (RK4, _flow_direction),
+    Scheme.ODE_RK2: (HEUN, _flow_direction),
+    Scheme.ODE_EULER: (EULER, _flow_direction),
     Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
     Scheme.RIEMANNIAN: (EULER, _riemannian_direction),
     Scheme.LORA_PRO: (EULER, _lorapro_direction),
 }
 
 
-def _rk_step(scheme: Scheme, factors: LoRAFactors, objective: Objective, h, eps, g=None):
-    """One step of a factor scheme: ``(next_state, tableau, stages)``, with
-    ``stages`` the stage fields ``[(f_a, f_b), ...]`` the step summed.
+class _Run(NamedTuple):
+    """Consecutive stack slices that step with one scheme."""
 
-    ``g`` is the ``Sides`` of the gradient at ``factors``' effective weight
-    when the caller already has them.
+    tableau: Tableau
+    direction: Callable
+    span: slice  # ``...`` for the one run of a whole state
+
+
+class _Stage(NamedTuple):
+    """What one Runge–Kutta stage steps of a stack."""
+
+    runs: tuple[_Run, ...]  # the runs that have this stage, a prefix of all
+    ahead: slice  # the stack prefix they fill, ``...`` for the whole stack
+    calls: tuple  # (direction, span) per call, span None for the whole prefix
+
+
+def _runs(schemes) -> tuple[_Run, ...]:
+    """The runs of a stack whose slices carry ``schemes`` in stack order."""
+    runs, stop = [], 0
+    for scheme, group in itertools.groupby(schemes):
+        start, stop = stop, stop + len(list(group))
+        runs.append(_Run(*_METHODS[scheme], slice(start, stop)))
+    return tuple(runs)
+
+
+def _plan(runs) -> tuple[_Stage, ...]:
+    """The stages of a stack of ``runs``, which are in non-increasing stage
+    count: each direction is called once per range of consecutive runs
+    that share it."""
+    plan = []
+    for i in range(len(runs[0].tableau.weights)):
+        staged = tuple(run for run in runs if len(run.tableau.weights) > i)
+        calls = []
+        for direction, group in itertools.groupby(staged, key=lambda run: run.direction):
+            group = list(group)
+            if len(group) == len(staged):
+                calls.append((direction, None))
+            else:
+                calls.append((direction, slice(group[0].span.start, group[-1].span.stop)))
+        ahead = ... if len(staged) == len(runs) else slice(0, staged[-1].span.stop)
+        plan.append(_Stage(staged, ahead, tuple(calls)))
+    return tuple(plan)
+
+
+# The plan of a state, stacked or not, that steps with one scheme.
+_ALONE = {scheme: _plan((_Run(*method, ...),)) for scheme, method in _METHODS.items()}
+
+
+def _gather(parts):
+    """The parts of consecutive stack ranges as one array."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _part(h, span):
+    """The step sizes of the slices ``span``: ``h`` itself for ``...``, so a
+    float step size stays a Python float."""
+    return h if span is ... else h[span]
+
+
+def _rk_step(plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
+    """One step of a stack whose slices run the schemes of ``plan``:
+    ``(next_state, stages)``, with ``stages[i]`` the stage fields
+    ``(f_a, f_b)`` that stage i gives the slices it steps.
+
+    ``plan`` is ``_plan`` of the slices' runs, or ``_ALONE[scheme]``. Stage
+    i steps a prefix of the stack, reads ``objective.sides`` once, at that
+    prefix, and makes the stage's direction calls; each run sums its
+    tableau's stages on its own range, and one ``move`` finishes the step.
+    ``g`` is the ``Sides`` of the gradient at ``factors``' effective
+    weight when the caller already has them.
     """
-    tableau, direction = _METHODS[scheme]
     sides = objective.sides(factors) if g is None else g
-    stages = [direction(factors, sides, eps)]
-    for c in tableau.subdiagonal:
-        state = factors.move(*stages[-1], c * h)
-        stages.append(direction(state, objective.sides(state), eps))
-    total = [tableau.weights[0] * part for part in stages[0]]
-    for b, stage in zip(tableau.weights[1:], stages[1:]):
-        total = [acc + b * part for acc, part in zip(total, stage)]
-    return factors.move(*(acc / tableau.denominator for acc in total), h), tableau, stages
+    state, stages = factors, []
+    for i, stage in enumerate(plan):
+        if i:
+            c_h = _gather([run.tableau.subdiagonal[i - 1] * _part(h, run.span)
+                           for run in stage.runs])
+            f_a, f_b = stages[-1]
+            state = LoRAFactors(factors.a[stage.ahead] + c_h * f_a[stage.ahead],
+                                factors.b[stage.ahead] + c_h * f_b[stage.ahead])
+            sides = objective.sides(state)
+        fields = [direction(state, sides, eps) if span is None
+                  else direction(state.take(span), sides.take(span), eps)
+                  for direction, span in stage.calls]
+        stages.append(fields[0] if len(fields) == 1 else tuple(map(np.concatenate, zip(*fields))))
+    totals = []
+    for tableau, _, span in plan[0].runs:
+        total = [tableau.weights[0] * part[span] for part in stages[0]]
+        for b, stage in zip(tableau.weights[1:], stages[1:]):
+            total = [acc + b * part[span] for acc, part in zip(total, stage)]
+        totals.append([acc / tableau.denominator for acc in total])
+    f_a, f_b = (_gather(parts) for parts in zip(*totals))
+    return factors.move(f_a, f_b, h), stages
 
 
 def ode_euler_step(factors: LoRAFactors, objective: Objective, h: float,
                    eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One forward-Euler step of the balanced flow."""
-    return _rk_step(Scheme.ODE_EULER, factors, objective, h, eps, g)[0]
+    return _rk_step(_ALONE[Scheme.ODE_EULER], factors, objective, h, eps, g)[0]
 
 
 def ode_rk2_step(factors: LoRAFactors, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One Heun (two-stage, second-order) step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK2, factors, objective, h, eps, g)[0]
+    return _rk_step(_ALONE[Scheme.ODE_RK2], factors, objective, h, eps, g)[0]
 
 
 def ode_rk4_step(factors: LoRAFactors, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One classical four-stage RK4 step of the balanced flow."""
-    return _rk_step(Scheme.ODE_RK4, factors, objective, h, eps, g)[0]
+    return _rk_step(_ALONE[Scheme.ODE_RK4], factors, objective, h, eps, g)[0]
 
 
 def classical_gd_step(factors: LoRAFactors, objective: Objective, h: float,
                       eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Plain gradient descent on the factors (B^T G in A, G A^T in B); ignores ``eps``."""
-    return _rk_step(Scheme.CLASSICAL_GD, factors, objective, h, eps, g)[0]
+    return _rk_step(_ALONE[Scheme.CLASSICAL_GD], factors, objective, h, eps, g)[0]
 
 
 def riemannian_step(factors: LoRAFactors, objective: Objective, h: float,
                     eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """Gram-preconditioned factor descent:
     A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
-    return _rk_step(Scheme.RIEMANNIAN, factors, objective, h, eps, g)[0]
+    return _rk_step(_ALONE[Scheme.RIEMANNIAN], factors, objective, h, eps, g)[0]
 
 
 def lorapro_step(factors: LoRAFactors, objective: Objective, h: float,
                  eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
     """One step along the zero-gauge gradient-matching direction."""
-    return _rk_step(Scheme.LORA_PRO, factors, objective, h, eps, g)[0]
+    return _rk_step(_ALONE[Scheme.LORA_PRO], factors, objective, h, eps, g)[0]
 
 
 def full_ft_step(w: np.ndarray, objective: Objective, h,
@@ -237,7 +326,7 @@ def full_ft_step(w: np.ndarray, objective: Objective, h,
     return w - h * g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryRow:
     iter: int
     loss: float
@@ -264,7 +353,9 @@ class TrajectoryLog:
 
 
 def _step_for(scheme: Scheme):
-    # Built per call, as perfbench's tracer and tests patch solvers.<name>_step.
+    # The public step of each scheme, for callers that step one scheme at a
+    # time (estimate_order); built per call, as perfbench's tracer patches
+    # solvers.<name>_step. run_stack steps factor cells with _rk_step.
     return {
         Scheme.ODE_EULER: ode_euler_step,
         Scheme.ODE_RK2: ode_rk2_step,
@@ -316,9 +407,13 @@ def run_stack(
 ) -> list[TrajectoryLog]:
     """Run one cell per config as one stack; return the cells' logs in order.
 
-    The configs may differ only in ``step_size`` (else ValueError). Every
-    cell starts from ``start``, or from its own slice when ``start`` is a
-    stack of one state per config. Each cell's log is the one
+    The configs may differ in ``scheme`` and ``step_size`` only (else
+    ValueError), and ``full_ft``, which steps the dense weight, shares a
+    stack with no factor scheme (ValueError). An empty ``configs`` raises
+    ValueError before the objective is read. Every cell starts from
+    ``start``, or from its own slice when ``start`` is a stack of one state
+    per config. The factor cells step as one ``_rk_step`` stack, their
+    slices in stack order (``_METHODS``). Each cell's log is the one
     ``run_trajectory`` gives it alone, but for ``wall_nanos``: see the
     module docstring for how the stack is stepped and how a cell leaves it.
     A start that is not ``LoRAFactors``, or an objective with no base
@@ -326,27 +421,35 @@ def run_stack(
     """
     if not isinstance(start, LoRAFactors):
         raise TypeError("a run takes a LoRAFactors start")
-    _require_base_weight(objective)
     configs = list(configs)
+    if not configs:
+        raise ValueError("an empty stack: run_stack needs at least one config")
+    _require_base_weight(objective)
     config, k = configs[0], len(configs)
-    if any(replace(c, step_size=config.step_size) != config for c in configs):
-        raise ValueError("the cells of a stack differ in more than their step sizes")
+    if any((c.iterations, c.eps_reg) != (config.iterations, config.eps_reg) for c in configs):
+        raise ValueError("the cells of a stack differ in more than their schemes and step sizes")
+    full = config.scheme is Scheme.FULL_FT
+    if any((c.scheme is Scheme.FULL_FT) != full for c in configs):
+        raise ValueError("full_ft steps the dense weight and shares no stack with a factor scheme")
     if not start.stacked:
         start = LoRAFactors(np.broadcast_to(start.a, (k, *start.a.shape)),
                             np.broadcast_to(start.b, (k, *start.b.shape)))
     elif start.a.shape[0] != k:
         raise ValueError(f"a stack of {start.a.shape[0]} starts for {k} cells")
     logs = [TrajectoryLog() for _ in configs]
-    full = config.scheme is Scheme.FULL_FT
-    state = effective_weight(objective.w_pt, start) if full else start
-    h = np.array([c.step_size for c in configs])[:, None, None]
+    order = list(_METHODS) + [Scheme.FULL_FT]
+    live = sorted(range(k), key=lambda cell: order.index(configs[cell].scheme))
+    state = start.take(live)  # slot j of the stack steps cell live[j]
+    if full:
+        state = effective_weight(objective.w_pt, state)
+    h = np.array([configs[cell].step_size for cell in live])[:, None, None]
     eps = config.eps_reg
-    live = list(range(k))  # the cell of each stack slice
+    plan = None if full else _plan(_runs(configs[cell].scheme for cell in live))
 
     def leave(stays, i: int, losses=None) -> None:
         """Give the slices that do not stay their final row, with their loss
         (``nan`` without ``losses``), and drop them from the stack."""
-        nonlocal state, h, live
+        nonlocal state, h, live, plan
         for slot in np.flatnonzero(~stays):
             loss = float("nan") if losses is None else float(losses[slot])
             log = logs[live[slot]]
@@ -355,6 +458,8 @@ def run_stack(
             log.diverged = True
         state, h = _take(state, stays), h[stays]
         live = [cell for cell, stay in zip(live, stays) if stay]
+        if live and not full:
+            plan = _plan(_runs(configs[cell].scheme for cell in live))
 
     def record(i: int):
         """Append a row for each slice and return the gradient the next step
@@ -395,14 +500,16 @@ def run_stack(
                 dist[slot], time.perf_counter_ns()))
         return first
 
-    step = _step_for(config.scheme)
     with np.errstate(over="ignore", invalid="ignore"):
         g = record(0)
         for i in range(1, config.iterations + 1):
             if g is None:
                 break
             try:
-                state = step(state, objective, h, eps, g)
+                if full:
+                    state = full_ft_step(state, objective, h, eps, g)
+                else:
+                    state = _rk_step(plan, state, objective, h, eps, g)[0]
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
                 # A stacked call raises for the whole stack, so each live

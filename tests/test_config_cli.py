@@ -309,6 +309,17 @@ class TestCmdSweep:
         values = sorted({row[1] for row in rows[1:]})
         assert [float(v) for v in values] == [0.05, 0.1]
 
+    def test_summary_lists_cells_scheme_major_then_by_value(self, tmp_path):
+        # a delta sweep runs two stacks per value, and an h sweep two in all;
+        # either way summary.csv lists the cells scheme-major, each scheme's
+        # in the order the values were given
+        cfg = _small_config(iterations=3)
+        for param, values in (("delta", [0.1, 0.05, 0.2]), ("h", [0.5, 0.1, 2.2])):
+            assert cmd_sweep(cfg, param, values, tmp_path / param) == 0
+            rows = _read_csv(tmp_path / param / "summary.csv")[1:]
+            assert [(row[0], float(row[1])) for row in rows] == [
+                (scheme.value, value) for scheme in Scheme for value in values]
+
     def test_invalid_axis_rejected(self, tmp_path):
         from odelora.config import OutOfRange
 

@@ -390,16 +390,18 @@ class TestRunTrajectory:
         assert len(log.rows) < 201
 
     def test_raised_step_failure_gets_a_final_row(self, rng, monkeypatch):
+        # run_stack steps every factor cell through the engine, _rk_step
         f, w_pt, obj = quadratic_fixture(rng)
         calls = []
+        real = solvers_mod._rk_step
 
         def failing_step(*args):
             calls.append(1)
             if len(calls) == 3:
                 raise NotPositiveDefinite("Gram lost definiteness")
-            return ode_rk4_step(*args)
+            return real(*args)
 
-        monkeypatch.setattr(solvers_mod, "ode_rk4_step", failing_step)
+        monkeypatch.setattr(solvers_mod, "_rk_step", failing_step)
         log = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 10))
         assert log.diverged
         assert [row.iter for row in log.rows] == [0, 1, 2, 3]
@@ -414,7 +416,7 @@ class TestRunTrajectory:
         def buggy_step(*args):
             raise ValueError("not a divergence")
 
-        monkeypatch.setattr(solvers_mod, "ode_rk4_step", buggy_step)
+        monkeypatch.setattr(solvers_mod, "_rk_step", buggy_step)
         with pytest.raises(ValueError, match="not a divergence"):
             run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3))
 
@@ -426,7 +428,7 @@ class TestRunTrajectory:
         def buggy_step(*args):
             return np.linalg.solve(np.ones((2, 3)), np.ones(2))
 
-        monkeypatch.setattr(solvers_mod, "ode_rk4_step", buggy_step)
+        monkeypatch.setattr(solvers_mod, "_rk_step", buggy_step)
         with pytest.raises(np.linalg.LinAlgError):
             run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 3))
 
@@ -445,7 +447,9 @@ class TestRunTrajectory:
         assert counting.grads == stages * k + 1
         assert len(reused.rows) == k + 1 and not reused.diverged
 
-        name = solvers_mod._step_for(scheme).__name__
+        # full_ft steps through its public step, every factor scheme through
+        # the engine; either takes the start's gradient as its last argument
+        name = "full_ft_step" if scheme is Scheme.FULL_FT else "_rk_step"
         real = getattr(solvers_mod, name)
         monkeypatch.setattr(solvers_mod, name, lambda *args: real(*args[:-1], g=None))
         fresh = run_trajectory(f, counting, cfg)
@@ -458,10 +462,15 @@ class TestRunTrajectory:
         f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
         cfg = SolverConfig(Scheme.CLASSICAL_GD, 1.0, 200)
         reused = run_trajectory(f0, obj, cfg)
-        monkeypatch.setattr(
-            solvers_mod, "classical_gd_step", lambda *args: classical_gd_step(*args[:-1], g=None)
-        )
+        real, fresh_steps = solvers_mod._rk_step, []
+
+        def fresh_step(*args):
+            fresh_steps.append(1)
+            return real(*args[:-1], g=None)
+
+        monkeypatch.setattr(solvers_mod, "_rk_step", fresh_step)
         fresh = run_trajectory(f0, obj, cfg)
+        assert len(fresh_steps) == len(fresh.rows) - 1  # every step took no gradient
         assert reused.diverged and fresh.diverged
         assert row_values(reused) == row_values(fresh)
 

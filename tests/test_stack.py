@@ -1,6 +1,7 @@
 """A stack of k cells, stepped as one by ``run_stack``, gives each cell the
-rows of its run alone, halts included; a stacked ``phi_decompose`` gives each
-slice its report and post-step state alone."""
+rows of its run alone, halts included, whether its cells share a scheme or
+mix the six factor schemes; a stacked ``phi_decompose`` gives each slice its
+report and post-step state alone."""
 
 import dataclasses
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from odelora.core import LoRAFactors
-from odelora.diagnostics import phi_decompose
+from odelora.diagnostics import _seed_stack, phi_decompose
 from odelora.linalg import NonFiniteState
 from odelora.problems import (
     QuadraticObjective,
@@ -27,7 +28,9 @@ from odelora.problems import (
 from odelora.solvers import DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+FACTOR_SCHEMES = [scheme for scheme in Scheme if scheme is not Scheme.FULL_FT]
 
 
 def row_values(log):
@@ -80,6 +83,38 @@ def test_stack_equals_single_runs(kind, scheme, hs, seed, log_eps_ratio):
     assert_stack_matches_single_runs(start, obj, configs, log_eps_ratio=log_eps_ratio)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from([*SENSING_SHAPES, "regression", "quadratic"]),
+    cells=st.lists(st.tuples(st.sampled_from(FACTOR_SCHEMES),
+                             st.sampled_from([0.05, 0.5, 1.5, 2.2, 3.5])),
+                   min_size=2, max_size=8, unique=True),
+    seed=st.integers(0, 3),
+    log_eps_ratio=st.booleans(),
+    log_balance=st.booleans(),
+    eps_reg=st.sampled_from([1e-8, 0.0]),
+)
+# a baseline at h = 2.2 halts mid-run on the loss threshold while the flows
+# and the other baselines step on (sensing in Gram form, then residual form)
+@example("sensing", [(Scheme.ODE_RK4, 0.5), (Scheme.CLASSICAL_GD, 2.2),
+                     (Scheme.ODE_EULER, 0.05), (Scheme.LORA_PRO, 0.5),
+                     (Scheme.ODE_RK2, 2.2), (Scheme.RIEMANNIAN, 0.05)], 0, True, True, 1e-8)
+@example("sensing_o_lt_n", [(Scheme.CLASSICAL_GD, 2.2), (Scheme.ODE_RK2, 0.5),
+                            (Scheme.RIEMANNIAN, 3.5), (Scheme.ODE_RK4, 0.05)], 0, False, False,
+         1e-8)
+# a zero-B start at eps_reg = 0: the stacked first step is refused, so every
+# live cell, classical_gd's among them, runs again alone
+@example("regression", [(Scheme.ODE_RK4, 0.5), (Scheme.CLASSICAL_GD, 0.5),
+                        (Scheme.ODE_EULER, 0.5)], 2, True, False, 0.0)
+@example("quadratic", [(scheme, 0.5) for scheme in FACTOR_SCHEMES], 3, False, True, 1e-8)
+def test_mixed_scheme_stack_equals_single_runs(kind, cells, seed, log_eps_ratio, log_balance,
+                                               eps_reg):
+    start, obj = instance(kind, seed)
+    configs = [SolverConfig(scheme, h, 25, eps_reg) for scheme, h in cells]
+    assert_stack_matches_single_runs(start, obj, configs, log_eps_ratio=log_eps_ratio,
+                                     log_balance=log_balance)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(4, 40),
@@ -122,6 +157,17 @@ def test_sweep_small_cells_halt_on_their_own_rows(sweep_small, scheme):
              Scheme.FULL_FT: 61}
     assert [len(log.rows) for log in logs] == [halts.get(scheme, 101), 101, 101]
     assert [log.diverged for log in logs] == [scheme in halts, False, False]
+
+
+def test_sweep_small_factor_cells_as_one_stack(sweep_small):
+    # the sweep's factor stack: six schemes x three step sizes in one stack,
+    # from which three baselines at h = 2.2 leave on their own rows
+    start, obj = sweep_small
+    configs = [SolverConfig(scheme, h, 100) for scheme in FACTOR_SCHEMES for h in (2.2, 0.1, 0.5)]
+    logs = assert_stack_matches_single_runs(start, obj, configs, log_eps_ratio=False)
+    halts = {Scheme.CLASSICAL_GD: 4, Scheme.RIEMANNIAN: 20, Scheme.LORA_PRO: 61}
+    assert [len(log.rows) for log in logs[::3]] == [halts.get(s, 101) for s in FACTOR_SCHEMES]
+    assert all(len(log.rows) == 101 and not log.diverged for j, log in enumerate(logs) if j % 3)
 
 
 def test_sweep_small_with_eps_ratio_logged(sweep_small):
@@ -206,12 +252,31 @@ def test_slice_with_a_vanishing_gradient_logs_a_zero_ratio():
     assert logs[1].rows[0].eps_ratio == 0.0 and logs[0].rows[0].eps_ratio > 0.0
 
 
-def test_cells_must_differ_only_in_step_size(sweep_small):
+def test_cells_may_differ_only_in_scheme_and_step_size(sweep_small):
     start, obj = sweep_small
-    for other in (SolverConfig(Scheme.ODE_RK2, 0.1, 5), SolverConfig(Scheme.ODE_RK4, 0.1, 6),
+    rk4 = SolverConfig(Scheme.ODE_RK4, 0.2, 5)
+    logs = run_stack(start, obj, [rk4, SolverConfig(Scheme.ODE_RK2, 0.1, 5)])
+    assert [len(log.rows) for log in logs] == [6, 6]
+    for other in (SolverConfig(Scheme.ODE_RK4, 0.1, 6), SolverConfig(Scheme.ODE_RK2, 0.1, 6),
                   SolverConfig(Scheme.ODE_RK4, 0.1, 5, eps_reg=0.0)):
-        with pytest.raises(ValueError, match="step sizes"):
-            run_stack(start, obj, [SolverConfig(Scheme.ODE_RK4, 0.2, 5), other])
+        with pytest.raises(ValueError, match="schemes and step sizes"):
+            run_stack(start, obj, [rk4, other])
+    for factor in (rk4, SolverConfig(Scheme.CLASSICAL_GD, 0.2, 5)):
+        with pytest.raises(ValueError, match="full_ft"):
+            run_stack(start, obj, [factor, SolverConfig(Scheme.FULL_FT, 0.2, 5)])
+
+
+def test_empty_stack_is_rejected_before_the_objective_is_read():
+    # a RegressionStack objective has no base weight, which a read would
+    # report as TypeError; an empty stack must be named first
+    objective, start = _seed_stack(8, [0, 1])
+
+    def read(*args):
+        raise AssertionError("the objective was read")
+
+    objective.sides = objective.evaluate = objective.grad = objective.loss = read
+    with pytest.raises(ValueError, match="empty stack"):
+        run_stack(start, objective, [])
 
 
 def test_stacked_factors_are_checked_as_one_stack():
