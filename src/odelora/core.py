@@ -34,7 +34,9 @@ carries the same leading axis. The code is written once, with ``.mT`` and
 it, and each slice of a stacked result is bit-for-bit the result of that
 slice alone. A measurement that is one number per state (a loss, a defect,
 a ratio) is a float at an unstacked state and a (k,) array at a stacked
-one (``per_slice``). ``solvers.run_stack`` steps such stacks.
+one. Its dot products and norms are one stacked product (``slice_dots``,
+``slice_norms``); ``per_slice`` loops over the slices where a dense
+objective is read one W at a time. ``solvers.run_stack`` steps such stacks.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
     "field_eval",
     "field_eval_sides",
     "per_slice",
+    "slice_dots",
+    "slice_norms",
 ]
 
 # Default Tikhonov regularization of the factor Gram matrices.
@@ -110,8 +114,14 @@ class LoRAFactors:
 
     def take(self, index) -> "LoRAFactors":
         """The slices ``index`` of a stack: one state for an int, a stack for a
-        list or a mask."""
-        return LoRAFactors(self.a[index], self.b[index])
+        list, a mask or a slice. A slice of a checked stack needs no check,
+        so the parts are neither checked nor copied again: a slice index
+        gives read-only views."""
+        part = object.__new__(LoRAFactors)
+        for name, x in (("a", self.a[index]), ("b", self.b[index])):
+            x.setflags(write=False)
+            object.__setattr__(part, name, x)
+        return part
 
     def delta(self) -> np.ndarray:
         """The low-rank weight update B A, recomputed on demand."""
@@ -136,6 +146,27 @@ def per_slice(factors: LoRAFactors, fn, *arrays):
     if not factors.stacked:
         return fn(*arrays)
     return np.array([fn(*parts) for parts in zip(*arrays)])
+
+
+def slice_dots(x: np.ndarray, y: np.ndarray):
+    """``np.vdot(x_j, y_j)`` of each pair of matrix slices, as one stacked
+    product: a float for two matrices, a (k,) array for two stacks.
+
+    Each slice pair is flattened in C order and multiplied as a row by a
+    column, which numpy's ``matmul`` hands to the same dot product that
+    ``np.vdot`` (and ``np.linalg.norm``, on a C-contiguous matrix) calls,
+    so each slice gets the bits of that call alone.
+    """
+    lead = x.shape[:-2]
+    dots = (x.reshape(*lead, 1, -1) @ y.reshape(*lead, -1, 1))[..., 0, 0]
+    return dots if lead else float(dots)
+
+
+def slice_norms(x: np.ndarray):
+    """``np.linalg.norm`` of each C-contiguous matrix slice: the square root of
+    ``slice_dots(x, x)``."""
+    norms = np.sqrt(slice_dots(x, x))
+    return norms if norms.ndim else float(norms)
 
 
 class Sides(NamedTuple):
@@ -237,6 +268,12 @@ class FactorGrams:
         self.gb, self.ga = gram_b(factors, eps), gram_a(factors, eps)
         self._inv_b, self._inv_a = inverse_cholesky(np.array((self.gb, self.ga)))
 
+    def take(self, index) -> "FactorGrams":
+        """The Grams of the stack slices ``index``, with no new factorization."""
+        part = object.__new__(FactorGrams)
+        part.__dict__.update((name, x[index]) for name, x in self.__dict__.items())
+        return part
+
     def solve_a(self, rhs: np.ndarray) -> np.ndarray:
         """(A A^T + eps I)^{-1} rhs."""
         return self._inv_a.mT @ (self._inv_a @ rhs)
@@ -268,16 +305,19 @@ def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEv
     return field_eval_sides(factors, gradient_sides(factors, g), eps)
 
 
-def field_eval_sides(factors: LoRAFactors, sides: Sides, eps: float = 0.0) -> FieldEval:
+def field_eval_sides(factors: LoRAFactors, sides: Sides, eps: float = 0.0,
+                     grams: FactorGrams | None = None) -> FieldEval:
     """``field_eval`` given the gradient's sides ``(B^T G, G A^T)`` instead of G.
 
+    ``grams``, when given, is ``FactorGrams(factors, eps)``, already built.
     Both solves with B's Gram share one call: its two right-hand sides are
     stacked, and each column's result is the one a separate solve gives.
     """
     a, b = factors.a, factors.b
     bt_g, g_at = sides
     r = factors.rank
-    grams = FactorGrams(factors, eps)
+    if grams is None:
+        grams = FactorGrams(factors, eps)
     both = grams.solve_b(np.concatenate([bt_g @ a.mT, bt_g], axis=-1))
     t = both[..., :r]
     x = grams.gauge(t + t.mT)

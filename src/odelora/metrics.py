@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorGrams, LoRAFactors, gram_a, gram_b, per_slice
+from .core import FactorGrams, LoRAFactors, gram_a, gram_b, slice_dots, slice_norms
 from .linalg import as_matrix
 
 __all__ = [
@@ -66,9 +66,12 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
 
     At a stacked state, with G a (k, m, n) stack, the ratios come as a (k,)
     array, and ZeroGradient is raised if any slice's gradient vanishes.
+    ``||G||^2`` is one sum over the trailing axes and each trace one
+    stacked dot product (``core.slice_dots``), each slice's the bits of the
+    same call on that slice alone.
     """
     g = as_matrix(g, "G", stack=True)
-    gnorm2 = per_slice(factors, lambda x: float(np.sum(x * x)), g)
+    gnorm2 = np.sum(g * g, axis=(-2, -1))
     if (np.sqrt(gnorm2) <= 1e-14).any():
         raise ZeroGradient("gradient norm at or below 1e-14")
     a, b = factors.a, factors.b
@@ -78,20 +81,15 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
     m, n = factors.shape
     left = grams.solve_b(np.concatenate((bt_g, t), axis=-1))
     right = grams.solve_a(np.concatenate((g_at.mT, t.mT), axis=-1))
-
-    def ratio(norm2, left, right, bt_g, g_at):
-        trapped = (norm2 - np.vdot(left[:, :n], bt_g) - np.vdot(right[:, :m], g_at.T)
-                   + np.vdot(left[:, n:], right[:, m:].T))
-        return float(trapped) / norm2
-
-    return per_slice(factors, ratio, gnorm2, left, right, bt_g, g_at)
+    trapped = (gnorm2 - slice_dots(left[..., :n], bt_g) - slice_dots(right[..., :m], g_at.mT)
+               + slice_dots(left[..., n:], right[..., m:].mT))
+    return trapped / gnorm2 if factors.stacked else float(trapped / gnorm2)
 
 
 def balance_defect(factors: LoRAFactors) -> float:
     """Frobenius distance ||A A^T - B^T B||_F from the balanced manifold;
     a (k,) array of them at a stacked state."""
-    return per_slice(factors, lambda d: float(np.linalg.norm(d)),
-                     gram_a(factors) - gram_b(factors))
+    return slice_norms(gram_a(factors) - gram_b(factors))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LoRAFactors, Objective, Sides, StateEval, per_slice
+from .core import LoRAFactors, Objective, Sides, StateEval, slice_dots
 from .linalg import as_matrix, thin_svd
 
 __all__ = [
@@ -167,8 +167,9 @@ class _ResidualObjective(Objective):
     build the loss, gradient and sides from the residual and ``A s``, so
     ``sides`` never forms the m x n gradient; ``SensingObjective`` replaces
     this residual form of the sides with a Gram form where its shapes
-    favour it. At a stacked state the residual, ``A s``, gradient and sides
-    carry the stack axis, and the loss is taken slice by slice.
+    favour it. At a stacked state the residual, ``A s``, gradient, sides and
+    loss carry the stack axis. ``_loss_of`` may overwrite the residual it
+    is given, so ``evaluate`` takes the loss last.
     """
 
     def __init__(self, problem):
@@ -194,9 +195,8 @@ class _ResidualObjective(Objective):
 
     def evaluate(self, factors: LoRAFactors) -> StateEval:
         resid, a_s = self._residual(factors)
-        return StateEval(per_slice(factors, self._loss_of, resid),
-                         self._grad_of(factors, resid, a_s),
-                         self._sides(factors, resid, a_s))
+        g, sides = self._grad_of(factors, resid, a_s), self._sides(factors, resid, a_s)
+        return StateEval(self._loss_of(resid), g, sides)
 
 
 class SensingObjective(_ResidualObjective):
@@ -243,16 +243,14 @@ class SensingObjective(_ResidualObjective):
     def evaluate(self, factors: LoRAFactors) -> StateEval:
         if not self.gram_form:
             return super().evaluate(factors)
-        resid, _ = self._residual(factors)
-        loss = per_slice(factors, self._loss_of, resid)
-        del resid
+        loss = self._loss_of(self._residual(factors)[0])
         k, a_q = self._offset_grad, factors.a @ self._s_gram
         g = factors.b @ a_q
         g += k  # in place, as in core.effective_weight
         return StateEval(loss, g, self._gram_sides(factors, k, a_q))
 
     def loss(self, w: np.ndarray) -> float:
-        return self._loss_of(w @ self.problem.s - self.problem.y)
+        return float(self._loss_of(w @ self.problem.s - self.problem.y))
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.problem.s - self.problem.y) @ self.problem.s.T
@@ -266,8 +264,11 @@ class SensingObjective(_ResidualObjective):
         g_at += b @ (a_q @ a.mT)
         return Sides(bt_g, g_at)
 
-    def _loss_of(self, resid) -> float:
-        return 0.5 * float(np.sum(resid * resid))
+    @staticmethod
+    def _loss_of(resid):
+        """0.5 ||R||_F^2 of each slice of the residual, which is squared in place."""
+        resid *= resid
+        return 0.5 * np.sum(resid, axis=(-2, -1))
 
     def _grad_of(self, factors, resid, a_s) -> np.ndarray:
         g = factors.b @ (a_s @ self.problem.s.T)
@@ -321,8 +322,10 @@ class RegressionObjective(_ResidualObjective):
         resid += self._offset  # in place, as in core.effective_weight
         return resid, a_s
 
-    def _loss_of(self, resid) -> float:
-        return float(resid @ resid)
+    @staticmethod
+    def _loss_of(resid):
+        """||res||^2 of each slice of the residual."""
+        return slice_dots(resid[..., None, :], resid[..., None, :])
 
     def _grad_of(self, factors, resid, a_s) -> np.ndarray:
         return 2.0 * (resid[..., :, None] * self.problem.s[..., None, :])

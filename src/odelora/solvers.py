@@ -1,9 +1,10 @@
 """Time discretizations of the balanced adapter flow, plus baselines.
 
 Every factor scheme is one explicit Runge–Kutta engine driven by a
-direction function ``(factors, sides, eps) -> (f_a, f_b)`` of the
-gradient's two sides ``(B^T G, G A^T)`` at a stage; no direction reads more
-of the full-weight gradient G. The stage sides come from
+direction function ``(factors, sides, eps, grams=None) -> (f_a, f_b)`` of
+the gradient's two sides ``(B^T G, G A^T)`` at a stage, which factors the
+state's Grams itself unless handed their ``FactorGrams``; no direction
+reads more of the full-weight gradient G. The stage sides come from
 ``Objective.sides`` at the stage state, so an objective with a residual
 form never builds an m x n matrix inside a step. The flow steppers (Euler,
 Heun/RK2, classical RK4) run the engine with the balanced field
@@ -24,21 +25,30 @@ setting but the scheme and the step size, as one stack: the factor pairs
 are A (k, r, n) and B (k, m, r), each step is one call on the whole stack
 with the step sizes held as a (k, 1, 1) array, and each cell keeps its own
 ``TrajectoryLog``. The factor cells, of any of the six factor schemes, step
-through one engine, ``_rk_step``. Their slices are ordered by non-increasing
-stage count (RK4, RK2, then the one-stage Euler flow and the three
-baselines), so stage i steps a prefix of the stack; each stage reads the
-objective's sides once, the three flows share one field evaluation per
-stage, each tableau sums its stages on its own slices, and one ``move``
-finishes the step. The six public factor steps and
-``diagnostics.phi_decompose`` are its one-scheme case. Full fine-tuning
-steps the dense weights ``W_pt + B A`` as a (k, m, n) stack of its own.
-Every stacked operation gives each slice bit-for-bit what it gives that
-slice alone, so a cell's rows are those of its run alone. A cell that
-halts gets its final row and leaves the stack. numpy's stacked
-factorizations raise for the whole stack, so when a step raises one of
-``DIVERGENCE_ERRORS`` with more than one cell live, each live cell runs
-again alone from its start and keeps that run's log; a stack of one halts
-at once. ``run_trajectory`` is the k = 1 case. ``odelora sweep`` runs the
+through one engine, ``_rk_step``. Their slices are in stack order
+(``_METHODS``): RK4, RK2, the one-stage Euler flow, ``riemannian``,
+``lora_pro``, and last ``classical_gd``, the one direction that factors no
+Gram. So stage i steps a prefix of the stack, and the slices whose
+directions read Grams form a prefix of each stage. Each stage reads the
+objective's sides once and factors that prefix's Grams in one
+``FactorGrams``; each run of consecutive slices that share a direction
+makes one call, on views of its slices of the state, sides and Grams, so
+the three flows share one field evaluation per stage. Each tableau sums
+its stages on its own slices, and one ``move`` finishes the step. The six
+public factor steps and ``diagnostics.phi_decompose`` are its one-scheme
+case. Full fine-tuning steps the dense weights ``W_pt + B A`` as a
+(k, m, n) stack of its own. A logged row takes each of its values as one
+stacked call on the live slices: the objective's ``evaluate``, the norms
+of the gradient and of ``W - W*`` (``core.slice_norms``), the balance
+defect and the null-space ratio. Every stacked operation gives each slice
+bit-for-bit what it gives that slice alone, so a cell's rows are those of
+its run alone. A cell that halts gets its final row and leaves the stack.
+numpy's stacked factorizations raise for the whole stack, so when a step
+raises one of ``DIVERGENCE_ERRORS`` with more than one cell live, the live
+cells run again from their starts and keep those runs' logs: the
+``classical_gd`` cells as one stack, since their direction factors no
+Gram, and every other cell alone (``_reruns``); a stack of one halts at
+once. ``run_trajectory`` is the k = 1 case. ``odelora sweep`` runs the
 factor cells that share a problem and start as one stack and their
 ``full_ft`` cells as another: two stacks for an ``h`` sweep, two per value
 for a ``delta`` sweep.
@@ -63,6 +73,7 @@ from .core import (
     Sides,
     effective_weight,
     field_eval_sides,
+    slice_norms,
 )
 from .linalg import (
     DegenerateSpectrum,
@@ -148,39 +159,43 @@ HEUN = Tableau((1.0,), (1, 1), 2)
 RK4 = Tableau((0.5, 0.5, 1.0), (1, 2, 2, 1), 6)
 
 
-def _flow_direction(factors: LoRAFactors, sides: Sides, eps: float):
-    k = field_eval_sides(factors, sides, eps)
+def _flow_direction(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
+    k = field_eval_sides(factors, sides, eps, grams)
     return k.f_a, k.f_b
 
 
-def _factor_gradient(factors: LoRAFactors, sides: Sides, eps: float):
+def _factor_gradient(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
     """Composite-loss gradients B^T G in A and G A^T in B, negated; ``eps``
-    plays no part."""
+    and ``grams`` play no part."""
     return -sides.bt_g, -sides.g_at
 
 
-def _riemannian_direction(factors: LoRAFactors, sides: Sides, eps: float):
-    grams = FactorGrams(factors, eps)
+def _riemannian_direction(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
+    if grams is None:
+        grams = FactorGrams(factors, eps)
     return -grams.solve_b(sides.bt_g), -grams.solve_a(sides.g_at.mT).mT
 
 
-def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float):
+def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
     """Gradient matching with zero gauge (X = 0): dA = -(B^T B + eps I)^{-1} B^T G,
     dB = -P_B^null G A^T (A A^T + eps I)^{-1}."""
-    grams = FactorGrams(factors, eps)
+    if grams is None:
+        grams = FactorGrams(factors, eps)
     return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.mT).mT)
 
 
 # (tableau, direction) of each factor scheme, in stack order: by non-increasing
-# stage count, with the three flows side by side so that they share one
-# field evaluation per stage.
+# stage count, with the three flows side by side so that they share one field
+# evaluation per stage, and classical_gd, whose direction factors no Gram,
+# last, so that the slices whose directions read Grams form a prefix of every
+# stage and share one factorization.
 _METHODS = {
     Scheme.ODE_RK4: (RK4, _flow_direction),
     Scheme.ODE_RK2: (HEUN, _flow_direction),
     Scheme.ODE_EULER: (EULER, _flow_direction),
-    Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
     Scheme.RIEMANNIAN: (EULER, _riemannian_direction),
     Scheme.LORA_PRO: (EULER, _lorapro_direction),
+    Scheme.CLASSICAL_GD: (EULER, _factor_gradient),
 }
 
 
@@ -197,6 +212,7 @@ class _Stage(NamedTuple):
 
     runs: tuple[_Run, ...]  # the runs that have this stage, a prefix of all
     ahead: slice  # the stack prefix they fill, ``...`` for the whole stack
+    factored: slice | None  # the prefix whose directions read Grams, None if empty
     calls: tuple  # (direction, span) per call, span None for the whole prefix
 
 
@@ -209,13 +225,21 @@ def _runs(schemes) -> tuple[_Run, ...]:
     return tuple(runs)
 
 
+def _prefix(runs, staged):
+    """The stack range of the leading runs ``staged`` of ``runs``: ``...``
+    for all of them, None for none."""
+    if len(staged) == len(runs):
+        return ...
+    return slice(0, staged[-1].span.stop) if staged else None
+
+
 def _plan(runs) -> tuple[_Stage, ...]:
-    """The stages of a stack of ``runs``, which are in non-increasing stage
-    count: each direction is called once per range of consecutive runs
-    that share it."""
+    """The stages of a stack of ``runs``, which are in stack order: each
+    direction is called once per range of consecutive runs that share it."""
     plan = []
     for i in range(len(runs[0].tableau.weights)):
         staged = tuple(run for run in runs if len(run.tableau.weights) > i)
+        factored = tuple(run for run in staged if run.direction is not _factor_gradient)
         calls = []
         for direction, group in itertools.groupby(staged, key=lambda run: run.direction):
             group = list(group)
@@ -223,8 +247,8 @@ def _plan(runs) -> tuple[_Stage, ...]:
                 calls.append((direction, None))
             else:
                 calls.append((direction, slice(group[0].span.start, group[-1].span.stop)))
-        ahead = ... if len(staged) == len(runs) else slice(0, staged[-1].span.stop)
-        plan.append(_Stage(staged, ahead, tuple(calls)))
+        plan.append(_Stage(staged, _prefix(runs, staged), _prefix(staged, factored),
+                           tuple(calls)))
     return tuple(plan)
 
 
@@ -243,6 +267,11 @@ def _part(h, span):
     return h if span is ... else h[span]
 
 
+def _weighted(weight, x):
+    """``weight * x``, with the exact product by 1 left out."""
+    return x if weight == 1 else weight * x
+
+
 def _rk_step(plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
     """One step of a stack whose slices run the schemes of ``plan``:
     ``(next_state, stages)``, with ``stages[i]`` the stage fields
@@ -250,7 +279,9 @@ def _rk_step(plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
 
     ``plan`` is ``_plan`` of the slices' runs, or ``_ALONE[scheme]``. Stage
     i steps a prefix of the stack, reads ``objective.sides`` once, at that
-    prefix, and makes the stage's direction calls; each run sums its
+    prefix, factors the Grams of the slices whose directions read them in
+    one ``FactorGrams``, and makes the stage's direction calls, each on
+    views of its slices of the state, sides and Grams; each run sums its
     tableau's stages on its own range, and one ``move`` finishes the step.
     ``g`` is the ``Sides`` of the gradient at ``factors``' effective
     weight when the caller already has them.
@@ -265,16 +296,23 @@ def _rk_step(plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
             state = LoRAFactors(factors.a[stage.ahead] + c_h * f_a[stage.ahead],
                                 factors.b[stage.ahead] + c_h * f_b[stage.ahead])
             sides = objective.sides(state)
-        fields = [direction(state, sides, eps) if span is None
-                  else direction(state.take(span), sides.take(span), eps)
+        grams = None
+        if stage.factored is not None:
+            grams = FactorGrams(state if stage.factored is ... else state.take(stage.factored),
+                                eps)
+        fields = [direction(state, sides, eps, grams) if span is None
+                  else direction(state.take(span), sides.take(span), eps,
+                                 None if direction is _factor_gradient else grams.take(span))
                   for direction, span in stage.calls]
         stages.append(fields[0] if len(fields) == 1 else tuple(map(np.concatenate, zip(*fields))))
     totals = []
     for tableau, _, span in plan[0].runs:
-        total = [tableau.weights[0] * part[span] for part in stages[0]]
+        total = [_weighted(tableau.weights[0], part[span]) for part in stages[0]]
         for b, stage in zip(tableau.weights[1:], stages[1:]):
-            total = [acc + b * part[span] for acc, part in zip(total, stage)]
-        totals.append([acc / tableau.denominator for acc in total])
+            total = [acc + _weighted(b, part[span]) for acc, part in zip(total, stage)]
+        if tableau.denominator != 1:
+            total = [acc / tableau.denominator for acc in total]
+        totals.append(total)
     f_a, f_b = (_gather(parts) for parts in zip(*totals))
     return factors.move(f_a, f_b, h), stages
 
@@ -372,12 +410,24 @@ def _take(x, index):
     return x[index] if isinstance(x, np.ndarray) else x.take(index)
 
 
+def _reruns(live, configs) -> list[list[int]]:
+    """The groups of ``live`` cells that run again after their stack's step
+    raised: the cells whose direction factors no Gram (``classical_gd``) as
+    one stack, unless they are all of the raised stack, and every other
+    cell alone. A regrouped stack that raises again is split by the same
+    rule, so each log is the one its cell gives alone."""
+    gramless = [cell for cell in live if configs[cell].scheme is Scheme.CLASSICAL_GD]
+    if len(gramless) in (0, len(live)):
+        return [[cell] for cell in live]
+    return [gramless] + [[cell] for cell in live if cell not in gramless]
+
+
 def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
-    """``eps_ratio`` of each slice: 0.0 where the gradient vanishes, and
+    """``eps_ratio`` of each slice, as a list: 0.0 where the gradient vanishes, and
     None (a blank field) where the kernel refuses the slice's Grams. It is
     a diagnostic, so a refusal here never halts the run."""
     try:
-        return eps_ratio(state, g, eps)
+        return eps_ratio(state, g, eps).tolist()
     except (ZeroGradient, *DIVERGENCE_ERRORS):
         pass
     ratios = []
@@ -463,7 +513,8 @@ def run_stack(
 
     def record(i: int):
         """Append a row for each slice and return the gradient the next step
-        starts from; None halts the run."""
+        starts from; None halts the run. Each logged value is one stacked
+        call on the live slices."""
         w = state if full else effective_weight(objective.w_pt, state)
         stays = np.isfinite(w).all(axis=(1, 2))
         if not stays.all():
@@ -471,9 +522,11 @@ def run_stack(
             if not live:
                 return None
             w = w[stays]
-        dist = [None] * len(live)
+        dist = None
         if objective.optimum_w is not None:
-            dist = [float(np.linalg.norm(x - objective.optimum_w)) for x in w]
+            # the row owns W_pt + B A, but full_ft's W is the state itself
+            dist = slice_norms(w - objective.optimum_w if full
+                               else np.subtract(w, objective.optimum_w, out=w))
         if full:
             loss = np.array([float(objective.loss(x)) for x in w])
             g = first = np.array([objective.grad(x) for x in w])
@@ -486,18 +539,14 @@ def run_stack(
             if not live:
                 return None
             loss, g, first = loss[stays], g[stays], _take(first, stays)
-            dist = [d for d, stay in zip(dist, stays) if stay]
-        defect = ratio = [None] * len(live)
-        if not full and log_balance:
-            defect = balance_defect(state)
-        if not full and log_eps_ratio:
-            ratio = _null_space_ratios(state, g, eps)
-        for slot, cell in enumerate(live):
-            logs[cell].rows.append(TrajectoryRow(
-                i, float(loss[slot]), float(np.linalg.norm(g[slot])),
-                None if defect[slot] is None else float(defect[slot]),
-                None if ratio[slot] is None else float(ratio[slot]),
-                dist[slot], time.perf_counter_ns()))
+            dist = None if dist is None else dist[stays]
+        blank = [None] * len(live)
+        defect = balance_defect(state).tolist() if log_balance and not full else blank
+        ratio = _null_space_ratios(state, g, eps) if log_eps_ratio and not full else blank
+        dist = blank if dist is None else dist.tolist()
+        for cell, *values in zip(live, loss.tolist(), slice_norms(g).tolist(), defect, ratio,
+                                 dist):
+            logs[cell].rows.append(TrajectoryRow(i, *values, time.perf_counter_ns()))
         return first
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -512,16 +561,17 @@ def run_stack(
                     state = _rk_step(plan, state, objective, h, eps, g)[0]
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
-                # A stacked call raises for the whole stack, so each live
-                # cell of a larger stack runs again alone, from its start.
+                # A stacked call raises for the whole stack, so the live
+                # cells of a larger stack run again from their starts.
                 if len(live) == 1:
                     leave(np.array([False]), i)
                 else:
-                    for cell in live:
-                        logs[cell] = run_stack(start.take([cell]), objective,
-                                               [configs[cell]],
-                                               log_eps_ratio=log_eps_ratio,
-                                               log_balance=log_balance)[0]
+                    for cells in _reruns(live, configs):
+                        rerun = run_stack(start.take(cells), objective,
+                                          [configs[cell] for cell in cells],
+                                          log_eps_ratio=log_eps_ratio, log_balance=log_balance)
+                        for cell, log in zip(cells, rerun):
+                            logs[cell] = log
                 break
             g = record(i)
     return logs

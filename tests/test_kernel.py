@@ -44,10 +44,14 @@ from odelora.problems import (
     quadratic_objective,
 )
 from odelora.solvers import (
+    _METHODS,
     Scheme,
     SolverConfig,
     _lorapro_direction,
+    _plan,
     _riemannian_direction,
+    _rk_step,
+    _runs,
     riemannian_step,
     run_trajectory,
 )
@@ -59,20 +63,33 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """Count the matrices numpy's Cholesky factorizations and symmetric
-    eigensolves act on: a call on a (k, r, r) stack counts k."""
+def count_factorizations(monkeypatch, per_call: bool) -> dict:
+    """Count numpy's Cholesky factorizations and symmetric eigensolves, by
+    call or by the matrices they act on."""
     counts = {"cholesky": 0, "eigh": 0}
     for name in counts:
         real = getattr(np.linalg, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += int(np.prod(np.shape(args[0])[:-2]))
+            counts[_name] += 1 if per_call else int(np.prod(np.shape(args[0])[:-2]))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     return counts
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the matrices numpy's Cholesky factorizations and symmetric
+    eigensolves act on: a call on a (k, r, r) stack counts k."""
+    return count_factorizations(monkeypatch, per_call=False)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count numpy's Cholesky and symmetric eigensolver calls, whatever the
+    stacks they act on."""
+    return count_factorizations(monkeypatch, per_call=True)
 
 
 @pytest.fixture
@@ -112,6 +129,19 @@ class TestFactorizationCounts:
         w_pt = np.zeros(f.shape)
         riemannian_step(f, quadratic_objective(g, mu=1.0, w_pt=w_pt), 0.1, 1e-8)
         assert counted == {"cholesky": 2, "eigh": 0}
+
+    def test_mixed_stack_step_factors_once_per_stage(self, rng, calls):
+        # one slice per factor scheme, in stack order (RK4, RK2, Euler,
+        # riemannian, lora_pro, classical_gd): each of RK4's four stages
+        # factors the Grams of its slices whose directions read them in one
+        # call, and the flows among them share one gauge solve
+        states = [random_state(rng)[0] for _ in _METHODS]
+        stack = LoRAFactors(np.array([f.a for f in states]), np.array([f.b for f in states]))
+        w_pt = np.zeros(stack.shape)
+        objective = quadratic_objective(rng.standard_normal(stack.shape), mu=1.0, w_pt=w_pt)
+        h = np.full((len(states), 1, 1), 0.1)
+        _rk_step(_plan(_runs(_METHODS)), stack, objective, h, 1e-8)
+        assert calls == {"cholesky": 4, "eigh": 4}
 
     def test_flow_rhs_full_and_eps_ratio(self, rng, counted):
         f, g = random_state(rng)

@@ -8,9 +8,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from odelora.core import LoRAFactors
+from odelora.core import FactorGrams, LoRAFactors, effective_weight, gram_a, gram_b
 from odelora.diagnostics import _seed_stack, phi_decompose
 from odelora.linalg import NonFiniteState
+from odelora.metrics import eps_ratio
 from odelora.problems import (
     QuadraticObjective,
     RegressionStack,
@@ -25,7 +26,9 @@ from odelora.problems import (
     sensing_objective,
     zero_b_init,
 )
-from odelora.solvers import DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory
+from odelora import solvers as solvers_mod
+from odelora.solvers import (DIVERGENCE_LOSS, Scheme, SolverConfig, _reruns, run_stack,
+                             run_trajectory)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -103,7 +106,7 @@ def test_stack_equals_single_runs(kind, scheme, hs, seed, log_eps_ratio):
                             (Scheme.RIEMANNIAN, 3.5), (Scheme.ODE_RK4, 0.05)], 0, False, False,
          1e-8)
 # a zero-B start at eps_reg = 0: the stacked first step is refused, so every
-# live cell, classical_gd's among them, runs again alone
+# live cell runs again alone, classical_gd's as a stack of one
 @example("regression", [(Scheme.ODE_RK4, 0.5), (Scheme.CLASSICAL_GD, 0.5),
                         (Scheme.ODE_EULER, 0.5)], 2, True, False, 0.0)
 @example("quadratic", [(scheme, 0.5) for scheme in FACTOR_SCHEMES], 3, False, True, 1e-8)
@@ -139,6 +142,69 @@ def test_stacked_phi_equals_single_instances(n, seeds, h, scheme):
             assert report.sum_check_residual[j] == alone.sum_check_residual
             assert np.array_equal(state.a[j], states[j].a)
             assert np.array_equal(state.b[j], states[j].b)
+
+
+def eps_ratio_alone(f, g, eps):
+    """``metrics.eps_ratio``'s trace identity at one state, its ||G||^2 and
+    traces taken one np.sum and one np.vdot at a time."""
+    grams = FactorGrams(f, eps)
+    bt_g, g_at = f.b.T @ g, g @ f.a.T
+    t = bt_g @ f.a.T
+    m, n = g.shape
+    left = grams.solve_b(np.concatenate((bt_g, t), axis=1))
+    right = grams.solve_a(np.concatenate((g_at.T, t.T), axis=1))
+    norm2 = float(np.sum(g * g))
+    trapped = (norm2 - np.vdot(left[:, :n], bt_g) - np.vdot(right[:, :m], g_at.T)
+               + np.vdot(left[:, n:], right[:, m:].T))
+    return float(trapped) / norm2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from([*SENSING_SHAPES, "regression", "quadratic"]),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+    seed=st.integers(0, 3),
+    spread=st.floats(-3.0, 0.5),
+    full=st.booleans(),
+    eps_reg=st.sampled_from([1e-8, 0.0]),
+)
+def test_stacked_row_equals_each_slice_alone(kind, picks, seed, spread, full, eps_reg):
+    # a stack of random states, picked from a pool of six in any order and
+    # with repeats, so that its slices are not adjacent in the pool; its
+    # first row takes each value as one stacked call, and each slice must get
+    # what the per-slice call gives that slice alone
+    start, obj = instance(kind, seed)
+    rng = np.random.default_rng(seed)
+    noise = 10.0 ** spread
+    pool = LoRAFactors(start.a + noise * rng.standard_normal((6, *start.a.shape)),
+                       start.b + noise * rng.standard_normal((6, *start.b.shape)))
+    stack = pool.take(picks)
+    scheme = Scheme.FULL_FT if full else Scheme.ODE_RK4
+    logs = run_stack(stack, obj, [SolverConfig(scheme, 0.1, 0, eps_reg)] * len(picks))
+    for pick, log in zip(picks, logs):
+        f = pool.take(pick)
+        w = effective_weight(obj.w_pt, f)
+        if full:
+            loss, g = obj.loss(w), obj.grad(w)
+        else:
+            g = obj.evaluate(f).grad
+            resid = None if kind == "quadratic" else obj._residual(f)[0]
+            if kind == "quadratic":
+                loss = obj.loss(w)
+            elif kind == "regression":
+                loss = float(resid @ resid)
+            else:
+                loss = 0.5 * float(np.sum(resid * resid))
+        [row] = log.rows
+        assert row.loss == loss
+        assert row.grad_norm == float(np.linalg.norm(g))
+        dist = None if obj.optimum_w is None else float(np.linalg.norm(w - obj.optimum_w))
+        assert row.dist_to_opt == dist
+        if full:
+            assert row.balance_defect is None and row.eps_ratio is None
+        else:
+            assert row.balance_defect == float(np.linalg.norm(gram_a(f) - gram_b(f)))
+            assert row.eps_ratio == eps_ratio(f, g, eps_reg) == eps_ratio_alone(f, g, eps_reg)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +288,39 @@ def test_stack_whose_step_raises_reruns_its_live_cells_alone():
     assert np.isnan(logs[1].rows[-1].loss)
     assert len(logs[0].rows) < len(logs[1].rows) < 61
     assert [len(log.rows) for log in logs[2:]] == [61, 61]
+
+
+def test_raised_stack_reruns_its_classical_gd_cells_as_one_stack(monkeypatch):
+    # a zero-B regression start at eps_reg = 0: the kernel refuses B's Gram,
+    # which raises for the stack's first step. The classical_gd cells, whose
+    # direction factors no Gram, run again as one stack, every other cell
+    # alone, and each log is the one its cell gives alone.
+    start, obj = instance("regression", 2)
+    cells = [(Scheme.ODE_RK4, 0.5), (Scheme.CLASSICAL_GD, 0.5), (Scheme.ODE_EULER, 0.5),
+             (Scheme.CLASSICAL_GD, 0.1)]
+    configs = [SolverConfig(scheme, h, 25, 0.0) for scheme, h in cells]
+    reruns, real = [], solvers_mod.run_stack
+
+    def spy(start, objective, configs, **flags):
+        reruns.append(sorted(config.scheme.value for config in configs))
+        return real(start, objective, configs, **flags)
+
+    monkeypatch.setattr(solvers_mod, "run_stack", spy)
+    logs = run_stack(start, obj, configs)
+    monkeypatch.undo()
+    assert sorted(reruns) == [["classical_gd", "classical_gd"], ["ode_euler"], ["ode_rk4"]]
+    for log, config in zip(logs, configs):
+        alone = run_trajectory(start, obj, config)
+        assert log.diverged == alone.diverged == (config.scheme is not Scheme.CLASSICAL_GD)
+        assert row_values(log) == row_values(alone)
+
+
+def test_reruns_split_a_raised_classical_gd_stack_into_single_cells():
+    gd, rk4 = SolverConfig(Scheme.CLASSICAL_GD, 0.1, 5), SolverConfig(Scheme.ODE_RK4, 0.1, 5)
+    configs = [gd, rk4, gd, gd]
+    assert _reruns([0, 1, 2, 3], configs) == [[0, 2, 3], [1]]
+    assert _reruns([1, 3], configs) == [[3], [1]]
+    assert _reruns([0, 2, 3], configs) == [[0], [2], [3]]
 
 
 def test_slice_with_a_refused_ratio_logs_a_blank(sweep_small):
