@@ -239,16 +239,24 @@ class FieldEval(NamedTuple):
     x: np.ndarray
 
 
+def _regularized(gram: np.ndarray, eps: float) -> np.ndarray:
+    """``gram + eps I``, with eps added to the fresh product's diagonal in
+    place, and no add at all when eps is 0."""
+    if eps:
+        np.einsum("...ii->...i", gram)[...] += eps
+    return gram
+
+
 def gram_a(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
     """A A^T + eps I (r x r)."""
     a = factors.a
-    return a @ a.mT + eps * np.eye(factors.rank)
+    return _regularized(a @ a.mT, eps)
 
 
 def gram_b(factors: LoRAFactors, eps: float = 0.0) -> np.ndarray:
     """B^T B + eps I (r x r)."""
     b = factors.b
-    return b.mT @ b + eps * np.eye(factors.rank)
+    return _regularized(b.mT @ b, eps)
 
 
 class FactorGrams:

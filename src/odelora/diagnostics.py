@@ -37,8 +37,8 @@ from .problems import (
     make_regression_instance,
     regression_objective,
 )
-from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _METHODS, _require_base_weight,
-                      _rk_step, _step_for)
+from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _require_base_weight, _rk_step,
+                      _step_for)
 
 __all__ = [
     "ReferenceDiverged",
@@ -180,9 +180,9 @@ def phi_decompose(
     values and post-step state are what that slice gives alone.
     """
     problem = objective.problem
-    after, stages = _rk_step(_ALONE[scheme], factors, objective, h, eps)
-    tableau = _METHODS[scheme][0]
-    weights = [b / tableau.denominator for b in tableau.weights]
+    plan = _ALONE[scheme]
+    after, stages = _rk_step(plan, factors, objective, h, eps)
+    weights = [stage.b / plan.denominator for stage in plan.stages]
     s = problem.s[..., :, None]
     a_s = factors.a @ s
     components = []

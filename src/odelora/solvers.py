@@ -31,16 +31,17 @@ through one engine, ``_rk_step``. Their slices are in stack order
 Gram. So stage i steps a prefix of the stack, and the slices whose
 directions read Grams form a prefix of each stage. Each stage reads the
 objective's sides once and factors that prefix's Grams in one
-``FactorGrams``; each run of consecutive slices that share a direction
+``FactorGrams``; each range of consecutive slices that share a direction
 makes one call, on views of its slices of the state, sides and Grams, so
-the three flows share one field evaluation per stage. Each tableau sums
-its stages on its own slices, and one ``move`` finishes the step. The six
-public factor steps and ``diagnostics.phi_decompose`` are its one-scheme
-case. Full fine-tuning steps the dense weights ``W_pt + B A`` as a
-(k, m, n) stack of its own. A logged row takes each of its values as one
-stacked call on the live slices: the objective's ``evaluate``, the norms
-of the gradient and of ``W - W*`` (``core.slice_norms``), the balance
-defect and the null-space ratio. Every stacked operation gives each slice
+the three flows share one field evaluation per stage. The plan
+(``_plan``) holds each slice's tableau as columns, one coefficient per
+slice, so every slice's stages sum in one pass and one ``move`` finishes
+the step. The six public factor steps and ``diagnostics.phi_decompose``
+step with the plan of one scheme. Full fine-tuning steps the dense
+weights ``W_pt + B A`` as a (k, m, n) stack of its own. A logged row
+takes each of its values as one stacked call on the live slices: the
+objective's ``evaluate``, the norms of the gradient and of ``W - W*``
+(``core.slice_norms``), the balance defect and the null-space ratio. Every stacked operation gives each slice
 bit-for-bit what it gives that slice alone, so a cell's rows are those of
 its run alone. A cell that halts gets its final row and leaves the stack.
 numpy's stacked factorizations raise for the whole stack, so when a step
@@ -59,7 +60,6 @@ from __future__ import annotations
 import enum
 import itertools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
@@ -199,100 +199,83 @@ _METHODS = {
 }
 
 
-class _Run(NamedTuple):
-    """Consecutive stack slices that step with one scheme."""
-
-    tableau: Tableau
-    direction: Callable
-    span: slice  # ``...`` for the one run of a whole state
-
-
 class _Stage(NamedTuple):
-    """What one Runge–Kutta stage steps of a stack."""
+    """What one Runge–Kutta stage steps of a stack. ``c`` and ``b`` hold one
+    value per slice of ``ahead``: a scalar when the slices share it, else a
+    (p, 1, 1) column."""
 
-    runs: tuple[_Run, ...]  # the runs that have this stage, a prefix of all
-    ahead: slice  # the stack prefix they fill, ``...`` for the whole stack
+    ahead: slice  # the stack prefix it steps, ``...`` for the whole stack
     factored: slice | None  # the prefix whose directions read Grams, None if empty
     calls: tuple  # (direction, span) per call, span None for the whole prefix
+    c: float | np.ndarray | None  # subdiagonal coefficient of its start, None at stage 0
+    b: int | np.ndarray  # its weight in the step's sum
 
 
-def _runs(schemes) -> tuple[_Run, ...]:
-    """The runs of a stack whose slices carry ``schemes`` in stack order."""
-    runs, stop = [], 0
-    for scheme, group in itertools.groupby(schemes):
-        start, stop = stop, stop + len(list(group))
-        runs.append(_Run(*_METHODS[scheme], slice(start, stop)))
-    return tuple(runs)
+class _Plan(NamedTuple):
+    """The stages of a stack's step and each slice's denominator, which
+    divides the step's sum of weighted stages."""
+
+    stages: tuple[_Stage, ...]
+    denominator: int | np.ndarray  # one per slice, as ``_Stage.b``
 
 
-def _prefix(runs, staged):
-    """The stack range of the leading runs ``staged`` of ``runs``: ``...``
-    for all of them, None for none."""
-    if len(staged) == len(runs):
-        return ...
-    return slice(0, staged[-1].span.stop) if staged else None
+def _column(values):
+    """One value per slice: the shared value itself, or a (p, 1, 1) column."""
+    return values[0] if len(set(values)) == 1 else np.array(values, float)[:, None, None]
 
 
-def _plan(runs) -> tuple[_Stage, ...]:
-    """The stages of a stack of ``runs``, which are in stack order: each
-    direction is called once per range of consecutive runs that share it."""
-    plan = []
-    for i in range(len(runs[0].tableau.weights)):
-        staged = tuple(run for run in runs if len(run.tableau.weights) > i)
-        factored = tuple(run for run in staged if run.direction is not _factor_gradient)
-        calls = []
-        for direction, group in itertools.groupby(staged, key=lambda run: run.direction):
-            group = list(group)
-            if len(group) == len(staged):
-                calls.append((direction, None))
-            else:
-                calls.append((direction, slice(group[0].span.start, group[-1].span.stop)))
-        plan.append(_Stage(staged, _prefix(runs, staged), _prefix(staged, factored),
-                           tuple(calls)))
-    return tuple(plan)
+def _plan(schemes) -> _Plan:
+    """The plan of a stack whose slices carry ``schemes``, in stack order; a
+    scheme's plan on an unstacked state is ``_plan([scheme])``. Each
+    direction is called once per range of consecutive slices that share it."""
+    methods = [_METHODS[scheme] for scheme in schemes]
+    stages = []
+    for i in range(len(methods[0][0].weights)):
+        staged = [(tableau, direction) for tableau, direction in methods
+                  if len(tableau.weights) > i]
+        p = len(staged)
+        q = sum(direction is not _factor_gradient for _, direction in staged)
+        calls, stop = [], 0
+        for direction, group in itertools.groupby(direction for _, direction in staged):
+            start, stop = stop, stop + len(list(group))
+            calls.append((direction, None if stop - start == p else slice(start, stop)))
+        stages.append(_Stage(
+            ahead=... if p == len(methods) else slice(0, p),
+            factored=None if q == 0 else ... if q == p else slice(0, q),
+            calls=tuple(calls),
+            c=_column([tableau.subdiagonal[i - 1] for tableau, _ in staged]) if i else None,
+            b=_column([tableau.weights[i] for tableau, _ in staged]),
+        ))
+    return _Plan(tuple(stages), _column([tableau.denominator for tableau, _ in methods]))
 
 
 # The plan of a state, stacked or not, that steps with one scheme.
-_ALONE = {scheme: _plan((_Run(*method, ...),)) for scheme, method in _METHODS.items()}
+_ALONE = {scheme: _plan([scheme]) for scheme in _METHODS}
 
 
-def _gather(parts):
-    """The parts of consecutive stack ranges as one array."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _part(h, span):
-    """The step sizes of the slices ``span``: ``h`` itself for ``...``, so a
-    float step size stays a Python float."""
-    return h if span is ... else h[span]
-
-
-def _weighted(weight, x):
-    """``weight * x``, with the exact product by 1 left out."""
-    return x if weight == 1 else weight * x
-
-
-def _rk_step(plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
+def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
     """One step of a stack whose slices run the schemes of ``plan``:
     ``(next_state, stages)``, with ``stages[i]`` the stage fields
     ``(f_a, f_b)`` that stage i gives the slices it steps.
 
-    ``plan`` is ``_plan`` of the slices' runs, or ``_ALONE[scheme]``. Stage
-    i steps a prefix of the stack, reads ``objective.sides`` once, at that
+    ``plan`` is ``_plan`` of the slices' schemes, or ``_ALONE[scheme]``.
+    Stage i steps a prefix of p slices of the stack, from
+    ``a[:p] + (c h[:p]) f_a[:p]`` (and likewise for B) with ``f_a`` the
+    previous stage's field; it reads ``objective.sides`` once, at that
     prefix, factors the Grams of the slices whose directions read them in
     one ``FactorGrams``, and makes the stage's direction calls, each on
-    views of its slices of the state, sides and Grams; each run sums its
-    tableau's stages on its own range, and one ``move`` finishes the step.
-    ``g`` is the ``Sides`` of the gradient at ``factors``' effective
-    weight when the caller already has them.
+    views of its slices of the state, sides and Grams. The step sums the
+    stages as ``b_0 k_0``, adds ``b_i k_i`` to the first p slices of that
+    sum for each later stage, divides by the slices' denominators and
+    finishes with one ``move``. ``g`` is the ``Sides`` of the gradient at
+    ``factors``' effective weight when the caller already has them.
     """
     sides = objective.sides(factors) if g is None else g
     state, stages = factors, []
-    for i, stage in enumerate(plan):
-        if i:
-            c_h = _gather([run.tableau.subdiagonal[i - 1] * _part(h, run.span)
-                           for run in stage.runs])
+    for stage in plan.stages:
+        if stages:
             f_a, f_b = stages[-1]
+            c_h = stage.c * (h if stage.ahead is ... else h[stage.ahead])
             state = LoRAFactors(factors.a[stage.ahead] + c_h * f_a[stage.ahead],
                                 factors.b[stage.ahead] + c_h * f_b[stage.ahead])
             sides = objective.sides(state)
@@ -305,16 +288,11 @@ def _rk_step(plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
                                  None if direction is _factor_gradient else grams.take(span))
                   for direction, span in stage.calls]
         stages.append(fields[0] if len(fields) == 1 else tuple(map(np.concatenate, zip(*fields))))
-    totals = []
-    for tableau, _, span in plan[0].runs:
-        total = [_weighted(tableau.weights[0], part[span]) for part in stages[0]]
-        for b, stage in zip(tableau.weights[1:], stages[1:]):
-            total = [acc + _weighted(b, part[span]) for acc, part in zip(total, stage)]
-        if tableau.denominator != 1:
-            total = [acc / tableau.denominator for acc in total]
-        totals.append(total)
-    f_a, f_b = (_gather(parts) for parts in zip(*totals))
-    return factors.move(f_a, f_b, h), stages
+    total_a, total_b = (plan.stages[0].b * part for part in stages[0])
+    for stage, (f_a, f_b) in zip(plan.stages[1:], stages[1:]):
+        total_a[stage.ahead] += stage.b * f_a
+        total_b[stage.ahead] += stage.b * f_b
+    return factors.move(total_a / plan.denominator, total_b / plan.denominator, h), stages
 
 
 def ode_euler_step(factors: LoRAFactors, objective: Objective, h: float,
@@ -494,7 +472,7 @@ def run_stack(
         state = effective_weight(objective.w_pt, state)
     h = np.array([configs[cell].step_size for cell in live])[:, None, None]
     eps = config.eps_reg
-    plan = None if full else _plan(_runs(configs[cell].scheme for cell in live))
+    plan = None if full else _plan([configs[cell].scheme for cell in live])
 
     def leave(stays, i: int, losses=None) -> None:
         """Give the slices that do not stay their final row, with their loss
@@ -509,7 +487,7 @@ def run_stack(
         state, h = _take(state, stays), h[stays]
         live = [cell for cell, stay in zip(live, stays) if stay]
         if live and not full:
-            plan = _plan(_runs(configs[cell].scheme for cell in live))
+            plan = _plan([configs[cell].scheme for cell in live])
 
     def record(i: int):
         """Append a row for each slice and return the gradient the next step

@@ -27,6 +27,7 @@ from odelora.core import (
     Sides,
     effective_weight,
     field_eval,
+    field_eval_sides,
     gradient_sides,
     gram_a,
     gram_b,
@@ -51,7 +52,6 @@ from odelora.solvers import (
     _plan,
     _riemannian_direction,
     _rk_step,
-    _runs,
     riemannian_step,
     run_trajectory,
 )
@@ -140,7 +140,7 @@ class TestFactorizationCounts:
         w_pt = np.zeros(stack.shape)
         objective = quadratic_objective(rng.standard_normal(stack.shape), mu=1.0, w_pt=w_pt)
         h = np.full((len(states), 1, 1), 0.1)
-        _rk_step(_plan(_runs(_METHODS)), stack, objective, h, 1e-8)
+        _rk_step(_plan(_METHODS), stack, objective, h, 1e-8)
         assert calls == {"cholesky": 4, "eigh": 4}
 
     def test_flow_rhs_full_and_eps_ratio(self, rng, counted):
@@ -300,6 +300,29 @@ class TestFieldProperties:
         x_oracle = kron_sylvester(gram_a(f, eps) + gram_b(f, eps), t + t.T)
         tol = 1e-13 * conditioning(f, eps) * np.linalg.norm(x_oracle)
         assert np.linalg.norm(x - x_oracle) <= tol
+
+    @PROPERTY_SETTINGS
+    @given(states(), st.integers(0, 2**32 - 1))
+    def test_weight_velocity_is_gauge_invariant(self, state, seed):
+        # B F_A + F_B A = -P_T(G) depends only on B's column space and A's
+        # row space, so a gauge change (A, B) -> (T A, B T^-1) keeps it; at
+        # eps = 0 only, since the Tikhonov term is not gauge-invariant
+        f, g, _ = state
+        rng = np.random.default_rng(seed)
+        q_left, _ = np.linalg.qr(rng.standard_normal((f.rank, f.rank)))
+        q_right, _ = np.linalg.qr(rng.standard_normal((f.rank, f.rank)))
+        t = (q_left * np.exp(rng.uniform(-1.0, 1.0, f.rank))) @ q_right  # cond(T) <= e^2
+        moved = LoRAFactors(t @ f.a, f.b @ np.linalg.inv(t))
+        assume_factorable(f, 0.0)
+        assume_factorable(moved, 0.0)
+
+        def velocity(factors):
+            fe = field_eval_sides(factors, gradient_sides(factors, g), 0.0)
+            return factors.b @ fe.f_a + fe.f_b @ factors.a
+
+        kappa = conditioning(f, 0.0) + conditioning(moved, 0.0)
+        tol = 1e-14 * np.linalg.cond(t) * kappa * np.linalg.norm(g)
+        assert np.linalg.norm(velocity(moved) - velocity(f)) <= tol
 
     @PROPERTY_SETTINGS
     @given(states(), st.sampled_from([0.5, 1.0, 2.0]))

@@ -144,6 +144,31 @@ def test_stacked_phi_equals_single_instances(n, seeds, h, scheme):
             assert np.array_equal(state.b[j], states[j].b)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from([*SENSING_SHAPES, "regression", "quadratic"]),
+    hs=st.lists(st.sampled_from([0.05, 0.5, 1.5, 2.2]), min_size=6, max_size=6),
+    seed=st.integers(0, 3),
+    spread=st.floats(-3.0, 0.0),
+)
+def test_public_steps_equal_their_slice_of_a_mixed_stack(kind, hs, seed, spread):
+    # one slice per factor scheme, in stack order, each with its own state
+    # and step size: one engine step of the stack must give each slice, bit
+    # for bit, what its scheme's public step gives that slice's state alone
+    start, obj = instance(kind, seed)
+    schemes = list(solvers_mod._METHODS)
+    rng = np.random.default_rng(seed)
+    noise = 10.0 ** spread
+    stack = LoRAFactors(start.a + noise * rng.standard_normal((6, *start.a.shape)),
+                        start.b + noise * rng.standard_normal((6, *start.b.shape)))
+    after, _ = solvers_mod._rk_step(solvers_mod._plan(schemes), stack, obj,
+                                     np.array(hs)[:, None, None], 1e-8)
+    for j, (scheme, h) in enumerate(zip(schemes, hs)):
+        alone = solvers_mod._step_for(scheme)(stack.take(j), obj, h, 1e-8)
+        assert after.a[j].tobytes() == alone.a.tobytes()
+        assert after.b[j].tobytes() == alone.b.tobytes()
+
+
 def eps_ratio_alone(f, g, eps):
     """``metrics.eps_ratio``'s trace identity at one state, its ||G||^2 and
     traces taken one np.sum and one np.vdot at a time."""
