@@ -35,8 +35,8 @@ it, and each slice of a stacked result is bit-for-bit the result of that
 slice alone. A measurement that is one number per state (a loss, a defect,
 a ratio) is a float at an unstacked state and a (k,) array at a stacked
 one. Its dot products and norms are one stacked product (``slice_dots``,
-``slice_norms``); ``per_slice`` loops over the slices where a dense
-objective is read one W at a time. ``solvers.run_stack`` steps such stacks.
+``slice_norms``), and every objective reads a stack in one call.
+``solvers.run_stack`` steps such stacks.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "gradient_sides",
     "field_eval",
     "field_eval_sides",
-    "per_slice",
     "slice_dots",
     "slice_norms",
 ]
@@ -140,14 +139,6 @@ def effective_weight(w_pt: np.ndarray, factors: LoRAFactors) -> np.ndarray:
     return w
 
 
-def per_slice(factors: LoRAFactors, fn, *arrays):
-    """``fn(*arrays)`` at an unstacked state; at a stacked one, the array of
-    ``fn`` over the arrays' leading slices."""
-    if not factors.stacked:
-        return fn(*arrays)
-    return np.array([fn(*parts) for parts in zip(*arrays)])
-
-
 def slice_dots(x: np.ndarray, y: np.ndarray):
     """``np.vdot(x_j, y_j)`` of each pair of matrix slices, as one stacked
     product: a float for two matrices, a (k,) array for two stacks.
@@ -199,13 +190,12 @@ def gradient_sides(factors: LoRAFactors, g) -> Sides:
 class Objective:
     """Differentiable scalar objective over dense weight matrices.
 
-    Subclasses implement ``loss`` and ``grad`` and set ``w_pt``, the frozen
-    base weight; ``optimum_*`` are set when the minimizer is known in closed
-    form. ``sides`` and ``evaluate`` read the objective at a factor state
-    ``W = W_pt + B A``, stacked or not. Their defaults form G densely with
-    ``grad``, one slice at a time, so ``loss`` and ``grad`` only ever see a
-    2-D W; an objective whose residual is cheap in factor form overrides
-    both so that ``sides`` never forms an m x n matrix.
+    Subclasses set ``w_pt``, the frozen base weight, and implement ``loss``
+    and ``grad`` of a 2-D W, and ``sides`` and ``evaluate``, which read the
+    objective at a factor state ``W = W_pt + B A``, stacked or not, in one
+    call on the whole stack; an objective whose residual is cheap in factor
+    form never forms an m x n matrix in ``sides``. ``optimum_*`` are set
+    when the minimizer is known in closed form.
     """
 
     w_pt: np.ndarray | None = None
@@ -220,15 +210,11 @@ class Objective:
 
     def sides(self, factors: LoRAFactors) -> Sides:
         """``(B^T G, G A^T)`` with G the gradient at ``W_pt + B A``."""
-        w = effective_weight(self.w_pt, factors)
-        return gradient_sides(factors, per_slice(factors, self.grad, w))
+        raise NotImplementedError
 
     def evaluate(self, factors: LoRAFactors) -> StateEval:
         """Loss, gradient and sides at ``W_pt + B A``, for a logged row."""
-        w = effective_weight(self.w_pt, factors)
-        g = per_slice(factors, self.grad, w)
-        loss = per_slice(factors, lambda x: float(self.loss(x)), w)
-        return StateEval(loss, g, gradient_sides(factors, g))
+        raise NotImplementedError
 
 
 class FieldEval(NamedTuple):

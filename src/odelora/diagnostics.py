@@ -1,25 +1,25 @@
 """Trajectory-level measurements: discretization order, one-step output
 decompositions, and the feature-scaling sweep over model dimension.
 
-``estimate_order`` is Richardson-style: it integrates each flow stepper to
-a fixed horizon at each step size, measures the terminal defect against one
-fine-step RK4 reference that it integrates itself, and reads the order off
-consecutive defect ratios. ``phi_decompose`` splits the one-step change of
-the model output ``(B A) s`` into the per-stage contributions of any factor
-scheme, whose scaling with the model dimension n is what "stable feature
-learning" constrains. It takes one step of the same Runge–Kutta engine
-that ``solvers`` steps with, so the decomposed step is the solver's step,
-and like that engine it takes a stacked state: on a ``RegressionStack``,
-slice j on instance j, with each value a (k,) array.
+``estimate_order`` is Richardson-style: it integrates the three flow
+steppers, as one stack, to a fixed horizon at each step size, measures each
+terminal defect against one fine-step RK4 reference that it integrates
+itself, and reads the order off consecutive defect ratios.
+``phi_decompose`` splits the one-step change of the model output
+``(B A) s`` into the per-stage contributions of any factor scheme, whose
+scaling with the model dimension n is what "stable feature learning"
+constrains. It takes one step of the same Runge–Kutta engine that
+``solvers`` steps with, so the decomposed step is the solver's step, and
+like that engine it takes a stacked state: on a ``RegressionStack``, slice
+j on instance j, with each value a (k,) array.
 
 ``feature_scaling_experiment`` runs the seeds of one dimension n as one
 stack per scheme. It keeps each instance's feature and offset
 ``W_pt s - y``, and frees the instance's dense ``W_pt`` before the next is
 built, so one dense ``W_pt`` is alive at a time; the stack holds
 O(k (m + n) r) floats, below one ``W_pt`` while k r is well under n. When
-a stacked step fails, the seeds run again alone, each from its start, as
-cells do in ``solvers.run_stack``, so every row and error is the one each
-seed gives alone.
+a stacked step fails, the seeds run again alone, each from its start, so
+every row and error is the one each seed gives alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight
+from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight, slice_norms
 from .linalg import NonFiniteState
 from .problems import (
     RegressionStack,
@@ -37,8 +37,8 @@ from .problems import (
     make_regression_instance,
     regression_objective,
 )
-from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _require_base_weight, _rk_step,
-                      _step_for)
+from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _plan, _require_base_weight,
+                      _rk_step)
 
 __all__ = [
     "ReferenceDiverged",
@@ -56,8 +56,11 @@ __all__ = [
 DEFECT_FLOOR = 1e-12
 # The adapter rank of the feature-scaling experiment.
 FEATURE_SCALING_RANK = 4
-# The flow steppers an order study measures, in the order it measures them.
+# The flow steppers an order study measures, in the order it reports them.
 FLOW_SCHEMES = (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4)
+# The same flows in stack order, and the plan that steps them as one stack.
+_FLOW_STACK = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
+_FLOW_PLAN = _plan(_FLOW_STACK)
 
 
 class ReferenceDiverged(Exception):
@@ -79,14 +82,16 @@ class OrderReport:
     observed_order: float
 
 
-def _integrate_weight(factors, objective, scheme, h, horizon, eps):
-    """Integrate to ``horizon`` without logging, in ``horizon / h`` steps
-    rounded (at least one), and return the terminal effective weight."""
-    step = _step_for(scheme)
+def _integrate_weight(factors, objective, plan, h, horizon, eps):
+    """Step ``factors`` with ``plan`` to ``horizon`` without logging, in
+    ``horizon / h`` steps rounded (at least one), and return the terminal
+    effective weight. A stacked state steps every slice at ``h``, held as
+    a (k, 1, 1) column, since a mixed plan slices h by prefix."""
     state = factors
+    step_h = np.full((factors.a.shape[0], 1, 1), h) if factors.stacked else h
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max(1, round(horizon / h))):
-            state = step(state, objective, h, eps)
+            state = _rk_step(plan, state, objective, step_h, eps)[0]
     return effective_weight(objective.w_pt, state)
 
 
@@ -102,11 +107,14 @@ def estimate_order(
 
     ``h_list`` must hold at least two strictly descending step sizes.
     Every scheme is measured against one RK4 reference run at
-    min(h_list)/100. Raises ReferenceDiverged when the reference meets one
-    of ``solvers.DIVERGENCE_ERRORS``, and DefectBelowNoiseFloor when a
-    scheme's smallest defect sits at round-off; the reference is checked
-    first, then each scheme in turn. An objective with no base weight raises
-    TypeError before any step.
+    min(h_list)/100, stepped alone. At each h the three flows step as one
+    stack (``solvers._plan``), in the order RK4, RK2, Euler, and each
+    slice's terminal weight is the one its public step gives alone. Raises
+    ReferenceDiverged when the reference meets one of
+    ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, and
+    DefectBelowNoiseFloor when a scheme's smallest defect sits at
+    round-off; the reference is checked first, then each scheme in turn.
+    An objective with no base weight raises TypeError before any step.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 2 or any(h <= h_next for h, h_next in zip(h_list, h_list[1:])):
@@ -114,16 +122,20 @@ def estimate_order(
     _require_base_weight(objective)
     try:
         reference = _integrate_weight(
-            factors, objective, Scheme.ODE_RK4, min(h_list) / 100.0, horizon, eps
+            factors, objective, _ALONE[Scheme.ODE_RK4], min(h_list) / 100.0, horizon, eps
         )
     except DIVERGENCE_ERRORS as err:
         raise ReferenceDiverged(str(err)) from err
+    flows = LoRAFactors(*(np.broadcast_to(x, (len(_FLOW_STACK), *x.shape))
+                          for x in (factors.a, factors.b)))
+    defects_of = {scheme: [] for scheme in _FLOW_STACK}
+    for h in h_list:
+        w_end = _integrate_weight(flows, objective, _FLOW_PLAN, h, horizon, eps)
+        for scheme, w in zip(_FLOW_STACK, w_end):
+            defects_of[scheme].append(float(np.linalg.norm(w - reference)))
     reports = {}
     for scheme in FLOW_SCHEMES:
-        defects = []
-        for h in h_list:
-            w_end = _integrate_weight(factors, objective, scheme, h, horizon, eps)
-            defects.append(float(np.linalg.norm(w_end - reference)))
+        defects = defects_of[scheme]
         if min(defects) < DEFECT_FLOOR:
             raise DefectBelowNoiseFloor(
                 f"defect {min(defects):.3e} below {DEFECT_FLOOR:g}; order unmeasurable"
@@ -191,15 +203,10 @@ def phi_decompose(
         components.append(w * h * (factors.b @ (f_a @ s)))
     cross = (after.b - factors.b) @ ((after.a - factors.a) @ s)
     change = after.b @ (after.a @ s) - factors.b @ a_s
-
-    def norm(x):
-        """Each slice's column norm, from the dot product np.linalg.norm takes."""
-        return np.sqrt((x.mT @ x)[..., 0, 0])
-
     error = sum(components) + cross - change
     report = PhiReport(
-        component_norms=tuple(norm(c) for c in components),
-        sum_check_residual=norm(error) / np.fmax(1.0, norm(change)),
+        component_norms=tuple(slice_norms(c) for c in components),
+        sum_check_residual=slice_norms(error) / np.fmax(1.0, slice_norms(change)),
     )
     return report, after
 

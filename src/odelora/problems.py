@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import LoRAFactors, Objective, Sides, StateEval, slice_dots
+from .core import (LoRAFactors, Objective, Sides, StateEval, effective_weight, gradient_sides,
+                   slice_dots)
 from .linalg import as_matrix, thin_svd
 
 __all__ = [
@@ -280,7 +281,14 @@ class SensingObjective(_ResidualObjective):
 
 
 class QuadraticObjective(Objective):
-    """(mu/2) ||W - W*||_F^2 on the base weight ``w_pt``: a strongly convex test objective."""
+    """(mu/2) ||W - W*||_F^2 on the base weight ``w_pt``: a strongly convex test objective.
+
+    At a factor state, stacked or not, ``sides`` and ``evaluate`` form
+    ``W = W_pt + B A`` and the gradient ``mu (W - W*)`` on the whole stack
+    at once, and take the sides from that G (``gradient_sides``); they call
+    neither ``grad`` nor ``loss``, which take one 2-D W, and each slice gets
+    the bits those give at its own W.
+    """
 
     def __init__(self, w_star: np.ndarray, mu: float, w_pt: np.ndarray):
         if mu <= 0:
@@ -297,6 +305,16 @@ class QuadraticObjective(Objective):
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return self.mu * (w - self.w_star)
+
+    def sides(self, factors: LoRAFactors) -> Sides:
+        return gradient_sides(factors, self.mu * (effective_weight(self.w_pt, factors)
+                                                  - self.w_star))
+
+    def evaluate(self, factors: LoRAFactors) -> StateEval:
+        diff = effective_weight(self.w_pt, factors) - self.w_star
+        loss = 0.5 * self.mu * np.sum(diff * diff, axis=(-2, -1))
+        g = self.mu * diff
+        return StateEval(loss, g, gradient_sides(factors, g))
 
 
 class RegressionObjective(_ResidualObjective):

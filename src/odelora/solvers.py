@@ -45,14 +45,14 @@ objective's ``evaluate``, the norms of the gradient and of ``W - W*``
 bit-for-bit what it gives that slice alone, so a cell's rows are those of
 its run alone. A cell that halts gets its final row and leaves the stack.
 numpy's stacked factorizations raise for the whole stack, so when a step
-raises one of ``DIVERGENCE_ERRORS`` with more than one cell live, the live
-cells run again from their starts and keep those runs' logs: the
-``classical_gd`` cells as one stack, since their direction factors no
-Gram, and every other cell alone (``_reruns``); a stack of one halts at
-once. ``run_trajectory`` is the k = 1 case. ``odelora sweep`` runs the
-factor cells that share a problem and start as one stack and their
-``full_ft`` cells as another: two stacks for an ``h`` sweep, two per value
-for a ``delta`` sweep.
+raises one of ``DIVERGENCE_ERRORS`` with more than one cell live, each
+live cell takes that step alone, as a stack of one with its own plan
+(``_ALONE``): exactly the step its run alone takes there. The cells whose
+step still raises halt on that iteration, and the rest step on as one
+stack; a stack of one halts at once. ``run_trajectory`` is the k = 1
+case. ``odelora sweep`` runs the factor cells that share a problem and
+start as one stack and their ``full_ft`` cells as another: two stacks for
+an ``h`` sweep, two per value for a ``delta`` sweep.
 """
 
 from __future__ import annotations
@@ -368,36 +368,9 @@ class TrajectoryLog:
         return self.rows[-1].loss
 
 
-def _step_for(scheme: Scheme):
-    # The public step of each scheme, for callers that step one scheme at a
-    # time (estimate_order); built per call, as perfbench's tracer patches
-    # solvers.<name>_step. run_stack steps factor cells with _rk_step.
-    return {
-        Scheme.ODE_EULER: ode_euler_step,
-        Scheme.ODE_RK2: ode_rk2_step,
-        Scheme.ODE_RK4: ode_rk4_step,
-        Scheme.CLASSICAL_GD: classical_gd_step,
-        Scheme.RIEMANNIAN: riemannian_step,
-        Scheme.LORA_PRO: lorapro_step,
-        Scheme.FULL_FT: full_ft_step,
-    }[scheme]
-
-
 def _take(x, index):
     """The stack slices ``index`` of a state, or of the gradient a step starts from."""
     return x[index] if isinstance(x, np.ndarray) else x.take(index)
-
-
-def _reruns(live, configs) -> list[list[int]]:
-    """The groups of ``live`` cells that run again after their stack's step
-    raised: the cells whose direction factors no Gram (``classical_gd``) as
-    one stack, unless they are all of the raised stack, and every other
-    cell alone. A regrouped stack that raises again is split by the same
-    rule, so each log is the one its cell gives alone."""
-    gramless = [cell for cell in live if configs[cell].scheme is Scheme.CLASSICAL_GD]
-    if len(gramless) in (0, len(live)):
-        return [[cell] for cell in live]
-    return [gramless] + [[cell] for cell in live if cell not in gramless]
 
 
 def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
@@ -441,9 +414,11 @@ def run_stack(
     ValueError before the objective is read. Every cell starts from
     ``start``, or from its own slice when ``start`` is a stack of one state
     per config. The factor cells step as one ``_rk_step`` stack, their
-    slices in stack order (``_METHODS``). Each cell's log is the one
-    ``run_trajectory`` gives it alone, but for ``wall_nanos``: see the
-    module docstring for how the stack is stepped and how a cell leaves it.
+    slices in stack order (``_METHODS``); a step that raises one of
+    ``DIVERGENCE_ERRORS`` is taken again by each live cell alone. Each
+    cell's log is the one ``run_trajectory`` gives it alone, but for
+    ``wall_nanos``: see the module docstring for how the stack is stepped
+    and how a cell leaves it.
     A start that is not ``LoRAFactors``, or an objective with no base
     weight, raises TypeError before any step.
     """
@@ -527,30 +502,38 @@ def run_stack(
             logs[cell].rows.append(TrajectoryRow(i, *values, time.perf_counter_ns()))
         return first
 
+    def alone(j: int, g):
+        """Slot j's step taken alone, as a stack of one, or None if it raises."""
+        try:
+            return _rk_step(_ALONE[configs[live[j]].scheme], state.take([j]), objective,
+                            h[[j]], eps, g.take([j]))[0]
+        except DIVERGENCE_ERRORS:
+            return None
+
     with np.errstate(over="ignore", invalid="ignore"):
         g = record(0)
         for i in range(1, config.iterations + 1):
             if g is None:
                 break
             try:
+                # full_ft_step, given g, calls neither the objective nor the
+                # kernel, so only a factor step can raise
                 if full:
                     state = full_ft_step(state, objective, h, eps, g)
                 else:
                     state = _rk_step(plan, state, objective, h, eps, g)[0]
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
-                # A stacked call raises for the whole stack, so the live
-                # cells of a larger stack run again from their starts.
-                if len(live) == 1:
-                    leave(np.array([False]), i)
-                else:
-                    for cells in _reruns(live, configs):
-                        rerun = run_stack(start.take(cells), objective,
-                                          [configs[cell] for cell in cells],
-                                          log_eps_ratio=log_eps_ratio, log_balance=log_balance)
-                        for cell, log in zip(cells, rerun):
-                            logs[cell] = log
-                break
+                # A stacked call raises for the whole stack, so each cell of
+                # a larger stack takes this step alone: those whose step
+                # still raises halt, and the rest step on as one stack.
+                steps = [None] if len(live) == 1 else [alone(j, g) for j in range(len(live))]
+                leave(np.array([step is not None for step in steps]), i)
+                if not live:
+                    break
+                steps = [step for step in steps if step is not None]
+                state = LoRAFactors(np.concatenate([step.a for step in steps]),
+                                    np.concatenate([step.b for step in steps]))
             g = record(i)
     return logs
 

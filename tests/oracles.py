@@ -8,17 +8,22 @@ closed-form constrained minimizer, and finite differences instead of exact
 gradients. The null-space projectors are formed as explicit n x n and
 m x m matrices, where the library only applies them through Gram solves;
 ``flow_rhs_full``, the full-weight velocity ``-G + P_B^null G P_A^null``
-the flow must induce, is built from them. The sensing ground truth is
-balanced from its dense m x n product's full SVD, where the library works
-from its factors, and ``dense_thin_svd`` truncates the full SVD, where the
-library's ``thin_svd`` iterates on a block.
+the flow must induce, is built from them. ``dense_sides`` and
+``dense_evaluate`` read an objective at a factor state by forming W and
+calling its ``grad`` and ``loss`` one slice at a time, where each library
+objective reads a whole stack in one call; ``DenseObjective`` is a base
+for test objectives that define only ``grad`` and ``loss``. The sensing
+ground truth is balanced from its dense m x n product's full SVD, where
+the library works from its factors, and ``dense_thin_svd`` truncates the
+full SVD, where the library's ``thin_svd`` iterates on a block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from odelora.core import LoRAFactors, gram_a, gram_b
+from odelora.core import (LoRAFactors, Objective, StateEval, effective_weight, gradient_sides,
+                          gram_a, gram_b)
 from odelora.linalg import NotPositiveDefinite
 
 
@@ -68,6 +73,39 @@ def flow_rhs_full(factors, g, eps=0.0):
     """-G + P_B^null G P_A^null, the full-weight velocity B F_A + F_B A that
     the balanced field induces (for any eps), from the explicit projectors."""
     return -g + null_projector_b(factors, eps) @ g @ null_projector_a(factors, eps)
+
+
+def _per_slice(factors, fn, w):
+    """``fn(w)`` at an unstacked state; at a stacked one, the array of ``fn``
+    over the slices of w."""
+    return np.array([fn(x) for x in w]) if factors.stacked else fn(w)
+
+
+def dense_sides(objective, factors):
+    """``(B^T G, G A^T)`` at ``W_pt + B A``, with G from ``objective.grad``
+    one slice at a time."""
+    w = effective_weight(objective.w_pt, factors)
+    return gradient_sides(factors, _per_slice(factors, objective.grad, w))
+
+
+def dense_evaluate(objective, factors):
+    """Loss, gradient and sides at ``W_pt + B A``, each slice's from
+    ``objective.loss`` and ``objective.grad`` at its own W."""
+    w = effective_weight(objective.w_pt, factors)
+    g = _per_slice(factors, objective.grad, w)
+    loss = _per_slice(factors, lambda x: float(objective.loss(x)), w)
+    return StateEval(loss, g, gradient_sides(factors, g))
+
+
+class DenseObjective(Objective):
+    """An objective that defines ``loss`` and ``grad`` of a 2-D W and reads
+    factor states through ``dense_sides`` and ``dense_evaluate``."""
+
+    def sides(self, factors):
+        return dense_sides(self, factors)
+
+    def evaluate(self, factors):
+        return dense_evaluate(self, factors)
 
 
 def dense_thin_svd(m, k):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_factors
-from odelora.core import LoRAFactors
+from conftest import STEPS, random_factors
+from odelora.core import LoRAFactors, effective_weight
 from odelora.diagnostics import (
     DefectBelowNoiseFloor,
     ReferenceDiverged,
@@ -29,7 +29,7 @@ from odelora.problems import (
     sensing_objective,
     zero_b_init,
 )
-from odelora.solvers import Scheme
+from odelora.solvers import _ALONE, Scheme, _plan
 from oracles import null_projector_a, null_projector_b
 
 
@@ -135,17 +135,42 @@ class TestEstimateOrder:
         calls = []
         real = diagnostics._integrate_weight
 
-        def counting(factors, objective, scheme, h, horizon, eps):
-            calls.append((scheme, h))
-            return real(factors, objective, scheme, h, horizon, eps)
+        def counting(factors, objective, plan, h, horizon, eps):
+            calls.append((factors.a.shape[:-2], plan, h))
+            return real(factors, objective, plan, h, horizon, eps)
 
         monkeypatch.setattr(diagnostics, "_integrate_weight", counting)
         h_list = [0.1, 0.05]
         reports = estimate_order(f0, obj, 0.2, h_list)
         assert list(reports) == [Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4]
-        assert len(calls) == 1 + 3 * len(h_list)
-        assert calls[0] == (Scheme.ODE_RK4, min(h_list) / 100.0)
-        assert calls[1:] == [(scheme, h) for scheme in reports for h in h_list]
+        # one unstacked RK4 reference, then one stack of the three flows per h
+        assert calls == [((), _ALONE[Scheme.ODE_RK4], min(h_list) / 100.0)] + [
+            ((3,), diagnostics._FLOW_PLAN, h) for h in h_list]
+        flows = _plan([Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER])
+        assert repr(diagnostics._FLOW_PLAN) == repr(flows)
+
+    def test_each_stacked_flow_ends_where_its_public_step_does(self, setup):
+        # each slice of the flows' stack must end, bit for bit, at the weight
+        # its scheme's public step reaches alone, and its defect is measured
+        # from that weight
+        from odelora.diagnostics import _integrate_weight
+
+        p, obj, f0 = setup
+        horizon, h_list = 0.2, [0.1, 0.05]
+        reports = estimate_order(f0, obj, horizon, h_list)
+        reference = _integrate_weight(f0, obj, _ALONE[Scheme.ODE_RK4], min(h_list) / 100.0,
+                                      horizon, 1e-8)
+        flows = [Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER]
+        stack = LoRAFactors(np.stack([f0.a] * 3), np.stack([f0.b] * 3))
+        for i, h in enumerate(h_list):
+            w_end = _integrate_weight(stack, obj, _plan(flows), h, horizon, 1e-8)
+            for scheme, w in zip(flows, w_end):
+                state = f0
+                for _ in range(round(horizon / h)):
+                    state = STEPS[scheme](state, obj, h, 1e-8)
+                alone = effective_weight(p.w_pt, state)
+                assert w.tobytes() == alone.tobytes()
+                assert reports[scheme].defects[i] == float(np.linalg.norm(alone - reference))
 
     def test_requires_descending_steps(self, setup):
         p, obj, f0 = setup

@@ -9,8 +9,8 @@ the Kronecker-vectorized Sylvester oracle and the explicit null projectors
 (the oracle's ``flow_rhs_full``). Only the flow identity at a Gram condition
 number of 1e14 is checked against ``FactorGrams`` itself; see
 ``TestNearRankDeficientB``.
-The residual-form objectives are checked against the dense default of
-``Objective``, which forms G.
+The residual-form objectives are checked against the oracle's dense route
+(``dense_sides``, ``dense_evaluate``), which forms G.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from odelora.config import ExperimentConfig
 from odelora.core import (
     FactorGrams,
     LoRAFactors,
-    Objective,
     Sides,
     effective_weight,
     field_eval,
@@ -55,7 +54,8 @@ from odelora.solvers import (
     riemannian_step,
     run_trajectory,
 )
-from oracles import flow_rhs_full, kron_sylvester, null_projector_a, null_projector_b
+from oracles import (dense_evaluate, dense_sides, flow_rhs_full, kron_sylvester,
+                     null_projector_a, null_projector_b)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -449,7 +449,7 @@ class TestResidualForm:
         objective, f = case
         w_pt = objective.w_pt
         got = objective.evaluate(f)
-        want = Objective.evaluate(objective, f)
+        want = dense_evaluate(objective, f)
         factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
         dense_resid = np.linalg.norm(effective_weight(w_pt, f) @ objective.problem.s
                                      - objective.problem.y)
@@ -475,13 +475,13 @@ class TestResidualForm:
         objective.evaluate(f)  # caches C0 and, for sensing, C0 S^T
         # an objective on the same S and Y with base W_pt + 1 builds its own
         other = type(objective)(dataclasses.replace(objective.problem, w_pt=objective.w_pt + 1.0))
-        got, want = other.sides(f), Objective.sides(other, f)
+        got, want = other.sides(f), dense_sides(other, f)
         assert_sides_close(got, want, other, f, other.w_pt)
         factor = 2.0 if isinstance(objective, RegressionObjective) else 1.0
         g_tol = factor * 1e-13 * residual_scale(other, f, other.w_pt) * np.linalg.norm(
             objective.problem.s)
         grad = other.evaluate(f).grad
-        assert np.linalg.norm(grad - Objective.evaluate(other, f).grad) <= g_tol
+        assert np.linalg.norm(grad - dense_evaluate(other, f).grad) <= g_tol
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import odelora.solvers as solvers_mod
-from conftest import random_factors
+from conftest import STEPS, random_factors
 from odelora.core import (
     FactorGrams,
     FieldEval,
@@ -43,9 +43,9 @@ from odelora.solvers import (
     run_stack,
     run_trajectory,
 )
-from oracles import flow_rhs_full
+from oracles import DenseObjective, flow_rhs_full
 
-class ConstantGradient(Objective):
+class ConstantGradient(DenseObjective):
     """Linear objective: loss = <G0, W>, gradient identically G0."""
 
     def __init__(self, g0, w_pt):
@@ -59,7 +59,7 @@ class ConstantGradient(Objective):
         return self.g0
 
 
-class CountingObjective(Objective):
+class CountingObjective(DenseObjective):
     """Delegates to another objective and counts its gradient evaluations."""
 
     def __init__(self, inner):
@@ -95,7 +95,7 @@ class TestFixedPoints:
         w = effective_weight(w_pt, f)
         obj = quadratic_objective(w, mu=2.0, w_pt=w_pt)  # optimum here
         state = w if scheme is Scheme.FULL_FT else f
-        out = solvers_mod._step_for(scheme)(state, obj, 0.25, 1e-8)
+        out = STEPS[scheme](state, obj, 0.25, 1e-8)
         if scheme is Scheme.FULL_FT:
             assert np.array_equal(out, w)
         else:

@@ -27,8 +27,9 @@ from odelora.problems import (
     zero_b_init,
 )
 from odelora import solvers as solvers_mod
-from odelora.solvers import (DIVERGENCE_LOSS, Scheme, SolverConfig, _reruns, run_stack,
-                             run_trajectory)
+from odelora.solvers import DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory
+from conftest import STEPS
+from oracles import dense_evaluate, dense_sides
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -106,7 +107,7 @@ def test_stack_equals_single_runs(kind, scheme, hs, seed, log_eps_ratio):
                             (Scheme.RIEMANNIAN, 3.5), (Scheme.ODE_RK4, 0.05)], 0, False, False,
          1e-8)
 # a zero-B start at eps_reg = 0: the stacked first step is refused, so every
-# live cell runs again alone, classical_gd's as a stack of one
+# live cell takes that step alone, and only classical_gd's steps on
 @example("regression", [(Scheme.ODE_RK4, 0.5), (Scheme.CLASSICAL_GD, 0.5),
                         (Scheme.ODE_EULER, 0.5)], 2, True, False, 0.0)
 @example("quadratic", [(scheme, 0.5) for scheme in FACTOR_SCHEMES], 3, False, True, 1e-8)
@@ -164,9 +165,37 @@ def test_public_steps_equal_their_slice_of_a_mixed_stack(kind, hs, seed, spread)
     after, _ = solvers_mod._rk_step(solvers_mod._plan(schemes), stack, obj,
                                      np.array(hs)[:, None, None], 1e-8)
     for j, (scheme, h) in enumerate(zip(schemes, hs)):
-        alone = solvers_mod._step_for(scheme)(stack.take(j), obj, h, 1e-8)
+        alone = STEPS[scheme](stack.take(j), obj, h, 1e-8)
         assert after.a[j].tobytes() == alone.a.tobytes()
         assert after.b[j].tobytes() == alone.b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 120),
+    n=st.integers(1, 120),
+    r=st.integers(1, 4),
+    k=st.integers(0, 4),
+    mu=st.floats(0.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadratic_reads_a_stack_as_the_dense_route_does(m, n, r, k, mu, seed):
+    # the quadratic forms G and the loss on the whole stack at once; each
+    # slice (k = 0: an unstacked state) must get, bit for bit, what the dense
+    # route gives from grad and loss at that slice's W alone. Up to 120 x 120
+    # weights, so that a loss sums more than one buffer of 8192 entries.
+    r = min(r, m, n)
+    rng = np.random.default_rng(seed)
+    lead = (k,) if k else ()
+    w_pt = rng.standard_normal((m, n))
+    obj = quadratic_objective(w_pt + rng.standard_normal((m, n)), mu, w_pt)
+    f = LoRAFactors(rng.standard_normal((*lead, r, n)), rng.standard_normal((*lead, m, r)))
+    sides, dense = obj.sides(f), dense_sides(obj, f)
+    got, want = obj.evaluate(f), dense_evaluate(obj, f)
+    for x, y in [*zip(sides, dense), *zip(got.sides, want.sides), (got.grad, want.grad)]:
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert np.shape(got.loss) == np.shape(want.loss)
+    assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
 
 
 def eps_ratio_alone(f, g, eps):
@@ -272,8 +301,8 @@ def test_sweep_small_with_eps_ratio_logged(sweep_small):
                                     Scheme.LORA_PRO])
 def test_slice_refused_by_the_kernel_leaves_the_stack(sweep_small, scheme):
     # B = 0 at eps_reg = 0: the Gram pivot check refuses that slice's step,
-    # which raises for the whole stack; each cell then runs again alone, so
-    # only that one halts
+    # which raises for the whole stack; each cell then takes that step
+    # alone, so only that one halts
     start, obj = sweep_small
     zero_b = LoRAFactors(start.a, np.zeros_like(start.b))
     stack = LoRAFactors(np.stack([start.a, zero_b.a, start.a]),
@@ -298,12 +327,12 @@ class RefusesLargeB(QuadraticObjective):
         return super().sides(factors)
 
 
-def test_stack_whose_step_raises_reruns_its_live_cells_alone():
+def test_stack_whose_step_raises_steps_its_live_cells_alone():
     # RK2 on the quadratic instance of seed 0: the h = 8 cell halts on the
     # loss threshold (its ||B||_F stays under 2.5e3); later the h = 1.5
     # cell's B passes the bound while three cells are live, which raises
-    # for the stack. Each live cell runs again alone: the h = 1.5 cell halts
-    # at its own refused step, and the others run to the end.
+    # for the stack. Each live cell takes that step alone: the h = 1.5 cell
+    # halts at its own refused step, and the others run to the end.
     start, quadratic = instance("quadratic", 0)
     obj = RefusesLargeB(quadratic.w_star, quadratic.mu, quadratic.w_pt)
     configs = [SolverConfig(Scheme.ODE_RK2, h, 60) for h in (8.0, 1.5, 0.5, 2.2)]
@@ -315,37 +344,40 @@ def test_stack_whose_step_raises_reruns_its_live_cells_alone():
     assert [len(log.rows) for log in logs[2:]] == [61, 61]
 
 
-def test_raised_stack_reruns_its_classical_gd_cells_as_one_stack(monkeypatch):
+def test_refused_stack_step_is_retried_by_each_live_cell_alone(monkeypatch):
     # a zero-B regression start at eps_reg = 0: the kernel refuses B's Gram,
-    # which raises for the stack's first step. The classical_gd cells, whose
-    # direction factors no Gram, run again as one stack, every other cell
-    # alone, and each log is the one its cell gives alone.
+    # which raises for the stack's first step. Each of the four live cells
+    # takes that step alone, as a stack of one; the flows' steps are refused
+    # again and they halt, and the classical_gd cells, whose direction
+    # factors no Gram, step on as one stack. No cell runs again from its
+    # start, and each log is the one its cell gives alone.
     start, obj = instance("regression", 2)
     cells = [(Scheme.ODE_RK4, 0.5), (Scheme.CLASSICAL_GD, 0.5), (Scheme.ODE_EULER, 0.5),
              (Scheme.CLASSICAL_GD, 0.1)]
     configs = [SolverConfig(scheme, h, 25, 0.0) for scheme, h in cells]
-    reruns, real = [], solvers_mod.run_stack
+    runs, steps = [], []
+    real_run, real_step = solvers_mod.run_stack, solvers_mod._rk_step
 
-    def spy(start, objective, configs, **flags):
-        reruns.append(sorted(config.scheme.value for config in configs))
-        return real(start, objective, configs, **flags)
+    def run_spy(*args, **flags):
+        runs.append(1)
+        return real_run(*args, **flags)
 
-    monkeypatch.setattr(solvers_mod, "run_stack", spy)
-    logs = run_stack(start, obj, configs)
+    def step_spy(plan, factors, *args):
+        steps.append(len(factors.a))
+        return real_step(plan, factors, *args)
+
+    monkeypatch.setattr(solvers_mod, "run_stack", run_spy)
+    monkeypatch.setattr(solvers_mod, "_rk_step", step_spy)
+    logs = solvers_mod.run_stack(start, obj, configs)
     monkeypatch.undo()
-    assert sorted(reruns) == [["classical_gd", "classical_gd"], ["ode_euler"], ["ode_rk4"]]
+    assert len(runs) == 1
+    # the refused stacked step, one step per live cell alone, then the two
+    # classical_gd cells' 24 further steps as one stack
+    assert steps == [4, 1, 1, 1, 1] + [2] * 24
     for log, config in zip(logs, configs):
         alone = run_trajectory(start, obj, config)
         assert log.diverged == alone.diverged == (config.scheme is not Scheme.CLASSICAL_GD)
         assert row_values(log) == row_values(alone)
-
-
-def test_reruns_split_a_raised_classical_gd_stack_into_single_cells():
-    gd, rk4 = SolverConfig(Scheme.CLASSICAL_GD, 0.1, 5), SolverConfig(Scheme.ODE_RK4, 0.1, 5)
-    configs = [gd, rk4, gd, gd]
-    assert _reruns([0, 1, 2, 3], configs) == [[0, 2, 3], [1]]
-    assert _reruns([1, 3], configs) == [[3], [1]]
-    assert _reruns([0, 2, 3], configs) == [[0], [2], [3]]
 
 
 def test_slice_with_a_refused_ratio_logs_a_blank(sweep_small):
