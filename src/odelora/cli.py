@@ -74,14 +74,20 @@ _row_values = operator.attrgetter(*TRAJECTORY_HEADER.split(","))
 
 
 def _fmt(value) -> str:
-    """CSV cell: empty for missing, 17 significant digits for floats."""
+    """CSV cell: empty for missing, 17 significant digits for floats and float64."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """Write ``header`` and one CSV line per row, a tuple of cells through ``_fmt``."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 class Experiment:
@@ -152,13 +158,6 @@ class Experiment:
         return sensing_eps_certificate(self.sensing, self.factors)
 
 
-def _write_trajectory_csv(path: Path, log: TrajectoryLog) -> None:
-    lines = [TRAJECTORY_HEADER]
-    for row in log.rows:
-        lines.append(",".join(map(_fmt, _row_values(row))))
-    path.write_text("\n".join(lines) + "\n")
-
-
 _PLOT_SCRIPT = """\
 # gnuplot script: loss trajectory
 set datafile separator ','
@@ -175,7 +174,7 @@ def _write_run(cfg: ExperimentConfig, experiment: Experiment, log: TrajectoryLog
     """Write the ``run`` outputs of ``cfg``'s trajectory ``log`` into ``out_dir``;
     ``experiment`` was built from ``cfg``'s problem and start."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out_dir / "trajectory.csv", log)
+    _write_table(out_dir / "trajectory.csv", TRAJECTORY_HEADER, map(_row_values, log.rows))
     meta = [serialize_config(cfg).rstrip("\n"), ""]
     meta.append(f"final_loss = {_fmt(log.final_loss)}")
     meta.append(f"diverged = {_fmt(log.diverged)}")
@@ -239,15 +238,14 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, *, jobs:
         ran = experiments[pair].run([cell_cfg for _, _, cell_cfg in stack])
         logs.update(((scheme, value), log) for (scheme, value, _), log in zip(stack, ran))
 
-    lines = ["scheme,value,final_loss,diverged,contraction"]
+    summary = []
     for scheme, value, cell_cfg in cells:
         experiment, log = experiments[(cell_cfg.problem, cell_cfg.init)], logs[scheme, value]
         _write_run(cell_cfg, experiment, log, out_dir / f"{scheme.value}_{value:g}")
         contraction = _contraction_of(log, experiment.objective.optimum_loss)
-        lines.append(",".join([scheme.value, _fmt(value), _fmt(log.final_loss),
-                               _fmt(log.diverged), _fmt(contraction)]))
+        summary.append((scheme.value, value, log.final_loss, log.diverged, contraction))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
+    _write_table(out_dir / "summary.csv", "scheme,value,final_loss,diverged,contraction", summary)
     return 0
 
 
@@ -261,14 +259,11 @@ def cmd_order(cfg: ExperimentConfig, out_dir: Path) -> int:
         ORDER_H_LIST,
         cfg.solver.eps_reg,
     )
-    lines = ["scheme,h,defect,observed_order"]
-    for scheme, report in reports.items():
-        for h, defect in zip(report.step_sizes, report.defects):
-            lines.append(
-                ",".join([scheme.value, _fmt(h), _fmt(defect), _fmt(report.observed_order)])
-            )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "order.csv").write_text("\n".join(lines) + "\n")
+    _write_table(out_dir / "order.csv", "scheme,h,defect,observed_order",
+                 [(scheme.value, h, defect, report.observed_order)
+                  for scheme, report in reports.items()
+                  for h, defect in zip(report.step_sizes, report.defects)])
     return 0
 
 
@@ -291,23 +286,16 @@ def cmd_feature_scaling(out_dir: Path, n_list, seeds: int, steps: int, h: float)
         raise OutOfRange("feature-scaling.steps", f"must be at least 1, got {steps}")
     if not 0 < h < np.inf:
         raise OutOfRange("feature-scaling.h", f"must be positive and finite, got {h}")
-    phi_lines = ["scheme,n,seed,step,component,norm"]
-    slope_lines = ["scheme,component,slope"]
+    phi, slopes = [], []
     for scheme, result in feature_scaling_experiment(n_list, steps, h, seeds).items():
-        for n, seed, step, comp, norm in result.rows:
-            phi_lines.append(
-                ",".join([scheme.value, str(n), str(seed), str(step), str(comp), _fmt(norm)])
-            )
+        phi += [(scheme.value, *row) for row in result.rows]
         if len(n_list) < 2:
-            slope_lines.append(f"# warning: {len(n_list)} dimension(s); need >= 2 to fit slopes")
+            slopes.append((f"# warning: {len(n_list)} dimension(s); need >= 2 to fit slopes",))
             continue
-        for comp in sorted(result.slopes):
-            slope_lines.append(
-                ",".join([scheme.value, str(comp), _fmt(result.slopes[comp])])
-            )
+        slopes += [(scheme.value, comp, result.slopes[comp]) for comp in sorted(result.slopes)]
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "phi.csv").write_text("\n".join(phi_lines) + "\n")
-    (out_dir / "slopes.csv").write_text("\n".join(slope_lines) + "\n")
+    _write_table(out_dir / "phi.csv", "scheme,n,seed,step,component,norm", phi)
+    _write_table(out_dir / "slopes.csv", "scheme,component,slope", slopes)
     return 0
 
 

@@ -89,6 +89,8 @@ class LoRAFactors:
         m, rb = b.shape[-2:]
         if r != rb:
             raise ValueError(f"rank mismatch: A is {a.shape}, B is {b.shape}")
+        if r < 1:
+            raise ValueError(f"rank {r} is below 1: A is {a.shape}, B is {b.shape}")
         if r > min(m, n):
             raise ValueError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
         a = a.copy()

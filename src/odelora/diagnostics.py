@@ -13,13 +13,12 @@ constrains. It takes one step of the same Runge–Kutta engine that
 like that engine it takes a stacked state: on a ``RegressionStack``, slice
 j on instance j, with each value a (k,) array.
 
-``feature_scaling_experiment`` runs the seeds of one dimension n as one
-stack per scheme. It keeps each instance's feature and offset
-``W_pt s - y``, and frees the instance's dense ``W_pt`` before the next is
-built, so one dense ``W_pt`` is alive at a time; the stack holds
-O(k (m + n) r) floats, below one ``W_pt`` while k r is well under n. When
-a stacked step fails, the seeds run again alone, each from its start, so
-every row and error is the one each seed gives alone.
+``feature_scaling_experiment`` runs each scheme over every dimension n in
+turn, the seeds of one n as one stack, kept from the flow's pass for
+factor descent's. A stack keeps each instance's feature and offset
+``W_pt s - y``, not its dense ``W_pt``, which is freed before the next is
+built. When a stacked step fails, the seeds run again alone, each from its
+start, so every row and error is the one each seed gives alone.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import numpy as np
 from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight, slice_norms
 from .linalg import NonFiniteState
 from .problems import (
+    RegressionObjective,
     RegressionStack,
     aligned_zero_b_init,
     make_regression_instance,
@@ -84,13 +84,13 @@ class OrderReport:
 
 def _integrate_weight(factors, objective, plan, h, horizon, eps):
     """Step ``factors`` with ``plan`` to ``horizon`` without logging, in
-    ``horizon / h`` steps rounded (at least one), and return the terminal
-    effective weight. A stacked state steps every slice at ``h``, held as
-    a (k, 1, 1) column, since a mixed plan slices h by prefix."""
+    ``horizon / h`` steps rounded, and return the terminal effective
+    weight. A stacked state steps every slice at ``h``, held as a (k, 1, 1)
+    column, since a mixed plan slices h by prefix."""
     state = factors
     step_h = np.full((factors.a.shape[0], 1, 1), h) if factors.stacked else h
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max(1, round(horizon / h))):
+        for _ in range(round(horizon / h)):
             state = _rk_step(plan, state, objective, step_h, eps)[0]
     return effective_weight(objective.w_pt, state)
 
@@ -105,20 +105,26 @@ def estimate_order(
     """Observed convergence order of each of ``FLOW_SCHEMES``, keyed in
     that order.
 
-    ``h_list`` must hold at least two strictly descending step sizes.
-    Every scheme is measured against one RK4 reference run at
-    min(h_list)/100, stepped alone. At each h the three flows step as one
-    stack (``solvers._plan``), in the order RK4, RK2, Euler, and each
-    slice's terminal weight is the one its public step gives alone. Raises
-    ReferenceDiverged when the reference meets one of
+    ``h_list`` must hold at least two strictly descending step sizes, each
+    dividing ``horizon`` (``horizon / h`` a positive integer to 1e-9
+    relative), so that every run ends at the reference's time; ValueError
+    otherwise, before any step. Every scheme is measured against one RK4
+    reference run at min(h_list)/100, stepped alone. At each h the three
+    flows step as one stack (``solvers._plan``), in the order RK4, RK2,
+    Euler, and each slice's terminal weight is the one its public step
+    gives alone. Raises ReferenceDiverged when the reference meets one of
     ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, and
-    DefectBelowNoiseFloor when a scheme's smallest defect sits at
-    round-off; the reference is checked first, then each scheme in turn.
+    DefectBelowNoiseFloor when a scheme's smallest defect sits at round-off;
+    the reference is checked first, then each scheme in turn.
     An objective with no base weight raises TypeError before any step.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 2 or any(h <= h_next for h, h_next in zip(h_list, h_list[1:])):
         raise ValueError("h_list must hold at least two strictly descending step sizes")
+    for h in h_list:
+        steps = horizon / h if h > 0 else 0.0
+        if not (1 <= steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"h = {h} does not divide the horizon {horizon}")
     _require_base_weight(objective)
     try:
         reference = _integrate_weight(
@@ -189,8 +195,12 @@ def phi_decompose(
 
     A stacked state on a ``RegressionStack`` of as many instances steps as
     one, slice j on instance j: the report holds (k,) arrays, and slice j's
-    values and post-step state are what that slice gives alone.
+    values and post-step state are what that slice gives alone. Any other
+    objective than a ``RegressionObjective`` raises TypeError.
     """
+    if not isinstance(objective, RegressionObjective):
+        raise TypeError(f"phi_decompose needs a RegressionObjective, "
+                        f"got {type(objective).__name__}")
     problem = objective.problem
     plan = _ALONE[scheme]
     after, stages = _rk_step(plan, factors, objective, h, eps)
@@ -240,15 +250,15 @@ def _seed_stack(n: int, seeds):
 def _scaling_rows(scheme, objective, start, n, seeds, steps, h):
     """Rows ``(n, seed, step, component, norm)`` of ``steps`` decomposed steps
     of each slice of ``start`` (slice j on seed j; an unstacked start is one
-    seed), seed-major, and the failure ``(seed, step, error)`` of the first
-    seed that meets one of ``solvers.DIVERGENCE_ERRORS`` or a non-finite
-    component, at its first such step, or None.
+    seed), seed-major.
 
-    The stack steps as one. A stacked step that fails raises for every
-    slice, and a stacked kernel's message lists every slice's values, so the
-    seeds then run again alone, unstacked, in the order given and each from
-    its start: the first that fails gives the failure, and with none the
-    rows are theirs.
+    The stack steps as one. An unstacked seed that meets one of
+    ``solvers.DIVERGENCE_ERRORS`` or a non-finite component raises
+    ScalingDiverged from that error, naming its first failing step. A
+    stacked step that fails raises for every slice, and a stacked kernel's
+    message lists every slice's values, so the seeds then run again alone,
+    unstacked, in the order given and each from its start: the rows are
+    theirs, and the first that fails raises.
     """
     norms, state = [], start  # per step, per seed, the component norms
     try:
@@ -261,21 +271,15 @@ def _scaling_rows(scheme, objective, start, n, seeds, steps, h):
                 norms.append(np.reshape(comps, (len(comps), -1)).T.tolist())
     except DIVERGENCE_ERRORS as err:
         if not start.stacked:
-            return [], (seeds[0], len(norms), err)
-        rows = []
-        for j, seed in enumerate(seeds):
-            found, failure = _scaling_rows(
-                scheme, regression_objective(objective.problem.take(j)), start.take(j), n,
-                [seed], steps, h)
-            if failure is not None:
-                return [], failure
-            rows += found
-        return rows, None
-    rows = [(n, int(seed), step_idx, comp, norm)
+            raise ScalingDiverged(f"{scheme.value} diverged at n = {n}, seed = {seeds[0]}, "
+                                  f"step = {len(norms)}: {err}") from err
+        return [row for j, seed in enumerate(seeds)
+                for row in _scaling_rows(scheme, regression_objective(objective.problem.take(j)),
+                                         start.take(j), n, [seed], steps, h)]
+    return [(n, int(seed), step_idx, comp, norm)
             for j, seed in enumerate(seeds)
             for step_idx, per_seed in enumerate(norms)
             for comp, norm in enumerate(per_seed[j])]
-    return rows, None
 
 
 def _scaling_fit(rows, n_list) -> FeatureScalingResult:
@@ -299,52 +303,36 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
 
     Each ``(n, seed)`` square regression instance is built once, and its
     rank-``FEATURE_SCALING_RANK`` zero-B start (A rows at a fixed overlap
-    with the feature) with it. ``seeds`` is a count or a list. The seeds of
-    one n run as one stack per scheme, ``steps`` iterations from their
-    starts, logging every stage contribution; its rows are seed-major, then
-    in step order. The stack keeps each instance's feature and offset
-    ``W_pt s - y`` (a ``RegressionStack``), not its dense ``W_pt``, which is
-    freed before the next instance is built: one dense ``W_pt`` is alive at
-    a time, and the stack holds O(k (m + n) r) floats for k seeds, below one
-    ``W_pt`` while k r is well under n. A component's slope is the log-log
-    slope of its median norm against n (``None`` when the medians vanish);
-    flat slopes mean one step size trains every width at the same output
-    speed.
+    with the feature) with it. ``seeds`` is a count or a list. Each scheme
+    runs over every n in turn, RK4 first, the seeds of one n as one stack,
+    ``steps`` iterations from their starts, logging every stage
+    contribution; the rows of one n are seed-major, then in step order.
+    RK4's pass builds each n's stack, a ``RegressionStack`` of each
+    instance's feature and offset ``W_pt s - y`` with the starts, and keeps
+    it for factor descent's. Each dense ``W_pt`` is freed before the next
+    instance is built, and a stack holds O(k (m + n) r) floats for k seeds,
+    below one ``W_pt`` while k r is well under n. A component's slope is
+    the log-log slope of its median norm against n (``None`` when the
+    medians vanish); flat slopes mean one step size trains every width at
+    the same output speed.
 
     Under this aligned start both schemes are dimension-free by
     construction (factor descent's iterates never involve n, so its slopes
     are exactly 0); the contrast needs ``zero_b_init`` without ``align``.
 
-    Raises ScalingDiverged when a step meets one of
+    Raises ScalingDiverged, from the step's error, when a step meets one of
     ``solvers.DIVERGENCE_ERRORS`` or yields a non-finite component, naming
     the first ``(n, seed)`` that fails, in n order and then in the order of
     ``seeds``, and that seed's first failing step, as if each instance ran
-    alone. The flow's error wins: factor descent's is raised only once the
-    flow has run every instance, and is kept until then as a fresh error,
-    without a traceback or a cause.
+    alone. Since RK4 runs every instance first, the flow's error wins.
     """
     seeds = range(seeds) if isinstance(seeds, int) else seeds
-    rows = {Scheme.ODE_RK4: [], Scheme.CLASSICAL_GD: []}
-    descent_diverged = None
-    for n in n_list:
-        objective, start = _seed_stack(n, seeds)
-        found, failure = _scaling_rows(Scheme.ODE_RK4, objective, start, n, seeds, steps, h)
-        if failure is not None:
-            raise _diverged(Scheme.ODE_RK4, n, *failure) from failure[-1]
-        rows[Scheme.ODE_RK4] += found
-        if descent_diverged is None:
-            found, failure = _scaling_rows(Scheme.CLASSICAL_GD, objective, start, n, seeds,
-                                           steps, h)
-            if failure is None:
-                rows[Scheme.CLASSICAL_GD] += found
-            else:
-                descent_diverged = _diverged(Scheme.CLASSICAL_GD, n, *failure)
-    if descent_diverged is not None:
-        raise descent_diverged
-    return {scheme: _scaling_fit(found, n_list) for scheme, found in rows.items()}
-
-
-def _diverged(scheme, n, seed, step_idx, err) -> ScalingDiverged:
-    return ScalingDiverged(
-        f"{scheme.value} diverged at n = {n}, seed = {seed}, step = {step_idx}: {err}"
-    )
+    stacks, results = {}, {}
+    for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
+        rows = []
+        for n in n_list:
+            if n not in stacks:
+                stacks[n] = _seed_stack(n, seeds)
+            rows += _scaling_rows(scheme, *stacks[n], n, seeds, steps, h)
+        results[scheme] = _scaling_fit(rows, n_list)
+    return results

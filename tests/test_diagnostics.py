@@ -29,7 +29,8 @@ from odelora.problems import (
     sensing_objective,
     zero_b_init,
 )
-from odelora.solvers import _ALONE, Scheme, _plan
+from odelora.linalg import NonFiniteState
+from odelora.solvers import _ALONE, DIVERGENCE_ERRORS, Scheme, _plan
 from oracles import null_projector_a, null_projector_b
 
 
@@ -185,7 +186,28 @@ class TestEstimateOrder:
         obj = quadratic_objective(w_star, mu=40.0, w_pt=np.zeros((3, 3)))
         f0 = random_factors(rng, 2, 3, 3)
         with pytest.raises(ReferenceDiverged):
-            estimate_order(f0, obj, 40.0, [50.0, 25.0])
+            estimate_order(f0, obj, 50.0, [50.0, 25.0])
+
+    @pytest.mark.parametrize("horizon, h_list, bad", [
+        (1.0, (0.3, 0.15, 0.07), 0.3),  # 1 / 0.3 steps round to 3, ending at t = 0.9
+        (1.0, (0.2, 0.1, 0.07), 0.07),
+        (1.0, (2.0, 1.0), 2.0),  # past the horizon
+        (np.inf, (0.2, 0.1), 0.2),
+    ])
+    def test_step_that_does_not_divide_the_horizon_is_refused(self, setup, monkeypatch,
+                                                              horizon, h_list, bad):
+        # such an h would end at another time than the reference, and the
+        # order read off its defect would be silently wrong
+        from odelora import diagnostics
+
+        p, obj, f0 = setup
+
+        def never(*args):
+            raise AssertionError("a run was made")
+
+        monkeypatch.setattr(diagnostics, "_integrate_weight", never)
+        with pytest.raises(ValueError, match=rf"h = {bad} does not divide the horizon {horizon}"):
+            estimate_order(f0, obj, horizon, h_list)
 
 
 class TestPhiDecomposition:
@@ -216,6 +238,17 @@ class TestPhiDecomposition:
         for h in (0.05, 0.3):
             report, _ = phi_decompose(f, regression_objective(problem), Scheme.ODE_RK4, h)
             assert report.sum_check_residual <= 1e-10
+
+    def test_rejects_an_objective_that_is_not_a_regression(self, rng):
+        # a square sensing objective has no feature s; one of 8 x 8 would
+        # otherwise read its (8,)-array of something else as components
+        f = random_factors(rng, 2, 8, 8)
+        sensing = sensing_objective(make_sensing_instance(8, 8, 8, 2, 0.1, 0))
+        quadratic = quadratic_objective(np.zeros((8, 8)), mu=1.0, w_pt=np.zeros((8, 8)))
+        for objective, name in ((sensing, "SensingObjective"),
+                                (quadratic, "QuadraticObjective")):
+            with pytest.raises(TypeError, match=name):
+                phi_decompose(f, objective, Scheme.ODE_RK4, 0.1)
 
     def test_classical_two_components(self, rng):
         problem = make_regression_instance(10, 9, 1)
@@ -399,18 +432,14 @@ class TestFeatureScaling:
             feature_scaling_experiment([n], 20, 3.6, seeds)
         assert str(stacked.value) == str(alone.value)
 
-    def test_held_descent_divergence_keeps_no_frame(self):
-        # factor descent blows up at h = 2 on the first instance and the flow
-        # runs on; the error kept until then must not hold the frames of the
-        # failed steps, which keep that instance's dense W_pt alive
-        with pytest.raises(ScalingDiverged, match="classical_gd diverged at n = 8") as info:
+    def test_descent_divergence_is_raised_from_its_step_error(self):
+        # factor descent blows up at h = 2 on the first instance after the
+        # flow has run every instance; its error names the failing step and
+        # is raised from the kernel's error, as the flow's is
+        with pytest.raises(ScalingDiverged) as info:
             feature_scaling_experiment([8, 16], steps=20, h=2.0, seeds=1)
-        err = info.value
-        assert err.__cause__ is None and err.__context__ is None
-        frames = []
-        tb = err.__traceback__
-        while tb is not None:
-            frames.append(tb.tb_frame.f_code.co_name)
-            tb = tb.tb_next
-        assert frames[-1] == "feature_scaling_experiment"
-        assert "_scaling_rows" not in frames
+        assert str(info.value).startswith("classical_gd diverged at n = 8, seed = 0, step = 5: ")
+        assert isinstance(info.value.__cause__, NonFiniteState)
+        with pytest.raises(ScalingDiverged) as flow:
+            feature_scaling_experiment([8], 20, 3.6, [2])
+        assert isinstance(flow.value.__cause__, DIVERGENCE_ERRORS)

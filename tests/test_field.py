@@ -21,6 +21,13 @@ class TestLoRAFactors:
         with pytest.raises(ValueError):
             LoRAFactors(rng.standard_normal((5, 4)), rng.standard_normal((6, 5)))
 
+    def test_rejects_rank_zero(self):
+        # a run from rank 0 would otherwise die inside the Gram factorization
+        for a, b in ((np.zeros((0, 5)), np.zeros((5, 0))),
+                     (np.zeros((3, 0, 5)), np.zeros((3, 5, 0)))):
+            with pytest.raises(ValueError, match="rank 0 is below 1"):
+                LoRAFactors(a, b)
+
     def test_rejects_non_finite(self, rng):
         a = rng.standard_normal((2, 4))
         a[0, 0] = np.nan
