@@ -13,14 +13,11 @@ from odelora import (
     Scheme,
     SolverConfig,
     balance_defect,
-    classical_gd_step,
     make_sensing_instance,
-    ode_euler_step,
-    ode_rk2_step,
-    ode_rk4_step,
     perturbed_balanced_init,
     run_trajectory,
     sensing_objective,
+    step,
 )
 
 
@@ -37,18 +34,19 @@ def main():
         print(f"    {scheme.value:<14} {defect:.3e}" + ("  (diverged)" if log.diverged else ""))
 
     print("\nper-step leak order (log2 of the defect ratio when h halves, few steps):")
-    steppers = (("euler", ode_euler_step, 1), ("rk2", ode_rk2_step, 2), ("rk4", ode_rk4_step, 4))
-    for name, step_fn, order in steppers:
+    steppers = (("euler", Scheme.ODE_EULER, 1), ("rk2", Scheme.ODE_RK2, 2),
+                ("rk4", Scheme.ODE_RK4, 4))
+    for name, scheme, order in steppers:
         def defect_after(h, steps=3):
             state = start
             for _ in range(steps):
-                state = step_fn(state, objective, h, 1e-8)
+                state = step(scheme, state, objective, h, 1e-8)
             return balance_defect(state)
 
         ratio = np.log2(defect_after(0.1) / defect_after(0.05))
         print(f"    {name:<6} measured {ratio:.2f}   (theory: order p = {order} leaks h^{order + 1})")
 
-    one_classical = classical_gd_step(start, objective, 0.1)
+    one_classical = step(Scheme.CLASSICAL_GD, start, objective, 0.1)
     print(f"\nplain factor descent, defect after ONE step: {balance_defect(one_classical):.3e}")
 
 

@@ -70,15 +70,9 @@ from .solvers import (
     SolverConfig,
     TrajectoryLog,
     TrajectoryRow,
-    classical_gd_step,
-    full_ft_step,
-    lorapro_step,
-    ode_euler_step,
-    ode_rk2_step,
-    ode_rk4_step,
-    riemannian_step,
     run_stack,
     run_trajectory,
+    step,
 )
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .problems import (
     regression_objective,
 )
 from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _plan, _require_base_weight,
-                      _rk_step)
+                      _require_eps, _rk_step)
 
 __all__ = [
     "ReferenceDiverged",
@@ -107,12 +107,13 @@ def estimate_order(
 
     ``h_list`` must hold at least two strictly descending step sizes, each
     dividing ``horizon`` (``horizon / h`` a positive integer to 1e-9
-    relative), so that every run ends at the reference's time; ValueError
-    otherwise, before any step. Every scheme is measured against one RK4
-    reference run at min(h_list)/100, stepped alone. At each h the three
-    flows step as one stack (``solvers._plan``), in the order RK4, RK2,
-    Euler, and each slice's terminal weight is the one its public step
-    gives alone. Raises ReferenceDiverged when the reference meets one of
+    relative), so that every run ends at the reference's time, and ``eps``
+    must be nonnegative and finite; ValueError otherwise, before any step.
+    Every scheme is measured against one RK4 reference run at
+    min(h_list)/100, stepped alone. At each h the three flows step as one
+    stack (``solvers._plan``), in the order RK4, RK2, Euler, and each
+    slice's terminal weight is the one ``solvers.step`` gives it alone.
+    Raises ReferenceDiverged when the reference meets one of
     ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, and
     DefectBelowNoiseFloor when a scheme's smallest defect sits at round-off;
     the reference is checked first, then each scheme in turn.
@@ -125,6 +126,7 @@ def estimate_order(
         steps = horizon / h if h > 0 else 0.0
         if not (1 <= steps < math.inf and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ValueError(f"h = {h} does not divide the horizon {horizon}")
+    _require_eps(eps)
     _require_base_weight(objective)
     try:
         reference = _integrate_weight(
@@ -196,11 +198,13 @@ def phi_decompose(
     A stacked state on a ``RegressionStack`` of as many instances steps as
     one, slice j on instance j: the report holds (k,) arrays, and slice j's
     values and post-step state are what that slice gives alone. Any other
-    objective than a ``RegressionObjective`` raises TypeError.
+    objective than a ``RegressionObjective`` raises TypeError, and a
+    negative or non-finite ``eps`` ValueError.
     """
     if not isinstance(objective, RegressionObjective):
         raise TypeError(f"phi_decompose needs a RegressionObjective, "
                         f"got {type(objective).__name__}")
+    _require_eps(eps)
     problem = objective.problem
     plan = _ALONE[scheme]
     after, stages = _rk_step(plan, factors, objective, h, eps)

@@ -291,8 +291,8 @@ class QuadraticObjective(Objective):
     """
 
     def __init__(self, w_star: np.ndarray, mu: float, w_pt: np.ndarray):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         self.w_star = as_matrix(w_star, "W_star")
         self.w_pt = as_matrix(w_pt, "W_pt")
         self.mu = float(mu)

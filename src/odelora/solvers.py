@@ -1,24 +1,26 @@
 """Time discretizations of the balanced adapter flow, plus baselines.
 
 Every factor scheme is one explicit Runge–Kutta engine driven by a
-direction function ``(factors, sides, eps, grams=None) -> (f_a, f_b)`` of
-the gradient's two sides ``(B^T G, G A^T)`` at a stage, which factors the
-state's Grams itself unless handed their ``FactorGrams``; no direction
-reads more of the full-weight gradient G. The stage sides come from
-``Objective.sides`` at the stage state, so an objective with a residual
-form never builds an m x n matrix inside a step. The flow steppers (Euler,
-Heun/RK2, classical RK4) run the engine with the balanced field
+direction function ``(factors, sides, grams) -> (f_a, f_b)`` of the
+gradient's two sides ``(B^T G, G A^T)`` at a stage and of the Grams the
+engine factors there (None for ``classical_gd``, which reads none); no
+direction reads more of the full-weight gradient G. The stage sides come
+from ``Objective.sides`` at the stage state, so an objective with a
+residual form never builds an m x n matrix inside a step. The flow schemes
+(Euler, Heun/RK2, classical RK4) run the engine with the balanced field
 ``field_eval_sides`` and their Butcher tableaux. The factor baselines are
 one-stage (Euler) runs of their own directions: plain factor gradient
-descent, Gram-preconditioned descent, and the gradient-matching update
-with zero gauge (the X = 0 member of the same solution family as the Euler
-flow step). Full-weight gradient descent steps the dense weight instead.
-All steppers are pure functions from state to state with one signature,
-``(state, objective, h, eps, g=None)``, the objective holding the frozen
-base weight; ``full_ft_step`` ignores ``eps``. A step given ``g``, the
-gradient at its start state (its ``Sides`` for a factor step, the dense G
-for ``full_ft_step``), uses it as the first stage's instead of evaluating
-it again; the run loop passes the one of the row it just logged.
+descent, Gram-preconditioned descent, and the gradient-matching update with
+zero gauge (the X = 0 member of the same solution family as the Euler flow
+step). Full-weight gradient descent steps the dense weight instead.
+``step(scheme, state, objective, h, eps, g=None)`` is every scheme's one
+public step, a pure function from state to state; the objective holds the
+frozen base weight. FULL_FT ignores ``eps``, but every caller's ``eps``
+meets one rule (``_require_eps``): nonnegative and finite, else ValueError
+before any factorization. A step given ``g``, the gradient at its start
+state (its ``Sides`` for a factor scheme, the dense G for FULL_FT), uses it
+as the first stage's instead of evaluating it again; the run loop passes
+the one of the row it just logged.
 
 ``run_stack`` runs k cells that share a start, an objective and every
 setting but the scheme and the step size, as one stack: the factor pairs
@@ -27,38 +29,39 @@ with the step sizes held as a (k, 1, 1) array, and each cell keeps its own
 ``TrajectoryLog``. The factor cells, of any of the six factor schemes, step
 through one engine, ``_rk_step``. Their slices are in stack order
 (``_METHODS``): RK4, RK2, the one-stage Euler flow, ``riemannian``,
-``lora_pro``, and last ``classical_gd``, the one direction that factors no
-Gram. So stage i steps a prefix of the stack, and the slices whose
-directions read Grams form a prefix of each stage. Each stage reads the
-objective's sides once and factors that prefix's Grams in one
-``FactorGrams``; each range of consecutive slices that share a direction
-makes one call, on views of its slices of the state, sides and Grams, so
-the three flows share one field evaluation per stage. The plan
-(``_plan``) holds each slice's tableau as columns, one coefficient per
-slice, so every slice's stages sum in one pass and one ``move`` finishes
-the step. The six public factor steps and ``diagnostics.phi_decompose``
-step with the plan of one scheme. Full fine-tuning steps the dense
-weights ``W_pt + B A`` as a (k, m, n) stack of its own. A logged row
-takes each of its values as one stacked call on the live slices: the
-objective's ``evaluate``, the norms of the gradient and of ``W - W*``
-(``core.slice_norms``), the balance defect and the null-space ratio. Every stacked operation gives each slice
-bit-for-bit what it gives that slice alone, so a cell's rows are those of
-its run alone. A cell that halts gets its final row and leaves the stack.
-numpy's stacked factorizations raise for the whole stack, so when a step
-raises one of ``DIVERGENCE_ERRORS`` with more than one cell live, each
-live cell takes that step alone, as a stack of one with its own plan
-(``_ALONE``): exactly the step its run alone takes there. The cells whose
-step still raises halt on that iteration, and the rest step on as one
-stack; a stack of one halts at once. ``run_trajectory`` is the k = 1
-case. ``odelora sweep`` runs the factor cells that share a problem and
-start as one stack and their ``full_ft`` cells as another: two stacks for
-an ``h`` sweep, two per value for a ``delta`` sweep.
+``lora_pro``, and last ``classical_gd``. So stage i steps a prefix of the
+stack, and the slices whose directions read Grams form a prefix of each
+stage. Each stage reads the objective's sides once and factors that
+prefix's Grams in one ``FactorGrams``; each range of consecutive slices
+that share a direction makes one call, on views of its slices of the
+state, sides and Grams, so the three flows share one field evaluation per
+stage. The plan (``_plan``, which refuses schemes out of stack order) holds
+each slice's tableau as columns, one coefficient per slice, so every
+slice's stages sum in one pass and one ``move`` finishes the step. ``step``
+and ``diagnostics.phi_decompose`` step with the plan of one scheme. Full
+fine-tuning steps the dense weights ``W_pt + B A`` as a (k, m, n) stack of
+its own. A logged row takes each of its values as one stacked call on the
+live slices: the objective's ``evaluate``, the norms of the gradient and of
+``W - W*`` (``core.slice_norms``), the balance defect and the null-space
+ratio. Every stacked operation gives each slice bit-for-bit what it gives
+that slice alone, so a cell's rows are those of its run alone. A cell that
+halts gets its final row and leaves the stack. numpy's stacked
+factorizations raise for the whole stack, so when a step raises one of
+``DIVERGENCE_ERRORS`` with more than one cell live, each live cell takes
+that step alone through ``step``, as a stack of one: exactly the step its
+run alone takes there. The cells whose step still raises halt on that
+iteration, and the rest step on as one stack; a stack of one halts at
+once. ``run_trajectory`` is the k = 1 case. ``odelora sweep`` runs the
+factor cells that share a problem and start as one stack and their
+``full_ft`` cells as another: two stacks for an ``h`` sweep, two per value
+for a ``delta`` sweep.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
@@ -90,13 +93,7 @@ __all__ = [
     "TrajectoryLog",
     "DIVERGENCE_LOSS",
     "DIVERGENCE_ERRORS",
-    "ode_euler_step",
-    "ode_rk2_step",
-    "ode_rk4_step",
-    "classical_gd_step",
-    "riemannian_step",
-    "lorapro_step",
-    "full_ft_step",
+    "step",
     "run_stack",
     "run_trajectory",
 ]
@@ -131,12 +128,19 @@ class SolverConfig:
     eps_reg: float = DEFAULT_EPS
 
     def __post_init__(self):
+        if not isinstance(self.scheme, Scheme):
+            raise TypeError(f"scheme must be a Scheme, got {self.scheme!r}")
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")
-        if self.iterations < 0:
+        if operator.index(self.iterations) < 0:
             raise ValueError("iterations must be nonnegative")
-        if not 0 <= self.eps_reg < np.inf:
-            raise ValueError("eps_reg must be nonnegative and finite")
+        _require_eps(self.eps_reg, "eps_reg")
+
+
+def _require_eps(eps: float, name: str = "eps") -> None:
+    """ValueError unless the Grams' Tikhonov term ``eps`` is nonnegative and finite."""
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -159,28 +163,25 @@ HEUN = Tableau((1.0,), (1, 1), 2)
 RK4 = Tableau((0.5, 0.5, 1.0), (1, 2, 2, 1), 6)
 
 
-def _flow_direction(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
-    k = field_eval_sides(factors, sides, eps, grams)
+def _flow_direction(factors: LoRAFactors, sides: Sides, grams: FactorGrams):
+    k = field_eval_sides(factors, sides, grams=grams)
     return k.f_a, k.f_b
 
 
-def _factor_gradient(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
-    """Composite-loss gradients B^T G in A and G A^T in B, negated; ``eps``
-    and ``grams`` play no part."""
+def _factor_gradient(factors: LoRAFactors, sides: Sides, grams):
+    """Composite-loss gradients B^T G in A and G A^T in B, negated; ``grams`` is None."""
     return -sides.bt_g, -sides.g_at
 
 
-def _riemannian_direction(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
-    if grams is None:
-        grams = FactorGrams(factors, eps)
+def _riemannian_direction(factors: LoRAFactors, sides: Sides, grams: FactorGrams):
+    """Gram-preconditioned descent: dA = -(B^T B + eps I)^{-1} B^T G,
+    dB = -G A^T (A A^T + eps I)^{-1}."""
     return -grams.solve_b(sides.bt_g), -grams.solve_a(sides.g_at.mT).mT
 
 
-def _lorapro_direction(factors: LoRAFactors, sides: Sides, eps: float, grams=None):
+def _lorapro_direction(factors: LoRAFactors, sides: Sides, grams: FactorGrams):
     """Gradient matching with zero gauge (X = 0): dA = -(B^T B + eps I)^{-1} B^T G,
     dB = -P_B^null G A^T (A A^T + eps I)^{-1}."""
-    if grams is None:
-        grams = FactorGrams(factors, eps)
     return -grams.solve_b(sides.bt_g), -grams.project_out_b(grams.solve_a(sides.g_at.mT).mT)
 
 
@@ -225,9 +226,14 @@ def _column(values):
 
 
 def _plan(schemes) -> _Plan:
-    """The plan of a stack whose slices carry ``schemes``, in stack order; a
-    scheme's plan on an unstacked state is ``_plan([scheme])``. Each
-    direction is called once per range of consecutive slices that share it."""
+    """The plan of a stack whose slices carry ``schemes``, in stack order
+    (ValueError, naming them, if they are not); a scheme's plan on an
+    unstacked state is ``_plan([scheme])``. Each direction is called once
+    per range of consecutive slices that share it."""
+    schemes = list(schemes)
+    if sorted(schemes, key=list(_METHODS).index) != schemes:
+        raise ValueError("schemes not in stack order: "
+                         + ", ".join(scheme.value for scheme in schemes))
     methods = [_METHODS[scheme] for scheme in schemes]
     stages = []
     for i in range(len(methods[0][0].weights)):
@@ -283,8 +289,8 @@ def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=
         if stage.factored is not None:
             grams = FactorGrams(state if stage.factored is ... else state.take(stage.factored),
                                 eps)
-        fields = [direction(state, sides, eps, grams) if span is None
-                  else direction(state.take(span), sides.take(span), eps,
+        fields = [direction(state, sides, grams) if span is None
+                  else direction(state.take(span), sides.take(span),
                                  None if direction is _factor_gradient else grams.take(span))
                   for direction, span in stage.calls]
         stages.append(fields[0] if len(fields) == 1 else tuple(map(np.concatenate, zip(*fields))))
@@ -295,51 +301,18 @@ def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=
     return factors.move(total_a / plan.denominator, total_b / plan.denominator, h), stages
 
 
-def ode_euler_step(factors: LoRAFactors, objective: Objective, h: float,
-                   eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
-    """One forward-Euler step of the balanced flow."""
-    return _rk_step(_ALONE[Scheme.ODE_EULER], factors, objective, h, eps, g)[0]
-
-
-def ode_rk2_step(factors: LoRAFactors, objective: Objective, h: float,
-                 eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
-    """One Heun (two-stage, second-order) step of the balanced flow."""
-    return _rk_step(_ALONE[Scheme.ODE_RK2], factors, objective, h, eps, g)[0]
-
-
-def ode_rk4_step(factors: LoRAFactors, objective: Objective, h: float,
-                 eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
-    """One classical four-stage RK4 step of the balanced flow."""
-    return _rk_step(_ALONE[Scheme.ODE_RK4], factors, objective, h, eps, g)[0]
-
-
-def classical_gd_step(factors: LoRAFactors, objective: Objective, h: float,
-                      eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
-    """Plain gradient descent on the factors (B^T G in A, G A^T in B); ignores ``eps``."""
-    return _rk_step(_ALONE[Scheme.CLASSICAL_GD], factors, objective, h, eps, g)[0]
-
-
-def riemannian_step(factors: LoRAFactors, objective: Objective, h: float,
-                    eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
-    """Gram-preconditioned factor descent:
-    A' = A - h (B^T B + eps I)^{-1} B^T G, B' = B - h G A^T (A A^T + eps I)^{-1}."""
-    return _rk_step(_ALONE[Scheme.RIEMANNIAN], factors, objective, h, eps, g)[0]
-
-
-def lorapro_step(factors: LoRAFactors, objective: Objective, h: float,
-                 eps: float = DEFAULT_EPS, g=None) -> LoRAFactors:
-    """One step along the zero-gauge gradient-matching direction."""
-    return _rk_step(_ALONE[Scheme.LORA_PRO], factors, objective, h, eps, g)[0]
-
-
-def full_ft_step(w: np.ndarray, objective: Objective, h,
-                 eps: float = DEFAULT_EPS, g=None) -> np.ndarray:
-    """Full-weight gradient descent: W - h grad(W); ``g`` is grad(W) when
-    known. W may be a (k, m, n) stack, with h a (k, 1, 1) array; ``grad``
-    then runs slice by slice. Ignores ``eps``."""
+def step(scheme: Scheme, state, objective: Objective, h, eps: float = DEFAULT_EPS, g=None):
+    """One step of ``scheme`` from ``state``: the engine's step with the
+    scheme's own plan (``_ALONE``), or for FULL_FT ``W - h grad(W)`` on the
+    dense weight, slice by slice on a (k, m, n) stack. A stacked state takes
+    h as a (k, 1, 1) array; ``g`` is the gradient at ``state`` when known."""
+    _require_eps(eps)
+    if scheme is not Scheme.FULL_FT:
+        return _rk_step(_ALONE[scheme], state, objective, h, eps, g)[0]
     if g is None:
-        g = objective.grad(w) if w.ndim == 2 else np.array([objective.grad(x) for x in w])
-    return w - h * g
+        g = (objective.grad(state) if state.ndim == 2
+             else np.array([objective.grad(w) for w in state]))
+    return state - h * g
 
 
 @dataclass(frozen=True, slots=True)
@@ -505,8 +478,8 @@ def run_stack(
     def alone(j: int, g):
         """Slot j's step taken alone, as a stack of one, or None if it raises."""
         try:
-            return _rk_step(_ALONE[configs[live[j]].scheme], state.take([j]), objective,
-                            h[[j]], eps, g.take([j]))[0]
+            return step(configs[live[j]].scheme, state.take([j]), objective, h[[j]], eps,
+                        g.take([j]))
         except DIVERGENCE_ERRORS:
             return None
 
@@ -516,10 +489,10 @@ def run_stack(
             if g is None:
                 break
             try:
-                # full_ft_step, given g, calls neither the objective nor the
-                # kernel, so only a factor step can raise
+                # a full_ft step, given g, calls neither the objective nor
+                # the kernel, so only a factor step can raise
                 if full:
-                    state = full_ft_step(state, objective, h, eps, g)
+                    state = step(Scheme.FULL_FT, state, objective, h, eps, g)
                 else:
                     state = _rk_step(plan, state, objective, h, eps, g)[0]
             except DIVERGENCE_ERRORS:
@@ -527,13 +500,13 @@ def run_stack(
                 # A stacked call raises for the whole stack, so each cell of
                 # a larger stack takes this step alone: those whose step
                 # still raises halt, and the rest step on as one stack.
-                steps = [None] if len(live) == 1 else [alone(j, g) for j in range(len(live))]
-                leave(np.array([step is not None for step in steps]), i)
+                taken = [None] if len(live) == 1 else [alone(j, g) for j in range(len(live))]
+                leave(np.array([after is not None for after in taken]), i)
                 if not live:
                     break
-                steps = [step for step in steps if step is not None]
-                state = LoRAFactors(np.concatenate([step.a for step in steps]),
-                                    np.concatenate([step.b for step in steps]))
+                taken = [after for after in taken if after is not None]
+                state = LoRAFactors(np.concatenate([after.a for after in taken]),
+                                    np.concatenate([after.b for after in taken]))
             g = record(i)
     return logs
 
@@ -558,7 +531,7 @@ def run_trajectory(
     other exception, a plain ``ValueError`` included, propagates. A logged
     row reads ``objective.evaluate`` once (``loss`` and ``grad`` for
     FULL_FT), and the gradient it logs is the next step's first-stage
-    gradient: the sides for a factor step, G for ``full_ft_step``. The
+    gradient: the sides for a factor step, G for FULL_FT. The
     null-space ratio and the balance defect are computed only when their
     ``log_*`` flag is set, and never for FULL_FT; otherwise their fields
     stay ``None``. This is ``run_stack`` with one cell, a stack of k = 1.

@@ -29,10 +29,8 @@ from odelora.problems import (
 from odelora.solvers import (
     Scheme,
     SolverConfig,
-    classical_gd_step,
-    ode_euler_step,
-    ode_rk4_step,
     run_trajectory,
+    step,
 )
 from oracles import KKTOracle, gradient_probe_error, kron_sylvester
 
@@ -135,17 +133,17 @@ def test_criterion_03_balance_tangency_and_preservation(sensing40):
     # terminal defect over a short fixed step count isolates the per-step
     # O(h^{p+1}) leak (long certified runs would instead measure the time-
     # integrated O(h^p) accumulation)
-    def defect_after(step_fn, h, steps=3):
+    def defect_after(scheme, h, steps=3):
         state = start
         for _ in range(steps):
-            state = step_fn(state, objective, h, 1e-8)
+            state = step(scheme, state, objective, h, 1e-8)
         return balance_defect(state)
 
     euler_ratio = np.log2(
-        defect_after(ode_euler_step, 0.1) / defect_after(ode_euler_step, 0.05)
+        defect_after(Scheme.ODE_EULER, 0.1) / defect_after(Scheme.ODE_EULER, 0.05)
     )
     rk4_ratio = np.log2(
-        defect_after(ode_rk4_step, 0.1) / defect_after(ode_rk4_step, 0.05)
+        defect_after(Scheme.ODE_RK4, 0.1) / defect_after(Scheme.ODE_RK4, 0.05)
     )
     ok_orders = 1.4 <= euler_ratio <= 2.8 and 4.0 <= rk4_ratio <= 7.0
     assert _report(
@@ -333,10 +331,10 @@ def generic_start_scaling():
                 report, _ = phi_decompose(state, objective, Scheme.CLASSICAL_GD, H)
                 for comp, norm in enumerate(report.component_norms):
                     components.setdefault((n, comp), []).append(norm)
-                state = classical_gd_step(state, objective, H)
+                state = step(Scheme.CLASSICAL_GD, state, objective, H)
             state = start
             for _ in range(20):
-                after = ode_rk4_step(state, objective, H)
+                after = step(Scheme.ODE_RK4, state, objective, H)
                 change = after.b @ (after.a @ problem.s) - state.b @ (state.a @ problem.s)
                 flow_changes.setdefault(n, []).append(float(np.linalg.norm(change)))
                 state = after

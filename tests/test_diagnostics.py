@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import STEPS, random_factors
+from conftest import random_factors
 from odelora.core import LoRAFactors, effective_weight
 from odelora.diagnostics import (
     DefectBelowNoiseFloor,
@@ -30,7 +30,7 @@ from odelora.problems import (
     zero_b_init,
 )
 from odelora.linalg import NonFiniteState
-from odelora.solvers import _ALONE, DIVERGENCE_ERRORS, Scheme, _plan
+from odelora.solvers import _ALONE, DIVERGENCE_ERRORS, Scheme, _plan, step
 from oracles import null_projector_a, null_projector_b
 
 
@@ -168,7 +168,7 @@ class TestEstimateOrder:
             for scheme, w in zip(flows, w_end):
                 state = f0
                 for _ in range(round(horizon / h)):
-                    state = STEPS[scheme](state, obj, h, 1e-8)
+                    state = step(scheme, state, obj, h, 1e-8)
                 alone = effective_weight(p.w_pt, state)
                 assert w.tobytes() == alone.tobytes()
                 assert reports[scheme].defects[i] == float(np.linalg.norm(alone - reference))
@@ -299,17 +299,14 @@ class TestPhiIdentityAlongTrajectory:
 
     def test_post_step_state_is_the_solver_step(self):
         # the decomposition takes the solver's own step
-        from odelora.solvers import classical_gd_step, ode_rk4_step
-
         problem = make_regression_instance(24, 24, 3)
         objective = regression_objective(problem)
         start = zero_b_init(24, 24, 4, np.random.SeedSequence([3, 1]), align=problem.s)
-        for scheme, step in ((Scheme.ODE_RK4, ode_rk4_step),
-                             (Scheme.CLASSICAL_GD, classical_gd_step)):
+        for scheme in (Scheme.ODE_RK4, Scheme.CLASSICAL_GD):
             state = start
             for _ in range(5):
                 _, after = phi_decompose(state, objective, scheme, 0.1, 1e-8)
-                stepped = step(state, objective, 0.1, 1e-8)
+                stepped = step(scheme, state, objective, 0.1, 1e-8)
                 assert np.array_equal(after.a, stepped.a)
                 assert np.array_equal(after.b, stepped.b)
                 state = stepped

@@ -49,10 +49,9 @@ from odelora.solvers import (
     SolverConfig,
     _lorapro_direction,
     _plan,
-    _riemannian_direction,
     _rk_step,
-    riemannian_step,
     run_trajectory,
+    step,
 )
 from oracles import (dense_evaluate, dense_sides, flow_rhs_full, kron_sylvester,
                      null_projector_a, null_projector_b)
@@ -121,13 +120,13 @@ class TestFactorizationCounts:
 
     def test_lorapro_direction(self, rng, counted):
         f, g = random_state(rng)
-        _lorapro_direction(f, gradient_sides(f, g), 1e-8)
+        _lorapro_direction(f, gradient_sides(f, g), FactorGrams(f, 1e-8))
         assert counted == {"cholesky": 2, "eigh": 0}
 
     def test_riemannian_direction(self, rng, counted):
         f, g = random_state(rng)
         w_pt = np.zeros(f.shape)
-        riemannian_step(f, quadratic_objective(g, mu=1.0, w_pt=w_pt), 0.1, 1e-8)
+        step(Scheme.RIEMANNIAN, f, quadratic_objective(g, mu=1.0, w_pt=w_pt), 0.1, 1e-8)
         assert counted == {"cholesky": 2, "eigh": 0}
 
     def test_mixed_stack_step_factors_once_per_stage(self, rng, calls):
@@ -333,10 +332,10 @@ class TestFieldProperties:
         degenerate = LoRAFactors(a=f.a, b=b)
         with pytest.raises(NotPositiveDefinite):
             field_eval(degenerate, g, 0.0)
-        sides = gradient_sides(degenerate, g)
-        for direction in (_lorapro_direction, _riemannian_direction):
-            with pytest.raises(NotPositiveDefinite):
-                direction(degenerate, sides, 0.0)
+        # the engine factors the Grams that lora_pro's and riemannian's
+        # directions read, so their refusal is that factorization's
+        with pytest.raises(NotPositiveDefinite):
+            FactorGrams(degenerate, 0.0)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import odelora.solvers as solvers_mod
-from conftest import STEPS, random_factors
+from conftest import random_factors
 from odelora.core import (
     FactorGrams,
     FieldEval,
@@ -15,7 +15,7 @@ from odelora.core import (
     field_eval,
     gradient_sides,
 )
-from odelora.diagnostics import _integrate_weight, _seed_stack, estimate_order
+from odelora.diagnostics import _integrate_weight, _seed_stack, estimate_order, phi_decompose
 from odelora.linalg import NotPositiveDefinite
 from odelora.metrics import balance_defect
 from odelora.problems import (
@@ -33,15 +33,9 @@ from odelora.solvers import (
     Scheme,
     SolverConfig,
     _lorapro_direction,
-    classical_gd_step,
-    full_ft_step,
-    lorapro_step,
-    ode_euler_step,
-    ode_rk2_step,
-    ode_rk4_step,
-    riemannian_step,
     run_stack,
     run_trajectory,
+    step,
 )
 from oracles import DenseObjective, flow_rhs_full
 
@@ -95,7 +89,7 @@ class TestFixedPoints:
         w = effective_weight(w_pt, f)
         obj = quadratic_objective(w, mu=2.0, w_pt=w_pt)  # optimum here
         state = w if scheme is Scheme.FULL_FT else f
-        out = STEPS[scheme](state, obj, 0.25, 1e-8)
+        out = step(scheme, state, obj, 0.25, 1e-8)
         if scheme is Scheme.FULL_FT:
             assert np.array_equal(out, w)
         else:
@@ -106,7 +100,7 @@ class TestOdeEuler:
     def test_scalar_derivation(self):
         f = LoRAFactors(a=[[1.0]], b=[[1.0]])
         g = 0.8
-        out = ode_euler_step(f, ConstantGradient([[g]], np.zeros((1, 1))), 0.1, eps=0.0)
+        out = step(Scheme.ODE_EULER, f, ConstantGradient([[g]], np.zeros((1, 1))), 0.1, eps=0.0)
         assert out.a[0, 0] == pytest.approx(1.0 - 0.05 * g)
         assert out.b[0, 0] == pytest.approx(1.0 - 0.05 * g)
 
@@ -119,11 +113,11 @@ class TestOdeEuler:
         def defect(h):
             state = f0
             for _ in range(round(horizon / h)):
-                state = ode_euler_step(state, obj, h, 1e-8)
+                state = step(Scheme.ODE_EULER, state, obj, h, 1e-8)
             ref = f0
             h_ref = h / 64
             for _ in range(round(horizon / h_ref)):
-                ref = ode_rk4_step(ref, obj, h_ref, 1e-8)
+                ref = step(Scheme.ODE_RK4, ref, obj, h_ref, 1e-8)
             return np.linalg.norm(
                 effective_weight(p.w_pt, state) - effective_weight(p.w_pt, ref)
             )
@@ -149,7 +143,7 @@ class TestOdeRk2:
         dfb = (k_tau.f_b - k1.f_b) / tau
         taylor_a = f.a + h * k1.f_a + 0.5 * h**2 * dfa
         taylor_b = f.b + h * k1.f_b + 0.5 * h**2 * dfb
-        out = ode_rk2_step(f, obj, h, eps=0.0)
+        out = step(Scheme.ODE_RK2, f, obj, h, eps=0.0)
         scale = np.linalg.norm(k1.f_a) + np.linalg.norm(k1.f_b)
         err = np.linalg.norm(out.a - taylor_a) + np.linalg.norm(out.b - taylor_b)
         assert err <= 50.0 * h**3 * max(1.0, scale)
@@ -163,13 +157,13 @@ class TestOdeRk2:
         ref = f0
         h_ref = 0.4 / 2048
         for _ in range(2048):
-            ref = ode_rk4_step(ref, obj, h_ref, 1e-8)
+            ref = step(Scheme.ODE_RK4, ref, obj, h_ref, 1e-8)
         w_ref = effective_weight(p.w_pt, ref)
 
         def defect(h):
             state = f0
             for _ in range(round(horizon / h)):
-                state = ode_rk2_step(state, obj, h, 1e-8)
+                state = step(Scheme.ODE_RK2, state, obj, h, 1e-8)
             return np.linalg.norm(effective_weight(p.w_pt, state) - w_ref)
 
         order = np.log2(defect(0.1) / defect(0.05))
@@ -187,7 +181,7 @@ class TestOdeRk4:
             x=np.zeros((2, 2)),
         )
         monkeypatch.setattr(solvers_mod, "field_eval_sides", lambda *a, **k: frozen)
-        out = ode_rk4_step(f, obj, 0.3, 1e-8)
+        out = step(Scheme.ODE_RK4, f, obj, 0.3, 1e-8)
         assert np.allclose(out.a, f.a + 0.3 * frozen.f_a, atol=1e-14)
         assert np.allclose(out.b, f.b + 0.3 * frozen.f_b, atol=1e-14)
 
@@ -200,13 +194,13 @@ class TestOdeRk4:
         ref = f0
         h_ref = 0.4 / 4096
         for _ in range(4096):
-            ref = ode_rk4_step(ref, obj, h_ref, 1e-8)
+            ref = step(Scheme.ODE_RK4, ref, obj, h_ref, 1e-8)
         w_ref = effective_weight(p.w_pt, ref)
 
         def defect(h):
             state = f0
             for _ in range(round(horizon / h)):
-                state = ode_rk4_step(state, obj, h, 1e-8)
+                state = step(Scheme.ODE_RK4, state, obj, h, 1e-8)
             return np.linalg.norm(effective_weight(p.w_pt, state) - w_ref)
 
         order = np.log2(defect(0.1) / defect(0.05))
@@ -220,17 +214,17 @@ class TestClassicalGd:
         w_pt = rng.standard_normal((5, 6))
         obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.0, w_pt=w_pt)
         g = obj.grad(effective_weight(w_pt, f))
-        out = classical_gd_step(f, obj, 0.2)
+        out = step(Scheme.CLASSICAL_GD, f, obj, 0.2)
         assert np.array_equal(out.a, f.a)
         assert np.allclose(out.b, -0.2 * g @ a.T, atol=1e-14)
 
     def test_factor_gradients_match_finite_differences(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         h = 0.05
-        out = classical_gd_step(f, obj, h)
+        out = step(Scheme.CLASSICAL_GD, f, obj, h)
         da = (out.a - f.a) / -h  # implemented gradient w.r.t. A
         db = (out.b - f.b) / -h
-        step = 1e-6
+        tau = 1e-6
 
         def loss_of(a, b):
             return obj.loss(w_pt + b @ a)
@@ -238,11 +232,11 @@ class TestClassicalGd:
         for _ in range(10):
             d = rng.standard_normal(f.a.shape)
             d /= np.linalg.norm(d)
-            fd = (loss_of(f.a + step * d, f.b) - loss_of(f.a - step * d, f.b)) / (2 * step)
+            fd = (loss_of(f.a + tau * d, f.b) - loss_of(f.a - tau * d, f.b)) / (2 * tau)
             assert abs(fd - np.sum(da * d)) <= 1e-6 * max(1.0, abs(fd))
             e = rng.standard_normal(f.b.shape)
             e /= np.linalg.norm(e)
-            fd_b = (loss_of(f.a, f.b + step * e) - loss_of(f.a, f.b - step * e)) / (2 * step)
+            fd_b = (loss_of(f.a, f.b + tau * e) - loss_of(f.a, f.b - tau * e)) / (2 * tau)
             assert abs(fd_b - np.sum(db * e)) <= 1e-6 * max(1.0, abs(fd_b))
 
 
@@ -253,15 +247,15 @@ class TestRiemannian:
         f = LoRAFactors(a=qa[:, :2].T, b=qb[:, :2])
         w_pt = rng.standard_normal((5, 6))
         obj = quadratic_objective(rng.standard_normal((5, 6)), mu=1.0, w_pt=w_pt)
-        out_r = riemannian_step(f, obj, 0.1, eps=0.0)
-        out_c = classical_gd_step(f, obj, 0.1)
+        out_r = step(Scheme.RIEMANNIAN, f, obj, 0.1, eps=0.0)
+        out_c = step(Scheme.CLASSICAL_GD, f, obj, 0.1)
         assert np.allclose(out_r.a, out_c.a, atol=1e-12)
         assert np.allclose(out_r.b, out_c.b, atol=1e-12)
 
     def test_preconditioned_directions(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         g = obj.grad(effective_weight(w_pt, f))
-        out = riemannian_step(f, obj, 0.1, eps=0.0)
+        out = step(Scheme.RIEMANNIAN, f, obj, 0.1, eps=0.0)
         da = np.linalg.solve(f.b.T @ f.b, f.b.T @ g)
         db = (g @ f.a.T) @ np.linalg.inv(f.a @ f.a.T)
         assert np.linalg.norm(out.a - (f.a - 0.1 * da)) <= 1e-10
@@ -272,7 +266,7 @@ class TestLoraPro:
     def test_effective_direction_matches_projected_flow(self, rng):
         f, w_pt, obj = quadratic_fixture(rng)
         g = obj.grad(effective_weight(w_pt, f))
-        da, db = _lorapro_direction(f, gradient_sides(f, g), 0.0)
+        da, db = _lorapro_direction(f, gradient_sides(f, g), FactorGrams(f, 0.0))
         assert np.linalg.norm(
             f.b @ da + db @ f.a - flow_rhs_full(f, g)
         ) <= 1e-10 * np.linalg.norm(g)
@@ -284,8 +278,8 @@ class TestLoraPro:
         g = obj.grad(effective_weight(p.w_pt, f))
         h = 0.1
         fe = field_eval(f, g, 0.0)
-        pro = lorapro_step(f, obj, h, eps=0.0)
-        euler = ode_euler_step(f, obj, h, eps=0.0)
+        pro = step(Scheme.LORA_PRO, f, obj, h, eps=0.0)
+        euler = step(Scheme.ODE_EULER, f, obj, h, eps=0.0)
         assert np.allclose(euler.a - pro.a, h * fe.x @ f.a, atol=1e-10)
         assert np.allclose(euler.b - pro.b, -h * f.b @ fe.x, atol=1e-10)
 
@@ -295,14 +289,14 @@ class TestLoraPro:
         # weight velocity differs, so its gap is O(h)
         f, w_pt, obj = quadratic_fixture(rng)
 
-        def gap(step, h):
-            other = step(f, obj, h, eps=0.0)
-            euler = ode_euler_step(f, obj, h, eps=0.0)
+        def gap(scheme, h):
+            other = step(scheme, f, obj, h, eps=0.0)
+            euler = step(Scheme.ODE_EULER, f, obj, h, eps=0.0)
             return np.linalg.norm(other.delta() - euler.delta())
 
-        ratio = gap(lorapro_step, 0.1) / gap(lorapro_step, 0.05)
+        ratio = gap(Scheme.LORA_PRO, 0.1) / gap(Scheme.LORA_PRO, 0.05)
         assert 3.4 <= ratio <= 4.6
-        ratio = gap(riemannian_step, 0.1) / gap(riemannian_step, 0.05)
+        ratio = gap(Scheme.RIEMANNIAN, 0.1) / gap(Scheme.RIEMANNIAN, 0.05)
         assert 1.7 <= ratio <= 2.3
 
 
@@ -312,7 +306,7 @@ class TestFullFineTune:
         obj = quadratic_objective(w_star, mu=1.0, w_pt=np.zeros((4, 5)))
         w = rng.standard_normal((4, 5))
         for h in (0.3, 0.9, 1.5):
-            w_next = full_ft_step(w, obj, h)
+            w_next = step(Scheme.FULL_FT, w, obj, h)
             assert np.linalg.norm(w_next - w_star) == pytest.approx(
                 abs(1.0 - h) * np.linalg.norm(w - w_star), rel=1e-12
             )
@@ -323,7 +317,7 @@ class TestFullFineTune:
         h = 1.0 / (1.0 + p.delta)
         w = p.w_pt + 0.3 * p.b_star @ p.a_star
         for _ in range(50):
-            w_next = full_ft_step(w, obj, h)
+            w_next = step(Scheme.FULL_FT, w, obj, h)
             if obj.loss(w) <= 1e-20:  # numerical floor reached
                 break
             assert obj.loss(w_next) < obj.loss(w)
@@ -338,21 +332,21 @@ class TestBalancePreservation:
         obj = sensing_objective(p)
         f0 = perturbed_balanced_init(p, 0.8, 0.05, 0)
 
-        def defect_after(step_fn, h, steps):
+        def defect_after(scheme, h, steps):
             state = f0
             for _ in range(steps):
-                state = step_fn(state, obj, h, 1e-8)
+                state = step(scheme, state, obj, h, 1e-8)
             return balance_defect(state)
 
         cases = (
-            (ode_euler_step, 1, 1),
-            (ode_rk2_step, 2, 10),
-            (ode_rk4_step, 4, 1),
+            (Scheme.ODE_EULER, 1, 1),
+            (Scheme.ODE_RK2, 2, 10),
+            (Scheme.ODE_RK4, 4, 1),
         )
-        for step_fn, order, steps in cases:
-            ratio = defect_after(step_fn, 0.1, steps) / defect_after(step_fn, 0.05, steps)
+        for scheme, order, steps in cases:
+            ratio = defect_after(scheme, 0.1, steps) / defect_after(scheme, 0.05, steps)
             lo, hi = 2 ** (order + 1) * 0.7, 2 ** (order + 1) * 1.4
-            assert lo <= ratio <= hi, (step_fn.__name__, ratio)
+            assert lo <= ratio <= hi, (scheme.value, ratio)
 
 
 def test_solver_config_rejects_non_finite_step_and_eps():
@@ -361,6 +355,50 @@ def test_solver_config_rejects_non_finite_step_and_eps():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 dataclasses.replace(good, **{field: bad})
+
+
+@pytest.mark.parametrize("schemes", [[Scheme.ODE_EULER, Scheme.ODE_RK4],
+                                     [Scheme.CLASSICAL_GD, Scheme.RIEMANNIAN]])
+def test_plan_refuses_schemes_out_of_stack_order(schemes):
+    # the plan's prefix layout holds only in stack order; out of it a slice
+    # would take another slice's stages, with no error
+    with pytest.raises(ValueError, match=", ".join(scheme.value for scheme in schemes)):
+        solvers_mod._plan(schemes)
+    solvers_mod._plan(sorted(schemes, key=list(solvers_mod._METHODS).index))
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+def test_eps_is_refused_where_it_is_passed(eps):
+    # a negative or non-finite eps is the caller's error: ValueError before
+    # any factorization, never one of DIVERGENCE_ERRORS
+    problem = make_regression_instance(8, 8, 0)
+    objective = regression_objective(problem)
+    start = aligned_zero_b_init(problem, 2, 0)
+    w = effective_weight(problem.w_pt, start)
+    calls = [lambda eps, scheme=scheme: step(scheme, w if scheme is Scheme.FULL_FT else start,
+                                             objective, 0.1, eps)
+             for scheme in Scheme]
+    calls += [lambda eps: estimate_order(start, objective, 0.2, (0.1, 0.05), eps),
+              lambda eps: phi_decompose(start, objective, Scheme.ODE_RK4, 0.1, eps),
+              lambda eps: SolverConfig(Scheme.ODE_RK4, 0.1, 1, eps)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be nonnegative and finite") as info:
+            call(eps)
+        assert not isinstance(info.value, solvers_mod.DIVERGENCE_ERRORS)
+
+
+def test_bad_settings_are_refused_at_construction():
+    # each is a caller's error, refused before a run could fail on it deep
+    # inside (a float count in range(), a str scheme in the stack order, a
+    # nan mu as a non-finite G)
+    with pytest.raises(TypeError):
+        SolverConfig(Scheme.ODE_RK4, 0.1, 2.5)
+    with pytest.raises(TypeError, match="Scheme"):
+        SolverConfig("ode_rk4", 0.1, 3)
+    assert SolverConfig(Scheme.ODE_RK4, 0.1, np.int64(3)).iterations == 3
+    for mu in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="^mu must be positive"):
+            quadratic_objective(np.zeros((2, 3)), mu=mu, w_pt=np.zeros((2, 3)))
 
 
 class TestRunTrajectory:
@@ -452,9 +490,9 @@ class TestRunTrajectory:
         assert counting.grads == stages * k + 1
         assert len(reused.rows) == k + 1 and not reused.diverged
 
-        # full_ft steps through its public step, every factor scheme through
+        # full_ft steps through the public step, every factor scheme through
         # the engine; either takes the start's gradient as its last argument
-        name = "full_ft_step" if scheme is Scheme.FULL_FT else "_rk_step"
+        name = "step" if scheme is Scheme.FULL_FT else "_rk_step"
         real = getattr(solvers_mod, name)
         monkeypatch.setattr(solvers_mod, name, lambda *args: real(*args[:-1], g=None))
         fresh = run_trajectory(f, counting, cfg)
@@ -561,7 +599,7 @@ class TestRunTrajectory:
             assert row.grad_norm == float(np.linalg.norm(obj.grad(w)))
             assert row.dist_to_opt == float(np.linalg.norm(w - obj.optimum_w))
             assert row.balance_defect is None and row.eps_ratio is None
-            w = full_ft_step(w, obj, h)
+            w = step(Scheme.FULL_FT, w, obj, h)
 
     def test_rate_matches_theory_on_quadratic_full_ft(self, rng):
         w_star = rng.standard_normal((4, 5))
@@ -578,10 +616,9 @@ class TestRunTrajectory:
 
 def test_every_step_takes_one_signature_and_nothing_takes_a_base_weight():
     # the objective holds the frozen base weight, so no step or run reads one
-    for name in solvers_mod.__all__:
-        if name.endswith("_step"):
-            params = list(inspect.signature(getattr(solvers_mod, name)).parameters)
-            assert params[1:] == ["objective", "h", "eps", "g"], name
+    assert [name for name in solvers_mod.__all__ if "step" in name] == ["step"]
+    params = list(inspect.signature(step).parameters)
+    assert params == ["scheme", "state", "objective", "h", "eps", "g"]
     for fn in (solvers_mod.run_stack, estimate_order, _integrate_weight, Objective.sides,
                Objective.evaluate):
         assert "w_pt" not in inspect.signature(fn).parameters, fn.__name__

@@ -27,8 +27,8 @@ from odelora.problems import (
     zero_b_init,
 )
 from odelora import solvers as solvers_mod
-from odelora.solvers import DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory
-from conftest import STEPS
+from odelora.solvers import (DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory,
+                             step)
 from oracles import dense_evaluate, dense_sides
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -165,7 +165,7 @@ def test_public_steps_equal_their_slice_of_a_mixed_stack(kind, hs, seed, spread)
     after, _ = solvers_mod._rk_step(solvers_mod._plan(schemes), stack, obj,
                                      np.array(hs)[:, None, None], 1e-8)
     for j, (scheme, h) in enumerate(zip(schemes, hs)):
-        alone = STEPS[scheme](stack.take(j), obj, h, 1e-8)
+        alone = step(scheme, stack.take(j), obj, h, 1e-8)
         assert after.a[j].tobytes() == alone.a.tobytes()
         assert after.b[j].tobytes() == alone.b.tobytes()
 
