@@ -220,19 +220,14 @@ def cmd_sweep(cfg: ExperimentConfig, param: str, values, out_dir: Path, *, jobs:
     values = [parse_value(key, value) for value in values]
     if len({f"{value:g}" for value in values}) < len(values):
         raise OutOfRange("sweep.values", f"two values share a cell directory, got {values}")
-    experiments = {}
-    for value in values:
-        value_cfg = set_value(cfg, key, value)
-        pair = (value_cfg.problem, value_cfg.init)
-        if pair not in experiments:
-            experiments[pair] = Experiment(value_cfg)
     cells = [(scheme, value, set_value(set_value(cfg, "solver.scheme", scheme), key, value))
              for scheme in Scheme for value in values]
-    stacks = {}
-    for cell in cells:
-        cell_cfg = cell[2]
+    experiments, stacks = {}, {}
+    for scheme, value, cell_cfg in cells:  # the first scheme builds them in value order
         pair = (cell_cfg.problem, cell_cfg.init)
-        stacks.setdefault((pair, cell_cfg.solver.scheme is Scheme.FULL_FT), []).append(cell)
+        if pair not in experiments:
+            experiments[pair] = Experiment(cell_cfg)
+        stacks.setdefault((pair, scheme is Scheme.FULL_FT), []).append((scheme, value, cell_cfg))
     logs = {}
     for (pair, _), stack in stacks.items():
         ran = experiments[pair].run([cell_cfg for _, _, cell_cfg in stack])

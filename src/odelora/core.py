@@ -17,9 +17,9 @@ factors (e.g. the zero-B start); H then gains ``2 eps * I``.
 
 The field, every factor direction in ``solvers`` and the null-space ratio
 in ``metrics`` read G only through its two sides ``B^T G`` (r x n) and
-``G A^T`` (m x r). ``field_eval_sides`` takes them directly;
-``Objective.sides`` returns them at a factor state, and an objective with
-low-rank structure computes them without forming G.
+``G A^T`` (m x r). ``field_eval_sides`` takes them and the state's
+``FactorGrams``; ``Objective.sides`` returns them at a factor state, and an
+objective with low-rank structure computes them without forming G.
 
 ``FactorGrams`` builds both regularized Grams of one state and their inverse
 Cholesky factors once; the field, the baselines' directions and the
@@ -35,7 +35,7 @@ it, and each slice of a stacked result is bit-for-bit the result of that
 slice alone. A measurement that is one number per state (a loss, a defect,
 a ratio) is a float at an unstacked state and a (k,) array at a stacked
 one. Its dot products and norms are one stacked product (``slice_dots``,
-``slice_norms``), and every objective reads a stack in one call.
+``slice_norms``), and every ``Objective`` method reads a stack in one call.
 ``solvers.run_stack`` steps such stacks.
 """
 
@@ -192,12 +192,12 @@ def gradient_sides(factors: LoRAFactors, g) -> Sides:
 class Objective:
     """Differentiable scalar objective over dense weight matrices.
 
-    Subclasses set ``w_pt``, the frozen base weight, and implement ``loss``
-    and ``grad`` of a 2-D W, and ``sides`` and ``evaluate``, which read the
-    objective at a factor state ``W = W_pt + B A``, stacked or not, in one
-    call on the whole stack; an objective whose residual is cheap in factor
-    form never forms an m x n matrix in ``sides``. ``optimum_*`` are set
-    when the minimizer is known in closed form.
+    Subclasses set ``w_pt``, the frozen base weight, and implement four
+    methods that each read one W or a stack of k in one call, every slice
+    getting the bits it gets alone: ``loss`` and ``grad`` of W, and ``sides``
+    and ``evaluate`` at a factor state ``W = W_pt + B A``. An objective whose
+    residual is cheap in factor form never forms an m x n matrix in ``sides``.
+    ``optimum_*`` are set when the minimizer is known in closed form.
     """
 
     w_pt: np.ndarray | None = None
@@ -298,22 +298,19 @@ def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEv
     and X solves the symmetric Sylvester equation stated in the module
     docstring (with H = A A^T + B^T B + 2 eps I when regularized).
     """
-    return field_eval_sides(factors, gradient_sides(factors, g), eps)
+    return field_eval_sides(factors, gradient_sides(factors, g), FactorGrams(factors, eps))
 
 
-def field_eval_sides(factors: LoRAFactors, sides: Sides, eps: float = 0.0,
-                     grams: FactorGrams | None = None) -> FieldEval:
-    """``field_eval`` given the gradient's sides ``(B^T G, G A^T)`` instead of G.
+def field_eval_sides(factors: LoRAFactors, sides: Sides, grams: FactorGrams) -> FieldEval:
+    """``field_eval`` given the gradient's sides ``(B^T G, G A^T)`` instead of G,
+    and ``grams``, the state's ``FactorGrams(factors, eps)``, already built.
 
-    ``grams``, when given, is ``FactorGrams(factors, eps)``, already built.
     Both solves with B's Gram share one call: its two right-hand sides are
     stacked, and each column's result is the one a separate solve gives.
     """
     a, b = factors.a, factors.b
     bt_g, g_at = sides
     r = factors.rank
-    if grams is None:
-        grams = FactorGrams(factors, eps)
     both = grams.solve_b(np.concatenate([bt_g @ a.mT, bt_g], axis=-1))
     t = both[..., :r]
     x = grams.gauge(t + t.mT)

@@ -37,8 +37,8 @@ from .problems import (
     make_regression_instance,
     regression_objective,
 )
-from .solvers import (DIVERGENCE_ERRORS, Scheme, _ALONE, _plan, _require_base_weight,
-                      _require_eps, _rk_step)
+from .solvers import (DIVERGENCE_ERRORS, DIVERGENCE_LOSS, Scheme, _ALONE, _plan,
+                      _require_base_weight, _require_eps, _require_step, _rk_step)
 
 __all__ = [
     "ReferenceDiverged",
@@ -114,10 +114,11 @@ def estimate_order(
     stack (``solvers._plan``), in the order RK4, RK2, Euler, and each
     slice's terminal weight is the one ``solvers.step`` gives it alone.
     Raises ReferenceDiverged when the reference meets one of
-    ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, and
-    DefectBelowNoiseFloor when a scheme's smallest defect sits at round-off;
-    the reference is checked first, then each scheme in turn.
-    An objective with no base weight raises TypeError before any step.
+    ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, or ends past
+    ``solvers.DIVERGENCE_LOSS``, and DefectBelowNoiseFloor when a scheme's
+    smallest defect sits at round-off; the reference is checked first, then
+    each scheme in turn. An objective with no base weight raises TypeError
+    before any step.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 2 or any(h <= h_next for h, h_next in zip(h_list, h_list[1:])):
@@ -129,11 +130,12 @@ def estimate_order(
     _require_eps(eps)
     _require_base_weight(objective)
     try:
-        reference = _integrate_weight(
-            factors, objective, _ALONE[Scheme.ODE_RK4], min(h_list) / 100.0, horizon, eps
-        )
+        reference = _integrate_weight(factors, objective, _ALONE[Scheme.ODE_RK4],
+                                      min(h_list) / 100.0, horizon, eps)
     except DIVERGENCE_ERRORS as err:
         raise ReferenceDiverged(str(err)) from err
+    if not (loss := objective.loss(reference)) <= DIVERGENCE_LOSS:
+        raise ReferenceDiverged(f"reference loss {loss:.3e} exceeds {DIVERGENCE_LOSS:g}")
     flows = LoRAFactors(*(np.broadcast_to(x, (len(_FLOW_STACK), *x.shape))
                           for x in (factors.a, factors.b)))
     defects_of = {scheme: [] for scheme in _FLOW_STACK}
@@ -198,18 +200,20 @@ def phi_decompose(
     A stacked state on a ``RegressionStack`` of as many instances steps as
     one, slice j on instance j: the report holds (k,) arrays, and slice j's
     values and post-step state are what that slice gives alone. Any other
-    objective than a ``RegressionObjective`` raises TypeError, and a
-    negative or non-finite ``eps`` ValueError.
+    objective than a ``RegressionObjective``, or a scheme not a ``Scheme``,
+    raises TypeError; FULL_FT, or an h or eps out of range, ValueError.
     """
     if not isinstance(objective, RegressionObjective):
         raise TypeError(f"phi_decompose needs a RegressionObjective, "
                         f"got {type(objective).__name__}")
+    _require_step(scheme, h)
+    if scheme is Scheme.FULL_FT:
+        raise ValueError("phi_decompose needs a factor scheme, got full_ft")
     _require_eps(eps)
-    problem = objective.problem
     plan = _ALONE[scheme]
     after, stages = _rk_step(plan, factors, objective, h, eps)
     weights = [stage.b / plan.denominator for stage in plan.stages]
-    s = problem.s[..., :, None]
+    s = objective.problem.s[..., :, None]
     a_s = factors.a @ s
     components = []
     for w, (f_a, f_b) in zip(weights, stages):
@@ -230,7 +234,6 @@ class FeatureScalingResult:
     """Raw per-step component norms and their dimension-scaling fits."""
 
     rows: list[tuple[int, int, int, int, float]]  # (n, seed, step, component, norm)
-    medians: dict[tuple[int, int], float]         # (n, component) -> median norm
     slopes: dict[int, float | None]               # component -> log-log slope vs n
 
 
@@ -298,7 +301,7 @@ def _scaling_fit(rows, n_list) -> FeatureScalingResult:
         series = [medians[(int(n), comp)] for n in n_list]
         fits = len(n_list) >= 2 and min(series) > 1e-12
         slopes[comp] = float(np.polyfit(log_n, np.log(series), 1)[0]) if fits else None
-    return FeatureScalingResult(rows=rows, medians=medians, slopes=slopes)
+    return FeatureScalingResult(rows=rows, slopes=slopes)
 
 
 def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:

@@ -251,7 +251,7 @@ class SensingObjective(_ResidualObjective):
         return StateEval(loss, g, self._gram_sides(factors, k, a_q))
 
     def loss(self, w: np.ndarray) -> float:
-        return float(self._loss_of(w @ self.problem.s - self.problem.y))
+        return self._loss_of(w @ self.problem.s - self.problem.y)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return (w @ self.problem.s - self.problem.y) @ self.problem.s.T
@@ -286,8 +286,8 @@ class QuadraticObjective(Objective):
     At a factor state, stacked or not, ``sides`` and ``evaluate`` form
     ``W = W_pt + B A`` and the gradient ``mu (W - W*)`` on the whole stack
     at once, and take the sides from that G (``gradient_sides``); they call
-    neither ``grad`` nor ``loss``, which take one 2-D W, and each slice gets
-    the bits those give at its own W.
+    neither ``grad`` nor ``loss``, and each slice gets the bits those give
+    at its own W.
     """
 
     def __init__(self, w_star: np.ndarray, mu: float, w_pt: np.ndarray):
@@ -301,7 +301,7 @@ class QuadraticObjective(Objective):
 
     def loss(self, w: np.ndarray) -> float:
         diff = w - self.w_star
-        return 0.5 * self.mu * float(np.sum(diff * diff))
+        return 0.5 * self.mu * np.sum(diff * diff, axis=(-2, -1))
 
     def grad(self, w: np.ndarray) -> np.ndarray:
         return self.mu * (w - self.w_star)
@@ -331,7 +331,7 @@ class RegressionObjective(_ResidualObjective):
         return self._loss_of(w @ self.problem.s - self.problem.y)
 
     def grad(self, w: np.ndarray) -> np.ndarray:
-        return 2.0 * np.outer(w @ self.problem.s - self.problem.y, self.problem.s)
+        return self._grad_of(None, w @ self.problem.s - self.problem.y, None)
 
     def _residual(self, factors: LoRAFactors):
         s = self.problem.s[..., :, None]

@@ -128,10 +128,7 @@ class SolverConfig:
     eps_reg: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if not isinstance(self.scheme, Scheme):
-            raise TypeError(f"scheme must be a Scheme, got {self.scheme!r}")
-        if not 0 < self.step_size < np.inf:
-            raise ValueError("step_size must be positive and finite")
+        _require_step(self.scheme, self.step_size, "step_size")
         if operator.index(self.iterations) < 0:
             raise ValueError("iterations must be nonnegative")
         _require_eps(self.eps_reg, "eps_reg")
@@ -141,6 +138,14 @@ def _require_eps(eps: float, name: str = "eps") -> None:
     """ValueError unless the Grams' Tikhonov term ``eps`` is nonnegative and finite."""
     if not 0 <= eps < np.inf:
         raise ValueError(f"{name} must be nonnegative and finite")
+
+
+def _require_step(scheme: Scheme, h, name: str = "h") -> None:
+    """TypeError unless ``scheme`` is a Scheme; ValueError unless each step size is in (0, inf)."""
+    if not isinstance(scheme, Scheme):
+        raise TypeError(f"scheme must be a Scheme, got {scheme!r}")
+    if not np.all((0 < h) & (h < np.inf)):
+        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ RK4 = Tableau((0.5, 0.5, 1.0), (1, 2, 2, 1), 6)
 
 
 def _flow_direction(factors: LoRAFactors, sides: Sides, grams: FactorGrams):
-    k = field_eval_sides(factors, sides, grams=grams)
+    k = field_eval_sides(factors, sides, grams)
     return k.f_a, k.f_b
 
 
@@ -304,15 +309,14 @@ def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=
 def step(scheme: Scheme, state, objective: Objective, h, eps: float = DEFAULT_EPS, g=None):
     """One step of ``scheme`` from ``state``: the engine's step with the
     scheme's own plan (``_ALONE``), or for FULL_FT ``W - h grad(W)`` on the
-    dense weight, slice by slice on a (k, m, n) stack. A stacked state takes
-    h as a (k, 1, 1) array; ``g`` is the gradient at ``state`` when known."""
+    dense weight or a (k, m, n) stack. A stacked state takes h as a (k, 1, 1)
+    array; ``g`` is the gradient at ``state`` when known. TypeError unless
+    ``scheme`` is a Scheme, ValueError unless h is positive and finite."""
+    _require_step(scheme, h)
     _require_eps(eps)
     if scheme is not Scheme.FULL_FT:
         return _rk_step(_ALONE[scheme], state, objective, h, eps, g)[0]
-    if g is None:
-        g = (objective.grad(state) if state.ndim == 2
-             else np.array([objective.grad(w) for w in state]))
-    return state - h * g
+    return state - h * (objective.grad(state) if g is None else g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -454,7 +458,8 @@ def run_stack(
             dist = slice_norms(w - objective.optimum_w if full
                                else np.subtract(w, objective.optimum_w, out=w))
         if full:
-            loss = np.array([float(objective.loss(x)) for x in w])
+            loss = objective.loss(w)
+            # per slice: perfbench/tracer.py's grad_flops reads a 2-D W
             g = first = np.array([objective.grad(x) for x in w])
         else:
             del w  # the dense W is not held while the objective is evaluated

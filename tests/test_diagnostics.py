@@ -188,6 +188,15 @@ class TestEstimateOrder:
         with pytest.raises(ReferenceDiverged):
             estimate_order(f0, obj, 50.0, [50.0, 25.0])
 
+    def test_blown_up_reference_is_refused(self, rng):
+        # at h = 0.02, h mu = 8 is past RK4's stability limit of 2.785: the
+        # reference raises nothing but ends at a loss of about 1e129, which
+        # no defect can be measured against
+        obj = quadratic_objective(np.zeros((3, 3)), mu=400.0, w_pt=np.zeros((3, 3)))
+        f0 = random_factors(rng, 2, 3, 3)
+        with pytest.raises(ReferenceDiverged, match="reference loss"):
+            estimate_order(f0, obj, 4.0, (4.0, 2.0))
+
     @pytest.mark.parametrize("horizon, h_list, bad", [
         (1.0, (0.3, 0.15, 0.07), 0.3),  # 1 / 0.3 steps round to 3, ending at t = 0.9
         (1.0, (0.2, 0.1, 0.07), 0.07),

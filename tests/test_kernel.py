@@ -316,7 +316,7 @@ class TestFieldProperties:
         assume_factorable(moved, 0.0)
 
         def velocity(factors):
-            fe = field_eval_sides(factors, gradient_sides(factors, g), 0.0)
+            fe = field_eval_sides(factors, gradient_sides(factors, g), FactorGrams(factors, 0.0))
             return factors.b @ fe.f_a + fe.f_b @ factors.a
 
         kappa = conditioning(f, 0.0) + conditioning(moved, 0.0)

@@ -387,6 +387,34 @@ def test_eps_is_refused_where_it_is_passed(eps):
         assert not isinstance(info.value, solvers_mod.DIVERGENCE_ERRORS)
 
 
+def test_scheme_and_step_size_are_refused_where_they_are_passed():
+    # a scheme that is not a Scheme, a step size that is not positive and
+    # finite (a float, or one slice of a (k, 1, 1) array) and a full_ft
+    # decomposition are the caller's errors, never one of DIVERGENCE_ERRORS
+    problem = make_regression_instance(8, 8, 0)
+    objective = regression_objective(problem)
+    start = aligned_zero_b_init(problem, 2, 0)
+    w = effective_weight(problem.w_pt, start)
+    stack = LoRAFactors(np.stack([start.a] * 2), np.stack([start.b] * 2))
+    with pytest.raises(TypeError, match="Scheme"):
+        step("ode_rk4", start, objective, 0.1)
+    with pytest.raises(TypeError, match="Scheme"):
+        phi_decompose(start, objective, "ode_rk4", 0.1)
+    calls = [lambda h, scheme=scheme: step(scheme, w if scheme is Scheme.FULL_FT else start,
+                                           objective, h)
+             for scheme in Scheme]
+    calls.append(lambda h: phi_decompose(start, objective, Scheme.ODE_RK4, h))
+    for h in (-0.1, 0.0, float("nan"), float("inf")):
+        for call in calls:
+            with pytest.raises(ValueError, match="must be positive and finite") as info:
+                call(h)
+            assert not isinstance(info.value, solvers_mod.DIVERGENCE_ERRORS)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        step(Scheme.ODE_RK4, stack, objective, np.array([0.1, -0.1])[:, None, None])
+    with pytest.raises(ValueError, match="full_ft"):
+        phi_decompose(start, objective, Scheme.FULL_FT, 0.1)
+
+
 def test_bad_settings_are_refused_at_construction():
     # each is a caller's error, refused before a run could fail on it deep
     # inside (a float count in range(), a str scheme in the stack order, a
@@ -399,6 +427,28 @@ def test_bad_settings_are_refused_at_construction():
     for mu in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="^mu must be positive"):
             quadratic_objective(np.zeros((2, 3)), mu=mu, w_pt=np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("kind", ["sensing", "regression", "quadratic"])
+def test_full_ft_steps_a_stack_in_one_grad_call(kind, monkeypatch):
+    # without g, a stacked full_ft step reads the gradient of the whole
+    # (k, m, n) stack in one call, and each slice gets its step alone
+    rng = np.random.default_rng(5)
+    if kind == "sensing":
+        obj = sensing_objective(make_sensing_instance(6, 7, 7, 2, 0.05, 1))
+    elif kind == "regression":
+        obj = regression_objective(make_regression_instance(7, 6, 1))
+    else:
+        obj = quadratic_objective(rng.standard_normal((6, 7)), 2.0, rng.standard_normal((6, 7)))
+    w = obj.w_pt + rng.standard_normal((3, 6, 7))
+    hs = np.array([0.05, 0.5, 2.2])
+    alone = [step(Scheme.FULL_FT, w[j], obj, h) for j, h in enumerate(hs)]
+    shapes, grad = [], obj.grad
+    monkeypatch.setattr(obj, "grad", lambda x: shapes.append(np.shape(x)) or grad(x))
+    after = step(Scheme.FULL_FT, w, obj, hs[:, None, None])
+    assert shapes == [(3, 6, 7)]
+    for j in range(3):
+        assert after[j].tobytes() == alone[j].tobytes()
 
 
 class TestRunTrajectory:

@@ -198,6 +198,36 @@ def test_quadratic_reads_a_stack_as_the_dense_route_does(m, n, r, k, mu, seed):
     assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["sensing", "regression", "quadratic"]),
+    m=st.integers(1, 120),
+    n=st.integers(1, 120),
+    o=st.integers(1, 120),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_loss_and_grad_read_a_stack(kind, m, n, o, k, seed):
+    # loss and grad of a (k, m, n) stack of weights, one call each, must give
+    # each slice, bit for bit, what they give at that slice's W alone. Up to
+    # 120 x 120 weights, so that a loss sums more than one buffer of 8192
+    # entries.
+    rng = np.random.default_rng(seed)
+    if kind == "sensing":
+        obj = sensing_objective(make_sensing_instance(m, n, min(o, n), 1, 0.05, seed))
+    elif kind == "regression":
+        obj = regression_objective(make_regression_instance(n, m, seed))
+    else:
+        obj = quadratic_objective(rng.standard_normal((m, n)), rng.uniform(0.01, 100.0),
+                                  rng.standard_normal((m, n)))
+    w = rng.standard_normal((k, m, n))
+    loss, g = obj.loss(w), obj.grad(w)
+    assert np.shape(loss) == (k,) and g.shape == (k, m, n)
+    for j in range(k):
+        assert loss[j].tobytes() == np.float64(obj.loss(w[j])).tobytes()
+        assert g[j].tobytes() == obj.grad(w[j]).tobytes()
+
+
 def eps_ratio_alone(f, g, eps):
     """``metrics.eps_ratio``'s trace identity at one state, its ||G||^2 and
     traces taken one np.sum and one np.vdot at a time."""
