@@ -73,20 +73,45 @@ TRAJECTORY_HEADER = ",".join(field.name for field in dataclasses.fields(Trajecto
 _row_values = operator.attrgetter(*TRAJECTORY_HEADER.split(","))
 
 
+# A cell's %-format by its kind: missing, bool, float or float64, anything
+# else. '%.0s' takes a cell and writes nothing of it, and '%.17g' % x is
+# format(x, '.17g'), nan, inf, -0.0 and subnormals included.
+_CELL_FORMATS = ("%.0s", "%s", "%.17g", "%s")
+_KINDS = {type(None): 0, bool: 1, float: 2, np.float64: 2, int: 3, str: 3}
+
+
+@functools.lru_cache(maxsize=128)
+def _row_format(kinds: bytes) -> str:
+    """The %-format of a CSV row whose cells are of ``kinds``."""
+    return ",".join(_CELL_FORMATS[kind] for kind in kinds)
+
+
+def _fmt_row(row) -> str:
+    """One CSV line of the cells ``row`` through one %-format: empty for
+    missing, ``true``/``false`` for bools, 17 significant digits for floats
+    and float64, and ``str`` otherwise. The kinds are a ``bytes`` key, not
+    a tuple, so a row allocates no object that the cyclic collector tracks:
+    one more tuple per row shifted its passes and raised a sweep's peak
+    resident memory by about 0.6 MB."""
+    row = tuple(row)
+    try:
+        kinds = bytes(map(_KINDS.__getitem__, map(type, row)))
+    except KeyError:  # a type outside _KINDS
+        kinds = bytes(0 if cell is None else 1 if isinstance(cell, bool)
+                      else 2 if isinstance(cell, float) else 3 for cell in row)
+    if 1 in kinds:
+        row = tuple(str(cell).lower() if kind == 1 else cell for cell, kind in zip(row, kinds))
+    return _row_format(kinds) % row
+
+
 def _fmt(value) -> str:
     """CSV cell: empty for missing, 17 significant digits for floats and float64."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return _fmt_row((value,))
 
 
 def _write_table(path: Path, header: str, rows) -> None:
-    """Write ``header`` and one CSV line per row, a tuple of cells through ``_fmt``."""
-    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
+    """Write ``header`` and one CSV line per row, a tuple of cells (``_fmt_row``)."""
+    lines = [header, *map(_fmt_row, rows)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -123,7 +148,7 @@ class Experiment:
     def _initial_factors(self, prob, init) -> LoRAFactors:
         if init.scheme == "zero_b":
             if self.regression is not None:
-                return aligned_zero_b_init(self.regression, prob.r, init.seed)
+                return aligned_zero_b_init(self.regression.s, prob.m, prob.r, init.seed)
             return zero_b_init(prob.n, prob.m, prob.r, init.seed)
         if self.sensing is not None:
             return perturbed_balanced_init(self.sensing, init.scale, init.perturbation, init.seed)

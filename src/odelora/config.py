@@ -234,6 +234,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise OutOfRange("problem.r", f"rank {prob.r} exceeds min(m, n) = {min(prob.m, prob.n)}")
     if prob.o > prob.n:
         raise OutOfRange("problem.o", f"o = {prob.o} exceeds n = {prob.n}")
+    if prob.kind == "regression" and cfg.init.scheme == "zero_b" and prob.n < 2:
+        # every row of A would be parallel to the feature it is aligned with
+        raise OutOfRange("problem.n",
+                         f"a zero_b start on a regression needs n >= 2, got {prob.n}")
     return replace(cfg, problem=prob)
 
 

@@ -16,9 +16,10 @@ j on instance j, with each value a (k,) array.
 ``feature_scaling_experiment`` runs each scheme over every dimension n in
 turn, the seeds of one n as one stack, kept from the flow's pass for
 factor descent's. A stack keeps each instance's feature and offset
-``W_pt s - y``, not its dense ``W_pt``, which is freed before the next is
-built. When a stacked step fails, the seeds run again alone, each from its
-start, so every row and error is the one each seed gives alone.
+``W_pt s - y``, drawn in row blocks without forming the dense ``W_pt``
+(``problems.make_regression_stack``). When a stacked step fails, the seeds
+run again alone, each from its start, so every row and error is the one
+each seed gives alone.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .core import DEFAULT_EPS, LoRAFactors, Objective, effective_weight, slice_n
 from .linalg import NonFiniteState
 from .problems import (
     RegressionObjective,
-    RegressionStack,
     aligned_zero_b_init,
-    make_regression_instance,
+    make_regression_stack,
     regression_objective,
 )
 from .solvers import (DIVERGENCE_ERRORS, DIVERGENCE_LOSS, Scheme, _ALONE, _plan,
@@ -238,20 +238,14 @@ class FeatureScalingResult:
 
 
 def _seed_stack(n: int, seeds):
-    """The objective of the ``(n, seed)`` regression instances, stacked in
-    seed order, and their starts as one stack. Each instance's dense
-    ``W_pt`` is freed once its offset is formed, so one is alive at a time."""
-    features, offsets, a, b = [], [], [], []
-    for seed in seeds:
-        problem = make_regression_instance(n, n, seed)
-        start = aligned_zero_b_init(problem, FEATURE_SCALING_RANK, seed)
-        features.append(problem.s)
-        offsets.append(problem.w_pt @ problem.s - problem.y)
-        a.append(start.a)
-        b.append(start.b)
-        del problem, start
-    stack = RegressionStack(np.array(features), np.array(offsets))
-    return regression_objective(stack), LoRAFactors(np.array(a), np.array(b))
+    """The objective of the ``(n, seed)`` square regression instances,
+    stacked in seed order (``make_regression_stack``, which forms no
+    ``W_pt``), and their aligned starts as one stack."""
+    stack = make_regression_stack(n, n, seeds)
+    starts = [aligned_zero_b_init(s, n, FEATURE_SCALING_RANK, seed)
+              for s, seed in zip(stack.s, seeds)]
+    return regression_objective(stack), LoRAFactors(np.array([start.a for start in starts]),
+                                                     np.array([start.b for start in starts]))
 
 
 def _scaling_rows(scheme, objective, start, n, seeds, steps, h):
@@ -316,12 +310,13 @@ def feature_scaling_experiment(n_list, steps: int, h: float, seeds) -> dict:
     contribution; the rows of one n are seed-major, then in step order.
     RK4's pass builds each n's stack, a ``RegressionStack`` of each
     instance's feature and offset ``W_pt s - y`` with the starts, and keeps
-    it for factor descent's. Each dense ``W_pt`` is freed before the next
-    instance is built, and a stack holds O(k (m + n) r) floats for k seeds,
-    below one ``W_pt`` while k r is well under n. A component's slope is
-    the log-log slope of its median norm against n (``None`` when the
-    medians vanish); flat slopes mean one step size trains every width at
-    the same output speed.
+    it for factor descent's. No dense ``W_pt`` is formed: each is drawn in
+    64-row blocks through one reused buffer, keeping only ``W_pt s``, so an
+    n holds O(k r n + 64 n) floats for k seeds, and the stack has the bits
+    of the instances ``make_regression_instance`` builds. A component's
+    slope is the log-log slope of its median norm against n (``None`` when
+    the medians vanish); flat slopes mean one step size trains every width
+    at the same output speed.
 
     Under this aligned start both schemes are dimension-free by
     construction (factor descent's iterates never involve n, so its slopes

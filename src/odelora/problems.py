@@ -39,6 +39,7 @@ __all__ = [
     "zero_b_init",
     "aligned_zero_b_init",
     "make_regression_instance",
+    "make_regression_stack",
     "perturbed_balanced_init",
     "perturbed_target_init",
 ]
@@ -410,27 +411,80 @@ def zero_b_init(n: int, m: int, r: int, seed, align=None) -> LoRAFactors:
     return LoRAFactors(a=rows, b=np.zeros((m, r)))
 
 
-def aligned_zero_b_init(problem: RegressionProblem, r: int, seed) -> LoRAFactors:
-    """``zero_b_init`` aligned with the problem's feature ``s``.
+def aligned_zero_b_init(s, m: int, r: int, seed) -> LoRAFactors:
+    """``zero_b_init`` of an m x n weight, aligned with the regression
+    feature ``s`` (an n-vector).
 
     The start draws from ``SeedSequence([seed, 1])``: an instance built
     from the same ``seed`` draws its feature from the same first normals,
     which would make the first row of A parallel to it.
     """
-    m, n = problem.w_pt.shape
-    return zero_b_init(n, m, r, np.random.SeedSequence([seed, 1]), align=problem.s)
+    return zero_b_init(len(s), m, r, np.random.SeedSequence([seed, 1]), align=s)
+
+
+# Rows of W_pt drawn per block; a short tail joins the block before it.
+_BLOCK_ROWS = 64
+
+
+def _draw_regression(n: int, m: int, seed, rows: np.ndarray):
+    """Draw one regression instance's stream and return ``(s, W_pt s, u)``.
+
+    The stream is the unit feature s, then W_pt's rows with N(0, 1/n)
+    entries, then the unit label offset u. W_pt is drawn in blocks of
+    ``_BLOCK_ROWS`` rows, the last block taking the tail, and ``W_pt s`` is
+    taken block by block. ``rows`` receives the blocks: the m x n W_pt
+    itself, filled in place, or a buffer of at least
+    ``min(m, 2 * _BLOCK_ROWS - 1)`` rows that every block reuses. At one
+    OpenBLAS thread the blocked ``W_pt s`` has matched the full product bit
+    for bit on every shape tried, and unlike the full product its bits do
+    not depend on the thread count. Blocks that leave a short tail alone
+    (one row of 1025, say) do not match it.
+    """
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(n)
+    s /= np.linalg.norm(s)
+    scale = np.sqrt(n)
+    starts = range(0, max(m // _BLOCK_ROWS, 1) * _BLOCK_ROWS, _BLOCK_ROWS)
+    w_s = np.empty(m)
+    for start, stop in zip(starts, [*starts[1:], m]):
+        block = rows[start:stop] if len(rows) == m else rows[:stop - start]
+        rng.standard_normal(out=block)
+        block /= scale
+        w_s[start:stop] = block @ s
+    u = rng.standard_normal(m)
+    u /= np.linalg.norm(u)
+    return s, w_s, u
 
 
 def make_regression_instance(n: int, m: int, seed) -> RegressionProblem:
     """Unit feature s, Gaussian base weight with N(0, 1/n) entries, and a
-    label placed so the initial residual ||W_pt s - y|| is exactly 1."""
-    rng = np.random.default_rng(seed)
-    s = rng.standard_normal(n)
-    s /= np.linalg.norm(s)
-    w_pt = rng.standard_normal((m, n)) / np.sqrt(n)
-    u = rng.standard_normal(m)
-    u /= np.linalg.norm(u)
-    return RegressionProblem(s=s, y=w_pt @ s + u, w_pt=w_pt)
+    label placed so the initial residual ||W_pt s - y|| is exactly 1.
+
+    W_pt is filled in row blocks (``_draw_regression``), and ``y`` is
+    ``W_pt s + u`` with the blocked product, so ``make_regression_stack``
+    gives the same features and offsets without forming W_pt.
+    """
+    w_pt = np.empty((m, n))
+    s, w_s, u = _draw_regression(n, m, seed, w_pt)
+    return RegressionProblem(s=s, y=w_s + u, w_pt=w_pt)
+
+
+def make_regression_stack(n: int, m: int, seeds) -> RegressionStack:
+    """The instances ``make_regression_instance(n, m, seed)`` of ``seeds``,
+    in order, as a ``RegressionStack`` with the same bits: each feature s
+    and offset ``W_pt s - y``.
+
+    No W_pt is formed: each is drawn in row blocks through one buffer of
+    at most ``2 * _BLOCK_ROWS - 1`` rows, so the build holds
+    O(k (m + n) + _BLOCK_ROWS n) floats for k seeds.
+    """
+    rows = np.empty((min(m, 2 * _BLOCK_ROWS - 1), n))
+    features, offsets = [], []
+    for seed in seeds:
+        s, w_s, u = _draw_regression(n, m, seed, rows)
+        features.append(s)
+        offsets.append(w_s - (w_s + u))
+    return RegressionStack(np.array(features), np.array(offsets))
 
 
 def perturbed_balanced_init(

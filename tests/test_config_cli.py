@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odelora.cli import Experiment, cmd_feature_scaling, cmd_order, cmd_run, cmd_sweep, main
+from odelora.cli import (Experiment, _write_table, cmd_feature_scaling, cmd_order, cmd_run,
+                         cmd_sweep, main)
 from odelora.config import (
     ExperimentConfig,
     OutOfRange,
@@ -213,6 +214,22 @@ def _read_csv(path: Path):
 def _strip_wall(text: str) -> str:
     lines = text.strip().splitlines()
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
+
+
+def test_table_cells_keep_their_text(tmp_path):
+    # a row is formatted through one cached %-format; each cell reads as it
+    # did through format(x, ".17g"), str(bool).lower() and str
+    floats = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308,
+              0.1, np.float64(1 / 3), np.float64("nan")]
+    rows = [(*floats, 7, np.int64(-3), True, False, None, "ode_rk4"),
+            (None, True, 1.5, 0), (False, None, 2, 0.0), (1, 1.0, True)]
+    _write_table(tmp_path / "t.csv", "header", rows)
+    want = ["header",
+            ",".join([*(format(x, ".17g") for x in floats), "7", "-3", "true", "false", "",
+                      "ode_rk4"]),
+            ",true,1.5,0", "false,,2,0", "1,1,true"]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+    assert want[1].startswith("nan,inf,-inf,-0,4.9406564584124654e-324,1.7976931348623157e+308,")
 
 
 class TestCmdRun:
@@ -523,6 +540,19 @@ class TestMain:
             assert main(["run", "--config", str(config), "--out", str(out), "--seed", seed]) == 0
             rows = _read_csv(out / "trajectory.csv")
             assert len(rows) == 5 and rows[-1][1] != "nan"
+
+    def test_regression_zero_b_start_at_one_column_exits_two_without_output(self, tmp_path,
+                                                                          capsys):
+        # at n = 1 every row of A is parallel to the feature it is aligned with
+        config = tmp_path / "c.ini"
+        config.write_text("[problem]\nkind = regression\nm = 5\nn = 1\nr = 1\n"
+                          "[init]\nscheme = zero_b\n")
+        for verb, flags in (("run", []), ("sweep", ["--param", "h", "--values", "0.1"]),
+                            ("order", [])):
+            out = tmp_path / verb
+            assert main([verb, "--config", str(config), "--out", str(out), *flags]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: problem.n: a zero_b start")
 
     def test_regression_balanced_start_is_perturbed(self):
         def start_delta(perturbation):

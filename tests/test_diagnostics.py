@@ -336,31 +336,31 @@ class TestFeatureScaling:
 
     def test_steps_form_no_weight_and_one_objective_per_instance(self, monkeypatch, tmp_path):
         # a step's m x n work would be B A, formed by LoRAFactors.delta; each
-        # instance is built once and forms its offset W_pt s - y once, and
-        # the seeds of one n share one objective, over the stack of their
-        # offsets, which serves both schemes
+        # instance is drawn once, into the stack of its n, and the seeds of
+        # one n share one objective, over that stack of their offsets, which
+        # serves both schemes
         from odelora import diagnostics
         from odelora.cli import cmd_feature_scaling
         from odelora.problems import RegressionObjective
 
         deltas, instances, objectives = [], [], []
         real_delta, real_init = LoRAFactors.delta, RegressionObjective.__init__
-        real_instance = diagnostics.make_regression_instance
+        real_stack = diagnostics.make_regression_stack
 
         def counting_delta(self):
             deltas.append(1)
             return real_delta(self)
 
-        def counting_instance(*args):
-            instances.append(args)
-            return real_instance(*args)
+        def counting_stack(n, m, seeds):
+            instances.extend((n, m, seed) for seed in seeds)
+            return real_stack(n, m, seeds)
 
         def counting_init(self, problem):
             objectives.append(problem)
             real_init(self, problem)
 
         monkeypatch.setattr(LoRAFactors, "delta", counting_delta)
-        monkeypatch.setattr(diagnostics, "make_regression_instance", counting_instance)
+        monkeypatch.setattr(diagnostics, "make_regression_stack", counting_stack)
         monkeypatch.setattr(RegressionObjective, "__init__", counting_init)
         results = feature_scaling_experiment([16, 32], steps=3, h=0.1, seeds=2)
         for result in results.values():
@@ -376,8 +376,8 @@ class TestFeatureScaling:
         assert deltas == []
 
     def test_one_instance_alive_at_a_time(self):
-        # the previous (n, seed) instance is freed before the next is built,
-        # so the peak holds one dense 512 x 512 W_pt (2 MiB), not two
+        # no (n, seed) instance forms its dense W_pt, so the peak stays below
+        # one and a half dense 512 x 512 W_pt (2 MiB each)
         import tracemalloc
 
         feature_scaling_experiment([8], 1, 0.1, [0])  # keeps one-off first-call allocations out
@@ -388,6 +388,23 @@ class TestFeatureScaling:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 512 * 512 * 8
+
+    def test_stack_build_forms_no_dense_weight(self):
+        # an n = 2048 stack of two seeds and their starts is drawn through one
+        # buffer of row blocks: its peak stays below a quarter of one dense
+        # 2048 x 2048 W_pt (32 MiB)
+        import tracemalloc
+        from odelora.diagnostics import _seed_stack
+
+        _seed_stack(8, [0])  # keeps one-off first-call allocations out
+        tracemalloc.start()
+        try:
+            objective, start = _seed_stack(2048, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert objective.problem.offset.shape == (2, 2048) and start.a.shape == (2, 4, 2048)
+        assert peak < 2048 * 2048 * 8 / 4
 
     def test_flow_divergence_takes_precedence(self, monkeypatch):
         # factor descent fails on the first instance and the flow only on the

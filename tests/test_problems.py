@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +18,7 @@ from odelora.problems import (
     aligned_zero_b_init,
     balanced_init,
     make_regression_instance,
+    make_regression_stack,
     make_rip_sensing,
     make_sensing_instance,
     perturbed_balanced_init,
@@ -259,7 +265,7 @@ class TestZeroBInit:
 class TestAlignedZeroBInit:
     def test_draws_from_the_start_stream(self):
         p = make_regression_instance(30, 20, 5)
-        f = aligned_zero_b_init(p, 3, 5)
+        f = aligned_zero_b_init(p.s, 20, 3, 5)
         want = zero_b_init(30, 20, 3, np.random.SeedSequence([5, 1]), align=p.s)
         assert np.array_equal(f.a, want.a) and np.array_equal(f.b, want.b)
 
@@ -267,7 +273,7 @@ class TestAlignedZeroBInit:
         # the instance and the start share the seed, as under ``--seed N``
         for seed in range(20):
             p = make_regression_instance(40, 40, seed)
-            f = aligned_zero_b_init(p, 4, seed)
+            f = aligned_zero_b_init(p.s, 40, 4, seed)
             assert np.allclose(f.a @ p.s, 0.5, atol=1e-12)
 
 
@@ -283,6 +289,51 @@ class TestMakeRegressionInstance:
             for seed in range(20):
                 p = make_regression_instance(n, n, seed)
                 assert 0.3 <= np.linalg.norm(p.w_pt @ p.s) <= 3.0
+
+
+# Prints a digest of the blocked regression stacks and instances, as a
+# child process at the BLAS thread count of its argument. At one thread it
+# first checks them, bit for bit, against the dense draw and the full
+# products W_pt @ s that both were once built from: at m = 1025 the rows
+# form 15 blocks of 64 and one of 65, and at m = 193 two of 64 and one of 65.
+_BLOCKED_DRAW = """
+import hashlib, sys
+import numpy as np
+from odelora.problems import make_regression_instance, make_regression_stack
+digest = hashlib.sha256()
+for n, m in ((1025, 1025), (70, 193), (300, 64), (1100, 130), (9, 5)):
+    stack = make_regression_stack(n, m, [4, 0])
+    for j, seed in enumerate([4, 0]):
+        p = make_regression_instance(n, m, seed)
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(n)
+        s /= np.linalg.norm(s)
+        w_pt = rng.standard_normal((m, n)) / np.sqrt(n)
+        u = rng.standard_normal(m)
+        u /= np.linalg.norm(u)
+        assert stack.s[j].tobytes() == p.s.tobytes() == s.tobytes(), (n, m)
+        assert p.w_pt.tobytes() == w_pt.tobytes(), (n, m)
+        if sys.argv[1] == "1":
+            y = w_pt @ s + u
+            assert p.y.tobytes() == y.tobytes(), (n, m)
+            assert stack.offset[j].tobytes() == (w_pt @ s - y).tobytes(), (n, m)
+        digest.update(p.y.tobytes() + stack.offset[j].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blocked_draw_keeps_the_dense_bits_at_any_thread_count():
+    import odelora
+
+    def digest(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(odelora.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", _BLOCKED_DRAW, threads], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        return child.stdout
+
+    assert digest("1") == digest("2")
 
 
 class TestCertificate:

@@ -373,7 +373,7 @@ def test_eps_is_refused_where_it_is_passed(eps):
     # any factorization, never one of DIVERGENCE_ERRORS
     problem = make_regression_instance(8, 8, 0)
     objective = regression_objective(problem)
-    start = aligned_zero_b_init(problem, 2, 0)
+    start = aligned_zero_b_init(problem.s, 8, 2, 0)
     w = effective_weight(problem.w_pt, start)
     calls = [lambda eps, scheme=scheme: step(scheme, w if scheme is Scheme.FULL_FT else start,
                                              objective, 0.1, eps)
@@ -393,7 +393,7 @@ def test_scheme_and_step_size_are_refused_where_they_are_passed():
     # decomposition are the caller's errors, never one of DIVERGENCE_ERRORS
     problem = make_regression_instance(8, 8, 0)
     objective = regression_objective(problem)
-    start = aligned_zero_b_init(problem, 2, 0)
+    start = aligned_zero_b_init(problem.s, 8, 2, 0)
     w = effective_weight(problem.w_pt, start)
     stack = LoRAFactors(np.stack([start.a] * 2), np.stack([start.b] * 2))
     with pytest.raises(TypeError, match="Scheme"):
@@ -573,7 +573,7 @@ class TestRunTrajectory:
         # Gram (and, after a classical_gd step, B's rank-one Gram), so each
         # row's ratio is blank, and the run is the one that logs no ratio
         p = make_regression_instance(12, 10, 0)
-        start, obj = aligned_zero_b_init(p, 2, 0), regression_objective(p)
+        start, obj = aligned_zero_b_init(p.s, 10, 2, 0), regression_objective(p)
         with pytest.raises(NotPositiveDefinite):
             FactorGrams(start, 0.0)
         config = SolverConfig(scheme, 0.1, 4, eps_reg=0.0)

@@ -131,7 +131,7 @@ def test_stacked_phi_equals_single_instances(n, seeds, h, scheme):
     # slice alone runs on today's objective, which forms its offset from W_pt
     problems = [make_regression_instance(n, n, seed) for seed in seeds]
     singles = [regression_objective(p) for p in problems]
-    states = [aligned_zero_b_init(p, 4, seed) for p, seed in zip(problems, seeds)]
+    states = [aligned_zero_b_init(p.s, n, 4, seed) for p, seed in zip(problems, seeds)]
     stack = regression_objective(RegressionStack(
         np.array([p.s for p in problems]), np.array([p.w_pt @ p.s - p.y for p in problems])))
     state = LoRAFactors(np.array([f.a for f in states]), np.array([f.b for f in states]))
