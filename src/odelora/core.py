@@ -197,7 +197,8 @@ class Objective:
     getting the bits it gets alone: ``loss`` and ``grad`` of W, and ``sides``
     and ``evaluate`` at a factor state ``W = W_pt + B A``. An objective whose
     residual is cheap in factor form never forms an m x n matrix in ``sides``.
-    ``optimum_*`` are set when the minimizer is known in closed form.
+    ``optimum_*`` are set when the minimizer is known in closed form, and
+    ``dist_to_opt`` reads the distance to it at a factor state.
     """
 
     w_pt: np.ndarray | None = None
@@ -217,6 +218,15 @@ class Objective:
     def evaluate(self, factors: LoRAFactors) -> StateEval:
         """Loss, gradient and sides at ``W_pt + B A``, for a logged row."""
         raise NotImplementedError
+
+    def dist_to_opt(self, factors: LoRAFactors):
+        """``||W_pt + B A - W*||_F`` at a factor state, a (k,) array at a stack;
+        None when ``optimum_w`` is unknown. This default forms W and
+        subtracts ``optimum_w`` from it in place."""
+        if self.optimum_w is None:
+            return None
+        w = effective_weight(self.w_pt, factors)
+        return slice_norms(np.subtract(w, self.optimum_w, out=w))
 
 
 class FieldEval(NamedTuple):

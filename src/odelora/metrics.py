@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FactorGrams, LoRAFactors, gram_a, gram_b, slice_dots, slice_norms
-from .linalg import as_matrix
+from .linalg import NonFiniteState, as_matrix
 
 __all__ = [
     "ZeroGradient",
@@ -64,14 +64,26 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
     that is far larger than G: handed those sides, the default sensing run
     logged 36 of its 501 ratios outside [-1e-12, 1 + 1e-12], down to -0.018.
 
-    At a stacked state, with G a (k, m, n) stack, the ratios come as a (k,)
+    G is checked here (``as_matrix``), and ``||G||^2`` is
+    ``core.slice_dots(G, G)``, whose square root is a logged row's
+    ``grad_norm``. So ZeroGradient, raised when that root is at most 1e-14,
+    falls on exactly the rows whose ``grad_norm`` is; a logged row hands
+    its own ``||G||^2`` to ``_ratio`` and gets the bits of this call. At a
+    stacked state, with G a (k, m, n) stack, the ratios come as a (k,)
     array, and ZeroGradient is raised if any slice's gradient vanishes.
-    ``||G||^2`` is one sum over the trailing axes and each trace one
-    stacked dot product (``core.slice_dots``), each slice's the bits of the
+    Each trace is one stacked dot product, each slice's the bits of the
     same call on that slice alone.
     """
     g = as_matrix(g, "G", stack=True)
-    gnorm2 = np.sum(g * g, axis=(-2, -1))
+    return _ratio(factors, g, slice_dots(g, g), eps)
+
+
+def _ratio(factors: LoRAFactors, g: np.ndarray, gnorm2, eps: float):
+    """``eps_ratio`` of a G already known to be a matrix or stack of ``factors``'
+    shape, given ``gnorm2 = slice_dots(G, G)``; NonFiniteState if that is not
+    finite. A float at an unstacked state, else a (k,) array."""
+    if not np.isfinite(gnorm2).all():
+        raise NonFiniteState("G has a non-finite Frobenius norm")
     if (np.sqrt(gnorm2) <= 1e-14).any():
         raise ZeroGradient("gradient norm at or below 1e-14")
     a, b = factors.a, factors.b
@@ -83,7 +95,7 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
     right = grams.solve_a(np.concatenate((g_at.mT, t.mT), axis=-1))
     trapped = (gnorm2 - slice_dots(left[..., :n], bt_g) - slice_dots(right[..., :m], g_at.mT)
                + slice_dots(left[..., n:], right[..., m:].mT))
-    return trapped / gnorm2 if factors.stacked else float(trapped / gnorm2)
+    return trapped / gnorm2
 
 
 def balance_defect(factors: LoRAFactors) -> float:

@@ -217,6 +217,17 @@ class SensingObjective(_ResidualObjective):
     0.6 n, so Q is built only there. ``evaluate`` forms G in the same form
     as its sides, after the loss, and only the dense ``grad`` forms
     ``R S^T``.
+
+    ``dist_to_opt`` reads ``||B A - B* A*||_F``, the distance of
+    ``W_pt + B A`` to the optimum ``W* = W_pt + B* A*``, in factor form.
+    With the thin QR ``B* = Q* R*`` and ``C* = R* A*``, both built on first
+    use and kept, and per state ``P = Q*^T B``, ``E = P A - C*`` and
+    ``B_perp = B - Q* P``, the two parts of ``B A - B* A* = Q* E + B_perp A``
+    are orthogonal, so its square is ``||E||^2 + <B_perp^T B_perp, A A^T>``,
+    the second term clamped at 0. That is O((m + n) r^2) work and no m x n
+    array. Each term is a norm of a difference taken before it is squared,
+    so neither cancels near the optimum, as a trace expansion of the whole
+    ``||B A - B* A*||^2`` would.
     """
 
     def __init__(self, problem: SensingProblem):
@@ -250,6 +261,23 @@ class SensingObjective(_ResidualObjective):
         g = factors.b @ a_q
         g += k  # in place, as in core.effective_weight
         return StateEval(loss, g, self._gram_sides(factors, k, a_q))
+
+    @cached_property
+    def _truth_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q*, C*)``: the thin QR ``B* = Q* R*`` and ``C* = R* A*``, built on first use."""
+        q, r = np.linalg.qr(self.problem.b_star)
+        return q, r @ self.problem.a_star
+
+    def dist_to_opt(self, factors: LoRAFactors):
+        q, c = self._truth_basis
+        a, b = factors.a, factors.b
+        p = q.T @ b
+        e = p @ a
+        e -= c
+        b_perp = b - q @ p
+        off = slice_dots(b_perp.mT @ b_perp, a @ a.mT)
+        dist = np.sqrt(slice_dots(e, e) + np.maximum(off, 0.0))
+        return dist if factors.stacked else float(dist)
 
     def loss(self, w: np.ndarray) -> float:
         return self._loss_of(w @ self.problem.s - self.problem.y)
@@ -347,7 +375,9 @@ class RegressionObjective(_ResidualObjective):
         return slice_dots(resid[..., None, :], resid[..., None, :])
 
     def _grad_of(self, factors, resid, a_s) -> np.ndarray:
-        return 2.0 * (resid[..., :, None] * self.problem.s[..., None, :])
+        g = resid[..., :, None] * self.problem.s[..., None, :]
+        g *= 2.0  # in place: a logged row holds no m x n array but G
+        return g
 
     def _sides(self, factors, resid, a_s) -> Sides:
         bt_res = (factors.b.mT @ resid[..., :, None])[..., 0]

@@ -41,11 +41,14 @@ slice's stages sum in one pass and one ``move`` finishes the step. ``step``
 and ``diagnostics.phi_decompose`` step with the plan of one scheme. Full
 fine-tuning steps the dense weights ``W_pt + B A`` as a (k, m, n) stack of
 its own. A logged row takes each of its values as one stacked call on the
-live slices: the objective's ``evaluate``, the norms of the gradient and of
-``W - W*`` (``core.slice_norms``), the balance defect and the null-space
-ratio. Every stacked operation gives each slice bit-for-bit what it gives
-that slice alone, so a cell's rows are those of its run alone. A cell that
-halts gets its final row and leaves the stack. numpy's stacked
+live slices: the objective's ``evaluate``, ``||G||^2`` (``core.slice_dots``;
+its square root is the gradient norm, and the null-space ratio divides by
+it), the objective's ``dist_to_opt``, the balance defect and the ratio. At
+a factor state it forms no m x n array but G: only a slice whose
+``W_pt + B A`` a bound cannot show finite has its W formed
+(``_finite_weights``). Every stacked operation gives each slice
+bit-for-bit what it gives that slice alone, so a cell's rows are those of
+its run alone. A cell that halts gets its final row and leaves the stack. numpy's stacked
 factorizations raise for the whole stack, so when a step raises one of
 ``DIVERGENCE_ERRORS`` with more than one cell live, each live cell takes
 that step alone through ``step``, as a stack of one: exactly the step its
@@ -76,6 +79,7 @@ from .core import (
     Sides,
     effective_weight,
     field_eval_sides,
+    slice_dots,
     slice_norms,
 )
 from .linalg import (
@@ -84,7 +88,7 @@ from .linalg import (
     NonFiniteState,
     NotPositiveDefinite,
 )
-from .metrics import ZeroGradient, balance_defect, eps_ratio
+from .metrics import ZeroGradient, _ratio, balance_defect
 
 __all__ = [
     "Scheme",
@@ -350,23 +354,44 @@ def _take(x, index):
     return x[index] if isinstance(x, np.ndarray) else x.take(index)
 
 
-def _null_space_ratios(state: LoRAFactors, g: np.ndarray, eps: float):
-    """``eps_ratio`` of each slice, as a list: 0.0 where the gradient vanishes, and
-    None (a blank field) where the kernel refuses the slice's Grams. It is
-    a diagnostic, so a refusal here never halts the run."""
+def _null_space_ratios(state: LoRAFactors, g: np.ndarray, gnorm2: np.ndarray, eps: float):
+    """``eps_ratio`` of each slice, as a list, given ``gnorm2``, each slice's
+    ``||G||^2``: 0.0 where the gradient vanishes, and None (a blank field)
+    where ``||G||^2`` is not finite or the kernel refuses the slice's Grams.
+    It is a diagnostic, so a refusal here never halts the run."""
     try:
-        return eps_ratio(state, g, eps).tolist()
+        return _ratio(state, g, gnorm2, eps).tolist()
     except (ZeroGradient, *DIVERGENCE_ERRORS):
         pass
     ratios = []
     for j in range(len(g)):
         try:
-            ratios.append(eps_ratio(state.take(j), g[j], eps))
+            ratios.append(_ratio(state.take(j), g[j], float(gnorm2[j]), eps))
         except ZeroGradient:
             ratios.append(0.0)
         except DIVERGENCE_ERRORS:
             ratios.append(None)
     return ratios
+
+
+# |(B A)_ij| <= r max|B| max|A|, and W_pt + B A rounds each entry up by a
+# relative (r + 1) u at most; half the largest float leaves room for both.
+_FINITE_BOUND = np.finfo(np.float64).max / 2
+
+
+def _finite_weights(state: LoRAFactors, w_pt: np.ndarray, w_max: float) -> np.ndarray:
+    """Whether each slice's ``W_pt + B A`` is finite, given ``w_max = max|W_pt|``.
+
+    The factors are finite (``LoRAFactors``), so only ``B A`` can overflow.
+    A slice whose ``r max|B| max|A| + w_max`` is below ``_FINITE_BOUND`` is
+    finite; only a slice over it has its W formed, alone, and checked.
+    """
+    bound = (state.rank * np.abs(state.b).max(axis=(1, 2)) * np.abs(state.a).max(axis=(1, 2))
+             + w_max)
+    finite = bound < _FINITE_BOUND
+    for j in np.flatnonzero(~finite):
+        finite[j] = np.isfinite(effective_weight(w_pt, state.take(j))).all()
+    return finite
 
 
 def _require_base_weight(objective: Objective) -> None:
@@ -395,7 +420,9 @@ def run_stack(
     ``DIVERGENCE_ERRORS`` is taken again by each live cell alone. Each
     cell's log is the one ``run_trajectory`` gives it alone, but for
     ``wall_nanos``: see the module docstring for how the stack is stepped
-    and how a cell leaves it.
+    and how a cell leaves it. A factor row logs ``eps_ratio`` 0.0 exactly
+    where its ``grad_norm`` is at most 1e-14, and its ``dist_to_opt`` is
+    ``objective.dist_to_opt``; a ``full_ft`` row's is ``||W - W*||``.
     A start that is not ``LoRAFactors``, or an objective with no base
     weight, raises TypeError before any step.
     """
@@ -425,6 +452,7 @@ def run_stack(
     h = np.array([configs[cell].step_size for cell in live])[:, None, None]
     eps = config.eps_reg
     plan = None if full else _plan([configs[cell].scheme for cell in live])
+    w_max = max(objective.w_pt.max(), -objective.w_pt.min())  # no |W_pt| temporary
 
     def leave(stays, i: int, losses=None) -> None:
         """Give the slices that do not stay their final row, with their loss
@@ -445,24 +473,17 @@ def run_stack(
         """Append a row for each slice and return the gradient the next step
         starts from; None halts the run. Each logged value is one stacked
         call on the live slices."""
-        w = state if full else effective_weight(objective.w_pt, state)
-        stays = np.isfinite(w).all(axis=(1, 2))
+        stays = (np.isfinite(state).all(axis=(1, 2)) if full
+                 else _finite_weights(state, objective.w_pt, w_max))
         if not stays.all():
             leave(stays, i)
             if not live:
                 return None
-            w = w[stays]
-        dist = None
-        if objective.optimum_w is not None:
-            # the row owns W_pt + B A, but full_ft's W is the state itself
-            dist = slice_norms(w - objective.optimum_w if full
-                               else np.subtract(w, objective.optimum_w, out=w))
         if full:
-            loss = objective.loss(w)
+            loss = objective.loss(state)
             # per slice: perfbench/tracer.py's grad_flops reads a 2-D W
-            g = first = np.array([objective.grad(x) for x in w])
+            g = first = np.array([objective.grad(x) for x in state])
         else:
-            del w  # the dense W is not held while the objective is evaluated
             loss, g, first = objective.evaluate(state)
         stays = np.isfinite(loss) & (loss <= DIVERGENCE_LOSS)
         if not stays.all():
@@ -470,12 +491,19 @@ def run_stack(
             if not live:
                 return None
             loss, g, first = loss[stays], g[stays], _take(first, stays)
-            dist = None if dist is None else dist[stays]
         blank = [None] * len(live)
+        if not full:
+            dist = objective.dist_to_opt(state)
+        elif objective.optimum_w is not None:
+            dist = slice_norms(state - objective.optimum_w)
+        else:
+            dist = None
+        gnorm2 = slice_dots(g, g)
         defect = balance_defect(state).tolist() if log_balance and not full else blank
-        ratio = _null_space_ratios(state, g, eps) if log_eps_ratio and not full else blank
+        ratio = (_null_space_ratios(state, g, gnorm2, eps) if log_eps_ratio and not full
+                 else blank)
         dist = blank if dist is None else dist.tolist()
-        for cell, *values in zip(live, loss.tolist(), slice_norms(g).tolist(), defect, ratio,
+        for cell, *values in zip(live, loss.tolist(), np.sqrt(gnorm2).tolist(), defect, ratio,
                                  dist):
             logs[cell].rows.append(TrajectoryRow(i, *values, time.perf_counter_ns()))
         return first

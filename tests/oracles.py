@@ -16,6 +16,9 @@ for test objectives that define only ``grad`` and ``loss``. The sensing
 ground truth is balanced from its dense m x n product's full SVD, where
 the library works from its factors, and ``dense_thin_svd`` truncates the
 full SVD, where the library's ``thin_svd`` iterates on a block.
+``longdouble_distance`` takes ``||B A - B* A*||_F`` from the dense m x n
+difference in extended precision, where sensing's ``dist_to_opt`` works
+in factor form.
 """
 
 from __future__ import annotations
@@ -106,6 +109,14 @@ class DenseObjective(Objective):
 
     def evaluate(self, factors):
         return dense_evaluate(self, factors)
+
+
+def longdouble_distance(factors, b_star, a_star):
+    """``||B A - B* A*||_F`` of a state, or a (k,) array of them at a stack,
+    from the dense difference in ``np.longdouble``."""
+    ld = np.longdouble
+    diff = factors.b.astype(ld) @ factors.a.astype(ld) - b_star.astype(ld) @ a_star.astype(ld)
+    return np.sqrt(np.sum(diff * diff, axis=(-2, -1))).astype(np.float64)
 
 
 def dense_thin_svd(m, k):

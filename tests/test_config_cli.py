@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odelora.cli import (Experiment, _write_table, cmd_feature_scaling, cmd_order, cmd_run,
                          cmd_sweep, main)
@@ -267,7 +268,7 @@ class TestCmdRun:
         import odelora.solvers as solvers_mod
 
         calls = []
-        for name in ("eps_ratio", "balance_defect"):
+        for name in ("_null_space_ratios", "balance_defect"):
             monkeypatch.setattr(solvers_mod, name, lambda *a, name=name: calls.append(name))
         cfg = parse_config("[diagnostics]\neps_ratio = false\nbalance = false\n")
         cfg = replace(cfg, solver=replace(cfg.solver, iterations=1))
@@ -607,3 +608,51 @@ class TestMain:
             with pytest.raises(SystemExit) as err:
                 main([verb, "--out", str(tmp_path / verb), "--jobs", "2"])
             assert err.value.code == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["sensing", "quadratic", "regression"]),
+    start=st.sampled_from(["balanced", "zero_b"]),
+    scheme=st.sampled_from([scheme.value for scheme in Scheme]),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    r=st.integers(1, 3),
+    h=st.floats(-6.0, 6.0).map(lambda e: float(f"{10.0 ** e:.3g}")),
+    eps_reg=st.one_of(st.just(0.0),
+                      st.floats(-12.0, 3.0).map(lambda e: float(f"{10.0 ** e:.3g}"))),
+    iterations=st.integers(0, 20),
+    seed=st.integers(0, 3),
+)
+def test_failure_is_data_over_small_configs(tmp_path_factory, kind, start, scheme, m, n, r, h,
+                                            eps_reg, iterations, seed):
+    # ``run`` and an h ``sweep`` of one config exit 0 or 2 and never raise.
+    # On 0 every trajectory has its final row: all iterations + 1 rows, or a
+    # halt whose row logs a nan gradient norm, as meta.txt's diverged says.
+    # On 2 (a config refused before any run) nothing is written. ``order``
+    # is left out: one call takes about 2 s at these sizes.
+    root = tmp_path_factory.mktemp("property")
+    config = root / "cfg.ini"
+    config.write_text(f"[problem]\nkind = {kind}\nm = {m}\nn = {n}\nr = {r}\nseed = {seed}\n"
+                      f"[init]\nscheme = {start}\nseed = {seed}\n"
+                      f"[solver]\nscheme = {scheme}\nh = {h!r}\niterations = {iterations}\n"
+                      f"eps_reg = {eps_reg!r}\n")
+    codes = set()
+    for verb, flags, cells in (("run", [], 1),
+                               ("sweep", ["--param", "h", "--values", f"{h!r},2.2"],
+                                2 * len(Scheme))):
+        out = root / verb
+        code = main([verb, "--config", str(config), "--out", str(out), *flags])
+        codes.add(code)
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            continue
+        metas = list(out.rglob("meta.txt"))
+        assert len(metas) == cells
+        for meta in metas:
+            rows = _read_csv(meta.parent / "trajectory.csv")[1:]
+            diverged = "diverged = true" in meta.read_text().splitlines()
+            assert diverged == (rows[-1][2] == "nan"), rows[-1]
+            assert diverged or len(rows) == iterations + 1
+    assert len(codes) == 1  # both verbs read the same config

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,12 +33,13 @@ from odelora.problems import (
 from odelora.solvers import (
     Scheme,
     SolverConfig,
+    TrajectoryRow,
     _lorapro_direction,
     run_stack,
     run_trajectory,
     step,
 )
-from oracles import DenseObjective, flow_rhs_full
+from oracles import DenseObjective, flow_rhs_full, longdouble_distance
 
 class ConstantGradient(DenseObjective):
     """Linear objective: loss = <G0, W>, gradient identically G0."""
@@ -662,6 +664,102 @@ class TestRunTrajectory:
         # gap contracts by (1 - h)^2 per step in loss for the quadratic
         ratios = losses[1:] / losses[:-1]
         assert np.allclose(ratios, 0.81, atol=1e-8)
+
+
+class TestLoggedRow:
+    def test_sensing_distance_matches_a_longdouble_oracle(self):
+        # one stack of states far from the optimum, 1e-8 from it, and on it
+        # up to a gauge; each row's factor-form distance against the dense
+        # difference in extended precision
+        p = make_sensing_instance(30, 24, 24, 3, 0.05, 5)
+        obj = sensing_objective(p)
+        rng = np.random.default_rng(5)
+        gauge = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        states = [
+            (rng.standard_normal((3, 24)), rng.standard_normal((30, 3))),
+            (100.0 * rng.standard_normal((3, 24)), rng.standard_normal((30, 3))),
+            (p.a_star + 1e-8 * rng.standard_normal((3, 24)),
+             p.b_star + 1e-8 * rng.standard_normal((30, 3))),
+            (np.linalg.solve(gauge, p.a_star) + 1e-8 * rng.standard_normal((3, 24)),
+             p.b_star @ gauge),
+            (np.linalg.solve(gauge, p.a_star), p.b_star @ gauge),
+            (p.a_star, p.b_star),
+        ]
+        stack = LoRAFactors(np.array([a for a, _ in states]), np.array([b for _, b in states]))
+        logs = run_stack(stack, obj, [SolverConfig(Scheme.ODE_RK4, 0.1, 0)] * len(states))
+        want = longdouble_distance(stack, p.b_star, p.a_star)
+        truth = np.linalg.norm(p.b_star @ p.a_star)
+        for j, log in enumerate(logs):
+            f = stack.take(j)
+            [row] = log.rows
+            bound = 1e-13 * (np.linalg.norm(f.b @ f.a) + truth)
+            assert abs(row.dist_to_opt - want[j]) <= bound, (j, row.dist_to_opt, want[j])
+
+    def test_a_weight_that_overflows_halts_on_its_first_row(self):
+        # finite factors whose B A overflows: that slice's W is formed and
+        # found non-finite, so it halts on row 0 with the nan row, and the
+        # other slice logs what its run alone logs
+        p = make_sensing_instance(8, 8, 8, 2, 0.05, 0)
+        obj = sensing_objective(p)
+        good = perturbed_balanced_init(p, 0.8, 0.05, 0)
+        big = LoRAFactors(np.full((2, 8), 1e160), np.full((8, 2), 1e160))
+        stack = LoRAFactors(np.array([good.a, big.a]), np.array([good.b, big.b]))
+        cfg = SolverConfig(Scheme.ODE_RK4, 0.1, 3)
+        logs = run_stack(stack, obj, [cfg, cfg])
+        nan = float("nan")
+        assert row_values(logs[1]) == repr([TrajectoryRow(0, nan, nan, None, None, None, 0)])
+        assert logs[1].diverged and not logs[0].diverged
+        assert row_values(logs[0]) == row_values(run_trajectory(good, obj, cfg))
+        assert row_values(run_trajectory(big, obj, cfg)) == row_values(logs[1])
+
+    def test_a_slice_over_the_bound_with_a_finite_weight_logs_its_row(self):
+        # r max|B| max|A| is over the bound, but B A cancels to 0 exactly
+        # (c^2 = 2^1022 is exact): the row forms that W, finds it finite and
+        # logs the values at W = W_pt
+        rng = np.random.default_rng(3)
+        w_pt = rng.standard_normal((6, 7))
+        obj = quadratic_objective(rng.standard_normal((6, 7)), 1.0, w_pt)
+        c = 2.0 ** 511
+        f = LoRAFactors(np.full((2, 7), c), np.tile([c, -c], (6, 1)))
+        assert 2 * c * c >= solvers_mod._FINITE_BOUND and not (f.b @ f.a).any()
+        [row] = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 0)).rows
+        assert row.loss == float(obj.loss(w_pt))
+        assert row.grad_norm == float(np.linalg.norm(obj.grad(w_pt)))
+        assert row.dist_to_opt == float(np.linalg.norm(w_pt - obj.w_star))
+
+    def test_a_regression_row_forms_no_dense_array_but_g(self):
+        # the row's only m x n array is the objective's G: no W for the
+        # finiteness check, none for a distance, no G * G for the ratio
+        m, n = 300, 400
+        obj = regression_objective(make_regression_instance(n, m, 0))
+        start = LoRAFactors(np.random.default_rng(0).standard_normal((2, n)) / np.sqrt(n),
+                            np.random.default_rng(1).standard_normal((m, 2)))
+        cfg = SolverConfig(Scheme.ODE_RK4, 0.1, 0)
+        run_trajectory(start, obj, cfg)  # C0 is built on first use
+        tracemalloc.start()
+        try:
+            log = run_trajectory(start, obj, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.rows[0].eps_ratio is not None and log.rows[0].dist_to_opt is None
+        assert peak < 1.5 * m * n * 8, peak
+
+    def test_zero_ratio_exactly_where_the_gradient_norm_is_at_most_1e_14(self):
+        # gradients within a few ulps of norm 1e-14, where a second way of
+        # summing ||G||^2 can fall on the other side of the threshold
+        rng = np.random.default_rng(0)
+        f = LoRAFactors(rng.standard_normal((2, 7)), rng.standard_normal((6, 2)))
+        zeros = 0
+        for _ in range(40):
+            g0 = rng.standard_normal((6, 7))
+            g0 *= 1e-14 / np.sqrt(np.vdot(g0, g0))
+            for k in (-1, 0, 1):
+                obj = ConstantGradient(g0 * (1 + k * 2.2e-16), np.zeros((6, 7)))
+                [row] = run_trajectory(f, obj, SolverConfig(Scheme.ODE_RK4, 0.1, 0)).rows
+                assert (row.eps_ratio == 0.0) == (row.grad_norm <= 1e-14), row
+                zeros += row.eps_ratio == 0.0
+        assert 0 < zeros < 120
 
 
 def test_every_step_takes_one_signature_and_nothing_takes_a_base_weight():

@@ -230,17 +230,27 @@ def test_dense_loss_and_grad_read_a_stack(kind, m, n, o, k, seed):
 
 def eps_ratio_alone(f, g, eps):
     """``metrics.eps_ratio``'s trace identity at one state, its ||G||^2 and
-    traces taken one np.sum and one np.vdot at a time."""
+    traces taken one np.vdot at a time."""
     grams = FactorGrams(f, eps)
     bt_g, g_at = f.b.T @ g, g @ f.a.T
     t = bt_g @ f.a.T
     m, n = g.shape
     left = grams.solve_b(np.concatenate((bt_g, t), axis=1))
     right = grams.solve_a(np.concatenate((g_at.T, t.T), axis=1))
-    norm2 = float(np.sum(g * g))
+    norm2 = np.vdot(g, g)
     trapped = (norm2 - np.vdot(left[:, :n], bt_g) - np.vdot(right[:, :m], g_at.T)
                + np.vdot(left[:, n:], right[:, m:].T))
     return float(trapped) / norm2
+
+
+def sensing_dist_alone(problem, f):
+    """``SensingObjective.dist_to_opt``'s factor form at one state, its
+    squares taken one np.vdot at a time."""
+    q, r = np.linalg.qr(problem.b_star)
+    p = q.T @ f.b
+    e = p @ f.a - r @ problem.a_star
+    b_perp = f.b - q @ p
+    return float(np.sqrt(np.vdot(e, e) + max(np.vdot(b_perp.T @ b_perp, f.a @ f.a.T), 0.0)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -282,7 +292,11 @@ def test_stacked_row_equals_each_slice_alone(kind, picks, seed, spread, full, ep
         [row] = log.rows
         assert row.loss == loss
         assert row.grad_norm == float(np.linalg.norm(g))
-        dist = None if obj.optimum_w is None else float(np.linalg.norm(w - obj.optimum_w))
+        if kind in SENSING_SHAPES and not full:
+            dist = obj.dist_to_opt(f)
+            assert dist == sensing_dist_alone(obj.problem, f)
+        else:
+            dist = None if obj.optimum_w is None else float(np.linalg.norm(w - obj.optimum_w))
         assert row.dist_to_opt == dist
         if full:
             assert row.balance_defect is None and row.eps_ratio is None
