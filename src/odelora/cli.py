@@ -360,18 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _load_config(args.config, args.seed)
-            return cmd_run(cfg, Path(args.out))
-        if args.command == "sweep":
-            cfg = _load_config(args.config, args.seed)
-            values = [v for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise OutOfRange("sweep.values", "no values given")
-            return cmd_sweep(cfg, args.param, values, Path(args.out))
-        if args.command == "order":
-            cfg = _load_config(args.config, args.seed)
-            return cmd_order(cfg, Path(args.out))
         if args.command == "feature-scaling":
             try:
                 n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
@@ -381,6 +369,16 @@ def main(argv=None) -> int:
             return cmd_feature_scaling(
                 Path(args.out), n_list, args.seeds, args.steps, args.h
             )
+        cfg = _load_config(args.config, args.seed)
+        if args.command == "run":
+            return cmd_run(cfg, Path(args.out))
+        if args.command == "sweep":
+            values = [v for v in args.values.split(",") if v.strip()]
+            if not values:
+                raise OutOfRange("sweep.values", "no values given")
+            return cmd_sweep(cfg, args.param, values, Path(args.out))
+        if args.command == "order":
+            return cmd_order(cfg, Path(args.out))
         raise AssertionError(args.command)  # pragma: no cover
     except (ConfigError, DefectBelowNoiseFloor, ReferenceDiverged, ScalingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)

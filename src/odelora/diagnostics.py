@@ -37,7 +37,7 @@ from .problems import (
     make_regression_stack,
     regression_objective,
 )
-from .solvers import (DIVERGENCE_ERRORS, DIVERGENCE_LOSS, Scheme, _ALONE, _plan,
+from .solvers import (DIVERGENCE_ERRORS, DIVERGENCE_LOSS, Scheme, _METHODS,
                       _require_base_weight, _require_eps, _require_step, _rk_step)
 
 __all__ = [
@@ -58,9 +58,8 @@ DEFECT_FLOOR = 1e-12
 FEATURE_SCALING_RANK = 4
 # The flow steppers an order study measures, in the order it reports them.
 FLOW_SCHEMES = (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4)
-# The same flows in stack order, and the plan that steps them as one stack.
+# The same flows in stack order, as one stack steps them.
 _FLOW_STACK = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
-_FLOW_PLAN = _plan(_FLOW_STACK)
 
 
 class ReferenceDiverged(Exception):
@@ -82,16 +81,17 @@ class OrderReport:
     observed_order: float
 
 
-def _integrate_weight(factors, objective, plan, h, horizon, eps):
-    """Step ``factors`` with ``plan`` to ``horizon`` without logging, in
-    ``horizon / h`` steps rounded, and return the terminal effective
-    weight. A stacked state steps every slice at ``h``, held as a (k, 1, 1)
-    column, since a mixed plan slices h by prefix."""
+def _integrate_weight(factors, objective, schemes, h, horizon, eps):
+    """Step ``factors``, whose slices run ``schemes`` (``solvers._rk_step``),
+    to ``horizon`` without logging, in ``horizon / h`` steps rounded, and
+    return the terminal effective weight. A stacked state steps every slice
+    at ``h``, held as a (k, 1, 1) column, since a mixed stack slices h by
+    prefix."""
     state = factors
     step_h = np.full((factors.a.shape[0], 1, 1), h) if factors.stacked else h
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(round(horizon / h)):
-            state = _rk_step(plan, state, objective, step_h, eps)[0]
+            state = _rk_step(schemes, state, objective, step_h, eps)[0]
     return effective_weight(objective.w_pt, state)
 
 
@@ -111,7 +111,7 @@ def estimate_order(
     must be nonnegative and finite; ValueError otherwise, before any step.
     Every scheme is measured against one RK4 reference run at
     min(h_list)/100, stepped alone. At each h the three flows step as one
-    stack (``solvers._plan``), in the order RK4, RK2, Euler, and each
+    stack (``solvers._rk_step``), in the order RK4, RK2, Euler, and each
     slice's terminal weight is the one ``solvers.step`` gives it alone.
     Raises ReferenceDiverged when the reference meets one of
     ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, or ends past
@@ -130,7 +130,7 @@ def estimate_order(
     _require_eps(eps)
     _require_base_weight(objective)
     try:
-        reference = _integrate_weight(factors, objective, _ALONE[Scheme.ODE_RK4],
+        reference = _integrate_weight(factors, objective, (Scheme.ODE_RK4,),
                                       min(h_list) / 100.0, horizon, eps)
     except DIVERGENCE_ERRORS as err:
         raise ReferenceDiverged(str(err)) from err
@@ -140,7 +140,7 @@ def estimate_order(
                           for x in (factors.a, factors.b)))
     defects_of = {scheme: [] for scheme in _FLOW_STACK}
     for h in h_list:
-        w_end = _integrate_weight(flows, objective, _FLOW_PLAN, h, horizon, eps)
+        w_end = _integrate_weight(flows, objective, _FLOW_STACK, h, horizon, eps)
         for scheme, w in zip(_FLOW_STACK, w_end):
             defects_of[scheme].append(float(np.linalg.norm(w - reference)))
     reports = {}
@@ -210,9 +210,9 @@ def phi_decompose(
     if scheme is Scheme.FULL_FT:
         raise ValueError("phi_decompose needs a factor scheme, got full_ft")
     _require_eps(eps)
-    plan = _ALONE[scheme]
-    after, stages = _rk_step(plan, factors, objective, h, eps)
-    weights = [stage.b / plan.denominator for stage in plan.stages]
+    after, stages = _rk_step((scheme,), factors, objective, h, eps)
+    tableau = _METHODS[scheme][0]
+    weights = [b / tableau.denominator for b in tableau.weights]
     s = objective.problem.s[..., :, None]
     a_s = factors.a @ s
     components = []

@@ -227,16 +227,24 @@ class SensingObjective(_ResidualObjective):
     the second term clamped at 0. That is O((m + n) r^2) work and no m x n
     array. Each term is a norm of a difference taken before it is squared,
     so neither cancels near the optimum, as a trace expansion of the whole
-    ``||B A - B* A*||^2`` would.
+    ``||B A - B* A*||^2`` would. A slice whose factor form is not finite
+    (``P A`` or ``B_perp^T B_perp`` can overflow where ``B A`` does not)
+    takes the dense ``||W_pt + B A - W*||``, formed for that slice alone.
+    ``optimum_w``, the m x n W*, is built on first use, so a run that reads
+    only the factor form never forms it.
     """
 
     def __init__(self, problem: SensingProblem):
         super().__init__(problem)
         self.optimum_loss = 0.0
-        self.optimum_w = self.w_pt + problem.b_star @ problem.a_star
         m, o = problem.y.shape
         n = problem.s.shape[0]
         self.gram_form = 2 * m * n + n * n <= 3 * m * o + 2 * n * o
+
+    @cached_property
+    def optimum_w(self) -> np.ndarray:
+        """``W* = W_pt + B* A*``, built on first use."""
+        return self.w_pt + self.problem.b_star @ self.problem.a_star
 
     @cached_property
     def _s_gram(self) -> np.ndarray:
@@ -277,7 +285,11 @@ class SensingObjective(_ResidualObjective):
         b_perp = b - q @ p
         off = slice_dots(b_perp.mT @ b_perp, a @ a.mT)
         dist = np.sqrt(slice_dots(e, e) + np.maximum(off, 0.0))
-        return dist if factors.stacked else float(dist)
+        if not factors.stacked:
+            return float(dist) if np.isfinite(dist) else super().dist_to_opt(factors)
+        for j in np.flatnonzero(~np.isfinite(dist)):
+            dist[j] = super().dist_to_opt(factors.take(j))
+        return dist
 
     def loss(self, w: np.ndarray) -> float:
         return self._loss_of(w @ self.problem.s - self.problem.y)

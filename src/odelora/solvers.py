@@ -35,18 +35,18 @@ stage. Each stage reads the objective's sides once and factors that
 prefix's Grams in one ``FactorGrams``; each range of consecutive slices
 that share a direction makes one call, on views of its slices of the
 state, sides and Grams, so the three flows share one field evaluation per
-stage. The plan (``_plan``, which refuses schemes out of stack order) holds
-each slice's tableau as columns, one coefficient per slice, so every
-slice's stages sum in one pass and one ``move`` finishes the step. ``step``
-and ``diagnostics.phi_decompose`` step with the plan of one scheme. Full
-fine-tuning steps the dense weights ``W_pt + B A`` as a (k, m, n) stack of
-its own. A logged row takes each of its values as one stacked call on the
-live slices: the objective's ``evaluate``, ``||G||^2`` (``core.slice_dots``;
-its square root is the gradient norm, and the null-space ratio divides by
-it), the objective's ``dist_to_opt``, the balance defect and the ratio. At
-a factor state it forms no m x n array but G: only a slice whose
-``W_pt + B A`` a bound cannot show finite has its W formed
-(``_finite_weights``). Every stacked operation gives each slice
+stage. Callers pass the engine their slices' schemes (``step`` and
+``diagnostics.phi_decompose`` pass one), and their plan (``_plan``,
+memoized, refusing schemes out of stack order) holds each slice's tableau
+as columns, so every slice's stages sum in one pass and one ``move``
+finishes the step. Full fine-tuning steps the dense weights ``W_pt + B A``
+as a (k, m, n) stack of its own. A logged row takes each of its values as
+one stacked call on the live slices: the objective's ``evaluate``,
+``||G||^2`` (``core.slice_dots``; its square root is the gradient norm,
+and the null-space ratio divides by it), the objective's ``dist_to_opt``,
+the balance defect and the ratio. At a factor state it forms no m x n
+array but G: only a slice whose ``W_pt + B A`` a bound cannot show finite
+has its W formed (``_finite_weights``). Every stacked operation gives each slice
 bit-for-bit what it gives that slice alone, so a cell's rows are those of
 its run alone. A cell that halts gets its final row and leaves the stack. numpy's stacked
 factorizations raise for the whole stack, so when a step raises one of
@@ -63,6 +63,7 @@ for a ``delta`` sweep.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 import time
@@ -231,16 +232,18 @@ class _Plan(NamedTuple):
 
 def _column(values):
     """One value per slice: the shared value itself, or a (p, 1, 1) column."""
-    return values[0] if len(set(values)) == 1 else np.array(values, float)[:, None, None]
+    column = np.array(values, float)[:, None, None]
+    column.setflags(write=False)  # _plan hands one plan to every caller
+    return values[0] if len(set(values)) == 1 else column
 
 
-def _plan(schemes) -> _Plan:
-    """The plan of a stack whose slices carry ``schemes``, in stack order
-    (ValueError, naming them, if they are not); a scheme's plan on an
-    unstacked state is ``_plan([scheme])``. Each direction is called once
-    per range of consecutive slices that share it."""
-    schemes = list(schemes)
-    if sorted(schemes, key=list(_METHODS).index) != schemes:
+@functools.cache
+def _plan(schemes: tuple[Scheme, ...]) -> _Plan:
+    """The plan of a stack whose slices carry ``schemes``, a tuple in stack
+    order (ValueError, naming them, if they are not), built once per tuple.
+    Each direction is called once per range of consecutive slices that
+    share it."""
+    if sorted(schemes, key=list(_METHODS).index) != list(schemes):
         raise ValueError("schemes not in stack order: "
                          + ", ".join(scheme.value for scheme in schemes))
     methods = [_METHODS[scheme] for scheme in schemes]
@@ -264,17 +267,12 @@ def _plan(schemes) -> _Plan:
     return _Plan(tuple(stages), _column([tableau.denominator for tableau, _ in methods]))
 
 
-# The plan of a state, stacked or not, that steps with one scheme.
-_ALONE = {scheme: _plan([scheme]) for scheme in _METHODS}
-
-
-def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=None):
-    """One step of a stack whose slices run the schemes of ``plan``:
-    ``(next_state, stages)``, with ``stages[i]`` the stage fields
+def _rk_step(schemes, factors: LoRAFactors, objective: Objective, h, eps, g=None):
+    """One step of a stack whose slices run ``schemes``, a tuple in stack
+    order: ``(next_state, stages)``, with ``stages[i]`` the stage fields
     ``(f_a, f_b)`` that stage i gives the slices it steps.
 
-    ``plan`` is ``_plan`` of the slices' schemes, or ``_ALONE[scheme]``.
-    Stage i steps a prefix of p slices of the stack, from
+    Stage i of their plan (``_plan``) steps a prefix of p slices, from
     ``a[:p] + (c h[:p]) f_a[:p]`` (and likewise for B) with ``f_a`` the
     previous stage's field; it reads ``objective.sides`` once, at that
     prefix, factors the Grams of the slices whose directions read them in
@@ -285,6 +283,7 @@ def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=
     finishes with one ``move``. ``g`` is the ``Sides`` of the gradient at
     ``factors``' effective weight when the caller already has them.
     """
+    plan = _plan(schemes)
     sides = objective.sides(factors) if g is None else g
     state, stages = factors, []
     for stage in plan.stages:
@@ -311,15 +310,15 @@ def _rk_step(plan: _Plan, factors: LoRAFactors, objective: Objective, h, eps, g=
 
 
 def step(scheme: Scheme, state, objective: Objective, h, eps: float = DEFAULT_EPS, g=None):
-    """One step of ``scheme`` from ``state``: the engine's step with the
-    scheme's own plan (``_ALONE``), or for FULL_FT ``W - h grad(W)`` on the
-    dense weight or a (k, m, n) stack. A stacked state takes h as a (k, 1, 1)
-    array; ``g`` is the gradient at ``state`` when known. TypeError unless
-    ``scheme`` is a Scheme, ValueError unless h is positive and finite."""
+    """One step of ``scheme`` from ``state``: the engine's step of that one
+    scheme, or for FULL_FT ``W - h grad(W)`` on the dense weight or a
+    (k, m, n) stack. A stacked state takes h as a (k, 1, 1) array; ``g`` is
+    the gradient at ``state`` when known. TypeError unless ``scheme`` is a
+    Scheme, ValueError unless h is positive and finite."""
     _require_step(scheme, h)
     _require_eps(eps)
     if scheme is not Scheme.FULL_FT:
-        return _rk_step(_ALONE[scheme], state, objective, h, eps, g)[0]
+        return _rk_step((scheme,), state, objective, h, eps, g)[0]
     return state - h * (objective.grad(state) if g is None else g)
 
 
@@ -450,14 +449,14 @@ def run_stack(
     if full:
         state = effective_weight(objective.w_pt, state)
     h = np.array([configs[cell].step_size for cell in live])[:, None, None]
+    schemes = tuple(configs[cell].scheme for cell in live)
     eps = config.eps_reg
-    plan = None if full else _plan([configs[cell].scheme for cell in live])
     w_max = max(objective.w_pt.max(), -objective.w_pt.min())  # no |W_pt| temporary
 
     def leave(stays, i: int, losses=None) -> None:
         """Give the slices that do not stay their final row, with their loss
         (``nan`` without ``losses``), and drop them from the stack."""
-        nonlocal state, h, live, plan
+        nonlocal state, h, live, schemes
         for slot in np.flatnonzero(~stays):
             loss = float("nan") if losses is None else float(losses[slot])
             log = logs[live[slot]]
@@ -466,8 +465,7 @@ def run_stack(
             log.diverged = True
         state, h = _take(state, stays), h[stays]
         live = [cell for cell, stay in zip(live, stays) if stay]
-        if live and not full:
-            plan = _plan([configs[cell].scheme for cell in live])
+        schemes = tuple(scheme for scheme, stay in zip(schemes, stays) if stay)
 
     def record(i: int):
         """Append a row for each slice and return the gradient the next step
@@ -511,8 +509,7 @@ def run_stack(
     def alone(j: int, g):
         """Slot j's step taken alone, as a stack of one, or None if it raises."""
         try:
-            return step(configs[live[j]].scheme, state.take([j]), objective, h[[j]], eps,
-                        g.take([j]))
+            return step(schemes[j], state.take([j]), objective, h[[j]], eps, g.take([j]))
         except DIVERGENCE_ERRORS:
             return None
 
@@ -527,7 +524,7 @@ def run_stack(
                 if full:
                     state = step(Scheme.FULL_FT, state, objective, h, eps, g)
                 else:
-                    state = _rk_step(plan, state, objective, h, eps, g)[0]
+                    state = _rk_step(schemes, state, objective, h, eps, g)[0]
             except DIVERGENCE_ERRORS:
                 # A blown-up state reached the kernel; record as divergence.
                 # A stacked call raises for the whole stack, so each cell of

@@ -18,7 +18,9 @@ the library works from its factors, and ``dense_thin_svd`` truncates the
 full SVD, where the library's ``thin_svd`` iterates on a block.
 ``longdouble_distance`` takes ``||B A - B* A*||_F`` from the dense m x n
 difference in extended precision, where sensing's ``dist_to_opt`` works
-in factor form.
+in factor form. ``weight_flow`` integrates the flow's dense weight ODE,
+the gradient projected onto the tangent space of the rank-r matrices,
+where the library steps the factors.
 """
 
 from __future__ import annotations
@@ -117,6 +119,32 @@ def longdouble_distance(factors, b_star, a_star):
     ld = np.longdouble
     diff = factors.b.astype(ld) @ factors.a.astype(ld) - b_star.astype(ld) @ a_star.astype(ld)
     return np.sqrt(np.sum(diff * diff, axis=(-2, -1))).astype(np.float64)
+
+
+def weight_flow(objective, delta, r, horizon, h):
+    """The dense weight flow ``Delta' = -P_T(Delta)(grad L(W_pt + Delta))``
+    from ``delta`` to ``horizon``, by classical RK4 at step ``h`` on the
+    m x n matrix: the terminal ``W_pt + Delta``. ``P_T(Z) = U U^T Z +
+    Z V V^T - U U^T Z V V^T`` projects onto the tangent space of the
+    rank-r matrices at Delta, with U and V from Delta's rank-r SVD. It
+    reads only the objective's base weight and ``grad``: no factor, Gram,
+    gauge, Sylvester solve or tableau of the library."""
+
+    def velocity(delta):
+        u, _, vt = np.linalg.svd(delta, full_matrices=False)
+        u, v = u[:, :r], vt[:r].T
+        g = objective.grad(objective.w_pt + delta)
+        u_g = u @ (u.T @ g)
+        return -(u_g + (g - u_g) @ v @ v.T)
+
+    delta = np.array(delta, dtype=np.float64)
+    for _ in range(round(horizon / h)):
+        k1 = velocity(delta)
+        k2 = velocity(delta + 0.5 * h * k1)
+        k3 = velocity(delta + 0.5 * h * k2)
+        k4 = velocity(delta + h * k3)
+        delta = delta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return objective.w_pt + delta
 
 
 def dense_thin_svd(m, k):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_factors
+from odelora.cli import Experiment
+from odelora.config import parse_config
 from odelora.core import LoRAFactors, effective_weight
 from odelora.diagnostics import (
     DefectBelowNoiseFloor,
@@ -30,8 +32,8 @@ from odelora.problems import (
     zero_b_init,
 )
 from odelora.linalg import NonFiniteState
-from odelora.solvers import _ALONE, DIVERGENCE_ERRORS, Scheme, _plan, step
-from oracles import null_projector_a, null_projector_b
+from odelora.solvers import DIVERGENCE_ERRORS, Scheme, step
+from oracles import null_projector_a, null_projector_b, weight_flow
 
 
 class TestEpsRatio:
@@ -136,19 +138,18 @@ class TestEstimateOrder:
         calls = []
         real = diagnostics._integrate_weight
 
-        def counting(factors, objective, plan, h, horizon, eps):
-            calls.append((factors.a.shape[:-2], plan, h))
-            return real(factors, objective, plan, h, horizon, eps)
+        def counting(factors, objective, schemes, h, horizon, eps):
+            calls.append((factors.a.shape[:-2], schemes, h))
+            return real(factors, objective, schemes, h, horizon, eps)
 
         monkeypatch.setattr(diagnostics, "_integrate_weight", counting)
         h_list = [0.1, 0.05]
         reports = estimate_order(f0, obj, 0.2, h_list)
         assert list(reports) == [Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4]
         # one unstacked RK4 reference, then one stack of the three flows per h
-        assert calls == [((), _ALONE[Scheme.ODE_RK4], min(h_list) / 100.0)] + [
-            ((3,), diagnostics._FLOW_PLAN, h) for h in h_list]
-        flows = _plan([Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER])
-        assert repr(diagnostics._FLOW_PLAN) == repr(flows)
+        flows = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
+        assert calls == [((), (Scheme.ODE_RK4,), min(h_list) / 100.0)] + [
+            ((3,), flows, h) for h in h_list]
 
     def test_each_stacked_flow_ends_where_its_public_step_does(self, setup):
         # each slice of the flows' stack must end, bit for bit, at the weight
@@ -159,12 +160,12 @@ class TestEstimateOrder:
         p, obj, f0 = setup
         horizon, h_list = 0.2, [0.1, 0.05]
         reports = estimate_order(f0, obj, horizon, h_list)
-        reference = _integrate_weight(f0, obj, _ALONE[Scheme.ODE_RK4], min(h_list) / 100.0,
+        reference = _integrate_weight(f0, obj, (Scheme.ODE_RK4,), min(h_list) / 100.0,
                                       horizon, 1e-8)
-        flows = [Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER]
+        flows = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
         stack = LoRAFactors(np.stack([f0.a] * 3), np.stack([f0.b] * 3))
         for i, h in enumerate(h_list):
-            w_end = _integrate_weight(stack, obj, _plan(flows), h, horizon, 1e-8)
+            w_end = _integrate_weight(stack, obj, flows, h, horizon, 1e-8)
             for scheme, w in zip(flows, w_end):
                 state = f0
                 for _ in range(round(horizon / h)):
@@ -295,6 +296,32 @@ class TestOrderSeedConsistency:
             orders.append(reports[Scheme.ODE_EULER].observed_order)
         assert all(0.7 <= o <= 1.3 for o in orders)
         assert abs(orders[0] - orders[1]) <= 0.3
+
+
+class TestWeightFlowOracle:
+    # At eps = 0 each flow stepper's W_pt + B A must converge, at its order,
+    # to the dense weight flow, which shares no Gram, gauge, tableau or
+    # engine code with the library: the order studies measure the engine
+    # against itself, so a field that is wrong in a consistent way passes
+    # them and fails this.
+    @pytest.mark.parametrize("config",
+                             ["", "[problem]\nkind = quadratic\nm = 10\nn = 10\nr = 2\n"],
+                             ids=["default", "quadratic"])
+    def test_each_flow_meets_the_dense_weight_flow_at_its_order(self, config):
+        experiment = Experiment(parse_config(config))
+        obj, f0 = experiment.objective, experiment.factors
+        want = weight_flow(obj, f0.b @ f0.a, f0.rank, 1.0, 0.0025)
+        windows = {Scheme.ODE_EULER: (0.7, 1.3), Scheme.ODE_RK2: (1.7, 2.3),
+                   Scheme.ODE_RK4: (3.5, 4.5)}  # criterion 04's
+        for scheme, (low, high) in windows.items():
+            gaps = []
+            for h in (0.2, 0.1, 0.05, 0.025):
+                state = f0
+                for _ in range(round(1.0 / h)):
+                    state = step(scheme, state, obj, h, 0.0)
+                gaps.append(np.linalg.norm(effective_weight(obj.w_pt, state) - want))
+            orders = np.log2(np.divide(gaps[:-1], gaps[1:]))
+            assert ((low <= orders) & (orders <= high)).all(), (scheme, gaps, orders)
 
 
 class TestPhiIdentityAlongTrajectory:

@@ -48,7 +48,6 @@ from odelora.solvers import (
     Scheme,
     SolverConfig,
     _lorapro_direction,
-    _plan,
     _rk_step,
     run_trajectory,
     step,
@@ -139,7 +138,7 @@ class TestFactorizationCounts:
         w_pt = np.zeros(stack.shape)
         objective = quadratic_objective(rng.standard_normal(stack.shape), mu=1.0, w_pt=w_pt)
         h = np.full((len(states), 1, 1), 0.1)
-        _rk_step(_plan(_METHODS), stack, objective, h, 1e-8)
+        _rk_step(tuple(_METHODS), stack, objective, h, 1e-8)
         assert calls == {"cholesky": 4, "eigh": 4}
 
     def test_flow_rhs_full_and_eps_ratio(self, rng, counted):

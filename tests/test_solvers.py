@@ -359,14 +359,15 @@ def test_solver_config_rejects_non_finite_step_and_eps():
                 dataclasses.replace(good, **{field: bad})
 
 
-@pytest.mark.parametrize("schemes", [[Scheme.ODE_EULER, Scheme.ODE_RK4],
-                                     [Scheme.CLASSICAL_GD, Scheme.RIEMANNIAN]])
+@pytest.mark.parametrize("schemes", [(Scheme.ODE_EULER, Scheme.ODE_RK4),
+                                     (Scheme.CLASSICAL_GD, Scheme.RIEMANNIAN)])
 def test_plan_refuses_schemes_out_of_stack_order(schemes):
     # the plan's prefix layout holds only in stack order; out of it a slice
     # would take another slice's stages, with no error
     with pytest.raises(ValueError, match=", ".join(scheme.value for scheme in schemes)):
         solvers_mod._plan(schemes)
-    solvers_mod._plan(sorted(schemes, key=list(solvers_mod._METHODS).index))
+    ordered = tuple(sorted(schemes, key=list(solvers_mod._METHODS).index))
+    assert solvers_mod._plan(ordered) is solvers_mod._plan(ordered)  # built once per tuple
 
 
 @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
@@ -726,6 +727,34 @@ class TestLoggedRow:
         assert row.loss == float(obj.loss(w_pt))
         assert row.grad_norm == float(np.linalg.norm(obj.grad(w_pt)))
         assert row.dist_to_opt == float(np.linalg.norm(w_pt - obj.w_star))
+
+    def test_a_sensing_distance_over_the_factor_form_is_taken_dense(self):
+        # B A cancels to 0 exactly, but the factor form's P A and
+        # B_perp^T B_perp overflow: that slice logs the dense ||W_pt - W*||,
+        # and the other slice of the stack keeps the bits of its run alone
+        p = make_sensing_instance(6, 7, 7, 2, 0.05, 0)
+        obj = sensing_objective(p)
+        good = perturbed_balanced_init(p, 0.8, 0.05, 0)
+        c = 2.0 ** 511
+        big = LoRAFactors(np.full((2, 7), c), np.tile([c, -c], (6, 1)))
+        with np.errstate(over="ignore"):
+            assert not (big.b @ big.a).any() and np.isinf(big.b.T @ big.b).all()
+        stack = LoRAFactors(np.array([good.a, big.a]), np.array([good.b, big.b]))
+        cfg = SolverConfig(Scheme.ODE_RK4, 0.1, 0)
+        logs = run_stack(stack, obj, [cfg, cfg])
+        dist = logs[1].rows[0].dist_to_opt
+        assert dist == float(np.linalg.norm(p.w_pt - (p.w_pt + p.b_star @ p.a_star)))
+        assert abs(dist - 1.9217748429130395) <= 1e-12 * 1.9217748429130395
+        assert row_values(logs[0]) == row_values(run_trajectory(good, obj, cfg))
+
+    def test_a_factor_run_on_sensing_forms_no_optimum_weight(self):
+        # W* is m x n; only full_ft rows and the dense fallback read it
+        p = make_sensing_instance(8, 8, 8, 2, 0.05, 0)
+        obj = sensing_objective(p)
+        log = run_trajectory(perturbed_balanced_init(p, 0.8, 0.05, 0), obj,
+                             SolverConfig(Scheme.ODE_RK4, 0.1, 3))
+        assert log.rows[-1].dist_to_opt is not None and "optimum_w" not in obj.__dict__
+        assert np.array_equal(obj.optimum_w, p.w_pt + p.b_star @ p.a_star)
 
     def test_a_regression_row_forms_no_dense_array_but_g(self):
         # the row's only m x n array is the objective's G: no W for the

@@ -157,13 +157,12 @@ def test_public_steps_equal_their_slice_of_a_mixed_stack(kind, hs, seed, spread)
     # and step size: one engine step of the stack must give each slice, bit
     # for bit, what its scheme's public step gives that slice's state alone
     start, obj = instance(kind, seed)
-    schemes = list(solvers_mod._METHODS)
+    schemes = tuple(solvers_mod._METHODS)
     rng = np.random.default_rng(seed)
     noise = 10.0 ** spread
     stack = LoRAFactors(start.a + noise * rng.standard_normal((6, *start.a.shape)),
                         start.b + noise * rng.standard_normal((6, *start.b.shape)))
-    after, _ = solvers_mod._rk_step(solvers_mod._plan(schemes), stack, obj,
-                                     np.array(hs)[:, None, None], 1e-8)
+    after, _ = solvers_mod._rk_step(schemes, stack, obj, np.array(hs)[:, None, None], 1e-8)
     for j, (scheme, h) in enumerate(zip(schemes, hs)):
         alone = step(scheme, stack.take(j), obj, h, 1e-8)
         assert after.a[j].tobytes() == alone.a.tobytes()
@@ -406,9 +405,9 @@ def test_refused_stack_step_is_retried_by_each_live_cell_alone(monkeypatch):
         runs.append(1)
         return real_run(*args, **flags)
 
-    def step_spy(plan, factors, *args):
+    def step_spy(schemes, factors, *args):
         steps.append(len(factors.a))
-        return real_step(plan, factors, *args)
+        return real_step(schemes, factors, *args)
 
     monkeypatch.setattr(solvers_mod, "run_stack", run_spy)
     monkeypatch.setattr(solvers_mod, "_rk_step", step_spy)
