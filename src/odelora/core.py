@@ -17,9 +17,10 @@ factors (e.g. the zero-B start); H then gains ``2 eps * I``.
 
 The field, every factor direction in ``solvers`` and the null-space ratio
 in ``metrics`` read G only through its two sides ``B^T G`` (r x n) and
-``G A^T`` (m x r). ``field_eval_sides`` takes them and the state's
-``FactorGrams``; ``Objective.sides`` returns them at a factor state, and an
-objective with low-rank structure computes them without forming G.
+``G A^T`` (m x r). ``field_eval`` takes them and the state's
+``FactorGrams``; ``Objective.sides`` returns them at a factor state, an
+objective with low-rank structure computes them without forming G, and
+``gradient_sides`` takes them from a dense G.
 
 ``FactorGrams`` builds both regularized Grams of one state and their inverse
 Cholesky factors once; the field, the baselines' directions and the
@@ -61,7 +62,6 @@ __all__ = [
     "gram_b",
     "gradient_sides",
     "field_eval",
-    "field_eval_sides",
     "slice_dots",
     "slice_norms",
 ]
@@ -297,26 +297,16 @@ class FactorGrams:
         return sylvester_eig(self.ga + self.gb, c)
 
 
-def field_eval(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> FieldEval:
-    """Evaluate the balanced update field at the given full-weight gradient.
-
-    Returns (F_A, F_B, X) where
+def field_eval(factors: LoRAFactors, sides: Sides, grams: FactorGrams) -> FieldEval:
+    """The balanced update field (F_A, F_B, X) from the gradient's sides
+    ``(B^T G, G A^T)`` and the state's ``FactorGrams(factors, eps)``:
 
         F_A = -(B^T B + eps I)^{-1} B^T G + X A
         F_B = -P_B^null G A^T (A A^T + eps I)^{-1} - B X
 
-    and X solves the symmetric Sylvester equation stated in the module
-    docstring (with H = A A^T + B^T B + 2 eps I when regularized).
-    """
-    return field_eval_sides(factors, gradient_sides(factors, g), FactorGrams(factors, eps))
-
-
-def field_eval_sides(factors: LoRAFactors, sides: Sides, grams: FactorGrams) -> FieldEval:
-    """``field_eval`` given the gradient's sides ``(B^T G, G A^T)`` instead of G,
-    and ``grams``, the state's ``FactorGrams(factors, eps)``, already built.
-
-    Both solves with B's Gram share one call: its two right-hand sides are
-    stacked, and each column's result is the one a separate solve gives.
+    with X the Sylvester gauge of the module docstring (H gains 2 eps I).
+    Both solves with B's Gram share one call on their stacked right-hand
+    sides, which gives each column what a separate solve gives.
     """
     a, b = factors.a, factors.b
     bt_g, g_at = sides

@@ -58,8 +58,8 @@ DEFECT_FLOOR = 1e-12
 FEATURE_SCALING_RANK = 4
 # The flow steppers an order study measures, in the order it reports them.
 FLOW_SCHEMES = (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4)
-# The same flows in stack order, as one stack steps them.
-_FLOW_STACK = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
+# The same flows in stack order (``solvers._METHODS``), as one stack steps them.
+_FLOW_STACK = tuple(scheme for scheme in _METHODS if scheme in FLOW_SCHEMES)
 
 
 class ReferenceDiverged(Exception):

@@ -8,7 +8,7 @@ direction reads more of the full-weight gradient G. The stage sides come
 from ``Objective.sides`` at the stage state, so an objective with a
 residual form never builds an m x n matrix inside a step. The flow schemes
 (Euler, Heun/RK2, classical RK4) run the engine with the balanced field
-``field_eval_sides`` and their Butcher tableaux. The factor baselines are
+``core.field_eval`` and their Butcher tableaux. The factor baselines are
 one-stage (Euler) runs of their own directions: plain factor gradient
 descent, Gram-preconditioned descent, and the gradient-matching update with
 zero gauge (the X = 0 member of the same solution family as the Euler flow
@@ -79,7 +79,7 @@ from .core import (
     Objective,
     Sides,
     effective_weight,
-    field_eval_sides,
+    field_eval,
     slice_dots,
     slice_norms,
 )
@@ -174,7 +174,7 @@ RK4 = Tableau((0.5, 0.5, 1.0), (1, 2, 2, 1), 6)
 
 
 def _flow_direction(factors: LoRAFactors, sides: Sides, grams: FactorGrams):
-    k = field_eval_sides(factors, sides, grams)
+    k = field_eval(factors, sides, grams)
     return k.f_a, k.f_b
 
 

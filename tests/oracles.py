@@ -8,7 +8,9 @@ closed-form constrained minimizer, and finite differences instead of exact
 gradients. The null-space projectors are formed as explicit n x n and
 m x m matrices, where the library only applies them through Gram solves;
 ``flow_rhs_full``, the full-weight velocity ``-G + P_B^null G P_A^null``
-the flow must induce, is built from them. ``dense_sides`` and
+the flow must induce, is built from them. ``dense_field`` is the library's
+field at a dense G, which the tests check against these routes; it reaches
+the field as a caller with a dense G does. ``dense_sides`` and
 ``dense_evaluate`` read an objective at a factor state by forming W and
 calling its ``grad`` and ``loss`` one slice at a time, where each library
 objective reads a whole stack in one call; ``DenseObjective`` is a base
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from odelora.core import (LoRAFactors, Objective, StateEval, effective_weight, gradient_sides,
-                          gram_a, gram_b)
+from odelora.core import (FactorGrams, LoRAFactors, Objective, StateEval, effective_weight,
+                          field_eval, gradient_sides, gram_a, gram_b)
 from odelora.linalg import NotPositiveDefinite
 
 
@@ -78,6 +80,13 @@ def flow_rhs_full(factors, g, eps=0.0):
     """-G + P_B^null G P_A^null, the full-weight velocity B F_A + F_B A that
     the balanced field induces (for any eps), from the explicit projectors."""
     return -g + null_projector_b(factors, eps) @ g @ null_projector_a(factors, eps)
+
+
+def dense_field(factors, g, eps=0.0):
+    """The library's field at a dense gradient G: G's sides, whose shape and
+    finiteness ``gradient_sides`` checks, and the state's ``FactorGrams``,
+    which refuse a degenerate or overflowing Gram."""
+    return field_eval(factors, gradient_sides(factors, g), FactorGrams(factors, eps))
 
 
 def _per_slice(factors, fn, w):

@@ -14,7 +14,7 @@ import pytest
 
 from odelora.cli import cmd_order, cmd_run, cmd_sweep
 from odelora.config import parse_config
-from odelora.core import LoRAFactors, field_eval, gram_a, gram_b
+from odelora.core import LoRAFactors, gram_a, gram_b
 from odelora.diagnostics import feature_scaling_experiment, phi_decompose
 from odelora.metrics import balance_defect, eps_ratio, rate_fit, sensing_eps_certificate
 from odelora.problems import (
@@ -32,7 +32,7 @@ from odelora.solvers import (
     run_trajectory,
     step,
 )
-from oracles import KKTOracle, gradient_probe_error, kron_sylvester
+from oracles import KKTOracle, dense_field, gradient_probe_error, kron_sylvester
 
 DELTA = 0.05
 H = 0.1
@@ -73,7 +73,7 @@ def test_criterion_01_field_matches_kkt_and_sylvester_oracles():
     value equality, and feasibility everywhere."""
     worst_x, worst_dist, worst_val = 0.0, 0.0, 0.0
     for f, g in _small_instances():
-        fe = field_eval(f, g, eps=0.0)
+        fe = dense_field(f, g, eps=0.0)
         h = gram_a(f) + gram_b(f)
         t = np.linalg.solve(gram_b(f), f.b.T @ g @ f.a.T)
         x_oracle = kron_sylvester(h, t + t.T)
@@ -104,7 +104,7 @@ def test_criterion_02_effective_weight_velocity_identity():
     """B F_A + F_B A == -G + P_B^null G P_A^null to 1e-10 relative."""
     worst = 0.0
     for f, g in _small_instances():
-        fe = field_eval(f, g, eps=0.0)
+        fe = dense_field(f, g, eps=0.0)
         dw = f.b @ fe.f_a + fe.f_b @ f.a
         pb = np.eye(f.b.shape[0]) - f.b @ np.linalg.solve(gram_b(f), f.b.T)
         pa = np.eye(f.a.shape[1]) - f.a.T @ np.linalg.solve(gram_a(f), f.a)
@@ -117,7 +117,7 @@ def test_criterion_03_balance_tangency_and_preservation(sensing40):
     problem, objective, start = sensing40
     worst_tangency = 0.0
     for f, g in _small_instances(50):
-        fe = field_eval(f, g, eps=0.0)
+        fe = dense_field(f, g, eps=0.0)
         residual = fe.f_a @ f.a.T + f.a @ fe.f_a.T - fe.f_b.T @ f.b - f.b.T @ fe.f_b
         worst_tangency = max(
             worst_tangency, np.linalg.norm(residual) / max(1.0, np.linalg.norm(g))

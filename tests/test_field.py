@@ -4,12 +4,12 @@ import pytest
 from conftest import random_factors
 from odelora.core import (
     LoRAFactors,
-    field_eval,
     gram_a,
     gram_b,
 )
 from odelora.linalg import NotPositiveDefinite
-from oracles import KKTOracle, flow_rhs_full, kron_sylvester, null_projector_a, null_projector_b
+from oracles import (KKTOracle, dense_field, flow_rhs_full, kron_sylvester, null_projector_a,
+                     null_projector_b)
 
 
 class TestLoRAFactors:
@@ -97,14 +97,14 @@ class TestNullProjectors:
 class TestFieldEval:
     def test_zero_gradient_is_fixed_point(self, rng):
         f = random_factors(rng, 2, 5, 6)
-        fe = field_eval(f, np.zeros((5, 6)))
+        fe = dense_field(f, np.zeros((5, 6)))
         assert np.allclose(fe.f_a, 0.0) and np.allclose(fe.f_b, 0.0)
         assert np.allclose(fe.x, 0.0)
 
     def test_scalar_instance(self):
         f = LoRAFactors(a=[[1.0]], b=[[1.0]])
         g = np.array([[0.6]])
-        fe = field_eval(f, g)
+        fe = dense_field(f, g)
         # H = 2, C = 2 * 0.6, X = C / (2 H) = 0.3; F_A = -0.6 + 0.3 = -0.3
         assert fe.x[0, 0] == pytest.approx(0.3)
         assert fe.f_a[0, 0] == pytest.approx(-0.3)
@@ -117,7 +117,7 @@ class TestFieldEval:
             r = int(rng.integers(1, 4))
             f = random_factors(rng, r, int(rng.integers(4, 9)), int(rng.integers(4, 9)))
             g = rng.standard_normal(f.shape)
-            fe = field_eval(f, g)
+            fe = dense_field(f, g)
             h = gram_a(f) + gram_b(f)
             t = np.linalg.solve(gram_b(f), f.b.T @ g @ f.a.T)
             x_oracle = kron_sylvester(h, t + t.T)
@@ -128,7 +128,7 @@ class TestFieldEval:
             r = int(rng.integers(1, 4))
             f = random_factors(rng, r, int(rng.integers(4, 9)), int(rng.integers(4, 9)))
             g = rng.standard_normal(f.shape)
-            fe = field_eval(f, g)
+            fe = dense_field(f, g)
             oracle = KKTOracle(f.a, f.b, g)
             z_field = oracle.join(fe.f_a, fe.f_b)
             z_star = oracle.solve()
@@ -152,7 +152,7 @@ class TestFieldEval:
         for _ in range(10):
             f = random_factors(rng, 3, 6, 7)
             g = rng.standard_normal((6, 7))
-            fe = field_eval(f, g)
+            fe = dense_field(f, g)
             dw = f.b @ fe.f_a + fe.f_b @ f.a
             assert np.linalg.norm(dw - flow_rhs_full(f, g)) <= 1e-10 * np.linalg.norm(g)
 
@@ -160,7 +160,7 @@ class TestFieldEval:
         for _ in range(10):
             f = random_factors(rng, 3, 6, 7)
             g = rng.standard_normal((6, 7))
-            fe = field_eval(f, g)
+            fe = dense_field(f, g)
             residual = (
                 fe.f_a @ f.a.T + f.a @ fe.f_a.T - fe.f_b.T @ f.b - f.b.T @ fe.f_b
             )
@@ -170,7 +170,7 @@ class TestFieldEval:
         for _ in range(20):
             f = random_factors(rng, 3, 6, 7)
             g = rng.standard_normal((6, 7))
-            fe = field_eval(f, g)
+            fe = dense_field(f, g)
             eigs_a = np.linalg.eigvalsh(gram_a(f))
             eigs_b = np.linalg.eigvalsh(gram_b(f))
             gamma_min = min(eigs_a[0], eigs_b[0])
@@ -180,7 +180,7 @@ class TestFieldEval:
 
     def test_x_symmetry(self, rng):
         f = random_factors(rng, 4, 8, 9)
-        fe = field_eval(f, rng.standard_normal((8, 9)))
+        fe = dense_field(f, rng.standard_normal((8, 9)))
         assert np.linalg.norm(fe.x - fe.x.T) <= 1e-12 * (1.0 + np.linalg.norm(fe.x))
 
     def test_eps_regularized_identity_still_holds(self, rng):
@@ -188,14 +188,14 @@ class TestFieldEval:
         f = random_factors(rng, 3, 6, 7)
         g = rng.standard_normal((6, 7))
         for eps in (1e-8, 1e-2):
-            fe = field_eval(f, g, eps)
+            fe = dense_field(f, g, eps)
             dw = f.b @ fe.f_a + fe.f_b @ f.a
             assert np.linalg.norm(dw - flow_rhs_full(f, g, eps)) <= 1e-10 * np.linalg.norm(g)
 
     def test_zero_b_start_with_eps(self, rng):
         f = LoRAFactors(a=rng.standard_normal((2, 6)), b=np.zeros((5, 2)))
         g = rng.standard_normal((5, 6))
-        fe = field_eval(f, g, 1e-8)
+        fe = dense_field(f, g, 1e-8)
         assert np.allclose(fe.f_a, 0.0, atol=1e-12)
         assert np.allclose(fe.x, 0.0, atol=1e-12)
         expected_fb = -np.linalg.solve(gram_a(f, 1e-8), (g @ f.a.T).T).T
@@ -204,7 +204,7 @@ class TestFieldEval:
 
 def effective_velocity(f, g, eps=0.0):
     """B F_A + F_B A, the full-weight velocity the field induces."""
-    fe = field_eval(f, g, eps)
+    fe = dense_field(f, g, eps)
     return f.b @ fe.f_a + fe.f_b @ f.a
 
 

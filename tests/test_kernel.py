@@ -18,6 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import odelora.solvers as solvers
 from odelora.cli import Experiment
 from odelora.config import ExperimentConfig
 from odelora.core import (
@@ -25,12 +26,11 @@ from odelora.core import (
     LoRAFactors,
     Sides,
     effective_weight,
-    field_eval,
-    field_eval_sides,
     gradient_sides,
     gram_a,
     gram_b,
 )
+from odelora.diagnostics import _seed_stack, phi_decompose
 from odelora.linalg import NonFiniteState, NotPositiveDefinite, as_matrix
 from odelora.metrics import eps_ratio
 from odelora.problems import (
@@ -52,7 +52,7 @@ from odelora.solvers import (
     run_trajectory,
     step,
 )
-from oracles import (dense_evaluate, dense_sides, flow_rhs_full, kron_sylvester,
+from oracles import (dense_evaluate, dense_field, dense_sides, flow_rhs_full, kron_sylvester,
                      null_projector_a, null_projector_b)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -106,6 +106,21 @@ def gram_solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Count the engine's calls of ``core.field_eval`` through a wrapper under
+    that name in ``solvers``, where the benchmark's tracer puts its own."""
+    calls = []
+    real = solvers.field_eval
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "field_eval", counting)
+    return calls
+
+
 def random_state(rng, r=4, m=9, n=11):
     f = LoRAFactors(a=rng.standard_normal((r, n)), b=rng.standard_normal((m, r)))
     return f, rng.standard_normal((m, n))
@@ -114,7 +129,7 @@ def random_state(rng, r=4, m=9, n=11):
 class TestFactorizationCounts:
     def test_field_eval_factors_each_gram_once(self, rng, counted):
         f, g = random_state(rng)
-        field_eval(f, g, 1e-8)
+        dense_field(f, g, 1e-8)
         assert counted == {"cholesky": 2, "eigh": 1}
 
     def test_lorapro_direction(self, rng, counted):
@@ -128,11 +143,11 @@ class TestFactorizationCounts:
         step(Scheme.RIEMANNIAN, f, quadratic_objective(g, mu=1.0, w_pt=w_pt), 0.1, 1e-8)
         assert counted == {"cholesky": 2, "eigh": 0}
 
-    def test_mixed_stack_step_factors_once_per_stage(self, rng, calls):
+    def test_mixed_stack_step_factors_once_per_stage(self, rng, calls, field_calls):
         # one slice per factor scheme, in stack order (RK4, RK2, Euler,
         # riemannian, lora_pro, classical_gd): each of RK4's four stages
         # factors the Grams of its slices whose directions read them in one
-        # call, and the flows among them share one gauge solve
+        # call, and the flows among them share one field evaluation
         states = [random_state(rng)[0] for _ in _METHODS]
         stack = LoRAFactors(np.array([f.a for f in states]), np.array([f.b for f in states]))
         w_pt = np.zeros(stack.shape)
@@ -140,6 +155,21 @@ class TestFactorizationCounts:
         h = np.full((len(states), 1, 1), 0.1)
         _rk_step(tuple(_METHODS), stack, objective, h, 1e-8)
         assert calls == {"cholesky": 4, "eigh": 4}
+        assert len(field_calls) == 4
+
+    @pytest.mark.parametrize("scheme, stages", [
+        (Scheme.ODE_RK4, 4), (Scheme.ODE_RK2, 2), (Scheme.ODE_EULER, 1),
+        (Scheme.CLASSICAL_GD, 0), (Scheme.RIEMANNIAN, 0), (Scheme.LORA_PRO, 0),
+    ])
+    def test_step_calls_the_field_once_per_flow_stage(self, rng, field_calls, scheme, stages):
+        f, g = random_state(rng)
+        step(scheme, f, quadratic_objective(g, mu=1.0, w_pt=np.zeros(f.shape)), 0.1, 1e-8)
+        assert len(field_calls) == stages
+
+    def test_stacked_phi_decompose_calls_the_field_once_per_stage(self, field_calls):
+        objective, start = _seed_stack(8, [0, 1, 2])
+        phi_decompose(start, objective, Scheme.ODE_RK4, 0.1)
+        assert len(field_calls) == 4
 
     def test_flow_rhs_full_and_eps_ratio(self, rng, counted):
         f, g = random_state(rng)
@@ -149,7 +179,7 @@ class TestFactorizationCounts:
     def test_field_eval_makes_three_gram_solves(self, rng, gram_solves):
         # both right-hand sides of B's Gram go through one solve
         f, g = random_state(rng)
-        field_eval(f, g, 1e-8)
+        dense_field(f, g, 1e-8)
         assert len(gram_solves) == 3
 
     def test_eps_ratio_makes_two_gram_solves(self, rng, gram_solves):
@@ -175,13 +205,13 @@ class TestNonFiniteState:
         assert np.all(np.isfinite(gram_a(f, 1e-8)))
         g = rng.standard_normal((4, 5))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
-            field_eval(f, g, 1e-8)
+            dense_field(f, g, 1e-8)
 
     def test_non_finite_gradient(self, rng):
         f, g = random_state(rng)
         g[0, 0] = np.nan
         with pytest.raises(NonFiniteState):
-            field_eval(f, g)
+            dense_field(f, g)
 
 
 @st.composite
@@ -259,14 +289,14 @@ class TestFieldProperties:
     def test_effective_velocity_is_flow_rhs_full(self, state):
         f, g, eps = state
         assume_factorable(f, eps)
-        assert_flow_identity(f, g, eps, field_eval(f, g, eps), 1e-13 * conditioning(f, eps))
+        assert_flow_identity(f, g, eps, dense_field(f, g, eps), 1e-13 * conditioning(f, eps))
 
     @PROPERTY_SETTINGS
     @given(states())
     def test_tangent_to_balanced_manifold(self, state):
         f, g, eps = state
         assume_factorable(f, eps)
-        assert_tangent(f, g, eps, field_eval(f, g, eps), 1e-13 * conditioning(f, eps))
+        assert_tangent(f, g, eps, dense_field(f, g, eps), 1e-13 * conditioning(f, eps))
 
     @PROPERTY_SETTINGS
     @given(states())
@@ -293,7 +323,7 @@ class TestFieldProperties:
     def test_gauge_matches_kronecker_sylvester(self, state):
         f, g, eps = state
         assume_factorable(f, eps)
-        x = field_eval(f, g, eps).x
+        x = dense_field(f, g, eps).x
         t = np.linalg.solve(gram_b(f, eps), f.b.T @ g @ f.a.T)
         x_oracle = kron_sylvester(gram_a(f, eps) + gram_b(f, eps), t + t.T)
         tol = 1e-13 * conditioning(f, eps) * np.linalg.norm(x_oracle)
@@ -315,7 +345,7 @@ class TestFieldProperties:
         assume_factorable(moved, 0.0)
 
         def velocity(factors):
-            fe = field_eval_sides(factors, gradient_sides(factors, g), FactorGrams(factors, 0.0))
+            fe = dense_field(factors, g, 0.0)
             return factors.b @ fe.f_a + fe.f_b @ factors.a
 
         kappa = conditioning(f, 0.0) + conditioning(moved, 0.0)
@@ -330,7 +360,7 @@ class TestFieldProperties:
         b[:, -1] = c * b[:, 0] if f.rank > 1 else 0.0
         degenerate = LoRAFactors(a=f.a, b=b)
         with pytest.raises(NotPositiveDefinite):
-            field_eval(degenerate, g, 0.0)
+            dense_field(degenerate, g, 0.0)
         # the engine factors the Grams that lora_pro's and riemannian's
         # directions read, so their refusal is that factorization's
         with pytest.raises(NotPositiveDefinite):
@@ -378,7 +408,7 @@ class TestNearRankDeficientB:
         # a 1e-3 error in the gauge X missed tangency by at least 2e-5.
         f, g = state
         try:
-            fe = field_eval(f, g, 0.0)
+            fe = dense_field(f, g, 0.0)
         except NotPositiveDefinite:
             return
         assert all(np.all(np.isfinite(part)) for part in fe)

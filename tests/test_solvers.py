@@ -13,11 +13,10 @@ from odelora.core import (
     LoRAFactors,
     Objective,
     effective_weight,
-    field_eval,
     gradient_sides,
 )
 from odelora.diagnostics import _integrate_weight, _seed_stack, estimate_order, phi_decompose
-from odelora.linalg import NotPositiveDefinite
+from odelora.linalg import NonFiniteState, NotPositiveDefinite
 from odelora.metrics import balance_defect
 from odelora.problems import (
     aligned_zero_b_init,
@@ -39,7 +38,7 @@ from odelora.solvers import (
     run_trajectory,
     step,
 )
-from oracles import DenseObjective, flow_rhs_full, longdouble_distance
+from oracles import DenseObjective, dense_field, flow_rhs_full, longdouble_distance
 
 class ConstantGradient(DenseObjective):
     """Linear objective: loss = <G0, W>, gradient identically G0."""
@@ -70,6 +69,27 @@ class CountingObjective(DenseObjective):
     def grad(self, w):
         self.grads += 1
         return self.inner.grad(w)
+
+
+class NaNSides(Objective):
+    """Another objective with a NaN in its gradient's side ``B^T G``, from both
+    ``sides`` and the logged row's ``evaluate``; its loss and G stay finite."""
+
+    def __init__(self, inner):
+        self.inner, self.w_pt = inner, inner.w_pt
+
+    @staticmethod
+    def _poisoned(sides):
+        bt_g = sides.bt_g.copy()
+        bt_g[..., 0, 0] = np.nan
+        return sides._replace(bt_g=bt_g)
+
+    def sides(self, factors):
+        return self._poisoned(self.inner.sides(factors))
+
+    def evaluate(self, factors):
+        state = self.inner.evaluate(factors)
+        return state._replace(sides=self._poisoned(state.sides))
 
 
 def row_values(log):
@@ -136,7 +156,7 @@ class TestOdeRk2:
         h, tau = 1e-3, 1e-6
 
         def field_at(state):
-            return field_eval(state, obj.grad(effective_weight(w_pt, state)), 0.0)
+            return dense_field(state, obj.grad(effective_weight(w_pt, state)), 0.0)
 
         k1 = field_at(f)
         nudged = f.move(k1.f_a, k1.f_b, tau)
@@ -182,7 +202,7 @@ class TestOdeRk4:
             f_b=rng.standard_normal((5, 2)),
             x=np.zeros((2, 2)),
         )
-        monkeypatch.setattr(solvers_mod, "field_eval_sides", lambda *a, **k: frozen)
+        monkeypatch.setattr(solvers_mod, "field_eval", lambda *a, **k: frozen)
         out = step(Scheme.ODE_RK4, f, obj, 0.3, 1e-8)
         assert np.allclose(out.a, f.a + 0.3 * frozen.f_a, atol=1e-14)
         assert np.allclose(out.b, f.b + 0.3 * frozen.f_b, atol=1e-14)
@@ -279,7 +299,7 @@ class TestLoraPro:
         f = balanced_init(0.7 * p.b_star @ p.a_star, 2)
         g = obj.grad(effective_weight(p.w_pt, f))
         h = 0.1
-        fe = field_eval(f, g, 0.0)
+        fe = dense_field(f, g, 0.0)
         pro = step(Scheme.LORA_PRO, f, obj, h, eps=0.0)
         euler = step(Scheme.ODE_EULER, f, obj, h, eps=0.0)
         assert np.allclose(euler.a - pro.a, h * fe.x @ f.a, atol=1e-10)
@@ -505,6 +525,21 @@ class TestRunTrajectory:
         assert np.isnan(last.loss) and np.isnan(last.grad_norm)
         assert last.balance_defect is None and last.eps_ratio is None
         assert np.isfinite(log.rows[-2].loss)
+
+    @pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.FULL_FT])
+    def test_a_non_finite_side_halts_at_the_next_state(self, rng, scheme):
+        # the kernel does not check the sides an objective hands it (see the
+        # linalg docstring): a NaN side gives a NaN direction, which the next
+        # state's LoRAFactors refuses. Both sources carry the NaN, since a
+        # logged run's one-stage steps read only the row's sides.
+        f, w_pt, obj = quadratic_fixture(rng)
+        obj = NaNSides(obj)
+        with pytest.raises(NonFiniteState):
+            step(scheme, f, obj, 0.1, 1e-8)
+        log = run_trajectory(f, obj, SolverConfig(scheme, 0.1, 5))
+        assert log.diverged and [row.iter for row in log.rows] == [0, 1]
+        assert np.isfinite(log.rows[0].loss)
+        assert np.isnan(log.rows[-1].loss) and np.isnan(log.rows[-1].grad_norm)
 
     def test_programming_error_in_a_step_propagates(self, rng, monkeypatch):
         f, w_pt, obj = quadratic_fixture(rng)
