@@ -24,6 +24,7 @@ from .core import (
 from .diagnostics import (
     DefectBelowNoiseFloor,
     FeatureScalingResult,
+    NotAsymptotic,
     OrderReport,
     PhiReport,
     ReferenceDiverged,

@@ -14,7 +14,8 @@ so identical invocations produce byte-identical CSVs except for the
 as empty fields. Exit codes: 0 completed (divergence is data, not failure),
 2 configuration error, 3 I/O error. ``order`` also exits 2, writing
 nothing, when its config's problem and start admit no measurement: the
-reference run diverges, or a terminal defect sits at round-off.
+reference run diverges, a terminal defect sits at round-off, or a defect
+does not fall as h falls.
 ``feature-scaling`` exits 2, writing nothing, when a scheme diverges.
 """
 
@@ -42,6 +43,7 @@ from .core import LoRAFactors
 from .diagnostics import (
     FEATURE_SCALING_RANK,
     DefectBelowNoiseFloor,
+    NotAsymptotic,
     ReferenceDiverged,
     ScalingDiverged,
     estimate_order,
@@ -380,7 +382,8 @@ def main(argv=None) -> int:
         if args.command == "order":
             return cmd_order(cfg, Path(args.out))
         raise AssertionError(args.command)  # pragma: no cover
-    except (ConfigError, DefectBelowNoiseFloor, ReferenceDiverged, ScalingDiverged) as err:
+    except (ConfigError, DefectBelowNoiseFloor, NotAsymptotic, ReferenceDiverged,
+            ScalingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -1,8 +1,8 @@
 """Trajectory-level measurements: discretization order, one-step output
 decompositions, and the feature-scaling sweep over model dimension.
 
-``estimate_order`` is Richardson-style: it integrates the three flow
-steppers, as one stack, to a fixed horizon at each step size, measures each
+``estimate_order`` is Richardson-style: it integrates each of the three
+flow steppers alone to a fixed horizon at each step size, measures each
 terminal defect against one fine-step RK4 reference that it integrates
 itself, and reads the order off consecutive defect ratios.
 ``phi_decompose`` splits the one-step change of the model output
@@ -38,11 +38,12 @@ from .problems import (
     regression_objective,
 )
 from .solvers import (DIVERGENCE_ERRORS, DIVERGENCE_LOSS, Scheme, _METHODS,
-                      _require_base_weight, _require_eps, _require_step, _rk_step)
+                      _require_base_weight, _require_eps, _require_step, _rk_step, step)
 
 __all__ = [
     "ReferenceDiverged",
     "DefectBelowNoiseFloor",
+    "NotAsymptotic",
     "ScalingDiverged",
     "OrderReport",
     "PhiReport",
@@ -58,8 +59,6 @@ DEFECT_FLOOR = 1e-12
 FEATURE_SCALING_RANK = 4
 # The flow steppers an order study measures, in the order it reports them.
 FLOW_SCHEMES = (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4)
-# The same flows in stack order (``solvers._METHODS``), as one stack steps them.
-_FLOW_STACK = tuple(scheme for scheme in _METHODS if scheme in FLOW_SCHEMES)
 
 
 class ReferenceDiverged(Exception):
@@ -68,6 +67,10 @@ class ReferenceDiverged(Exception):
 
 class DefectBelowNoiseFloor(Exception):
     """A terminal defect sits at round-off level; the order is unmeasurable."""
+
+
+class NotAsymptotic(Exception):
+    """A defect does not fall as h falls; the order is unmeasurable."""
 
 
 class ScalingDiverged(Exception):
@@ -81,17 +84,14 @@ class OrderReport:
     observed_order: float
 
 
-def _integrate_weight(factors, objective, schemes, h, horizon, eps):
-    """Step ``factors``, whose slices run ``schemes`` (``solvers._rk_step``),
-    to ``horizon`` without logging, in ``horizon / h`` steps rounded, and
-    return the terminal effective weight. A stacked state steps every slice
-    at ``h``, held as a (k, 1, 1) column, since a mixed stack slices h by
-    prefix."""
+def _integrate_weight(factors, objective, scheme, h, horizon, eps):
+    """Step the unstacked ``factors`` with ``scheme`` (``solvers.step``) to
+    ``horizon`` without logging, in ``horizon / h`` steps rounded, and
+    return the terminal effective weight."""
     state = factors
-    step_h = np.full((factors.a.shape[0], 1, 1), h) if factors.stacked else h
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(round(horizon / h)):
-            state = _rk_step(schemes, state, objective, step_h, eps)[0]
+            state = step(scheme, state, objective, h, eps)
     return effective_weight(objective.w_pt, state)
 
 
@@ -110,14 +110,15 @@ def estimate_order(
     relative), so that every run ends at the reference's time, and ``eps``
     must be nonnegative and finite; ValueError otherwise, before any step.
     Every scheme is measured against one RK4 reference run at
-    min(h_list)/100, stepped alone. At each h the three flows step as one
-    stack (``solvers._rk_step``), in the order RK4, RK2, Euler, and each
-    slice's terminal weight is the one ``solvers.step`` gives it alone.
+    min(h_list)/100. The reference, and then each scheme at each h in turn,
+    steps alone with ``solvers.step``.
     Raises ReferenceDiverged when the reference meets one of
     ``solvers.DIVERGENCE_ERRORS``, with the kernel's message, or ends past
-    ``solvers.DIVERGENCE_LOSS``, and DefectBelowNoiseFloor when a scheme's
-    smallest defect sits at round-off; the reference is checked first, then
-    each scheme in turn. An objective with no base weight raises TypeError
+    ``solvers.DIVERGENCE_LOSS``; DefectBelowNoiseFloor when a scheme's
+    smallest defect sits at round-off; and NotAsymptotic when a scheme's
+    defect is not strictly below its defect at the previous, larger h. The
+    reference is checked first, then each scheme in turn, the noise floor
+    before the fall. An objective with no base weight raises TypeError
     before any step.
     """
     h_list = [float(h) for h in h_list]
@@ -130,26 +131,28 @@ def estimate_order(
     _require_eps(eps)
     _require_base_weight(objective)
     try:
-        reference = _integrate_weight(factors, objective, (Scheme.ODE_RK4,),
+        reference = _integrate_weight(factors, objective, Scheme.ODE_RK4,
                                       min(h_list) / 100.0, horizon, eps)
     except DIVERGENCE_ERRORS as err:
         raise ReferenceDiverged(str(err)) from err
     if not (loss := objective.loss(reference)) <= DIVERGENCE_LOSS:
         raise ReferenceDiverged(f"reference loss {loss:.3e} exceeds {DIVERGENCE_LOSS:g}")
-    flows = LoRAFactors(*(np.broadcast_to(x, (len(_FLOW_STACK), *x.shape))
-                          for x in (factors.a, factors.b)))
-    defects_of = {scheme: [] for scheme in _FLOW_STACK}
-    for h in h_list:
-        w_end = _integrate_weight(flows, objective, _FLOW_STACK, h, horizon, eps)
-        for scheme, w in zip(_FLOW_STACK, w_end):
-            defects_of[scheme].append(float(np.linalg.norm(w - reference)))
+    defects_of = {scheme: [float(np.linalg.norm(_integrate_weight(factors, objective, scheme,
+                                                                  h, horizon, eps) - reference))
+                           for h in h_list]
+                  for scheme in FLOW_SCHEMES}
     reports = {}
-    for scheme in FLOW_SCHEMES:
-        defects = defects_of[scheme]
+    for scheme, defects in defects_of.items():
         if min(defects) < DEFECT_FLOOR:
             raise DefectBelowNoiseFloor(
                 f"defect {min(defects):.3e} below {DEFECT_FLOOR:g}; order unmeasurable"
             )
+        for h, h_next, d, d_next in zip(h_list, h_list[1:], defects, defects[1:]):
+            if not d_next < d:
+                raise NotAsymptotic(
+                    f"{scheme.value} defect {d_next:.3e} at h = {h_next:g} is not below "
+                    f"{d:.3e} at h = {h:g}; order unmeasurable"
+                )
         orders = [
             math.log(defects[i] / defects[i + 1]) / math.log(h_list[i] / h_list[i + 1])
             for i in range(len(h_list) - 1)

@@ -585,15 +585,16 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: defect")
 
         import odelora.cli as cli_mod
-        from odelora.diagnostics import ReferenceDiverged
+        from odelora.diagnostics import NotAsymptotic, ReferenceDiverged
 
-        def diverged(*args):
-            raise ReferenceDiverged("reference blew up")
+        for error in (ReferenceDiverged, NotAsymptotic):
+            def unmeasurable(*args, error=error):
+                raise error("no order here")
 
-        monkeypatch.setattr(cli_mod, "estimate_order", diverged)
-        assert main(["order", "--out", str(out)]) == 2
-        assert not out.exists()
-        assert capsys.readouterr().err == "error: reference blew up\n"
+            monkeypatch.setattr(cli_mod, "estimate_order", unmeasurable)
+            assert main(["order", "--out", str(out)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err == "error: no order here\n"
 
     def test_sweep_takes_no_jobs_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

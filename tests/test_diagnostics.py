@@ -7,6 +7,7 @@ from odelora.config import parse_config
 from odelora.core import LoRAFactors, effective_weight
 from odelora.diagnostics import (
     DefectBelowNoiseFloor,
+    NotAsymptotic,
     ReferenceDiverged,
     ScalingDiverged,
     estimate_order,
@@ -138,41 +139,36 @@ class TestEstimateOrder:
         calls = []
         real = diagnostics._integrate_weight
 
-        def counting(factors, objective, schemes, h, horizon, eps):
-            calls.append((factors.a.shape[:-2], schemes, h))
-            return real(factors, objective, schemes, h, horizon, eps)
+        def counting(factors, objective, scheme, h, horizon, eps):
+            calls.append((factors.a.shape[:-2], scheme, h))
+            return real(factors, objective, scheme, h, horizon, eps)
 
         monkeypatch.setattr(diagnostics, "_integrate_weight", counting)
         h_list = [0.1, 0.05]
         reports = estimate_order(f0, obj, 0.2, h_list)
-        assert list(reports) == [Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4]
-        # one unstacked RK4 reference, then one stack of the three flows per h
-        flows = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
-        assert calls == [((), (Scheme.ODE_RK4,), min(h_list) / 100.0)] + [
-            ((3,), flows, h) for h in h_list]
+        flows = [Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4]
+        assert list(reports) == flows
+        # one unstacked RK4 reference, then each flow alone at each h
+        assert calls == [((), Scheme.ODE_RK4, min(h_list) / 100.0)] + [
+            ((), scheme, h) for scheme in flows for h in h_list]
 
-    def test_each_stacked_flow_ends_where_its_public_step_does(self, setup):
-        # each slice of the flows' stack must end, bit for bit, at the weight
-        # its scheme's public step reaches alone, and its defect is measured
-        # from that weight
-        from odelora.diagnostics import _integrate_weight
-
+    def test_each_flow_ends_where_its_public_step_does(self, setup):
+        # every reported defect is the distance between the weights that
+        # each scheme's public step, and RK4's at min(h)/100, reach alone
         p, obj, f0 = setup
         horizon, h_list = 0.2, [0.1, 0.05]
         reports = estimate_order(f0, obj, horizon, h_list)
-        reference = _integrate_weight(f0, obj, (Scheme.ODE_RK4,), min(h_list) / 100.0,
-                                      horizon, 1e-8)
-        flows = (Scheme.ODE_RK4, Scheme.ODE_RK2, Scheme.ODE_EULER)
-        stack = LoRAFactors(np.stack([f0.a] * 3), np.stack([f0.b] * 3))
-        for i, h in enumerate(h_list):
-            w_end = _integrate_weight(stack, obj, flows, h, horizon, 1e-8)
-            for scheme, w in zip(flows, w_end):
-                state = f0
-                for _ in range(round(horizon / h)):
-                    state = step(scheme, state, obj, h, 1e-8)
-                alone = effective_weight(p.w_pt, state)
-                assert w.tobytes() == alone.tobytes()
-                assert reports[scheme].defects[i] == float(np.linalg.norm(alone - reference))
+
+        def weight_at_horizon(scheme, h):
+            state = f0
+            for _ in range(round(horizon / h)):
+                state = step(scheme, state, obj, h, 1e-8)
+            return effective_weight(p.w_pt, state)
+
+        reference = weight_at_horizon(Scheme.ODE_RK4, min(h_list) / 100.0)
+        for scheme in (Scheme.ODE_EULER, Scheme.ODE_RK2, Scheme.ODE_RK4):
+            assert reports[scheme].defects == tuple(
+                float(np.linalg.norm(weight_at_horizon(scheme, h) - reference)) for h in h_list)
 
     def test_requires_descending_steps(self, setup):
         p, obj, f0 = setup
@@ -197,6 +193,15 @@ class TestEstimateOrder:
         f0 = random_factors(rng, 2, 3, 3)
         with pytest.raises(ReferenceDiverged, match="reference loss"):
             estimate_order(f0, obj, 4.0, (4.0, 2.0))
+
+    @pytest.mark.parametrize("h_list", [(0.5, 0.25), (1.0, 0.5), (2.0, 1.0)])
+    def test_defects_that_rise_as_h_falls_are_refused(self, rng, h_list):
+        # at h mu >= 10 every flow is past its stability limit, and Euler's
+        # defect rises as h falls: an order read off it would be negative
+        obj = quadratic_objective(np.zeros((3, 3)), mu=40.0, w_pt=np.zeros((3, 3)))
+        f0 = random_factors(rng, 2, 3, 3)
+        with pytest.raises(NotAsymptotic, match="is not below"):
+            estimate_order(f0, obj, 4.0, h_list)
 
     @pytest.mark.parametrize("horizon, h_list, bad", [
         (1.0, (0.3, 0.15, 0.07), 0.3),  # 1 / 0.3 steps round to 3, ending at t = 0.9
