@@ -18,15 +18,14 @@ factors (e.g. the zero-B start); H then gains ``2 eps * I``.
 The field, every factor direction in ``solvers`` and the null-space ratio
 in ``metrics`` read G only through its two sides ``B^T G`` (r x n) and
 ``G A^T`` (m x r). ``field_eval`` takes them and the state's
-``FactorGrams``; ``Objective.sides`` returns them at a factor state, an
-objective with low-rank structure computes them without forming G, and
-``gradient_sides`` takes them from a dense G.
+``FactorGrams``; ``Objective.sides`` returns them at a factor state, and
+an objective with low-rank structure computes them without forming G.
 
 ``FactorGrams`` builds both regularized Grams of one state and their inverse
 Cholesky factors once; the field, the baselines' directions and the
 null-space ratio are a few products on top of it, and none projects an
-m x n matrix. Inputs are validated at the boundary (``LoRAFactors`` and the
-gradient check in ``gradient_sides``), not inside each solve.
+m x n matrix. Inputs are validated at the boundary (``LoRAFactors``), not
+inside each solve, and only the kernel refuses a state (see ``Objective``).
 
 A state may be a stack of k states along a leading axis: A is (k, r, n) and
 B is (k, m, r), and every array derived from it (sides, Grams, field, G)
@@ -60,7 +59,6 @@ __all__ = [
     "effective_weight",
     "gram_a",
     "gram_b",
-    "gradient_sides",
     "field_eval",
     "slice_dots",
     "slice_norms",
@@ -181,14 +179,6 @@ class StateEval(NamedTuple):
     sides: Sides
 
 
-def gradient_sides(factors: LoRAFactors, g) -> Sides:
-    """The sides of a dense gradient G, which is checked for shape and finiteness."""
-    g = as_matrix(g, "G", stack=True)
-    if g.shape != factors.a.shape[:-2] + factors.shape:
-        raise ValueError(f"gradient shape {g.shape} != weight shape {factors.shape}")
-    return Sides(factors.b.mT @ g, g @ factors.a.mT)
-
-
 class Objective:
     """Differentiable scalar objective over dense weight matrices.
 
@@ -198,7 +188,11 @@ class Objective:
     and ``evaluate`` at a factor state ``W = W_pt + B A``. An objective whose
     residual is cheap in factor form never forms an m x n matrix in ``sides``.
     ``optimum_*`` are set when the minimizer is known in closed form, and
-    ``dist_to_opt`` reads the distance to it at a factor state.
+    ``dist_to_opt`` reads the distance to it at a factor state. At a finite
+    factor state ``sides`` and ``evaluate`` return and never raise: a G that
+    is not finite reaches the engine as non-finite sides, which
+    ``LoRAFactors`` refuses at the next stage state, and a logged row with a
+    loss above ``solvers.DIVERGENCE_LOSS``, which halts that slice.
     """
 
     w_pt: np.ndarray | None = None

@@ -23,11 +23,11 @@ below s_k^2, which proves sigma_{k+1} < s_k since Ritz values interlace
 spectrum, a block as wide as M) it returns what the dense SVD gives.
 
 ``inverse_cholesky`` and ``sylvester_eig`` trust their operands:
-inputs are validated where they enter the library (``as_matrix``,
-``LoRAFactors`` and the dense-gradient check in ``core.gradient_sides``).
-The gradient sides that an objective supplies for a Runge–Kutta stage are
-not checked; a non-finite side gives a non-finite direction, which raises
-``NonFiniteState`` when the next state's ``LoRAFactors`` is built.
+inputs are validated where they enter the library (``as_matrix`` and
+``LoRAFactors``). No gradient is checked: the sides that an objective
+supplies for a Runge–Kutta stage may be non-finite, which gives a
+non-finite direction, which raises ``NonFiniteState`` when the next
+state's ``LoRAFactors`` is built.
 """
 
 from __future__ import annotations

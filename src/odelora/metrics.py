@@ -27,6 +27,8 @@ __all__ = [
 
 # Loss gaps below this are treated as numerical noise in rate fits.
 NOISE_FLOOR = 1e-12
+# Gradient norms at or below this vanish: the null-space ratio is undefined.
+ZERO_NORM = 1e-14
 
 
 class ZeroGradient(Exception):
@@ -66,26 +68,28 @@ def eps_ratio(factors: LoRAFactors, g: np.ndarray, eps: float = 0.0) -> float:
 
     G is checked here (``as_matrix``), and ``||G||^2`` is
     ``core.slice_dots(G, G)``, whose square root is a logged row's
-    ``grad_norm``. So ZeroGradient, raised when that root is at most 1e-14,
-    falls on exactly the rows whose ``grad_norm`` is; a logged row hands
-    its own ``||G||^2`` to ``_ratio`` and gets the bits of this call. At a
-    stacked state, with G a (k, m, n) stack, the ratios come as a (k,)
-    array, and ZeroGradient is raised if any slice's gradient vanishes.
-    Each trace is one stacked dot product, each slice's the bits of the
-    same call on that slice alone.
+    ``grad_norm``: NonFiniteState is raised if that is not finite, and then
+    ZeroGradient if its root is at most 1e-14, so ZeroGradient falls on
+    exactly the rows whose ``grad_norm`` is. A logged row hands its own
+    ``||G||^2`` to ``_ratio`` and gets the bits of this call. At a stacked
+    state, with G a (k, m, n) stack, the ratios come as a (k,) array, and
+    either error is raised if any slice has it. Each trace is one stacked
+    dot product, each slice's the bits of the same call on that slice alone.
     """
     g = as_matrix(g, "G", stack=True)
-    return _ratio(factors, g, slice_dots(g, g), eps)
+    gnorm2 = slice_dots(g, g)
+    if not np.isfinite(gnorm2).all():
+        raise NonFiniteState("G has a non-finite Frobenius norm")
+    if (np.sqrt(gnorm2) <= ZERO_NORM).any():
+        raise ZeroGradient("gradient norm at or below 1e-14")
+    return _ratio(factors, g, gnorm2, eps)
 
 
 def _ratio(factors: LoRAFactors, g: np.ndarray, gnorm2, eps: float):
     """``eps_ratio`` of a G already known to be a matrix or stack of ``factors``'
-    shape, given ``gnorm2 = slice_dots(G, G)``; NonFiniteState if that is not
-    finite. A float at an unstacked state, else a (k,) array."""
-    if not np.isfinite(gnorm2).all():
-        raise NonFiniteState("G has a non-finite Frobenius norm")
-    if (np.sqrt(gnorm2) <= 1e-14).any():
-        raise ZeroGradient("gradient norm at or below 1e-14")
+    shape, given ``gnorm2 = slice_dots(G, G)``, per slice: 0.0 where the gradient
+    vanishes, non-finite where ``gnorm2`` is. Only the kernel raises. A float
+    at an unstacked state, else a (k,) array."""
     a, b = factors.a, factors.b
     bt_g, g_at = b.mT @ g, g @ a.mT
     t = bt_g @ a.mT
@@ -95,7 +99,9 @@ def _ratio(factors: LoRAFactors, g: np.ndarray, gnorm2, eps: float):
     right = grams.solve_a(np.concatenate((g_at.mT, t.mT), axis=-1))
     trapped = (gnorm2 - slice_dots(left[..., :n], bt_g) - slice_dots(right[..., :m], g_at.mT)
                + slice_dots(left[..., n:], right[..., m:].mT))
-    return trapped / gnorm2
+    zero = np.sqrt(gnorm2) <= ZERO_NORM
+    ratio = np.where(zero, 0.0, trapped / np.where(zero, 1.0, gnorm2))
+    return ratio if ratio.ndim else float(ratio)
 
 
 def balance_defect(factors: LoRAFactors) -> float:

@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (LoRAFactors, Objective, Sides, StateEval, effective_weight, gradient_sides,
-                   slice_dots)
+from .core import LoRAFactors, Objective, Sides, StateEval, effective_weight, slice_dots
 from .linalg import as_matrix, thin_svd
 
 __all__ = [
@@ -326,9 +325,9 @@ class QuadraticObjective(Objective):
 
     At a factor state, stacked or not, ``sides`` and ``evaluate`` form
     ``W = W_pt + B A`` and the gradient ``mu (W - W*)`` on the whole stack
-    at once, and take the sides from that G (``gradient_sides``); they call
-    neither ``grad`` nor ``loss``, and each slice gets the bits those give
-    at its own W.
+    at once, and take the sides from G unchecked: an entry of G that
+    overflows forces a loss of at least 0.9e308. They call neither ``grad``
+    nor ``loss``, and each slice gets the bits those give at its own W.
     """
 
     def __init__(self, w_star: np.ndarray, mu: float, w_pt: np.ndarray):
@@ -348,14 +347,14 @@ class QuadraticObjective(Objective):
         return self.mu * (w - self.w_star)
 
     def sides(self, factors: LoRAFactors) -> Sides:
-        return gradient_sides(factors, self.mu * (effective_weight(self.w_pt, factors)
-                                                  - self.w_star))
+        g = self.mu * (effective_weight(self.w_pt, factors) - self.w_star)
+        return Sides(factors.b.mT @ g, g @ factors.a.mT)
 
     def evaluate(self, factors: LoRAFactors) -> StateEval:
         diff = effective_weight(self.w_pt, factors) - self.w_star
         loss = 0.5 * self.mu * np.sum(diff * diff, axis=(-2, -1))
         g = self.mu * diff
-        return StateEval(loss, g, gradient_sides(factors, g))
+        return StateEval(loss, g, Sides(factors.b.mT @ g, g @ factors.a.mT))
 
 
 class RegressionObjective(_ResidualObjective):

@@ -46,10 +46,10 @@ one stacked call on the live slices: the objective's ``evaluate``,
 and the null-space ratio divides by it), the objective's ``dist_to_opt``,
 the balance defect and the ratio. At a factor state it forms no m x n
 array but G: only a slice whose ``W_pt + B A`` a bound cannot show finite
-has its W formed (``_finite_weights``). Every stacked operation gives each slice
-bit-for-bit what it gives that slice alone, so a cell's rows are those of
-its run alone. A cell that halts gets its final row and leaves the stack. numpy's stacked
-factorizations raise for the whole stack, so when a step raises one of
+has its W formed (``_finite_weights``). Every stacked operation gives each
+slice bit-for-bit what it gives that slice alone, so a cell's rows are those
+of its run alone. A cell that halts gets its final row and leaves the
+stack. Only the kernel raises for a whole stack, so when a step raises one of
 ``DIVERGENCE_ERRORS`` with more than one cell live, each live cell takes
 that step alone through ``step``, as a stack of one: exactly the step its
 run alone takes there. The cells whose step still raises halt on that
@@ -65,6 +65,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -89,7 +90,7 @@ from .linalg import (
     NonFiniteState,
     NotPositiveDefinite,
 )
-from .metrics import ZeroGradient, _ratio, balance_defect
+from .metrics import ZERO_NORM, _ratio, balance_defect
 
 __all__ = [
     "Scheme",
@@ -357,20 +358,19 @@ def _null_space_ratios(state: LoRAFactors, g: np.ndarray, gnorm2: np.ndarray, ep
     """``eps_ratio`` of each slice, as a list, given ``gnorm2``, each slice's
     ``||G||^2``: 0.0 where the gradient vanishes, and None (a blank field)
     where ``||G||^2`` is not finite or the kernel refuses the slice's Grams.
-    It is a diagnostic, so a refusal here never halts the run."""
+    It is a diagnostic, so a refusal here never halts the run. On a kernel
+    refusal each slice is taken alone, a vanishing gradient before any factoring."""
     try:
-        return _ratio(state, g, gnorm2, eps).tolist()
-    except (ZeroGradient, *DIVERGENCE_ERRORS):
-        pass
-    ratios = []
-    for j in range(len(g)):
-        try:
-            ratios.append(_ratio(state.take(j), g[j], float(gnorm2[j]), eps))
-        except ZeroGradient:
-            ratios.append(0.0)
-        except DIVERGENCE_ERRORS:
-            ratios.append(None)
-    return ratios
+        ratios = _ratio(state, g, gnorm2, eps).tolist()
+    except DIVERGENCE_ERRORS:
+        ratios = []
+        for j in range(len(g)):
+            try:
+                ratios.append(0.0 if np.sqrt(gnorm2[j]) <= ZERO_NORM
+                              else _ratio(state.take(j), g[j], float(gnorm2[j]), eps))
+            except DIVERGENCE_ERRORS:
+                ratios.append(math.nan)
+    return [ratio if math.isfinite(ratio) else None for ratio in ratios]
 
 
 # |(B A)_ij| <= r max|B| max|A|, and W_pt + B A rounds each entry up by a

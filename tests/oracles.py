@@ -8,9 +8,11 @@ closed-form constrained minimizer, and finite differences instead of exact
 gradients. The null-space projectors are formed as explicit n x n and
 m x m matrices, where the library only applies them through Gram solves;
 ``flow_rhs_full``, the full-weight velocity ``-G + P_B^null G P_A^null``
-the flow must induce, is built from them. ``dense_field`` is the library's
-field at a dense G, which the tests check against these routes; it reaches
-the field as a caller with a dense G does. ``dense_sides`` and
+the flow must induce, is built from them. ``gradient_sides`` takes the
+two sides of a dense G, checked for shape and finiteness, and
+``dense_field`` is the library's field at a dense G, which the tests check
+against these routes; they reach the field as a caller with a dense G
+does. ``dense_sides`` and
 ``dense_evaluate`` read an objective at a factor state by forming W and
 calling its ``grad`` and ``loss`` one slice at a time, where each library
 objective reads a whole stack in one call; ``DenseObjective`` is a base
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from odelora.core import (FactorGrams, LoRAFactors, Objective, StateEval, effective_weight,
-                          field_eval, gradient_sides, gram_a, gram_b)
-from odelora.linalg import NotPositiveDefinite
+from odelora.core import (FactorGrams, LoRAFactors, Objective, Sides, StateEval, effective_weight,
+                          field_eval, gram_a, gram_b)
+from odelora.linalg import NotPositiveDefinite, as_matrix
 
 
 def gauss_solve(g, rhs):
@@ -80,6 +82,15 @@ def flow_rhs_full(factors, g, eps=0.0):
     """-G + P_B^null G P_A^null, the full-weight velocity B F_A + F_B A that
     the balanced field induces (for any eps), from the explicit projectors."""
     return -g + null_projector_b(factors, eps) @ g @ null_projector_a(factors, eps)
+
+
+def gradient_sides(factors, g):
+    """The sides ``(B^T G, G A^T)`` of a dense gradient G, which is checked for
+    shape and finiteness."""
+    g = as_matrix(g, "G", stack=True)
+    if g.shape != factors.a.shape[:-2] + factors.shape:
+        raise ValueError(f"gradient shape {g.shape} != weight shape {factors.shape}")
+    return Sides(factors.b.mT @ g, g @ factors.a.mT)
 
 
 def dense_field(factors, g, eps=0.0):

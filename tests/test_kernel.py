@@ -26,7 +26,6 @@ from odelora.core import (
     LoRAFactors,
     Sides,
     effective_weight,
-    gradient_sides,
     gram_a,
     gram_b,
 )
@@ -52,8 +51,8 @@ from odelora.solvers import (
     run_trajectory,
     step,
 )
-from oracles import (dense_evaluate, dense_field, dense_sides, flow_rhs_full, kron_sylvester,
-                     null_projector_a, null_projector_b)
+from oracles import (dense_evaluate, dense_field, dense_sides, flow_rhs_full, gradient_sides,
+                     kron_sylvester, null_projector_a, null_projector_b)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402

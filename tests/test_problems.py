@@ -203,6 +203,50 @@ class TestRegressionObjective:
         assert gradient_probe_error(obj, rng.standard_normal((7, 9)), rng) <= 1e-6
 
 
+def objective_of(kind: str, seed: int, mu: float):
+    """A library objective of the given kind: sensing whose sides take the
+    Gram form (o = n) or the residual form (o < n), regression, or the
+    quadratic with curvature mu."""
+    if kind == "sensing_gram":
+        obj = sensing_objective(make_sensing_instance(6, 6, 6, 2, 0.05, seed))
+        assert obj.gram_form
+    elif kind == "sensing_residual":
+        obj = sensing_objective(make_sensing_instance(9, 12, 3, 2, 0.05, seed))
+        assert not obj.gram_form
+    elif kind == "regression":
+        obj = regression_objective(make_regression_instance(9, 7, seed))
+    else:
+        rng = np.random.default_rng(seed)
+        w_pt = rng.standard_normal((6, 7))
+        obj = quadratic_objective(w_pt + rng.standard_normal((6, 7)), mu=mu, w_pt=w_pt)
+    return obj
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["sensing_gram", "sensing_residual", "regression", "quadratic"]),
+       seed=st.integers(0, 2**16), scale=st.floats(0.0, 200.0), mu=st.floats(-3.0, 308.0),
+       stacked=st.booleans())
+@example(kind="quadratic", seed=0, scale=0.0, mu=308.0, stacked=False)
+def test_objectives_return_at_every_finite_factor_state(kind, seed, scale, mu, stacked):
+    # the Objective contract: at a finite factor state, sides and evaluate
+    # return, overflow and all, and leave the refusal to the kernel. The
+    # factors are 10**scale times N(0, 1); a stack's slices take the
+    # scales 10**scale, 10**(scale / 2) and 1.
+    obj = objective_of(kind, seed, 10.0**mu)
+    m, n = obj.w_pt.shape
+    rng = np.random.default_rng(seed)
+    lead = (3,) if stacked else ()
+    size = 10.0 ** (scale * np.array([1.0, 0.5, 0.0] if stacked else 1.0))
+    f = LoRAFactors(size[..., None, None] * rng.standard_normal(lead + (2, n)),
+                    size[..., None, None] * rng.standard_normal(lead + (m, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sides = obj.sides(f)
+        loss, g, row_sides = obj.evaluate(f)
+    for bt_g, g_at in (sides, row_sides):
+        assert bt_g.shape == f.a.shape and g_at.shape == f.b.shape
+    assert np.shape(loss) == lead and g.shape == lead + (m, n)
+
+
 class TestBalancedInit:
     def test_idempotent_on_balanced_pairs(self, rng):
         f0 = balanced_init(rng.standard_normal((6, 3)) @ rng.standard_normal((3, 7)), 3)

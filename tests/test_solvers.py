@@ -13,7 +13,6 @@ from odelora.core import (
     LoRAFactors,
     Objective,
     effective_weight,
-    gradient_sides,
 )
 from odelora.diagnostics import _integrate_weight, _seed_stack, estimate_order, phi_decompose
 from odelora.linalg import NonFiniteState, NotPositiveDefinite
@@ -38,7 +37,8 @@ from odelora.solvers import (
     run_trajectory,
     step,
 )
-from oracles import DenseObjective, dense_field, flow_rhs_full, longdouble_distance
+from oracles import (DenseObjective, dense_field, flow_rhs_full, gradient_sides,
+                     longdouble_distance)
 
 class ConstantGradient(DenseObjective):
     """Linear objective: loss = <G0, W>, gradient identically G0."""
@@ -540,6 +540,17 @@ class TestRunTrajectory:
         assert log.diverged and [row.iter for row in log.rows] == [0, 1]
         assert np.isfinite(log.rows[0].loss)
         assert np.isnan(log.rows[-1].loss) and np.isnan(log.rows[-1].grad_norm)
+
+    @pytest.mark.parametrize("scheme", Scheme)
+    def test_an_overflowing_quadratic_gradient_is_data(self, rng, scheme):
+        # at mu = 1e308 the start's mu (W - W*) overflows: the objective does
+        # not check its G, so row 0 logs the infinite loss and halts the run
+        w_pt = rng.standard_normal((6, 7))
+        w_star = w_pt + 5.0 * rng.standard_normal((6, 7))
+        obj = quadratic_objective(w_star, mu=1e308, w_pt=w_pt)
+        log = run_trajectory(balanced_init(w_star - w_pt, 2), obj, SolverConfig(scheme, 0.1, 5))
+        assert log.diverged and [row.iter for row in log.rows] == [0]
+        assert log.rows[0].loss == np.inf
 
     def test_programming_error_in_a_step_propagates(self, rng, monkeypatch):
         f, w_pt, obj = quadratic_fixture(rng)

@@ -26,7 +26,7 @@ from odelora.problems import (
     sensing_objective,
     zero_b_init,
 )
-from odelora import solvers as solvers_mod
+from odelora import metrics as metrics_mod, solvers as solvers_mod
 from odelora.solvers import (DIVERGENCE_LOSS, Scheme, SolverConfig, run_stack, run_trajectory,
                              step)
 from oracles import dense_evaluate, dense_sides
@@ -437,18 +437,63 @@ def test_slice_with_a_refused_ratio_logs_a_blank(sweep_small):
             assert [log.rows[0].eps_ratio is None for log in logs] == [False, True, False]
 
 
-def test_slice_with_a_vanishing_gradient_logs_a_zero_ratio():
-    # a start at the optimum has no null-space ratio; the stacked ratio
-    # falls back to slice-by-slice and logs 0.0 there, as a run alone does
-    rng = np.random.default_rng(5)
+def at_the_optimum(seed: int):
+    """(objective, start off the optimum, start at it) of a rank-2 quadratic,
+    whose gradient vanishes at the second start."""
+    rng = np.random.default_rng(seed)
     w_pt = rng.standard_normal((6, 7))
     target = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 7))
     obj = quadratic_objective(w_pt + target, mu=1.0, w_pt=w_pt)
-    exact, off = balanced_init(target, 2), perturbed_target_init(target, 2, 0.8, 0.3, 5)
+    return obj, perturbed_target_init(target, 2, 0.8, 0.3, seed), balanced_init(target, 2)
+
+
+def test_slice_with_a_vanishing_gradient_logs_a_zero_ratio():
+    # a start at the optimum has no null-space ratio; the stacked ratio
+    # answers each slice and logs 0.0 there, as a run alone does
+    obj, off, exact = at_the_optimum(5)
     stack = LoRAFactors(np.stack([off.a, exact.a]), np.stack([off.b, exact.b]))
     configs = [SolverConfig(Scheme.ODE_RK2, 0.2, 5)] * 2
     logs = assert_stack_matches_single_runs(stack, obj, configs)
     assert logs[1].rows[0].eps_ratio == 0.0 and logs[0].rows[0].eps_ratio > 0.0
+
+
+def test_ratio_factors_the_stack_once_per_row(monkeypatch):
+    # three cells, the middle one at the optimum: each logged row factors the
+    # Grams of the whole stack once for its ratios, not once per slice
+    obj, off, exact = at_the_optimum(5)
+    other = perturbed_target_init(obj.optimum_w - obj.w_pt, 2, 0.8, 0.3, 6)
+    stack = LoRAFactors(np.stack([off.a, exact.a, other.a]), np.stack([off.b, exact.b, other.b]))
+    built = []
+
+    class CountedGrams(FactorGrams):
+        def __init__(self, factors, eps=0.0):
+            built.append(factors.a.shape[:-2])
+            super().__init__(factors, eps)
+
+    monkeypatch.setattr(metrics_mod, "FactorGrams", CountedGrams)
+    logs = run_stack(stack, obj, [SolverConfig(Scheme.ODE_RK2, 0.2, 5)] * 3)
+    assert [len(log.rows) for log in logs] == [6, 6, 6]
+    assert [log.rows[0].eps_ratio == 0.0 for log in logs] == [False, True, False]
+    assert built == [(3,)] * 6
+
+
+def test_vanishing_gradient_with_refused_grams_logs_a_zero_ratio():
+    # B = 0 at eps_reg = 0 on a quadratic whose optimum is W_pt: that
+    # slice's gradient vanishes and the kernel refuses its Grams, which
+    # refuses the stacked ratio. Taken alone, the slice logs 0.0 before its
+    # Grams are factored, on every row, as its run alone does, and the other
+    # slice's ratio is taken alone. classical_gd reads no Grams, so neither
+    # cell halts
+    rng = np.random.default_rng(8)
+    w_pt = rng.standard_normal((6, 7))
+    obj = quadratic_objective(w_pt, mu=1.0, w_pt=w_pt)
+    a, b = rng.standard_normal((2, 7)), rng.standard_normal((6, 2))
+    stack = LoRAFactors(np.stack([a, a]), np.stack([b, np.zeros_like(b)]))
+    configs = [SolverConfig(Scheme.CLASSICAL_GD, 0.1, 10, eps_reg=0.0)] * 2
+    logs = assert_stack_matches_single_runs(stack, obj, configs)
+    assert not any(log.diverged for log in logs)
+    assert [row.eps_ratio for row in logs[1].rows] == [0.0] * 11
+    assert all(row.eps_ratio is not None for row in logs[0].rows)
 
 
 def test_cells_may_differ_only_in_scheme_and_step_size(sweep_small):

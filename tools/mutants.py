@@ -88,6 +88,25 @@ MUTANTS = [
            "            if False:\n",
            ("tests/test_diagnostics.py::TestEstimateOrder"
             "::test_defects_that_rise_as_h_falls_are_refused",)),
+    # the quadratic's logged row checks its G again, which refuses an
+    # overflowing gradient for the whole stack
+    Mutant("odelora/problems.py",
+           "return StateEval(loss, g, Sides(factors.b.mT @ g, g @ factors.a.mT))",
+           'return StateEval(loss, g, Sides(factors.b.mT @ as_matrix(g, "G", stack=True), '
+           "g @ factors.a.mT))",
+           ("tests/test_solvers.py::TestRunTrajectory"
+            "::test_an_overflowing_quadratic_gradient_is_data",)),
+    # a refused stacked ratio factors a vanishing slice's Grams alone
+    Mutant("odelora/solvers.py",
+           "ratios.append(0.0 if np.sqrt(gnorm2[j]) <= ZERO_NORM\n"
+           "                              else _ratio(",
+           "ratios.append(_ratio(",
+           ("tests/test_stack.py::test_vanishing_gradient_with_refused_grams_logs_a_zero_ratio",)),
+    # the ratio divides a vanishing slice's round-off by its ||G||^2
+    Mutant("odelora/metrics.py",
+           "zero = np.sqrt(gnorm2) <= ZERO_NORM",
+           "zero = False",
+           ("tests/test_stack.py::test_slice_with_a_vanishing_gradient_logs_a_zero_ratio",)),
 ]
 
 # Runs in the child: imports the mutated module from the copy, runs the named
